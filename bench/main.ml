@@ -292,7 +292,9 @@ let micro_tests () =
           ignore (Dijkstra.from flip_topo ~src:0)
         done );
     (* Policy DSL matcher: the 26k-announcement stream through the
-       compiled bytecode and through the reference interpreter. *)
+       compiled bytecode and through the reference interpreter
+       ([Policy.explain_import], which also tracks the deciding rule's
+       source line). *)
     ( "policy/match-compiled",
       fun () ->
         let acc = ref 0 in
@@ -311,27 +313,16 @@ let micro_tests () =
           (fun (peer, role, dest, cls, len, path) ->
             acc :=
               !acc
-              + Policy.import_eval_naive pol_config ~node:0 ~peer ~role ~dest
-                  ~cls ~len ~path)
+              + fst
+                  (Policy.explain_import pol_config ~node:0 ~peer ~role ~dest
+                     ~cls ~len ~path))
           pol_stream;
         ignore !acc );
-    (* Adjacency visit: the allocating list API vs the CSR fast path.
-       One sweep of a 200-node graph is ~1 µs — below the clock's noise
-       floor, which left these kernels with r² around 0.3. Each timed
-       run does [adj_reps] full sweeps so the measured quantity is well
-       clear of the sampling jitter; the reported ns/run is per batch,
-       comparable between the two variants. *)
-    ( "topo/neighbors-list",
-      fun () ->
-        let acc = ref 0 in
-        for _ = 1 to adj_reps do
-          for v = 0 to n_nodes - 1 do
-            List.iter
-              (fun (nb, _, _) -> acc := !acc + nb)
-              (Topology.neighbors topo v)
-          done
-        done;
-        ignore !acc );
+    (* Adjacency visit over the CSR arrays. One sweep of a 200-node
+       graph is ~1 µs — below the clock's noise floor, which left this
+       kernel with r² around 0.3. Each timed run does [adj_reps] full
+       sweeps so the measured quantity is well clear of the sampling
+       jitter; the reported ns/run is per batch. *)
     ( "topo/neighbors-csr",
       fun () ->
         let acc = ref 0 in
@@ -392,7 +383,9 @@ let micro_tests () =
    for them. For the multi-domain kernels this counts the caller's
    share only (worker domains keep their own counters), which is
    exactly the number that should shrink when per-index allocations
-   move into per-domain scratch. *)
+   move into per-domain scratch. [Gc.counters] is avoided: on OCaml
+   5.1.1 a loop that keeps its float results while it allocates aborts
+   with "allocation failure during minor GC". *)
 type alloc = {
   a_minor : float;
   a_major : float;

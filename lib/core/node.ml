@@ -44,8 +44,6 @@ let create ?on_change ?policy topo ~id =
 
 let id t = t.node_id
 
-let neighbors t = Topology.neighbors t.topo t.node_id
-
 let new_session ~neighbor =
   { pg = Pgraph.create ~root:neighbor;
     cache = Hashtbl.create 64;
@@ -198,55 +196,73 @@ let candidate_of_path t ~neighbor ~role down_path =
             ~dest:(Path.destination down_path) ~cls ~len ~path
         in
         if pref < 0 then None
-        else Some (path, pref, { Gao_rexford.cls; len; next_hop = neighbor })
+        else
+          Some
+            ( path,
+              { Gao_rexford.pref;
+                cls;
+                len;
+                next_hop = neighbor;
+                via_sibling = role = Relationship.Sibling } )
+
+(* Keep [best] unless [entry] ranks strictly above it. Centaur selects
+   like BGP's decision process: the Standard discipline. *)
+let better ~chooser ~dest best ((_, c) as entry) =
+  match best with
+  | Some (_, bc)
+    when Gao_rexford.compare_routes Gao_rexford.Standard ~chooser ~dest c bc
+         >= 0 ->
+    best
+  | Some _ | None -> Some entry
 
 let best_candidate t ~dest =
+  let chooser = t.node_id in
   (* A claimed origination (static [originate] or an active hijack
      override) beats everything: class Origin, length 1. *)
   let claim =
-    if dest <> t.node_id && Policy.claims_origin t.policy ~node:t.node_id ~dest
+    if dest <> chooser && Policy.claims_origin t.policy ~node:chooser ~dest
     then
       Some
-        ( [ t.node_id; dest ],
-          0,
-          { Gao_rexford.cls = Gao_rexford.Origin; len = 1; next_hop = dest } )
+        ( [ chooser; dest ],
+          { Gao_rexford.pref = 0;
+            cls = Gao_rexford.Origin;
+            len = 1;
+            next_hop = dest;
+            via_sibling = false } )
     else None
   in
-  List.fold_left
-    (fun best (n, role, _) ->
-      let cands = ref [] in
-      if dest = n then begin
+  Topology.fold_neighbors t.topo chooser ~init:claim ~f:(fun best n role _ ->
+      let best =
+        match Imap.find_opt n t.sessions with
+        | None -> best
+        | Some s -> (
+          match Hashtbl.find_opt s.cache dest with
+          | None -> best
+          | Some down_path -> (
+            match candidate_of_path t ~neighbor:n ~role down_path with
+            | None -> best
+            | Some c -> better ~chooser ~dest best c))
+      in
+      if dest <> n then best
+      else
         let cls =
           Gao_rexford.class_of_learned ~neighbor_role:role
             ~neighbor_class:Gao_rexford.Origin
         in
-        let path = [ t.node_id; n ] in
+        let path = [ chooser; n ] in
         let pref =
-          Policy.import_eval t.policy ~node:t.node_id ~peer:n ~role ~dest ~cls
+          Policy.import_eval t.policy ~node:chooser ~peer:n ~role ~dest ~cls
             ~len:1 ~path
         in
-        if pref >= 0 then
-          cands := [ (path, pref, { Gao_rexford.cls; len = 1; next_hop = n }) ]
-      end;
-      (match Imap.find_opt n t.sessions with
-      | None -> ()
-      | Some s -> (
-        match Hashtbl.find_opt s.cache dest with
-        | None -> ()
-        | Some down_path -> (
-          match candidate_of_path t ~neighbor:n ~role down_path with
-          | None -> ()
-          | Some c -> cands := c :: !cands)));
-      List.fold_left
-        (fun best ((_, pref, cand) as entry) ->
-          match best with
-          | None -> Some entry
-          | Some (_, bpref, bc) ->
-            if Policy.compare_ranked (pref, cand) (bpref, bc) < 0 then
-              Some entry
-            else best)
-        best !cands)
-    claim (neighbors t)
+        if pref < 0 then best
+        else
+          better ~chooser ~dest best
+            ( path,
+              { Gao_rexford.pref;
+                cls;
+                len = 1;
+                next_hop = n;
+                via_sibling = role = Relationship.Sibling } ))
 
 (* Export decision for one selected path toward one neighbor: split
    horizon, then the compiled export policy (which defaults to the
@@ -281,7 +297,7 @@ let reselect t ~dest =
   else begin
     let old_path = Hashtbl.find_opt t.selected dest in
     let new_path =
-      Option.map (fun (p, _, _) -> p) (best_candidate t ~dest)
+      Option.map fst (best_candidate t ~dest)
     in
     let same =
       match (old_path, new_path) with
@@ -295,8 +311,7 @@ let reselect t ~dest =
       | None -> Hashtbl.remove t.selected dest);
       (match t.on_change with Some f -> f dest | None -> ());
       Builder.set_path t.local ~dest new_path;
-      List.iter
-        (fun (n, role, _) ->
+      Topology.iter_neighbors t.topo t.node_id (fun n role _ ->
           match Imap.find_opt n t.exports with
           | None -> ()
           | Some builder ->
@@ -306,7 +321,6 @@ let reselect t ~dest =
               | None -> None
             in
             Builder.set_path builder ~dest exported)
-        (neighbors t)
     end
   end
 
@@ -361,9 +375,9 @@ let populate_export t builder ~neighbor ~role =
    neighbor set and mark the affected destinations dirty. Like [absorb],
    emits nothing until [recompute]. *)
 let absorb_adjacency t =
-  let live = neighbors t in
   let live_set =
-    List.fold_left (fun acc (n, _, _) -> Imap.add n () acc) Imap.empty live
+    Topology.fold_neighbors t.topo t.node_id ~init:Imap.empty
+      ~f:(fun acc n _ _ -> Imap.add n () acc)
   in
   (* Dead sessions: drop state; every destination currently routed
      through the vanished neighbor needs re-selection, as does the
@@ -383,16 +397,14 @@ let absorb_adjacency t =
   t.sessions <- Imap.filter (fun n _ -> Imap.mem n live_set) t.sessions;
   t.exports <- Imap.filter (fun n _ -> Imap.mem n live_set) t.exports;
   (* New sessions: empty announced graph, full export. *)
-  List.iter
-    (fun (n, role, _) ->
+  Topology.iter_neighbors t.topo t.node_id (fun n role _ ->
       if not (Imap.mem n t.sessions) then begin
         t.sessions <- Imap.add n (new_session ~neighbor:n) t.sessions;
         let builder = Builder.create ~root:t.node_id in
         populate_export t builder ~neighbor:n ~role;
         t.exports <- Imap.add n builder t.exports;
         Dirty.mark t.dirty n
-      end)
-    live;
+      end);
   (* Claimed originations need an initial selection pass. *)
   List.iter
     (fun d -> Dirty.mark t.dirty d)
@@ -423,8 +435,7 @@ let refresh_policy ?(resend = false) t =
     (Policy.origins t.policy ~node:t.node_id);
   (* Selections that stay put still need their export decisions redone:
      an export chain may have flipped while the best route didn't. *)
-  List.iter
-    (fun (n, role, _) ->
+  Topology.iter_neighbors t.topo t.node_id (fun n role _ ->
       match Imap.find_opt n t.exports with
       | None -> ()
       | Some builder ->
@@ -432,8 +443,7 @@ let refresh_policy ?(resend = false) t =
           (fun dest p ->
             Builder.set_path builder ~dest (export_decision t ~neighbor:n ~role p))
           t.selected;
-        if resend then Builder.invalidate_wire builder)
-    (neighbors t);
+        if resend then Builder.invalidate_wire builder);
   recompute t
 
 let dirty_size t = Dirty.cardinal t.dirty

@@ -230,11 +230,7 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
      three-phase fast path. A non-default policy routes every discipline
      through the generic fixpoint solver, which evaluates the compiled
      chains. *)
-  let policy =
-    match policy with
-    | Some p when not (Policy.is_default p) -> Some p
-    | Some _ | None -> None
-  in
+  let policy = Policy.configured policy in
   let n = Topology.num_nodes topo in
   let src_arr = Array.of_list sources in
   let k = Array.length src_arr in
@@ -339,11 +335,7 @@ let analyze_materialized ?(discipline = Gao_rexford.Standard) ?policy
     ?(plist_fp_rate = default_plist_fp_rate) topo ~sources =
   if sources = [] then
     invalid_arg "Static.analyze_materialized: empty source list";
-  let policy =
-    match policy with
-    | Some p when not (Policy.is_default p) -> Some p
-    | Some _ | None -> None
-  in
+  let policy = Policy.configured policy in
   let n = Topology.num_nodes topo in
   let src_arr = Array.of_list sources in
   let k = Array.length src_arr in

@@ -8,9 +8,8 @@ type link = {
 
 (* Adjacency lives in CSR form: half-edge [k] of node [v] occupies slot
    [csr_off.(v) + k], slots sorted by ascending neighbor id. Flat int
-   arrays keep the hot per-neighbor loops of the solvers allocation-free
-   and cache-friendly; the list-returning [neighbors] below is derived
-   from the same arrays for cold callers. *)
+   arrays keep the per-neighbor loops allocation-free and
+   cache-friendly. *)
 type t = {
   n : int;
   link_arr : link array;
@@ -153,20 +152,6 @@ let fold_neighbors t v ~init ~f =
       go (k + 1) acc
   in
   go t.csr_off.(v) init
-
-let neighbors t v =
-  check_node t v "neighbors";
-  let rec go k acc =
-    if k < t.csr_off.(v) then acc
-    else
-      let id = t.csr_link.(k) in
-      let acc =
-        if t.up.(id) then (t.csr_nbr.(k), code_rel.(t.csr_rel.(k)), id) :: acc
-        else acc
-      in
-      go (k - 1) acc
-  in
-  go (t.csr_off.(v + 1) - 1) []
 
 let degree t v =
   check_node t v "degree";

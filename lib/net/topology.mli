@@ -36,11 +36,6 @@ val link : t -> int -> link
 val links : t -> link array
 (** All links (shared array — do not mutate). *)
 
-val neighbors : t -> int -> (int * Relationship.t * int) list
-(** [(neighbor, role-of-neighbor, link id)] over links currently up.
-    Allocates a fresh list per call; hot loops should use
-    {!iter_neighbors} or {!fold_neighbors} instead. *)
-
 type adj = {
   adj_off : int array;   (** [num_nodes + 1] offsets into the half-edge arrays *)
   adj_nbr : int array;   (** neighbor id per half-edge *)
@@ -74,11 +69,10 @@ val code_sibling : int
 
 val iter_neighbors : t -> int -> (int -> Relationship.t -> int -> unit) -> unit
 (** [iter_neighbors t v f] calls [f neighbor role_of_neighbor link_id]
-    for every up link of [v], in ascending neighbor id order (the same
-    order as {!neighbors}). Zero-allocation fast path: the adjacency is
-    stored in flat CSR arrays (offsets / neighbor ids / relationship
-    codes / link ids) built once at {!create}, and the visit allocates
-    nothing. *)
+    for every up link of [v], in ascending neighbor id order.
+    Zero-allocation fast path: the adjacency is stored in flat CSR
+    arrays (offsets / neighbor ids / relationship codes / link ids)
+    built once at {!create}, and the visit allocates nothing. *)
 
 val fold_neighbors :
   t -> int -> init:'acc -> f:('acc -> int -> Relationship.t -> int -> 'acc) ->

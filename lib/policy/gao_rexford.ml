@@ -26,67 +26,61 @@ let exportable ~cls ~to_role =
     | Origin | Cust -> true
     | Peer_r | Prov -> false)
 
-type candidate = { cls : route_class; len : int; next_hop : int }
+type candidate = {
+  pref : int;
+  cls : route_class;
+  len : int;
+  next_hop : int;
+  via_sibling : bool;
+}
 
 type discipline = Standard | Class_only | Diverse | Arbitrary
 
-(* SplitMix64-style mix, reduced to 10 bits. *)
-let local_pref ~chooser ~next_hop =
-  let z = Int64.of_int ((chooser * 0x3779FB) lxor (next_hop * 0x9E3779)) in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+(* SplitMix64-style mix of a hashed key, reduced to a rank in [0, 1024). *)
+let mix10 key =
+  let z = Int64.of_int key in
+  let z = Int64.logxor z (Int64.shift_right_logical z 30) in
+  let z = Int64.mul z 0xBF58476D1CE4E5B9L in
   let z = Int64.logxor z (Int64.shift_right_logical z 27) in
   Int64.to_int (Int64.logand z 1023L)
 
-let compare_candidates a b =
-  let c = compare (class_rank a.cls) (class_rank b.cls) in
-  if c <> 0 then c
+(* Diverse: the chooser's stand-in for an operator-set local preference
+   over its neighbors. *)
+let local_pref ~chooser next_hop =
+  mix10 ((chooser * 0x3779FB) lxor (next_hop * 0x9E3779))
+
+(* Arbitrary: a tie-break that also varies per destination. *)
+let arbitrary_pref ~chooser ~dest next_hop =
+  mix10 ((chooser * 0x2545F4) lxor (dest * 0x9E3779) lxor (next_hop * 0x85EBCA))
+
+let compare_routes discipline ~chooser ~dest a b =
+  if a.pref <> b.pref then compare b.pref a.pref
   else
-    let c = compare a.len b.len in
-    if c <> 0 then c else compare a.next_hop b.next_hop
-
-let arbitrary_pref ~chooser ~dest ~next_hop =
-  let z =
-    Int64.of_int
-      ((chooser * 0x2545F4) lxor (dest * 0x9E3779) lxor (next_hop * 0x85EBCA))
-  in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.logxor z (Int64.shift_right_logical z 27) in
-  Int64.to_int (Int64.logand z 1023L)
-
-let compare_candidates_d ~chooser ~dest discipline a b =
-  match discipline with
-  | Standard -> compare_candidates a b
-  | Class_only ->
-    let c = compare (class_rank a.cls) (class_rank b.cls) in
-    if c <> 0 then c else compare a.next_hop b.next_hop
-  | Diverse ->
     let c = compare (class_rank a.cls) (class_rank b.cls) in
     if c <> 0 then c
     else
-      let c =
-        compare
-          (local_pref ~chooser ~next_hop:a.next_hop)
-          (local_pref ~chooser ~next_hop:b.next_hop)
-      in
-      if c <> 0 then c
-      else
+      match discipline with
+      | Standard ->
         let c = compare a.len b.len in
         if c <> 0 then c else compare a.next_hop b.next_hop
-  | Arbitrary ->
-    let c = compare (class_rank a.cls) (class_rank b.cls) in
-    if c <> 0 then c
-    else
-      let c =
-        compare
-          (arbitrary_pref ~chooser ~dest ~next_hop:a.next_hop)
-          (arbitrary_pref ~chooser ~dest ~next_hop:b.next_hop)
-      in
-      if c <> 0 then c else compare a.next_hop b.next_hop
-
-let best = function
-  | [] -> None
-  | first :: rest ->
-    Some
-      (List.fold_left
-         (fun acc c -> if compare_candidates c acc < 0 then c else acc)
-         first rest)
+      | (Class_only | Diverse | Arbitrary) when a.via_sibling <> b.via_sibling
+        ->
+        if a.via_sibling then 1 else -1
+      | Class_only -> compare a.next_hop b.next_hop
+      | Diverse ->
+        let c =
+          compare
+            (local_pref ~chooser a.next_hop)
+            (local_pref ~chooser b.next_hop)
+        in
+        if c <> 0 then c
+        else
+          let c = compare a.len b.len in
+          if c <> 0 then c else compare a.next_hop b.next_hop
+      | Arbitrary ->
+        let c =
+          compare
+            (arbitrary_pref ~chooser ~dest a.next_hop)
+            (arbitrary_pref ~chooser ~dest b.next_hop)
+        in
+        if c <> 0 then c else compare a.next_hop b.next_hop

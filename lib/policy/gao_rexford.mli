@@ -10,9 +10,13 @@
       originated locally) may be exported to everyone; a route learned
       from a peer or a provider may be exported only to customers.
       Siblings exchange all routes.
-    - {b Preference (ranking)}: customer routes over peer routes over
-      provider routes; within a class, shorter paths; ties broken by the
-      lowest next-hop id. *)
+    - {b Preference (ranking)}: {!compare_routes} is the one preference
+      order. The stable solver, the Centaur node, the BGP decision
+      process, the multipath ranking and the convergence analyzer's
+      routing algebra all call it. Higher import preference first, then
+      customer over peer over provider routes, then the {!discipline}'s
+      tie-break: by default shorter paths, then the lowest next-hop
+      id. *)
 
 type route_class =
   | Origin  (** the destination itself (locally originated prefix) *)
@@ -38,10 +42,14 @@ val exportable : cls:route_class -> to_role:Relationship.t -> bool
     role? Encodes the export rule above. *)
 
 type candidate = {
+  pref : int;          (** import preference (compiled policy); higher is
+                           preferred, 0 when no policy is configured *)
   cls : route_class;
-  len : int;       (** AS-path length in hops *)
-  next_hop : int;  (** neighbor the route was learned from *)
+  len : int;           (** AS-path length in hops *)
+  next_hop : int;      (** neighbor the route was learned from *)
+  via_sibling : bool;  (** learned across a sibling link *)
 }
+(** One route as the choosing node ranks it. *)
 
 type discipline =
   | Standard
@@ -53,8 +61,8 @@ type discipline =
           canalize onto shared gradients and P-graphs stay trees — a
           negative result the ablation benches document. *)
   | Diverse
-      (** class rank, then a per-node local preference over next hops
-          ({!local_pref}), then length, then id — every AS ranks its
+      (** class rank, then a per-node pseudo-random local preference
+          over next hops, then length, then id — every AS ranks its
           neighbors differently, the "diverse policies" of the paper's
           §2.1. Still canalized per source (candidate sets coincide for
           destinations sharing a downstream cone), so P-graphs stay
@@ -68,20 +76,21 @@ type discipline =
           P-graphs become genuinely multi-homed: this is the discipline
           that reproduces the paper's Table 4/5 magnitudes. *)
 
-val local_pref : chooser:int -> next_hop:int -> int
-(** Deterministic pseudo-random rank in \[0, 1024) a node assigns to a
-    neighbor — the {!Diverse} discipline's stand-in for operator-set
-    local preference. *)
+val compare_routes :
+  discipline -> chooser:int -> dest:int -> candidate -> candidate -> int
+(** The preference order of node [chooser] over its candidate routes
+    toward [dest]. Negative means the first route is preferred; 0 only
+    when every key ties. The keys, most significant first:
 
-val compare_candidates : candidate -> candidate -> int
-(** Total preference order under {!Standard}. Negative means the first
-    candidate is preferred. *)
+    - higher import preference;
+    - lower class rank;
+    - under {!Standard}: shorter length, then the lower next hop;
+    - under the other disciplines: a directly learned route over a
+      sibling-learned one, then the discipline's own tie-break (only
+      {!Diverse} and {!Arbitrary} consult [chooser] and [dest]).
 
-val compare_candidates_d :
-  chooser:int -> dest:int -> discipline -> candidate -> candidate -> int
-(** Preference order under an explicit discipline, for routes chosen by
-    node [chooser] toward [dest] (only {!Diverse} and {!Arbitrary}
-    consult them). *)
-
-val best : candidate list -> candidate option
-(** Most preferred candidate, [None] on the empty list. *)
+    Siblings sit outside the Gao–Rexford safety theorem. Without the
+    sibling demotion, two siblings can each prefer the other's route by
+    tie-break: a DISAGREE gadget with no stable state. {!Standard}
+    leaves the flag out: its length key matches the three-phase solver
+    and cannot sustain the gadget. *)

@@ -695,6 +695,10 @@ let default () = lower []
 
 let is_default t = (not t.custom) && t.overrides = 0
 
+let configured = function
+  | Some p when not (is_default p) -> Some p
+  | Some _ | None -> None
+
 let source t = t.source
 
 let overrides_active t = t.overrides > 0
@@ -783,9 +787,6 @@ let export_ok t ~node ~peer ~role ~dest ~cls ~len ~path =
         in
         if r = res_default then Gao_rexford.exportable ~cls ~to_role:role
         else r >= 0
-
-let compare_ranked (p1, c1) (p2, c2) =
-  if p1 <> p2 then compare p2 p1 else Gao_rexford.compare_candidates c1 c2
 
 let origins t ~node =
   let static =
@@ -892,44 +893,12 @@ let chain_rules config ~node ~dir ~peer ~role =
           | With_role r -> if (not explicit) && r = role then rules else [])
         filters
 
-let eval_chain_naive rules ~export ~dest ~cls ~len ~path =
-  let rec rules_loop pref tags = function
-    | [] -> if export then res_default else pref
-    | r :: rest ->
-        if eval_pred ~tags ~dest ~cls ~len ~path r.guard then
-          let rec acts pref tags = function
-            | [] -> rules_loop pref tags rest
-            | Permit :: _ -> pref
-            | Deny :: _ -> -1
-            | Pref v :: tl -> acts v tags tl
-            | Set_tag b :: tl -> acts pref (tags lor (1 lsl b)) tl
-            | Clear_tag b :: tl -> acts pref (tags land lnot (1 lsl b)) tl
-          in
-          acts pref tags r.actions
-        else rules_loop pref tags rest
-  in
-  rules_loop 0 0 rules
-
-let import_eval_naive config ~node ~peer ~role ~dest ~cls ~len ~path =
-  match chain_rules config ~node ~dir:Import ~peer ~role with
-  | [] when config = [] -> 0
-  | rules ->
-      let r = eval_chain_naive rules ~export:false ~dest ~cls ~len ~path in
-      if r = res_default then 0 else r
-
-let export_ok_naive config ~node ~peer ~role ~dest ~cls ~len ~path =
-  match chain_rules config ~node ~dir:Export ~peer ~role with
-  | [] when config = [] -> Gao_rexford.exportable ~cls ~to_role:role
-  | rules ->
-      let r = eval_chain_naive rules ~export:true ~dest ~cls ~len ~path in
-      if r = res_default then Gao_rexford.exportable ~cls ~to_role:role
-      else r >= 0
-
-(* Like [eval_chain_naive] but also reports the 1-based source line of
-   the deciding rule: for a terminating Deny, the denying rule; for a
-   Permit or an import fall-through, the rule that last set the
-   preference (falling back to the permitting rule itself). Builder-made
-   rules carry line 0 and report [None]. *)
+(* Runs one chain over the AST, returning what [exec] would (-1,
+   [res_default] or the accumulated preference) together with the
+   1-based source line of the deciding rule: for a terminating Deny, the
+   denying rule; for a Permit or an import fall-through, the rule that
+   last set the preference (falling back to the permitting rule itself).
+   Builder-made rules carry line 0 and report [None]. *)
 let eval_chain_explain rules ~export ~dest ~cls ~len ~path =
   let opt_line l fallback = if l > 0 then Some l else fallback in
   let rec rules_loop pref pline tags = function

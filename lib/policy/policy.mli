@@ -64,7 +64,7 @@ action  := "permit" | "deny" | "pref" INT | "tag" INT | "untag" INT
 
     Import preference ranks {e above} the Gao–Rexford order: candidates
     compare by descending preference first, then class / length /
-    next-hop as usual (see {!compare_ranked}).
+    next-hop as usual (see {!Gao_rexford.compare_routes}).
 
     A custom {e export permit} authorizes routes the Gao–Rexford
     contract would not — that is the point: it is how the containment
@@ -163,6 +163,12 @@ val is_default : compiled -> bool
     to coincide with hard-coded Gao–Rexford, so callers may keep their
     original fast paths. *)
 
+val configured : compiled option -> compiled option
+(** [None] for an absent or {!is_default} policy, the policy otherwise:
+    the normalization the stable solver, static analysis and the
+    convergence analyzer share, so they take their policy-free paths on
+    exactly the same inputs. *)
+
 val source : compiled -> config
 (** The configuration AST this value was compiled from ([[]] for
     {!default}) — static analyses (the convergence analyzer) walk it
@@ -201,12 +207,6 @@ val export_ok :
     [node] (head = [node]). Default policy:
     [Gao_rexford.exportable ~cls ~to_role:role]. A node under a
     {!set_leak} override exports everything. *)
-
-val compare_ranked :
-  int * Gao_rexford.candidate -> int * Gao_rexford.candidate -> int
-(** Order on (preference, candidate): higher preference first, then
-    {!Gao_rexford.compare_candidates}. Negative means the first is
-    preferred. With both preferences 0 this {e is} the standard order. *)
 
 val origins : compiled -> node:int -> int list
 (** Destinations [node] claims to originate beyond its own id — static
@@ -250,37 +250,27 @@ val reset_rejects : compiled -> unit
 
     Direct evaluation over the AST, resolving chains by scanning the
     configuration on every call — the correctness oracle for the
-    compiler (QCheck: compiled == naive) and the baseline for the
-    [policy-match] bench kernel. Overrides and origination are not
-    consulted: this is the pure configured policy. *)
-
-val import_eval_naive :
-  config ->
-  node:int -> peer:int -> role:Relationship.t ->
-  dest:int -> cls:Gao_rexford.route_class -> len:int -> path:Path.t ->
-  int
-
-val export_ok_naive :
-  config ->
-  node:int -> peer:int -> role:Relationship.t ->
-  dest:int -> cls:Gao_rexford.route_class -> len:int -> path:Path.t ->
-  bool
+    compiler (QCheck: compiled == reference), the baseline for the
+    [policy-match] bench kernel, and the convergence analyzer's source
+    of rule provenance. Overrides and origination are not consulted:
+    this is the pure configured policy. *)
 
 val explain_import :
   config ->
   node:int -> peer:int -> role:Relationship.t ->
   dest:int -> cls:Gao_rexford.route_class -> len:int -> path:Path.t ->
   int * int option
-(** {!import_eval_naive} plus the source line of the deciding rule: the
-    rule that last set the returned preference, or the terminating rule.
-    [None] when the built-in default decided or the rule has no source
-    position. *)
+(** The local preference {!import_eval} grants under the configuration
+    ([-1] to reject), plus the source line of the deciding rule: the
+    rule that last set the returned preference, or the terminating
+    rule. [None] when the built-in default decided or the rule has no
+    source position. *)
 
 val explain_export :
   config ->
   node:int -> peer:int -> role:Relationship.t ->
   dest:int -> cls:Gao_rexford.route_class -> len:int -> path:Path.t ->
   bool * int option
-(** {!export_ok_naive} plus the source line of the deciding rule (the
-    permitting or denying rule; [None] when the Gao–Rexford default
-    export rule decided). *)
+(** The {!export_ok} verdict under the configuration, plus the source
+    line of the deciding rule (the permitting or denying rule; [None]
+    when the Gao–Rexford default export rule decided). *)

@@ -84,8 +84,6 @@ let make_state id =
     deadline = ITbl.create 8;
     timer_armed = Flat_tbl.create () }
 
-let neighbors topo st = Topology.neighbors topo st.id
-
 (* Mark a destination for the next decision run. The most recent cause
    wins (matching sequential processing order); a causeless mark clears a
    stale one. *)
@@ -162,7 +160,7 @@ let on_timer topo states ~mrai ~now ~node ~key:peer =
     if ITbl.length q = 0 then []
     else if
       (* Session may have died while the batch was waiting. *)
-      not (List.exists (fun (n, _, _) -> n = peer) (neighbors topo st))
+      Topology.rel topo st.id peer = None
     then []
     else begin
       let batch = ITbl.fold (fun _dest m acc -> m :: acc) q [] in
@@ -261,37 +259,41 @@ let trusted_class topo st p =
   | None -> (
     match p with
     | _ :: nbr :: _ -> (
-      match
-        List.find_opt (fun (n, _, _) -> n = nbr) (neighbors topo st)
-      with
-      | Some (_, role, _) ->
+      match Topology.rel topo st.id nbr with
+      | Some role ->
         Gao_rexford.class_of_learned ~neighbor_role:role
           ~neighbor_class:Gao_rexford.Origin
       | None -> Gao_rexford.Prov)
     | _ -> Gao_rexford.Origin)
 
 (* Decision process for one destination: candidates are the RIB-in
-   entries of live sessions that pass loop detection, ranked by import
-   preference then the Gao–Rexford order. A claimed origination (static
-   [originate] or an active hijack override) competes as class Origin,
-   length 1 — it beats every learned route. *)
+   entries of live sessions that pass loop detection, ranked by
+   [Gao_rexford.compare_routes] under the Standard discipline (import
+   preference, then the Gao–Rexford order). A claimed origination
+   (static [originate] or an active hijack override) competes as class
+   Origin, length 1 — it beats every learned route. *)
 let select topo st ~policy dest =
   if dest = st.id then Some [ st.id ]
   else begin
     let best = ref None in
-    let consider pref cand path =
+    let consider cand path =
       match !best with
-      | None -> best := Some (pref, cand, path)
-      | Some (bpref, bc, _) ->
-        if Policy.compare_ranked (pref, cand) (bpref, bc) < 0 then
-          best := Some (pref, cand, path)
+      | Some (bc, _)
+        when Gao_rexford.compare_routes Gao_rexford.Standard ~chooser:st.id
+               ~dest cand bc
+             >= 0 ->
+        ()
+      | Some _ | None -> best := Some (cand, path)
     in
     if Policy.claims_origin policy ~node:st.id ~dest then
-      consider 0
-        { Gao_rexford.cls = Gao_rexford.Origin; len = 1; next_hop = dest }
+      consider
+        { Gao_rexford.pref = 0;
+          cls = Gao_rexford.Origin;
+          len = 1;
+          next_hop = dest;
+          via_sibling = false }
         [ st.id; dest ];
-    List.iter
-      (fun (n, role, _) ->
+    Topology.iter_neighbors topo st.id (fun n role _ ->
         match ITbl.find_opt st.rib_in (pk ~nbr:n ~dest) with
         | None -> ()
         | Some p ->
@@ -304,10 +306,15 @@ let select topo st ~policy dest =
                 ~len ~path
             in
             if pref >= 0 then
-              consider pref { Gao_rexford.cls; len; next_hop = n } path
-          end)
-      (neighbors topo st);
-    Option.map (fun (_, _, p) -> p) !best
+              consider
+                { Gao_rexford.pref;
+                  cls;
+                  len;
+                  next_hop = n;
+                  via_sibling = role = Relationship.Sibling }
+                path
+          end);
+    Option.map snd !best
   end
 
 (* Drain the dirty set and re-select each marked destination; only those
@@ -347,7 +354,7 @@ let decision_run topo st ~policy ~tr ~track =
    offer a path back to a node already on it). A claimed origination
    exports as class Origin — that is what a real hijacker's announcement
    looks like on the wire. *)
-let desired_adv topo st ~policy ~dest (n, role, _) =
+let desired_adv topo st ~policy ~dest n role =
   match ITbl.find_opt st.best dest with
   | None -> None
   | Some p ->
@@ -366,8 +373,8 @@ let desired_adv topo st ~policy ~dest (n, role, _) =
 
 (* Net update owed to one neighbor for one destination: the desired
    advertisement diffed against the Adj-RIB-Out entry. *)
-let adv_delta topo st ~policy ~tr ~dest ~cause ((n, _, _) as nbr) =
-  let desired = desired_adv topo st ~policy ~dest nbr in
+let adv_delta topo st ~policy ~tr ~dest ~cause n role =
+  let desired = desired_adv topo st ~policy ~dest n role in
   let current = ITbl.find_opt st.adv (pk ~nbr:n ~dest) in
   match (desired, current) with
   | None, None -> None
@@ -394,9 +401,11 @@ let adv_delta topo st ~policy ~tr ~dest ~cause ((n, _, _) as nbr) =
 let rib_out_updates topo st ~policy ~tr changed =
   List.concat_map
     (fun (dest, cause) ->
-      List.filter_map
-        (adv_delta topo st ~policy ~tr ~dest ~cause)
-        (neighbors topo st))
+      Topology.fold_neighbors topo st.id ~init:[] ~f:(fun acc n role _ ->
+          match adv_delta topo st ~policy ~tr ~dest ~cause n role with
+          | Some update -> update :: acc
+          | None -> acc)
+      |> List.rev)
     changed
 
 (* Full-table export to a freshly established session, deduplicated
@@ -406,15 +415,13 @@ let fresh_session_exports topo st ~policy ~tr =
   st.fresh_sessions <- [];
   List.concat_map
     (fun other ->
-      match
-        List.find_opt (fun (n, _, _) -> n = other) (neighbors topo st)
-      with
+      match Topology.rel topo st.id other with
       | None -> [] (* session died again before the batch closed *)
-      | Some nbr ->
+      | Some role ->
         ITbl.fold (fun dest _ acc -> dest :: acc) st.best []
         |> List.sort compare
         |> List.filter_map (fun dest ->
-               adv_delta topo st ~policy ~tr ~dest ~cause:None nbr))
+               adv_delta topo st ~policy ~tr ~dest ~cause:None other role))
     (List.sort compare fresh)
 
 (* One decision + export pass: the engine's batch end, shared by the
@@ -507,7 +514,10 @@ let network ?(mrai = 30.0) ?(rcn = false) ?(incremental = true)
         List.iter
           (fun d -> Dirty.mark st.dirty d)
           (Policy.origins policy ~node);
-        let live = List.map (fun (nb, _, _) -> nb) (neighbors topo st) in
+        let live =
+          Topology.fold_neighbors topo st.id ~init:[] ~f:(fun acc nb _ _ ->
+              nb :: acc)
+        in
         st.fresh_sessions <-
           List.sort_uniq compare (live @ st.fresh_sessions);
         Sim.Engine.perform engine ~node

@@ -121,9 +121,9 @@ let install ~changed ~tr topo st m =
   end
 
 let flood_except topo st ~except m =
-  List.filter_map
-    (fun (n, _, _) -> if Some n = except then None else Some (n, m))
-    (Topology.neighbors topo st.id)
+  Topology.fold_neighbors topo st.id ~init:[] ~f:(fun acc n _ _ ->
+      if Some n = except then acc else (n, m) :: acc)
+  |> List.rev
 
 (* Defer a flood to the batch end, one slot per LSDB key: when a burst
    installs several sequence numbers of the same LSA (a stale db-sync
@@ -246,11 +246,12 @@ let network ?(incremental = true) ?(trace = Obs.Trace.none)
            originations flood immediately rather than through the
            outbox. *)
         Sim.Runner.sends_to_actions
-          (List.concat_map
-             (fun (_, _, link_id) ->
+          (Topology.fold_neighbors topo st.id ~init:[]
+             ~f:(fun acc _ _ link_id ->
                flood_except topo st ~except:None
-                 (originate ~changed ~tr topo st link_id ~up:true))
-             (Topology.neighbors topo st.id)))
+                 (originate ~changed ~tr topo st link_id ~up:true)
+               :: acc)
+          |> List.rev |> List.concat))
   in
   let path ~src ~dest =
     Dijkstra.path_to (tree_of ~incremental topo states.(src)) dest

@@ -1,41 +1,44 @@
 (* Ranked candidate paths of [src] toward the destination solved in
-   [r]: one per neighbor offering an importable route, best first. *)
+   [r]: one per neighbor offering an importable route, best first in
+   the Standard order of [Gao_rexford.compare_routes]. *)
 let ranked_candidates topo r ~src ~dest =
   let candidates =
-      List.filter_map
-        (fun (n, role, _) ->
-          let down =
-            if n = dest then Some [ dest ]
-            else
-              match Solver.path r n with
-              | Some p when not (Path.contains p src) -> Some p
-              | Some _ | None -> None
-          in
-          match down with
-          | None -> None
-          | Some down ->
-            (* The neighbor must be allowed to offer the route. *)
-            if
-              not
-                (Path_class.exportable_to topo down
-                   ~neighbor_role:(Relationship.invert role))
-            then None
-            else
-              let path = src :: down in
-              (match Path_class.class_of topo path with
-              | None -> None
-              | Some cls ->
-                Some
-                  ( path,
-                    { Gao_rexford.cls;
-                      len = Path.length path;
-                      next_hop = n } )))
-        (Topology.neighbors topo src)
-    in
+    Topology.fold_neighbors topo src ~init:[] ~f:(fun acc n role _ ->
+        let down =
+          if n = dest then Some [ dest ]
+          else
+            match Solver.path r n with
+            | Some p when not (Path.contains p src) -> Some p
+            | Some _ | None -> None
+        in
+        match down with
+        | None -> acc
+        | Some down ->
+          (* The neighbor must be allowed to offer the route. *)
+          if
+            not
+              (Path_class.exportable_to topo down
+                 ~neighbor_role:(Relationship.invert role))
+          then acc
+          else
+            let path = src :: down in
+            match Path_class.class_of topo path with
+            | None -> acc
+            | Some cls ->
+              ( path,
+                { Gao_rexford.pref = 0;
+                  cls;
+                  len = Path.length path;
+                  next_hop = n;
+                  via_sibling = role = Relationship.Sibling } )
+              :: acc)
+  in
   List.map fst
     (List.sort
-       (fun (_, c1) (_, c2) -> Gao_rexford.compare_candidates c1 c2)
-       candidates)
+       (fun (_, c1) (_, c2) ->
+         Gao_rexford.compare_routes Gao_rexford.Standard ~chooser:src ~dest
+           c1 c2)
+       (List.rev candidates))
 
 let k_best topo ~k ~src ~dest =
   if k < 1 then invalid_arg "Multipath.k_best: k < 1";

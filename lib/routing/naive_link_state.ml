@@ -16,14 +16,12 @@ let next_hop topo ~view ~src ~dest =
     Queue.push src q;
     while not (Queue.is_empty q) do
       let x = Queue.pop q in
-      List.iter
-        (fun (y, _, _) ->
+      Topology.iter_neighbors topo x (fun y _ _ ->
           if view_allows view x y && dist.(y) = max_int then begin
             dist.(y) <- dist.(x) + 1;
             parent.(y) <- x;
             Queue.push y q
           end)
-        (Topology.neighbors topo x)
     done;
     if dist.(dest) = max_int then None
     else begin

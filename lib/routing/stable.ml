@@ -87,34 +87,11 @@ let path_of_cell ws c =
 (* One best-response step for node [y]: choose the most preferred
    candidate given the neighbors' current selections, returned as
    [Some (cx, cls)] — the winning neighbor's cell plus the class the
-   route takes on at [y].
-
-   Under the non-Standard disciplines, sibling-learned routes rank
-   strictly below directly-learned routes of the same class. Siblings
-   sit outside the Gao–Rexford safety theorem; without this demotion a
-   pair of siblings can each prefer the other's route by tie-break — a
-   DISAGREE gadget with no fixpoint. Demoting sibling-learned routes
-   within the class removes the mutual strict preference while keeping
-   sibling transparency (the class still propagates). The Standard
-   discipline is left untouched: its length tie-break already matches
-   the three-phase solver and cannot sustain the gadget. *)
+   route takes on at [y]. Candidates are ranked by
+   [Gao_rexford.compare_routes], the order every protocol engine runs;
+   with no policy every import preference is 0. *)
 let best_response ~discipline ~policy ws topo y d =
   let best = ref None in
-  (* Import preference (compiled policy) ranks above everything; with
-     no policy every preference is 0 and the comparison vanishes. *)
-  let prefer (pr1, c1, s1) (pr2, c2, s2) =
-    if pr1 <> pr2 then pr1 > pr2
-    else
-      match discipline with
-      | Standard -> Gao_rexford.compare_candidates c1 c2 < 0
-      | Class_only | Diverse | Arbitrary ->
-        let k = compare (class_rank c1.cls) (class_rank c2.cls) in
-        if k <> 0 then k < 0
-        else if s1 <> s2 then not s1
-        else
-          Gao_rexford.compare_candidates_d ~chooser:y ~dest:d discipline c1 c2
-          < 0
-  in
   Topology.iter_neighbors topo y (fun x role_of_x _ ->
       let cx = ws.sel.(x) in
       if cx >= 0 && not (chain_contains ws cx y) then begin
@@ -136,36 +113,37 @@ let best_response ~discipline ~policy ws topo y d =
             Gao_rexford.class_of_learned ~neighbor_role:role_of_x
               ~neighbor_class:x_class
           in
-          let cand = { cls; len = x_len + 1; next_hop = x } in
+          let len = x_len + 1 in
           let pref =
             match policy with
             | None -> 0
             | Some pol ->
               Policy.import_eval pol ~node:y ~peer:x ~role:role_of_x ~dest:d
-                ~cls ~len:cand.len ~path:(y :: path_of_cell ws cx)
+                ~cls ~len ~path:(y :: path_of_cell ws cx)
           in
           if pref >= 0 then begin
-            let via_sibling = role_of_x = Relationship.Sibling in
+            let cand =
+              { pref;
+                cls;
+                len;
+                next_hop = x;
+                via_sibling = role_of_x = Relationship.Sibling }
+            in
             match !best with
-            | None -> best := Some (pref, cand, via_sibling, cx)
-            | Some (bpr, bc, bs, _) ->
-              if prefer (pref, cand, via_sibling) (bpr, bc, bs) then
-                best := Some (pref, cand, via_sibling, cx)
+            | Some (bc, _)
+              when compare_routes discipline ~chooser:y ~dest:d cand bc >= 0
+              ->
+              ()
+            | Some _ | None -> best := Some (cand, cx)
           end
         end
       end);
   match !best with
   | None -> None
-  | Some (_, cand, _, cx) -> Some (cx, cand.cls)
+  | Some (cand, cx) -> Some (cx, cand.cls)
 
 let to_dest_with ws ?(discipline = Standard) ?policy ?max_rounds topo d =
-  (* A compiled policy with nothing configured is exactly Gao–Rexford:
-     drop down to the policy-free fast path. *)
-  let policy =
-    match policy with
-    | Some p when not (Policy.is_default p) -> Some p
-    | Some _ | None -> None
-  in
+  let policy = Policy.configured policy in
   let n = Topology.num_nodes topo in
   if d < 0 || d >= n then invalid_arg "Stable.to_dest: destination out of range";
   if ws.cap < n then begin

@@ -1,15 +1,7 @@
 (* Routing-algebra view of policy-guided path selection. See algebra.mli
    for the convergence argument the orders are chosen to support. *)
 
-type route = {
-  node : int;
-  path : Path.t;
-  pref : int;
-  cls : Gao_rexford.route_class;
-  len : int;
-  next_hop : int;
-  via_sibling : bool;
-}
+type route = { node : int; path : Path.t; cand : Gao_rexford.candidate }
 
 type t = {
   topo : Topology.t;
@@ -18,14 +10,7 @@ type t = {
 }
 
 let create ?(discipline = Gao_rexford.Standard) ?policy topo =
-  (* Normalize exactly as Stable.to_dest_with does, so the algebra and
-     the solver see the same policy. *)
-  let policy =
-    match policy with
-    | Some p when not (Policy.is_default p) -> Some p
-    | Some _ | None -> None
-  in
-  { topo; discipline; policy }
+  { topo; discipline; policy = Policy.configured policy }
 
 let topology t = t.topo
 let discipline t = t.discipline
@@ -33,14 +18,16 @@ let discipline t = t.discipline
 let origin_route ~node =
   { node;
     path = [ node ];
-    pref = 0;
-    cls = Gao_rexford.Origin;
-    len = 0;
-    next_hop = node;
-    via_sibling = false }
+    cand =
+      { Gao_rexford.pref = 0;
+        cls = Gao_rexford.Origin;
+        len = 0;
+        next_hop = node;
+        via_sibling = false } }
 
 let extend t ~dest r ~via =
   let v = r.node in
+  let r_cls = r.cand.cls and r_len = r.cand.len in
   match Topology.rel t.topo v via with
   | None -> None
   | Some role_of_via ->
@@ -51,10 +38,10 @@ let extend t ~dest r ~via =
          which is exactly what [Topology.rel topo v via] returns. *)
       let exported =
         match t.policy with
-        | None -> Gao_rexford.exportable ~cls:r.cls ~to_role:role_of_via
+        | None -> Gao_rexford.exportable ~cls:r_cls ~to_role:role_of_via
         | Some pol ->
           Policy.export_ok pol ~node:v ~peer:via ~role:role_of_via ~dest
-            ~cls:r.cls ~len:r.len ~path:r.path
+            ~cls:r_cls ~len:r_len ~path:r.path
       in
       if not exported then None
       else begin
@@ -63,9 +50,9 @@ let extend t ~dest r ~via =
         let role_of_v = Relationship.invert role_of_via in
         let cls =
           Gao_rexford.class_of_learned ~neighbor_role:role_of_v
-            ~neighbor_class:r.cls
+            ~neighbor_class:r_cls
         in
-        let len = r.len + 1 in
+        let len = r_len + 1 in
         let path = via :: r.path in
         let pref =
           match t.policy with
@@ -79,61 +66,37 @@ let extend t ~dest r ~via =
           Some
             { node = via;
               path;
-              pref;
-              cls;
-              len;
-              next_hop = v;
-              via_sibling = role_of_v = Relationship.Sibling }
+              cand =
+                { Gao_rexford.pref;
+                  cls;
+                  len;
+                  next_hop = v;
+                  via_sibling = role_of_v = Relationship.Sibling } }
       end
     end
 
-let candidate r =
-  { Gao_rexford.cls = r.cls; len = r.len; next_hop = r.next_hop }
-
-(* Mirror of the [prefer] relation inside Stable.best_response: import
-   preference above everything; Standard uses the plain candidate
-   order; the other disciplines rank class first, then demote
-   sibling-learned routes within the class, then apply the discipline
-   tie-break. *)
 let prefer t ~dest r1 r2 =
-  if r1.pref <> r2.pref then r1.pref > r2.pref
-  else
+  Gao_rexford.compare_routes t.discipline ~chooser:r1.node ~dest r1.cand
+    r2.cand
+  < 0
+
+(* Global severity order λ: the selection order with its node-local
+   keys, next hop and sibling flag, erased. Under the non-Standard
+   disciplines λ stops at class rank: [Class_only] does on erased
+   routes, where [Diverse] would go on to compare length. λ's keys are
+   thus a prefix of the selection order's, so a strict per-node
+   preference never contradicts a strict λ. *)
+let compare_rank t r1 r2 =
+  let erase c = { c with Gao_rexford.next_hop = 0; via_sibling = false } in
+  let discipline =
     match t.discipline with
-    | Gao_rexford.Standard ->
-      Gao_rexford.compare_candidates (candidate r1) (candidate r2) < 0
+    | Gao_rexford.Standard -> Gao_rexford.Standard
     | Gao_rexford.Class_only | Gao_rexford.Diverse | Gao_rexford.Arbitrary
       ->
-      let k =
-        compare
-          (Gao_rexford.class_rank r1.cls)
-          (Gao_rexford.class_rank r2.cls)
-      in
-      if k <> 0 then k < 0
-      else if r1.via_sibling <> r2.via_sibling then not r1.via_sibling
-      else
-        Gao_rexford.compare_candidates_d ~chooser:r1.node ~dest
-          t.discipline (candidate r1) (candidate r2)
-        < 0
-
-(* Global severity order λ. Every strict per-node preference is
-   compatible with it: [prefer] decides by preference first (λ's first
-   key), then class rank (λ's second); what remains — length/next-hop
-   under Standard, sibling demotion and discipline tie-breaks otherwise
-   — either respects λ's length key (Standard) or falls in a λ-tie
-   (the other disciplines, whose λ ignores length). *)
-let compare_rank t r1 r2 =
-  if r1.pref <> r2.pref then compare r2.pref r1.pref
-  else
-    let k =
-      compare (Gao_rexford.class_rank r1.cls) (Gao_rexford.class_rank r2.cls)
-    in
-    if k <> 0 then k
-    else
-      match t.discipline with
-      | Gao_rexford.Standard -> compare r1.len r2.len
-      | Gao_rexford.Class_only | Gao_rexford.Diverse
-      | Gao_rexford.Arbitrary ->
-        0
+      Gao_rexford.Class_only
+  in
+  Gao_rexford.compare_routes discipline ~chooser:0 ~dest:0 (erase r1.cand)
+    (erase r2.cand)
 
 type enumeration = {
   dest : int;
@@ -252,5 +215,5 @@ let isotonicity ?(max_pairs = 200_000) t enum =
 let pp_route ppf r =
   Format.fprintf ppf "%s (pref %d, %s)"
     (String.concat ">" (List.map string_of_int r.path))
-    r.pref
-    (Gao_rexford.class_to_string r.cls)
+    r.cand.pref
+    (Gao_rexford.class_to_string r.cand.cls)

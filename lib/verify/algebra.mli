@@ -9,10 +9,10 @@
     order relations — so convergence arguments can be checked against
     the {e configuration} instead of observed on runs:
 
-    - {!prefer} is the per-node selection order, mirroring
-      [Stable.best_response] exactly (import preference above the
-      discipline order, sibling demotion under the non-Standard
-      disciplines).
+    - {!prefer} is the per-node selection order: a direct call of
+      {!Gao_rexford.compare_routes}, the order the stable solver and
+      every protocol engine run, so the analyzer certifies exactly the
+      ranking that executes.
     - {!compare_rank} is a {e global} severity order λ shared by every
       node, chosen so that no node ever strictly prefers a strictly
       λ-worse route (preference first, then class rank, then — under
@@ -27,14 +27,12 @@
     with a structural Gao–Rexford certificate and a wheel search. *)
 
 type route = {
-  node : int;           (** resident node (head of [path]) *)
-  path : Path.t;        (** [node :: ... :: origin] *)
-  pref : int;           (** import preference granted at [node] *)
-  cls : Gao_rexford.route_class;
-  len : int;            (** hops *)
-  next_hop : int;       (** neighbor the route extends ([node] itself
-                            for an origin route) *)
-  via_sibling : bool;   (** learned across a sibling link *)
+  node : int;     (** resident node (head of [path]) *)
+  path : Path.t;  (** [node :: ... :: origin] *)
+  cand : Gao_rexford.candidate;
+      (** what [node] ranks: the import preference it grants, class,
+          hop count, the neighbor the route extends ([node] itself for
+          an origin route) and whether it came across a sibling link *)
 }
 
 type t
@@ -46,8 +44,8 @@ val create :
   Topology.t ->
   t
 (** Defaults: [Standard] discipline, the default (pure Gao–Rexford)
-    policy. A default compiled policy is normalized away, exactly as
-    the stable solver does, so the two never disagree. *)
+    policy. The policy goes through {!Policy.configured}, as in the
+    stable solver, so the two never disagree. *)
 
 val topology : t -> Topology.t
 val discipline : t -> Gao_rexford.discipline
@@ -60,14 +58,17 @@ val extend : t -> dest:int -> route -> via:int -> route option
 
 val prefer : t -> dest:int -> route -> route -> bool
 (** [prefer t ~dest r1 r2]: does the resident node strictly prefer [r1]
-    over [r2]? Both routes must live at the same node. Mirrors the
-    stable solver's candidate order. *)
+    over [r2]? Both routes must live at the same node.
+    [Gao_rexford.compare_routes (discipline t) ~chooser:r1.node ~dest]
+    decides. *)
 
 val compare_rank : t -> route -> route -> int
 (** The global order λ: negative when the first route is strictly more
     preferred. Compares descending preference, then class rank, then
-    (Standard discipline only) length. Per-node {!prefer} refines λ:
-    a strict {!prefer} never contradicts a strict λ ordering. *)
+    (Standard discipline only) length: {!Gao_rexford.compare_routes}
+    with the next hop and sibling flag erased. Per-node {!prefer}
+    refines λ: a strict {!prefer} never contradicts a strict λ
+    ordering. *)
 
 type enumeration = {
   dest : int;

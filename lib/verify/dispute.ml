@@ -189,7 +189,7 @@ let find_wheel alg (enum : Algebra.enumeration) ~max_arcs =
       List.iter
         (fun pid ->
           let p = all.(pid) in
-          if p.Algebra.len >= 1 then
+          if p.Algebra.cand.len >= 1 then
             match Hashtbl.find_opt path_id (List.tl p.Algebra.path) with
             | None -> () (* tail missing: truncated enumeration *)
             | Some tid ->
@@ -267,13 +267,13 @@ let annotate_lines ?policy topo w =
           List.map
             (fun h ->
               let r = h.rim in
-              match Topology.rel_any topo r.Algebra.node r.Algebra.next_hop with
+              let c = r.Algebra.cand in
+              match Topology.rel_any topo r.node c.next_hop with
               | None -> h
               | Some role ->
                 let _, line =
-                  Policy.explain_import config ~node:r.Algebra.node
-                    ~peer:r.Algebra.next_hop ~role ~dest:w.dest
-                    ~cls:r.Algebra.cls ~len:r.Algebra.len ~path:r.Algebra.path
+                  Policy.explain_import config ~node:r.node ~peer:c.next_hop
+                    ~role ~dest:w.dest ~cls:c.cls ~len:c.len ~path:r.path
                 in
                 { h with rim_line = line })
             w.hubs }

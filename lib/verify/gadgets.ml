@@ -104,9 +104,8 @@ let customer_only topo node = function
     | None -> true
     | Some r -> r = Relationship.Customer)
   | Policy.Any_peer ->
-    List.for_all
-      (fun (_, role, _) -> role = Relationship.Customer)
-      (Topology.neighbors topo node)
+    Topology.fold_neighbors topo node ~init:true ~f:(fun acc _ role _ ->
+        acc && role = Relationship.Customer)
 
 let random_pred rng n =
   match Rng.int rng 5 with
@@ -131,7 +130,11 @@ let random_config rng topo ~safe =
   in
   List.filter_map
     (fun node ->
-      let nbrs = Topology.neighbors topo node in
+      let nbrs =
+        List.rev
+          (Topology.fold_neighbors topo node ~init:[] ~f:(fun acc nb _ _ ->
+               nb :: acc))
+      in
       if nbrs = [] then None
       else begin
         let random_sel () =
@@ -142,8 +145,7 @@ let random_config rng topo ~safe =
           | 3 -> Policy.With_role Relationship.Peer
           | 4 -> Policy.With_role Relationship.Sibling
           | _ ->
-            let nb, _, _ = pick rng nbrs in
-            Policy.Peer nb
+            Policy.Peer (pick rng nbrs)
         in
         let random_rules ~dir ~cust_only =
           let count = 1 + Rng.int rng 2 in

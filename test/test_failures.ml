@@ -39,7 +39,9 @@ let test_node_cut () =
      high-degree node. *)
   let victim = 1 in
   let adjacent =
-    List.map (fun (_, _, id) -> id) (Topology.neighbors reference victim)
+    List.rev
+      (Topology.fold_neighbors reference victim ~init:[] ~f:(fun acc _ _ id ->
+           id :: acc))
   in
   Alcotest.(check bool) "victim is transit" true (List.length adjacent >= 3);
   List.iter

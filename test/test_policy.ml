@@ -53,16 +53,28 @@ let test_class_of_learned () =
     = Cust)
 
 let test_preference () =
-  let c cls len next_hop = { cls; len; next_hop } in
+  let c ?(pref = 0) cls len next_hop =
+    { pref; cls; len; next_hop; via_sibling = false }
+  in
+  let prefers ?(discipline = Standard) a b =
+    compare_routes discipline ~chooser:0 ~dest:0 a b < 0
+  in
+  List.iter
+    (fun discipline ->
+      Alcotest.(check bool) "preference 1 beats preference 0" true
+        (prefers ~discipline (c ~pref:1 Prov 9 9) (c Origin 1 1)))
+    [ Standard; Class_only; Diverse; Arbitrary ];
   Alcotest.(check bool) "class dominates length" true
-    (compare_candidates (c Cust 9 5) (c Peer_r 1 5) < 0);
+    (prefers (c Cust 9 5) (c Peer_r 1 5));
   Alcotest.(check bool) "length within class" true
-    (compare_candidates (c Cust 2 9) (c Cust 3 1) < 0);
+    (prefers (c Cust 2 9) (c Cust 3 1));
   Alcotest.(check bool) "next hop breaks ties" true
-    (compare_candidates (c Cust 2 1) (c Cust 2 2) < 0);
-  Alcotest.(check bool) "best of list" true
-    (best [ c Prov 1 1; c Cust 5 9; c Peer_r 2 2 ] = Some (c Cust 5 9));
-  Alcotest.(check bool) "best of empty" true (best [] = None)
+    (prefers (c Cust 2 1) (c Cust 2 2));
+  let sibling = { (c Cust 1 1) with via_sibling = true } in
+  Alcotest.(check bool) "sibling-learned ranks below direct" true
+    (prefers ~discipline:Class_only (c Cust 5 2) sibling);
+  Alcotest.(check bool) "standard ignores the sibling flag" true
+    (prefers sibling (c Cust 5 2))
 
 let test_path_class () =
   let topo = Fixtures.figure2a () in

@@ -222,11 +222,13 @@ let compiled_matches_naive =
         List.for_all
           (fun (node, peer, role, dest, cls, len, path) ->
             Policy.import_eval c ~node ~peer ~role ~dest ~cls ~len ~path
-            = Policy.import_eval_naive config ~node ~peer ~role ~dest ~cls
-                ~len ~path
-            && Policy.export_ok c ~node ~peer ~role ~dest ~cls ~len ~path
-               = Policy.export_ok_naive config ~node ~peer ~role ~dest ~cls
+            = fst
+                (Policy.explain_import config ~node ~peer ~role ~dest ~cls
                    ~len ~path)
+            && Policy.export_ok c ~node ~peer ~role ~dest ~cls ~len ~path
+               = fst
+                   (Policy.explain_export config ~node ~peer ~role ~dest ~cls
+                      ~len ~path))
           queries)
 
 (* --- QCheck: the default policy is Gao-Rexford exactly ---------------- *)
@@ -240,24 +242,6 @@ let default_is_gao_rexford =
       Policy.import_eval d ~node ~peer ~role ~dest ~cls ~len ~path = 0
       && Policy.export_ok d ~node ~peer ~role ~dest ~cls ~len ~path
          = Gao_rexford.exportable ~cls ~to_role:role)
-
-let ranked_default_order =
-  QCheck.Test.make ~name:"compare_ranked at pref 0 == compare_candidates"
-    ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         let cand =
-           let* cls = oneofl classes in
-           let* len = 1 -- 8 in
-           let* next_hop = int_bound 15 in
-           return { Gao_rexford.cls; len; next_hop }
-         in
-         pair cand cand))
-    (fun (a, b) ->
-      compare (Policy.compare_ranked (0, a) (0, b))
-        (Gao_rexford.compare_candidates a b)
-      = 0
-      && Policy.compare_ranked (1, a) (0, b) < 0)
 
 (* --- end to end: a configured policy changes what the nets route ------ *)
 
@@ -294,6 +278,5 @@ let suite =
     Alcotest.test_case "error-message corpus" `Quick test_corpus;
     QCheck_alcotest.to_alcotest compiled_matches_naive;
     QCheck_alcotest.to_alcotest default_is_gao_rexford;
-    QCheck_alcotest.to_alcotest ranked_default_order;
     Alcotest.test_case "policy changes routing" `Quick
       test_policy_changes_routing ]

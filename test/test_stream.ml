@@ -168,9 +168,12 @@ let test_policy_with_adjacent_flip () =
     let runner = Protocols.Bgp_net.network ~policy:pol topo in
     let leaker = 1 in
     let link_id =
-      match Topology.neighbors topo leaker with
-      | (_, _, link_id) :: _ -> link_id
-      | [] -> Alcotest.fail "node 1 has no neighbors"
+      match
+        Topology.fold_neighbors topo leaker ~init:None ~f:(fun first _ _ id ->
+            if first = None then Some id else first)
+      with
+      | Some link_id -> link_id
+      | None -> Alcotest.fail "node 1 has no neighbors"
     in
     let ev at update = { Stream.Update_stream.at; update } in
     let stream =

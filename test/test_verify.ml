@@ -75,6 +75,64 @@ let test_gadget_monotonicity_fails () =
         Alcotest.failf "%s: strict monotonicity did not fail" g.name)
     (Verify.Gadgets.all ())
 
+(* --- the one preference order ------------------------------------------ *)
+
+(* Routes resident at one node: small key ranges so that every key of
+   the order ties often enough to reach the next one. *)
+let gen_resident ~node =
+  let open QCheck.Gen in
+  let* pref = int_bound 2 in
+  let* cls = oneofl Gao_rexford.[ Origin; Cust; Peer_r; Prov ] in
+  let* len = 1 -- 4 in
+  let* next_hop = int_bound 5 in
+  let* via_sibling = bool in
+  return
+    { Verify.Algebra.node;
+      path = [ node; next_hop ];
+      cand = { Gao_rexford.pref; cls; len; next_hop; via_sibling } }
+
+let preference_order_laws =
+  QCheck.Test.make
+    ~name:"preference order antisymmetric, transitive, refines lambda"
+    ~count:(qcheck_count 500)
+    (QCheck.make
+       QCheck.Gen.(
+         let* discipline =
+           oneofl Gao_rexford.[ Standard; Class_only; Diverse; Arbitrary ]
+         in
+         let* node = int_bound 7 in
+         let* dest = int_bound 7 in
+         let* a = gen_resident ~node in
+         let* b = gen_resident ~node in
+         let* c = gen_resident ~node in
+         return (discipline, node, dest, a, b, c)))
+    (fun (discipline, node, dest, a, b, c) ->
+      let alg =
+        Verify.Algebra.create ~discipline (Topology.create ~n:8 [])
+      in
+      let cmp (x : Verify.Algebra.route) (y : Verify.Algebra.route) =
+        Gao_rexford.compare_routes discipline ~chooser:node ~dest x.cand
+          y.cand
+      in
+      let sign v = compare v 0 in
+      let antisymmetric x y = sign (cmp x y) = -sign (cmp y x) in
+      let transitive x y z =
+        (not (cmp x y <= 0 && cmp y z <= 0)) || cmp x z <= 0
+      in
+      let refines_lambda x y =
+        cmp x y >= 0 || Verify.Algebra.compare_rank alg x y <= 0
+      in
+      let prefer_is_order x y =
+        Verify.Algebra.prefer alg ~dest x y = (cmp x y < 0)
+      in
+      List.for_all
+        (fun (x, y) ->
+          antisymmetric x y && refines_lambda x y && prefer_is_order x y)
+        [ (a, b); (b, a); (a, c); (c, a); (b, c); (c, b) ]
+      && List.for_all
+           (fun (x, y, z) -> transitive x y z)
+           [ (a, b, c); (a, c, b); (b, a, c); (b, c, a); (c, a, b); (c, b, a) ])
+
 let test_default_policy_certificates () =
   (* A clean hierarchy earns the structural certificate... *)
   let hierarchy =
@@ -269,6 +327,7 @@ let suite =
     Alcotest.test_case "default-policy certificates" `Quick
       test_default_policy_certificates;
     Alcotest.test_case "verify corpus" `Quick test_corpus;
+    QCheck_alcotest.to_alcotest preference_order_laws;
     QCheck_alcotest.to_alcotest certified_implies_quiescent;
     QCheck_alcotest.to_alcotest flagged_family_oscillates;
     Alcotest.test_case "Stable.Diverged raises" `Quick

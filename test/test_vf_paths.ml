@@ -13,14 +13,12 @@ let brute_force_dist topo ~src ~dest =
     if len < !best then
       if current = dest then best := len
       else if len < n then
-        List.iter
-          (fun (next, _, _) ->
+        Topology.iter_neighbors topo current (fun next _ _ ->
             if not (List.mem next path) then begin
               let candidate = List.rev (next :: List.rev path) in
               if Valley_free.is_valley_free topo candidate then
                 go candidate next (len + 1)
             end)
-          (Topology.neighbors topo current)
   in
   go [ src ] src 0;
   if !best = max_int then None else Some !best
