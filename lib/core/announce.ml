@@ -11,8 +11,9 @@ let units t = max 1 (Pgraph.delta_units t.delta)
 
 (* Wire encoding the byte accounting charges for: an 8-byte message
    header (sender, section counts); 8 bytes per link key (two node ids);
-   1 presence flag plus the real Bloom-compressed Permission List on
-   each inserted link; 4 bytes per destination mark. *)
+   1 presence flag plus the Bloom-compressed Permission List on each
+   inserted link, priced in closed form (equal to the size of the
+   encoded filters); 4 bytes per destination mark. *)
 let header_bytes = 8
 let link_key_bytes = 8
 let dest_bytes = 4
@@ -25,24 +26,28 @@ let wire_bytes ?(plist_fp_rate = 0.01) t =
       +
       match pl with
       | None -> 0
-      | Some pl -> Permission_list.wire_size_bytes pl ~fp_rate:plist_fp_rate)
+      | Some pl -> Permission_list.compressed_size_bytes pl ~fp_rate:plist_fp_rate)
     header_bytes d.Pgraph.add_links
   + (List.length d.Pgraph.remove_links * link_key_bytes)
   + (List.length d.Pgraph.add_dests + List.length d.Pgraph.remove_dests)
     * dest_bytes
 
+(* Split horizon at the sender makes a link into the receiver rare, so
+   the common case hands the announcement through unchanged. *)
 let import t ~receiver =
-  let delta = t.delta in
-  let delta =
-    { delta with
-      Pgraph.add_links =
-        List.filter
-          (fun (_p, c, _pl) -> c <> receiver)
-          delta.Pgraph.add_links;
-      Pgraph.remove_links =
-        List.filter (fun (_p, c) -> c <> receiver) delta.Pgraph.remove_links }
-  in
-  { t with delta }
+  let d = t.delta in
+  let keeps_add (_p, c, _pl) = c <> receiver in
+  let keeps_remove (_p, c) = c <> receiver in
+  if
+    List.for_all keeps_add d.Pgraph.add_links
+    && List.for_all keeps_remove d.Pgraph.remove_links
+  then t
+  else
+    { t with
+      delta =
+        { d with
+          Pgraph.add_links = List.filter keeps_add d.Pgraph.add_links;
+          remove_links = List.filter keeps_remove d.Pgraph.remove_links } }
 
 let pp fmt t =
   let d = t.delta in

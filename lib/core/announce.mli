@@ -24,11 +24,11 @@ val units : t -> int
 
 val wire_bytes : ?plist_fp_rate:float -> t -> int
 (** Serialized size of the update with every Permission List carried as
-    its real Bloom-compressed encoding
-    ({!Permission_list.wire_size_bytes}) at the given false-positive
-    rate (default 1%): an 8-byte header, 8 bytes per link key, a
-    presence flag plus the compressed list per inserted link, 4 bytes
-    per destination mark. *)
+    its Bloom-compressed encoding at the given false-positive rate
+    (default 1%), priced by {!Permission_list.compressed_size_bytes}
+    without building the filters: an 8-byte header, 8 bytes per link
+    key, a presence flag plus the compressed list per inserted link, 4
+    bytes per destination mark. *)
 
 val import : t -> receiver:int -> t
 (** The receiver-side import filter of §4.3 Step 2: drop links pointing

@@ -1,30 +1,47 @@
-module Imap = Map.Make (Int)
+let nil = Occ_index.nil
 
 (* One session per live neighbor: the neighbor's announced P-graph, the
-   cache of paths derived from it, and an inverted index (node -> dests
-   whose cached path visits it) so a link change maps to the small set of
-   destinations it can affect. *)
+   cache of paths derived from it, an inverted index (node -> cached
+   destinations whose path visits it) so a link change maps to the small
+   set of destinations it can affect, and the export builder holding the
+   view last announced to that neighbor. The cache is a slot arena under
+   a destination index; the usage index is an occurrence arena keyed by
+   node, one owner chain per cached path. *)
 type session = {
-  mutable pg : Pgraph.t;
-  cache : (int, Path.t) Hashtbl.t; (* dest -> derived path (starts at nbr) *)
-  usage : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  pg : Pgraph.t;
+  export : Builder.t;
+  cache_slot : Flat_tbl.t; (* dest -> cache slot *)
+  mutable c_path : Path.t array; (* derived path, starts at the neighbor *)
+  mutable c_use : int array; (* head of the path's usage chain; free list *)
+  mutable c_hwm : int;
+  mutable c_free : int;
+  usage : Occ_index.t; (* node -> cached destinations visiting it *)
   (* Marked destinations that failed to derive (transient inconsistency,
      e.g. a link the import filter dropped): retried on every delta. *)
-  pending : (int, unit) Hashtbl.t;
+  pending : Flat_tbl.t;
 }
 
 type t = {
   node_id : int;
   topo : Topology.t;
-  mutable sessions : session Imap.t;
-  selected : (int, Path.t) Hashtbl.t; (* dest -> my path (starts at me) *)
-  local : Builder.t;
-  mutable exports : Builder.t Imap.t; (* per neighbor *)
+  adj : Topology.adj;
+  off : int; (* this node's slice of the CSR half-edges *)
+  hi : int;
+  (* Sessions indexed by half-edge ([k - off]), i.e. by ascending
+     neighbor id. *)
+  sessions : session option array;
+  mutable selected : Path.t array; (* dest -> my path ([] = none) *)
   (* Destinations whose selection must be revisited: every absorbed
      delta and adjacency change marks here (across all sessions), and
      one [recompute] drains it — the cross-session invalidation shares
      the dirty-set scheduler with the other protocols. *)
   dirty : Dirty.t;
+  (* Scratch: the destinations one delta can affect, and the nodes of
+     the derivation being compared with the cache (destination first). *)
+  affected : Dirty.t;
+  mutable walk : int array;
+  mutable walk_len : int;
+  mutable visit : int -> unit;
   on_change : (int -> unit) option; (* selection-change tap *)
   policy : Policy.compiled;
 }
@@ -32,97 +49,161 @@ type t = {
 type output = (int * Announce.t) list
 
 let create ?on_change ?policy topo ~id =
-  { node_id = id;
-    topo;
-    sessions = Imap.empty;
-    selected = Hashtbl.create 64;
-    local = Builder.create ~root:id;
-    exports = Imap.empty;
-    dirty = Dirty.create ();
-    on_change;
-    policy = (match policy with Some p -> p | None -> Policy.default ()) }
+  let n = Topology.num_nodes topo in
+  let adj = Topology.adj topo in
+  let off = adj.Topology.adj_off.(id) and hi = adj.Topology.adj_off.(id + 1) in
+  let t =
+    { node_id = id;
+      topo;
+      adj;
+      off;
+      hi;
+      sessions = Array.make (hi - off) None;
+      selected = Array.make (max n 1) [];
+      dirty = Dirty.create ();
+      affected = Dirty.create ();
+      walk = Array.make 16 0;
+      walk_len = 0;
+      visit = ignore;
+      on_change;
+      policy = (match policy with Some p -> p | None -> Policy.default ()) }
+  in
+  t.visit <-
+    (fun v ->
+      if t.walk_len = Array.length t.walk then begin
+        let w = Array.make (2 * t.walk_len) 0 in
+        Array.blit t.walk 0 w 0 t.walk_len;
+        t.walk <- w
+      end;
+      t.walk.(t.walk_len) <- v;
+      t.walk_len <- t.walk_len + 1);
+  t
 
 let id t = t.node_id
 
-let new_session ~neighbor =
+let selected t dest =
+  if dest < Array.length t.selected then t.selected.(dest) else []
+
+let set_selected t dest p =
+  if dest >= Array.length t.selected then begin
+    let a = Array.make (2 * (dest + 1)) [] in
+    Array.blit t.selected 0 a 0 (Array.length t.selected);
+    t.selected <- a
+  end;
+  t.selected.(dest) <- p
+
+let mark_dirty t dest = Dirty.mark t.dirty dest
+
+let new_session t ~neighbor =
   { pg = Pgraph.create ~root:neighbor;
-    cache = Hashtbl.create 64;
-    usage = Hashtbl.create 64;
-    pending = Hashtbl.create 8 }
+    export = Builder.create ~root:t.node_id;
+    cache_slot = Flat_tbl.create ();
+    c_path = Array.make 16 [];
+    c_use = Array.make 16 nil;
+    c_hwm = 0;
+    c_free = nil;
+    usage = Occ_index.create ();
+    pending = Flat_tbl.create () }
+
+let session_of t neighbor =
+  let k = Topology.half_edge t.topo t.node_id neighbor in
+  if k < 0 then None else t.sessions.(k - t.off)
 
 (* --- derived-path cache maintenance --- *)
 
-let usage_remove s dest p =
-  List.iter
-    (fun node ->
-      match Hashtbl.find_opt s.usage node with
-      | None -> ()
-      | Some set ->
-        Hashtbl.remove set dest;
-        if Hashtbl.length set = 0 then Hashtbl.remove s.usage node)
-    p
+let cached s dest =
+  match Flat_tbl.find_default s.cache_slot dest ~default:nil with
+  | -1 -> []
+  | c -> s.c_path.(c)
 
-let usage_add s dest p =
-  List.iter
-    (fun node ->
-      let set =
-        match Hashtbl.find_opt s.usage node with
-        | Some set -> set
-        | None ->
-          let set = Hashtbl.create 8 in
-          Hashtbl.replace s.usage node set;
-          set
-      in
-      Hashtbl.replace set dest ())
-    p
+let uncache s dest =
+  match Flat_tbl.find_default s.cache_slot dest ~default:nil with
+  | -1 -> ()
+  | c ->
+    let e = ref s.c_use.(c) in
+    while !e <> nil do
+      e := Occ_index.remove s.usage !e
+    done;
+    Flat_tbl.remove s.cache_slot dest;
+    s.c_path.(c) <- [];
+    s.c_use.(c) <- s.c_free;
+    s.c_free <- c
+
+let cache s dest p =
+  let c =
+    if s.c_free <> nil then begin
+      let c = s.c_free in
+      s.c_free <- s.c_use.(c);
+      c
+    end
+    else begin
+      if s.c_hwm = Array.length s.c_path then begin
+        let cap = 2 * s.c_hwm in
+        let paths = Array.make cap [] and use = Array.make cap nil in
+        Array.blit s.c_path 0 paths 0 s.c_hwm;
+        Array.blit s.c_use 0 use 0 s.c_hwm;
+        s.c_path <- paths;
+        s.c_use <- use
+      end;
+      let c = s.c_hwm in
+      s.c_hwm <- c + 1;
+      c
+    end
+  in
+  Flat_tbl.set s.cache_slot dest c;
+  s.c_path.(c) <- p;
+  s.c_use.(c) <-
+    List.fold_left
+      (fun owner node -> Occ_index.add s.usage ~key:node ~value:dest ~aux:0 ~owner)
+      nil p
+
+(* Is the derivation in [t.walk] (destination first) the path [p]? *)
+let walk_is t p =
+  let rec go i = function
+    | [] -> i < 0
+    | x :: rest -> i >= 0 && t.walk.(i) = x && go (i - 1) rest
+  in
+  go (t.walk_len - 1) p
+
+let walk_path t =
+  let p = ref [] in
+  for i = 0 to t.walk_len - 1 do
+    p := t.walk.(i) :: !p
+  done;
+  !p
 
 (* Re-derive one destination from the session's graph; true iff the
-   cached path changed. *)
-let rederive s ~dest =
-  let old_path = Hashtbl.find_opt s.cache dest in
-  let new_path =
-    if Pgraph.is_dest s.pg dest then Pgraph.derive_path s.pg ~dest else None
-  in
-  (match new_path with
-  | None when Pgraph.is_dest s.pg dest -> Hashtbl.replace s.pending dest ()
-  | None | Some _ -> Hashtbl.remove s.pending dest);
-  let same =
-    match (old_path, new_path) with
-    | None, None -> true
-    | Some a, Some b -> Path.equal a b
-    | None, Some _ | Some _, None -> false
-  in
+   cached path changed. The derivation is walked into scratch and
+   compared with the cache, so an unchanged path allocates nothing. *)
+let rederive t s ~dest =
+  let old_path = cached s dest in
+  let is_dest = Pgraph.is_dest s.pg dest in
+  t.walk_len <- 0;
+  let derived = is_dest && Pgraph.derive_walk s.pg ~dest t.visit in
+  if is_dest && not derived then Flat_tbl.set s.pending dest 1
+  else if Flat_tbl.length s.pending > 0 then Flat_tbl.remove s.pending dest;
+  let same = if derived then walk_is t old_path else old_path = [] in
   if not same then begin
-    (match old_path with
-    | Some p ->
-      usage_remove s dest p;
-      Hashtbl.remove s.cache dest
-    | None -> ());
-    match new_path with
-    | Some p ->
-      Hashtbl.replace s.cache dest p;
-      usage_add s dest p
-    | None -> ()
+    uncache s dest;
+    if derived then cache s dest (walk_path t)
   end;
   not same
 
-(* Destinations an incoming delta can affect: changed destination marks,
-   destinations mentioned in changed Permission Lists (old and new), and
-   destinations whose cached path visits an endpoint of a changed link. *)
-let affected_dests s (delta : Pgraph.delta) =
-  let acc = Hashtbl.create 64 in
-  let add d = Hashtbl.replace acc d () in
+(* Destinations an incoming delta can affect, into [t.affected]: changed
+   destination marks, destinations mentioned in changed Permission Lists
+   (old and new), and destinations whose cached path visits an endpoint
+   of a changed link. *)
+let collect_affected t s (delta : Pgraph.delta) =
+  let add d = Dirty.mark t.affected d in
   List.iter add delta.Pgraph.add_dests;
   List.iter add delta.Pgraph.remove_dests;
-  Hashtbl.iter (fun d () -> add d) s.pending;
+  Flat_tbl.iter s.pending (fun d _ -> add d);
   let add_usage node =
-    match Hashtbl.find_opt s.usage node with
-    | None -> ()
-    | Some set -> Hashtbl.iter (fun d () -> add d) set
-  in
-  let add_plist = function
-    | None -> ()
-    | Some pl -> List.iter add (Permission_list.dests pl)
+    let e = ref (Occ_index.first s.usage node) in
+    while !e <> nil do
+      add (Occ_index.value s.usage !e);
+      e := Occ_index.next s.usage !e
+    done
   in
   (* Derivation of a destination reads only the in-link sets (and
      Permission Lists) of the nodes on its path, so a changed link
@@ -139,11 +220,11 @@ let affected_dests s (delta : Pgraph.delta) =
            carries the destinations its Permission List names, so only
            destinations whose permitted mapping changed can reroute. *)
         let old_pl =
-          match Pgraph.link_data s.pg ~parent:p ~child:c with
-          | Some { Pgraph.plist = Some old_pl; _ } -> old_pl
-          | Some { Pgraph.plist = None; _ } | None -> Permission_list.empty
+          match Pgraph.link_plist s.pg ~parent:p ~child:c with
+          | Some old_pl -> old_pl
+          | None -> Permission_list.empty
         in
-        List.iter add (Permission_list.changed_dests old_pl new_pl)
+        Permission_list.iter_changed old_pl new_pl add
       | None ->
         (* Single-homed child: every destination routed through [c] may
            change parent (also covers a Permission List being dropped
@@ -152,19 +233,39 @@ let affected_dests s (delta : Pgraph.delta) =
     delta.Pgraph.add_links;
   List.iter
     (fun (p, c) ->
-      match Pgraph.link_data s.pg ~parent:p ~child:c with
-      | Some { Pgraph.plist = Some old_pl; _ } ->
+      match Pgraph.link_plist s.pg ~parent:p ~child:c with
+      | Some old_pl ->
         (* The old Permission List names exactly the link's users. *)
-        add_plist (Some old_pl)
-      | Some { Pgraph.plist = None; _ } | None -> add_usage c)
-    delta.Pgraph.remove_links;
-  acc
+        Permission_list.iter_dests old_pl add
+      | None -> add_usage c)
+    delta.Pgraph.remove_links
 
 (* --- selection --- *)
 
-let candidate_of_path t ~neighbor ~role down_path =
-  if Path.contains down_path t.node_id then None
-  else
+(* The running best route of one re-selection: [best_path] is [] until
+   a candidate is offered. *)
+type choice = {
+  chooser : int;
+  dest : int;
+  mutable best_path : Path.t;
+  mutable best : Gao_rexford.candidate;
+}
+
+(* Keep the current best unless [route] ranks strictly above it. Centaur
+   selects like BGP's decision process: the Standard discipline. *)
+let offer ch path route =
+  if
+    ch.best_path = []
+    || Gao_rexford.compare_routes Gao_rexford.Standard ~chooser:ch.chooser
+         ~dest:ch.dest route ch.best
+       < 0
+  then begin
+    ch.best_path <- path;
+    ch.best <- route
+  end
+
+let offer_path t ch ~neighbor ~role down_path =
+  if not (Path.contains down_path t.node_id) then
     (* One walk computes the route's class at the neighbor; both the
        verification check (was the neighbor allowed to offer this under
        the baseline contract?) and our own class derive from it. The
@@ -173,18 +274,13 @@ let candidate_of_path t ~neighbor ~role down_path =
        make its announcements acceptable here, which is exactly how
        Centaur contains leaked and hijacked routes. *)
     match Path_class.class_of t.topo down_path with
-    | None ->
-      Policy.note_reject t.policy;
-      None
+    | None -> Policy.note_reject t.policy
     | Some neighbor_class ->
       if
         not
           (Gao_rexford.exportable ~cls:neighbor_class
              ~to_role:(Relationship.invert role))
-      then begin
-        Policy.note_reject t.policy;
-        None
-      end
+      then Policy.note_reject t.policy
       else
         let cls =
           Gao_rexford.class_of_learned ~neighbor_role:role ~neighbor_class
@@ -193,58 +289,47 @@ let candidate_of_path t ~neighbor ~role down_path =
         let len = Path.length path in
         let pref =
           Policy.import_eval t.policy ~node:t.node_id ~peer:neighbor ~role
-            ~dest:(Path.destination down_path) ~cls ~len ~path
+            ~dest:ch.dest ~cls ~len ~path
         in
-        if pref < 0 then None
-        else
-          Some
-            ( path,
-              { Gao_rexford.pref;
-                cls;
-                len;
-                next_hop = neighbor;
-                via_sibling = role = Relationship.Sibling } )
+        if pref >= 0 then
+          offer ch path
+            { Gao_rexford.pref;
+              cls;
+              len;
+              next_hop = neighbor;
+              via_sibling = role = Relationship.Sibling }
 
-(* Keep [best] unless [entry] ranks strictly above it. Centaur selects
-   like BGP's decision process: the Standard discipline. *)
-let better ~chooser ~dest best ((_, c) as entry) =
-  match best with
-  | Some (_, bc)
-    when Gao_rexford.compare_routes Gao_rexford.Standard ~chooser ~dest c bc
-         >= 0 ->
-    best
-  | Some _ | None -> Some entry
+let no_route =
+  { Gao_rexford.pref = 0;
+    cls = Gao_rexford.Origin;
+    len = 0;
+    next_hop = -1;
+    via_sibling = false }
 
-let best_candidate t ~dest =
+(* The selected path toward [dest], [] when there is none. *)
+let best_path t ~dest =
   let chooser = t.node_id in
+  let ch = { chooser; dest; best_path = []; best = no_route } in
   (* A claimed origination (static [originate] or an active hijack
      override) beats everything: class Origin, length 1. *)
-  let claim =
-    if dest <> chooser && Policy.claims_origin t.policy ~node:chooser ~dest
-    then
-      Some
-        ( [ chooser; dest ],
-          { Gao_rexford.pref = 0;
-            cls = Gao_rexford.Origin;
-            len = 1;
-            next_hop = dest;
-            via_sibling = false } )
-    else None
-  in
-  Topology.fold_neighbors t.topo chooser ~init:claim ~f:(fun best n role _ ->
-      let best =
-        match Imap.find_opt n t.sessions with
-        | None -> best
-        | Some s -> (
-          match Hashtbl.find_opt s.cache dest with
-          | None -> best
-          | Some down_path -> (
-            match candidate_of_path t ~neighbor:n ~role down_path with
-            | None -> best
-            | Some c -> better ~chooser ~dest best c))
-      in
-      if dest <> n then best
-      else
+  if dest <> chooser && Policy.claims_origin t.policy ~node:chooser ~dest then
+    offer ch [ chooser; dest ]
+      { Gao_rexford.pref = 0;
+        cls = Gao_rexford.Origin;
+        len = 1;
+        next_hop = dest;
+        via_sibling = false };
+  let { Topology.adj_nbr; adj_rel; adj_link; adj_up; _ } = t.adj in
+  for k = t.off to t.hi - 1 do
+    if adj_up.(adj_link.(k)) then begin
+      let n = adj_nbr.(k) and role = Topology.rel_of_code adj_rel.(k) in
+      (match t.sessions.(k - t.off) with
+      | None -> ()
+      | Some s -> (
+        match cached s dest with
+        | [] -> ()
+        | down_path -> offer_path t ch ~neighbor:n ~role down_path));
+      if dest = n then begin
         let cls =
           Gao_rexford.class_of_learned ~neighbor_role:role
             ~neighbor_class:Gao_rexford.Origin
@@ -254,91 +339,93 @@ let best_candidate t ~dest =
           Policy.import_eval t.policy ~node:chooser ~peer:n ~role ~dest ~cls
             ~len:1 ~path
         in
-        if pref < 0 then best
-        else
-          better ~chooser ~dest best
-            ( path,
-              { Gao_rexford.pref;
-                cls;
-                len = 1;
-                next_hop = n;
-                via_sibling = role = Relationship.Sibling } ))
+        if pref >= 0 then
+          offer ch path
+            { Gao_rexford.pref;
+              cls;
+              len = 1;
+              next_hop = n;
+              via_sibling = role = Relationship.Sibling }
+      end
+    end
+  done;
+  ch.best_path
 
-(* Export decision for one selected path toward one neighbor: split
-   horizon, then the compiled export policy (which defaults to the
-   Gao–Rexford export rule). Claimed originations have no topological
-   class — they export as Origin, which is what a real hijacker's
-   announcement looks like. *)
-let export_decision t ~neighbor ~role p =
-  if Path.contains p neighbor then None
-  else
-    let dest = Path.destination p in
-    let cls =
-      match Path_class.class_of t.topo p with
-      | Some cls -> Some cls
-      | None ->
-        if Policy.claims_origin t.policy ~node:t.node_id ~dest then
-          Some Gao_rexford.Origin
-        else None
-    in
-    match cls with
-    | None -> None
-    | Some cls ->
-      if
-        Policy.export_ok t.policy ~node:t.node_id ~peer:neighbor ~role ~dest
-          ~cls ~len:(Path.length p) ~path:p
-      then Some p
-      else None
+(* Class a selected path is exported with. Claimed originations have no
+   topological class — they export as Origin, which is what a real
+   hijacker's announcement looks like. *)
+let export_class t p =
+  match Path_class.class_of t.topo p with
+  | Some _ as cls -> cls
+  | None ->
+    if Policy.claims_origin t.policy ~node:t.node_id ~dest:(Path.destination p)
+    then Some Gao_rexford.Origin
+    else None
 
-(* Re-select one destination; on change, update the local builder and
-   every export builder (split horizon + compiled export policy). *)
+(* Export decision for one selected path of class [cls] toward one
+   neighbor: split horizon, then the compiled export policy (which
+   defaults to the Gao–Rexford export rule). *)
+let exports t ~neighbor ~role p cls =
+  (not (Path.contains p neighbor))
+  &&
+  match cls with
+  | None -> false
+  | Some cls ->
+    Policy.export_ok t.policy ~node:t.node_id ~peer:neighbor ~role
+      ~dest:(Path.destination p) ~cls ~len:(Path.length p) ~path:p
+
+(* Run [f neighbor role session] over the live neighbors holding a
+   session, ascending. *)
+let iter_live_sessions t f =
+  let { Topology.adj_nbr; adj_rel; adj_link; adj_up; _ } = t.adj in
+  for k = t.off to t.hi - 1 do
+    if adj_up.(adj_link.(k)) then
+      match t.sessions.(k - t.off) with
+      | None -> ()
+      | Some s -> f adj_nbr.(k) (Topology.rel_of_code adj_rel.(k)) s
+  done
+
+(* Re-select one destination; on change, update every export builder
+   (split horizon + compiled export policy). The selected path's class
+   is computed once, not per neighbor. *)
 let reselect t ~dest =
-  if dest = t.node_id then ()
-  else begin
-    let old_path = Hashtbl.find_opt t.selected dest in
-    let new_path =
-      Option.map fst (best_candidate t ~dest)
-    in
-    let same =
-      match (old_path, new_path) with
-      | None, None -> true
-      | Some a, Some b -> Path.equal a b
-      | None, Some _ | Some _, None -> false
-    in
-    if not same then begin
-      (match new_path with
-      | Some p -> Hashtbl.replace t.selected dest p
-      | None -> Hashtbl.remove t.selected dest);
+  if dest <> t.node_id then begin
+    let old_path = selected t dest in
+    let new_path = best_path t ~dest in
+    if not (Path.equal old_path new_path) then begin
+      set_selected t dest new_path;
       (match t.on_change with Some f -> f dest | None -> ());
-      Builder.set_path t.local ~dest new_path;
-      Topology.iter_neighbors t.topo t.node_id (fun n role _ ->
-          match Imap.find_opt n t.exports with
-          | None -> ()
-          | Some builder ->
-            let exported =
-              match new_path with
-              | Some p -> export_decision t ~neighbor:n ~role p
-              | None -> None
-            in
-            Builder.set_path builder ~dest exported)
+      match new_path with
+      | [] -> iter_live_sessions t (fun _ _ s -> Builder.set_path s.export ~dest None)
+      | p ->
+        let cls = export_class t p in
+        let some_p = Some p in
+        iter_live_sessions t (fun n role s ->
+            Builder.set_path s.export ~dest
+              (if exports t ~neighbor:n ~role p cls then some_p else None))
     end
   end
 
 let flush t =
-  Imap.fold
-    (fun n builder acc ->
-      let delta = Builder.flush_delta builder in
-      if Pgraph.delta_is_empty delta then acc
-      else (n, Announce.make ~sender:t.node_id delta) :: acc)
-    t.exports []
-  |> List.rev
+  let out = ref [] in
+  for i = Array.length t.sessions - 1 downto 0 do
+    match t.sessions.(i) with
+    | None -> ()
+    | Some s ->
+      let delta = Builder.flush_delta s.export in
+      if not (Pgraph.delta_is_empty delta) then
+        out :=
+          (t.adj.Topology.adj_nbr.(t.off + i), Announce.make ~sender:t.node_id delta)
+          :: !out
+  done;
+  !out
 
 (* Absorb one announcement: apply the delta to the sender's P-graph,
    re-derive the destinations it can affect and mark those whose derived
    path changed for re-selection. Emits nothing — [recompute] drains the
    marks. *)
 let absorb t ann =
-  (match Imap.find_opt ann.Announce.sender t.sessions with
+  (match session_of t ann.Announce.sender with
   | None ->
     (* Session no longer exists (link went down while the message was in
        flight, or raced the adjacency notification): drop silently. *)
@@ -346,11 +433,10 @@ let absorb t ann =
   | Some s ->
     let ann = Announce.import ann ~receiver:t.node_id in
     let delta = ann.Announce.delta in
-    let affected = affected_dests s delta in
+    collect_affected t s delta;
     Pgraph.apply s.pg delta;
-    Hashtbl.iter
-      (fun dest () -> if rederive s ~dest then Dirty.mark t.dirty dest)
-      affected);
+    Dirty.drain t.affected (fun dest ->
+        if rederive t s ~dest then mark_dirty t dest));
   t
 
 let recompute t =
@@ -361,54 +447,47 @@ let handle t ann =
   let t = absorb t ann in
   recompute t
 
+let iter_selected t f =
+  Array.iteri (fun dest p -> match p with [] -> () | p -> f dest p) t.selected
+
 (* Full export of the current table to a fresh session. *)
 let populate_export t builder ~neighbor ~role =
   Builder.force_dest builder t.node_id;
-  Hashtbl.iter
-    (fun dest p ->
-      match export_decision t ~neighbor ~role p with
-      | Some p -> Builder.set_path builder ~dest (Some p)
-      | None -> ())
-    t.selected
+  iter_selected t (fun dest p ->
+      if exports t ~neighbor ~role p (export_class t p) then
+        Builder.set_path builder ~dest (Some p))
 
 (* Absorb a local adjacency change: reconcile sessions with the live
    neighbor set and mark the affected destinations dirty. Like [absorb],
    emits nothing until [recompute]. *)
 let absorb_adjacency t =
-  let live_set =
-    Topology.fold_neighbors t.topo t.node_id ~init:Imap.empty
-      ~f:(fun acc n _ _ -> Imap.add n () acc)
-  in
-  (* Dead sessions: drop state; every destination currently routed
-     through the vanished neighbor needs re-selection, as does the
-     neighbor's own prefix. *)
-  Imap.iter
-    (fun n _s ->
-      if not (Imap.mem n live_set) then begin
-        Dirty.mark t.dirty n;
-        Hashtbl.iter
-          (fun dest p ->
-            match Path.next_hop p with
-            | Some hop when hop = n -> Dirty.mark t.dirty dest
-            | Some _ | None -> ())
-          t.selected
-      end)
-    t.sessions;
-  t.sessions <- Imap.filter (fun n _ -> Imap.mem n live_set) t.sessions;
-  t.exports <- Imap.filter (fun n _ -> Imap.mem n live_set) t.exports;
-  (* New sessions: empty announced graph, full export. *)
-  Topology.iter_neighbors t.topo t.node_id (fun n role _ ->
-      if not (Imap.mem n t.sessions) then begin
-        t.sessions <- Imap.add n (new_session ~neighbor:n) t.sessions;
-        let builder = Builder.create ~root:t.node_id in
-        populate_export t builder ~neighbor:n ~role;
-        t.exports <- Imap.add n builder t.exports;
-        Dirty.mark t.dirty n
-      end);
+  let { Topology.adj_nbr; adj_rel; adj_link; adj_up; _ } = t.adj in
+  for k = t.off to t.hi - 1 do
+    let n = adj_nbr.(k) and i = k - t.off in
+    if not adj_up.(adj_link.(k)) then begin
+      (* Dead session: drop state; every destination currently routed
+         through the vanished neighbor needs re-selection, as does the
+         neighbor's own prefix. *)
+      if t.sessions.(i) <> None then begin
+        t.sessions.(i) <- None;
+        mark_dirty t n;
+        iter_selected t (fun dest p ->
+            match p with
+            | _ :: hop :: _ when hop = n -> mark_dirty t dest
+            | _ -> ())
+      end
+    end
+    else if t.sessions.(i) = None then begin
+      (* New session: empty announced graph, full export. *)
+      let s = new_session t ~neighbor:n in
+      populate_export t s.export ~neighbor:n
+        ~role:(Topology.rel_of_code adj_rel.(k));
+      t.sessions.(i) <- Some s;
+      mark_dirty t n
+    end
+  done;
   (* Claimed originations need an initial selection pass. *)
-  List.iter
-    (fun d -> Dirty.mark t.dirty d)
-    (Policy.origins t.policy ~node:t.node_id);
+  List.iter (mark_dirty t) (Policy.origins t.policy ~node:t.node_id);
   t
 
 let on_adjacency_change t =
@@ -424,42 +503,41 @@ let start t = on_adjacency_change t
    receivers may hold announcements damaged by a (just-ended or
    just-started) Permission-List corruption override. *)
 let refresh_policy ?(resend = false) t =
-  Imap.iter
-    (fun _ s ->
-      Hashtbl.iter (fun d _ -> Dirty.mark t.dirty d) s.cache;
-      Hashtbl.iter (fun d () -> Dirty.mark t.dirty d) s.pending)
+  Array.iter
+    (function
+      | None -> ()
+      | Some s ->
+        Flat_tbl.iter s.cache_slot (fun d _ -> mark_dirty t d);
+        Flat_tbl.iter s.pending (fun d _ -> mark_dirty t d))
     t.sessions;
-  Hashtbl.iter (fun d _ -> Dirty.mark t.dirty d) t.selected;
-  List.iter
-    (fun d -> Dirty.mark t.dirty d)
-    (Policy.origins t.policy ~node:t.node_id);
+  iter_selected t (fun d _ -> mark_dirty t d);
+  List.iter (mark_dirty t) (Policy.origins t.policy ~node:t.node_id);
   (* Selections that stay put still need their export decisions redone:
      an export chain may have flipped while the best route didn't. *)
-  Topology.iter_neighbors t.topo t.node_id (fun n role _ ->
-      match Imap.find_opt n t.exports with
-      | None -> ()
-      | Some builder ->
-        Hashtbl.iter
-          (fun dest p ->
-            Builder.set_path builder ~dest (export_decision t ~neighbor:n ~role p))
-          t.selected;
-        if resend then Builder.invalidate_wire builder);
+  iter_live_sessions t (fun n role s ->
+      iter_selected t (fun dest p ->
+          Builder.set_path s.export ~dest
+            (if exports t ~neighbor:n ~role p (export_class t p) then Some p
+             else None));
+      if resend then Builder.invalidate_wire s.export);
   recompute t
 
 let dirty_size t = Dirty.cardinal t.dirty
 
-let selected_path t ~dest = Hashtbl.find_opt t.selected dest
+let selected_path t ~dest =
+  match selected t dest with [] -> None | p -> Some p
 
 let selected_paths t =
-  Hashtbl.fold (fun d p acc -> (d, p) :: acc) t.selected []
-  |> List.sort (fun (d1, _) (d2, _) -> compare d1 d2)
+  let acc = ref [] in
+  for dest = Array.length t.selected - 1 downto 0 do
+    match t.selected.(dest) with [] -> () | p -> acc := (dest, p) :: !acc
+  done;
+  !acc
 
 let next_hop t ~dest =
-  match selected_path t ~dest with
-  | Some (_ :: hop :: _) -> Some hop
-  | Some _ | None -> None
+  match selected t dest with _ :: hop :: _ -> Some hop | _ -> None
 
-let local_pgraph t = Builder.snapshot t.local
+let local_pgraph t = Pgraph.of_paths ~root:t.node_id (List.map snd (selected_paths t))
 
 let neighbor_pgraph t ~neighbor =
-  Option.map (fun s -> s.pg) (Imap.find_opt neighbor t.sessions)
+  match session_of t neighbor with Some s -> Some s.pg | None -> None

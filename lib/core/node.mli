@@ -2,11 +2,11 @@
 
     One value of this type is the complete routing state of one AS: the
     P-graph received from each neighbor ([G_{B→A}]) with a cache of the
-    paths derivable from it, the locally selected path set, the local
-    P-graph, and an incremental {!Builder} per neighbor holding the last
-    exported view. Transitions return the announcements to emit, so the
-    machine can be driven by the discrete-event simulator, by the
-    examples, or directly by tests.
+    paths derivable from it, the locally selected path set, and an
+    incremental {!Builder} per neighbor holding the last exported view.
+    Transitions return the announcements to emit, so the machine can be
+    driven by the discrete-event simulator, by the examples, or directly
+    by tests.
 
     Processing is incremental, as §4.3's steady phase prescribes: an
     incoming delta re-derives only the destinations whose downstream
@@ -94,8 +94,8 @@ val selected_paths : t -> (int * Path.t) list
 val next_hop : t -> dest:int -> int option
 
 val local_pgraph : t -> Pgraph.t
-(** Snapshot of the local P-graph (built incrementally; cost proportional
-    to its size). *)
+(** The local P-graph: {!Pgraph.of_paths} over the selected path set,
+    built on demand (cost proportional to the selection). *)
 
 val neighbor_pgraph : t -> neighbor:int -> Pgraph.t option
 (** The P-graph assembled from a neighbor's announcements, if a session

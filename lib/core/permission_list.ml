@@ -1,10 +1,14 @@
 module Iset = Set.Make (Int)
-module Imap_int = Map.Make (Int)
 
 module Next_key = struct
   type t = int option
 
-  let compare (a : t) (b : t) = Stdlib.compare a b
+  let compare (a : t) (b : t) =
+    match (a, b) with
+    | None, None -> 0
+    | None, Some _ -> -1
+    | Some _, None -> 1
+    | Some x, Some y -> Int.compare x y
 end
 
 module Nmap = Map.Make (Next_key)
@@ -23,9 +27,18 @@ let add t ~dest ~next =
     t
 
 let permit t ~dest ~next =
-  match Nmap.find_opt next t with
-  | None -> false
-  | Some set -> Iset.mem dest set
+  match Nmap.find next t with
+  | set -> Iset.mem dest set
+  | exception Not_found -> false
+
+let remove t ~dest ~next =
+  Nmap.update next
+    (function
+      | None -> None
+      | Some set ->
+        let set = Iset.remove dest set in
+        if Iset.is_empty set then None else Some set)
+    t
 
 let remove_dest t ~dest =
   Nmap.filter_map
@@ -39,6 +52,8 @@ let num_entries t = Nmap.cardinal t
 let dests t =
   Nmap.fold (fun _next set acc -> Iset.union set acc) t Iset.empty
   |> Iset.elements
+
+let iter_dests t f = Nmap.iter (fun _next set -> Iset.iter f set) t
 
 let entries t =
   Nmap.bindings t |> List.map (fun (next, set) -> (next, Iset.elements set))
@@ -56,28 +71,33 @@ let next_for t ~dest =
 let merge a b =
   Nmap.union (fun _next s1 s2 -> Some (Iset.union s1 s2)) a b
 
-let changed_dests a b =
-  (* Compare the dest -> next mappings; a well-formed list gives each
-     destination a single next hop. *)
-  let to_map t =
-    Nmap.fold
-      (fun next set acc ->
-        Iset.fold (fun dest acc -> Imap_int.add dest next acc) set acc)
-      t Imap_int.empty
-  in
-  let ma = to_map a and mb = to_map b in
-  let changed = ref Iset.empty in
-  let note d = changed := Iset.add d !changed in
-  Imap_int.iter
-    (fun d next ->
-      match Imap_int.find_opt d mb with
-      | Some next' when next' = next -> ()
-      | Some _ | None -> note d)
-    ma;
-  Imap_int.iter (fun d _ -> if not (Imap_int.mem d ma) then note d) mb;
-  Iset.elements !changed
+(* The (destination, next hop) pairs in one list but not the other,
+   entry by entry: a well-formed list gives each destination one next
+   hop, so these destinations are exactly those whose mapping changed.
+   Entries the two lists share physically (persistent updates keep
+   untouched entries) are skipped whole. *)
+let iter_changed a b f =
+  if a != b then begin
+    let one_way x y =
+      Nmap.iter
+        (fun next set ->
+          match Nmap.find_opt next y with
+          | None -> Iset.iter f set
+          | Some set' ->
+            if set != set' then
+              Iset.iter (fun d -> if not (Iset.mem d set') then f d) set)
+        x
+    in
+    one_way a b;
+    one_way b a
+  end
 
-let equal a b = Nmap.equal Iset.equal a b
+let changed_dests a b =
+  let acc = ref [] in
+  iter_changed a b (fun d -> acc := d :: !acc);
+  List.sort_uniq Int.compare !acc
+
+let equal a b = a == b || Nmap.equal Iset.equal a b
 
 type compressed = {
   c_entries : (int option * Bloom.t) list;
@@ -105,8 +125,6 @@ let compressed_permit c ~dest ~next =
   List.exists
     (fun (n, filter) -> n = next && Bloom.mem filter dest)
     c.c_entries
-
-let wire_size_bytes t ~fp_rate = (compress t ~fp_rate).c_bytes
 
 let compressed_size_bytes t ~fp_rate =
   Nmap.fold

@@ -29,6 +29,10 @@ val add : t -> dest:int -> next:int option -> t
 val permit : t -> dest:int -> next:int option -> bool
 (** The [Permit] predicate of the paper's [DerivePath] (Table 1). *)
 
+val remove : t -> dest:int -> next:int option -> t
+(** Undo one {!add}: drop [dest] from the entry of [next] only; an entry
+    left empty disappears. *)
+
 val remove_dest : t -> dest:int -> t
 (** Drop the destination from every entry (steady-phase updates, §4.3);
     entries left empty disappear. *)
@@ -39,6 +43,10 @@ val num_entries : t -> int
 
 val dests : t -> int list
 (** All destinations mentioned, ascending. *)
+
+val iter_dests : t -> (int -> unit) -> unit
+(** Visit every destination mentioned (once per entry naming it),
+    without building the list {!dests} returns. *)
 
 val entries : t -> (int option * int list) list
 (** [(next_hop, destinations)] pairs; next hops ascending ([None]
@@ -56,8 +64,14 @@ val merge : t -> t -> t
 
 val changed_dests : t -> t -> int list
 (** Destinations whose permitted next hop differs between the two lists
-    (including destinations present in only one). Lets a receiver map a
-    Permission-List update to the small set of routes it can affect. *)
+    (including destinations present in only one), ascending, for
+    well-formed lists (one next hop per destination). Lets a receiver map
+    a Permission-List update to the small set of routes it can affect. *)
+
+val iter_changed : t -> t -> (int -> unit) -> unit
+(** [iter_changed a b f] calls [f] on every destination of
+    {!changed_dests}[ a b], possibly twice and in no particular order,
+    without building an intermediate map or list. *)
 
 val equal : t -> t -> bool
 
@@ -65,8 +79,8 @@ val compressed_size_bytes : t -> fp_rate:float -> int
 (** Size estimate when each entry's destination list is Bloom-compressed
     at the given false-positive rate (paper §4.1 suggests Bloom filters),
     plus 4 bytes per entry for the next hop. Agrees exactly with
-    {!wire_size_bytes} (the formula the filters are sized by) without
-    building the filters. *)
+    [compressed_bytes (compress t ~fp_rate)] (the formula the filters
+    are sized by) without building the filters. *)
 
 type compressed
 (** A Permission List as it travels: one Bloom filter per
@@ -87,9 +101,6 @@ val compressed_permit : compressed -> dest:int -> next:int option -> bool
     permitted here; false positives occur at the filters' configured
     rate (the receiver may derive a path the sender did not export,
     which Centaur tolerates by design, §4.1). *)
-
-val wire_size_bytes : t -> fp_rate:float -> int
-(** [compressed_bytes (compress t ~fp_rate)]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -111,26 +111,29 @@ let alloc_slot t =
     s
   end
 
-let add_link t ~parent ~child ~data =
+let put_link t ~parent ~child ~counter ~plist =
   if parent = child then invalid_arg "Pgraph.add_link: self-loop";
   check_node "Pgraph.add_link" parent;
   check_node "Pgraph.add_link" child;
   let key = pack ~parent ~child in
-  match Flat_tbl.find_opt t.slot_of key with
-  | Some s ->
-    t.l_counter.(s) <- data.counter;
-    t.l_plist.(s) <- data.plist
-  | None ->
+  match Flat_tbl.find_default t.slot_of key ~default:nil with
+  | -1 ->
     let s = alloc_slot t in
     t.l_key.(s) <- key;
-    t.l_counter.(s) <- data.counter;
-    t.l_plist.(s) <- data.plist;
+    t.l_counter.(s) <- counter;
+    t.l_plist.(s) <- plist;
     t.l_next_in.(s) <- Flat_tbl.find_default t.in_head child ~default:nil;
     Flat_tbl.set t.in_head child s;
     t.l_next_out.(s) <- Flat_tbl.find_default t.out_head parent ~default:nil;
     Flat_tbl.set t.out_head parent s;
     Flat_tbl.set t.slot_of key s;
     t.link_count <- t.link_count + 1
+  | s ->
+    t.l_counter.(s) <- counter;
+    t.l_plist.(s) <- plist
+
+let add_link t ~parent ~child ~data =
+  put_link t ~parent ~child ~counter:data.counter ~plist:data.plist
 
 (* Unlink slot [s] from the chain rooted at [head.(at)] and threaded
    through [next]. Chains are as short as the node's degree. *)
@@ -177,6 +180,10 @@ let link_data t ~parent ~child =
   let s = slot t ~parent ~child in
   if s = nil then None
   else Some { counter = t.l_counter.(s); plist = t.l_plist.(s) }
+
+let link_plist t ~parent ~child =
+  let s = slot t ~parent ~child in
+  if s = nil then None else t.l_plist.(s)
 
 let mem_link t ~parent ~child = slot t ~parent ~child <> nil
 
@@ -349,45 +356,52 @@ let of_multipaths ~root paths =
    the single parent at single-homed nodes and the Permission-List-
    permitted parent at multi-homed nodes. [prev] is the node we arrived
    from — the current node's next hop in the final path — which is what
-   Permit matches against (None while standing on the destination). The
+   Permit matches against ([nil] while standing on the destination). The
    in-edge chain is walked in place; among several permitting parents
    the lowest parent id wins, deterministically. *)
-let derive_path t ~dest =
-  if dest = t.root_node then Some [ t.root_node ]
-  else begin
-    let fuel = num_links t + 1 in
-    let rec go current prev acc fuel =
-      if fuel = 0 then None
-      else
-        let first = Flat_tbl.find_default t.in_head current ~default:nil in
-        if first = nil then None
-        else if t.l_next_in.(first) = nil then
+let rec derive_from t ~dest visit current prev fuel =
+  if fuel = 0 then false
+  else
+    let first = Flat_tbl.find_default t.in_head current ~default:nil in
+    if first = nil then false
+    else begin
+      let parent =
+        if t.l_next_in.(first) = nil then
           (* Single-homed: follow the lone parent. *)
-          let parent = key_parent t.l_key.(first) in
-          if parent = t.root_node then Some (parent :: acc)
-          else go parent (Some current) (parent :: acc) (fuel - 1)
+          key_parent t.l_key.(first)
         else begin
+          let next = if prev = nil then None else Some prev in
           let permitted = ref nil in
           let s = ref first in
           while !s <> nil do
             (match t.l_plist.(!s) with
             | None -> ()
             | Some pl ->
-              if Permission_list.permit pl ~dest ~next:prev then begin
+              if Permission_list.permit pl ~dest ~next then begin
                 let parent = key_parent t.l_key.(!s) in
                 if !permitted = nil || parent < !permitted then
                   permitted := parent
               end);
             s := t.l_next_in.(!s)
           done;
-          if !permitted = nil then None
-          else if !permitted = t.root_node then Some (!permitted :: acc)
-          else go !permitted (Some current) (!permitted :: acc) (fuel - 1)
+          !permitted
         end
-    in
-    if dest = t.root_node then Some [ t.root_node ]
-    else go dest None [ dest ] fuel
-  end
+      in
+      if parent = nil then false
+      else begin
+        visit parent;
+        parent = t.root_node
+        || derive_from t ~dest visit parent current (fuel - 1)
+      end
+    end
+
+let derive_walk t ~dest visit =
+  visit dest;
+  dest = t.root_node || derive_from t ~dest visit dest nil (num_links t + 1)
+
+let derive_path t ~dest =
+  let acc = ref [] in
+  if derive_walk t ~dest (fun v -> acc := v :: !acc) then Some !acc else None
 
 let derive_all t =
   List.filter_map
@@ -525,8 +539,7 @@ let apply t delta =
     (fun (parent, child) -> remove_link t ~parent ~child)
     delta.remove_links;
   List.iter
-    (fun (parent, child, plist) ->
-      add_link t ~parent ~child ~data:{ counter = 0; plist })
+    (fun (parent, child, plist) -> put_link t ~parent ~child ~counter:0 ~plist)
     delta.add_links;
   List.iter (mark_dest t) delta.add_dests;
   List.iter (unmark_dest t) delta.remove_dests

@@ -30,6 +30,18 @@ type link_data = {
 val create : root:int -> t
 (** A fresh graph with no links and no destination marks. *)
 
+val pack : parent:int -> child:int -> int
+(** The packed link key [parent lsl 31 lor child], one immediate int
+    per link (node ids must lie in [0, max_node]). Ascending packed keys
+    are ascending (parent, child) pairs. *)
+
+val key_parent : int -> int
+
+val key_child : int -> int
+
+val max_node : int
+(** Largest node id a packed key holds. *)
+
 val root : t -> int
 
 val of_paths : root:int -> Path.t list -> t
@@ -67,6 +79,13 @@ val derive_path : t -> dest:int -> Path.t option
     destination is not derivable. [derive_path t ~dest:(root t)] is
     [Some [root t]]. *)
 
+val derive_walk : t -> dest:int -> (int -> unit) -> bool
+(** The walk {!derive_path} runs, without building the path: calls the
+    visitor on each node from the destination back to the root and
+    returns [true] iff the walk reached the root (the visited nodes are
+    then the derived path, reversed). Lets a caller compare a derivation
+    with a cached path before allocating it. *)
+
 val derive_all : t -> (int * Path.t) list
 (** Derived path for every marked destination (destinations ascending;
     destinations that fail to derive are omitted). *)
@@ -88,6 +107,10 @@ val remove_link : t -> parent:int -> child:int -> unit
 val mem_link : t -> parent:int -> child:int -> bool
 
 val link_data : t -> parent:int -> child:int -> link_data option
+
+val link_plist : t -> parent:int -> child:int -> Permission_list.t option
+(** The link's Permission List; [None] when the link is absent or
+    carries none. Allocates nothing. *)
 
 val in_degree : t -> int -> int
 

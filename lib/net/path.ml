@@ -11,15 +11,16 @@ let rec destination = function
 
 let length p = max 0 (List.length p - 1)
 
-let contains p n = List.mem n p
+let rec contains p (n : int) =
+  match p with
+  | [] -> false
+  | a :: rest -> a = n || contains rest n
 
-let is_loop_free p =
-  let sorted = List.sort compare p in
-  let rec no_dup = function
-    | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> a <> b && no_dup rest
-  in
-  no_dup sorted
+(* Quadratic, but routing paths are a handful of hops and the scan
+   allocates nothing. *)
+let rec is_loop_free = function
+  | [] -> true
+  | a :: rest -> (not (contains rest a)) && is_loop_free rest
 
 let next_hop = function
   | _ :: n :: _ -> Some n
@@ -43,7 +44,13 @@ let links p =
   in
   go [] p
 
-let equal (a : t) (b : t) = a = b
+let rec equal (a : t) (b : t) =
+  a == b
+  ||
+  match (a, b) with
+  | x :: xs, y :: ys -> x = y && equal xs ys
+  | [], [] -> true
+  | _ :: _, [] | [], _ :: _ -> false
 
 let compare (a : t) (b : t) = Stdlib.compare a b
 

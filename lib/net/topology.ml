@@ -19,8 +19,6 @@ type t = {
   csr_link : int array;  (* link id per half-edge *)
   up : bool array;
   mutable version : int;  (* bumped on every effective link-state change *)
-  (* O(1) pair lookup: (a, b) -> (role of b w.r.t. a, link id). *)
-  pair : (int * int, Relationship.t * int) Hashtbl.t;
 }
 
 let rel_code = function
@@ -35,60 +33,65 @@ let code_rel =
 
 let create ~n edges =
   if n < 0 then invalid_arg "Topology.create: negative node count";
-  let seen = Hashtbl.create (List.length edges) in
+  (* One packed key per unordered pair: no tuple keys, no polymorphic
+     hash. *)
+  let seen = Flat_tbl.create ~initial:(2 * List.length edges) () in
   let check (a, b, _, delay) =
     if a < 0 || a >= n || b < 0 || b >= n then
       invalid_arg
         (Printf.sprintf "Topology.create: node id out of range (%d, %d)" a b);
     if a = b then invalid_arg "Topology.create: self-loop";
     if delay < 0.0 then invalid_arg "Topology.create: negative delay";
-    let key = (min a b, max a b) in
-    if Hashtbl.mem seen key then
+    let key = (min a b * n) + max a b in
+    if Flat_tbl.mem seen key then
       invalid_arg
         (Printf.sprintf "Topology.create: duplicate link %d-%d" (min a b)
            (max a b));
-    Hashtbl.add seen key ()
+    Flat_tbl.set seen key 1
   in
   List.iter check edges;
   let link_arr =
     Array.of_list
       (List.mapi (fun id (a, b, rel_ab, delay) -> { id; a; b; rel_ab; delay }) edges)
   in
-  let adj = Array.make (max n 1) [] in
+  (* Counting pass for the offsets, then each half-edge as one packed
+     (neighbor, link id) key, so sorting a node's slice orders it by
+     ascending neighbor id (neighbors are distinct). *)
+  let csr_off = Array.make (n + 1) 0 in
   Array.iter
     (fun l ->
-      adj.(l.a) <- (l.b, l.rel_ab, l.id) :: adj.(l.a);
-      adj.(l.b) <- (l.a, Relationship.invert l.rel_ab, l.id) :: adj.(l.b))
+      csr_off.(l.a + 1) <- csr_off.(l.a + 1) + 1;
+      csr_off.(l.b + 1) <- csr_off.(l.b + 1) + 1)
     link_arr;
-  (* Deterministic neighbor order: ascending neighbor id. *)
-  Array.iteri
-    (fun i lst -> adj.(i) <- List.sort (fun (x, _, _) (y, _, _) -> compare x y) lst)
-    adj;
-  let csr_off = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    csr_off.(v + 1) <- csr_off.(v) + List.length adj.(v)
+    csr_off.(v + 1) <- csr_off.(v + 1) + csr_off.(v)
   done;
   let half_edges = csr_off.(n) in
+  let keys = Array.make (max half_edges 1) 0 in
+  let next = Array.sub csr_off 0 n in
+  let place v nb id =
+    keys.(next.(v)) <- (nb lsl 31) lor id;
+    next.(v) <- next.(v) + 1
+  in
+  Array.iter (fun l -> place l.a l.b l.id; place l.b l.a l.id) link_arr;
   let csr_nbr = Array.make (max half_edges 1) 0 in
   let csr_rel = Array.make (max half_edges 1) 0 in
   let csr_link = Array.make (max half_edges 1) 0 in
   for v = 0 to n - 1 do
-    List.iteri
-      (fun i (nb, rel, id) ->
-        let k = csr_off.(v) + i in
-        csr_nbr.(k) <- nb;
-        csr_rel.(k) <- rel_code rel;
-        csr_link.(k) <- id)
-      adj.(v)
+    let lo = csr_off.(v) and len = csr_off.(v + 1) - csr_off.(v) in
+    let slice = Array.sub keys lo len in
+    Array.stable_sort Int.compare slice;
+    Array.iteri
+      (fun i key ->
+        let l = link_arr.(key land ((1 lsl 31) - 1)) in
+        csr_nbr.(lo + i) <- key lsr 31;
+        csr_rel.(lo + i) <-
+          rel_code (if l.a = v then l.rel_ab else Relationship.invert l.rel_ab);
+        csr_link.(lo + i) <- l.id)
+      slice
   done;
-  let pair = Hashtbl.create (2 * Array.length link_arr) in
-  Array.iter
-    (fun l ->
-      Hashtbl.replace pair (l.a, l.b) (l.rel_ab, l.id);
-      Hashtbl.replace pair (l.b, l.a) (Relationship.invert l.rel_ab, l.id))
-    link_arr;
   { n; link_arr; csr_off; csr_nbr; csr_rel; csr_link;
-    up = Array.make (Array.length link_arr) true; version = 0; pair }
+    up = Array.make (Array.length link_arr) true; version = 0 }
 
 type adj = {
   adj_off : int array;
@@ -165,15 +168,41 @@ let full_degree t v =
   check_node t v "full_degree";
   t.csr_off.(v + 1) - t.csr_off.(v)
 
+(* Pair lookups binary-search [a]'s ascending neighbor slice: the CSR
+   arrays are the one adjacency, and the answer is a preallocated option,
+   so a lookup allocates nothing. *)
+let half_edge t a b =
+  if a < 0 || a >= t.n then -1
+  else begin
+    let lo = ref t.csr_off.(a) and hi = ref (t.csr_off.(a + 1) - 1) in
+    let found = ref (-1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      let x = Array.unsafe_get t.csr_nbr mid in
+      if x = b then begin
+        found := mid;
+        lo := !hi + 1
+      end
+      else if x < b then lo := mid + 1
+      else hi := mid - 1
+    done;
+    !found
+  end
+
+let some_rel = Array.map Option.some code_rel
+
 let link_between t a b =
-  Option.map snd (Hashtbl.find_opt t.pair (a, b))
+  let k = half_edge t a b in
+  if k < 0 then None else Some t.csr_link.(k)
 
 let rel t a b =
-  match Hashtbl.find_opt t.pair (a, b) with
-  | Some (r, id) when t.up.(id) -> Some r
-  | Some _ | None -> None
+  let k = half_edge t a b in
+  if k < 0 || not t.up.(t.csr_link.(k)) then None
+  else some_rel.(t.csr_rel.(k))
 
-let rel_any t a b = Option.map fst (Hashtbl.find_opt t.pair (a, b))
+let rel_any t a b =
+  let k = half_edge t a b in
+  if k < 0 then None else some_rel.(t.csr_rel.(k))
 
 let is_up t id =
   if id < 0 || id >= Array.length t.up then invalid_arg "Topology.is_up: bad id";

@@ -87,8 +87,14 @@ val degree : t -> int -> int
 val full_degree : t -> int -> int
 (** Degree ignoring link state. *)
 
+val half_edge : t -> int -> int -> int
+(** [half_edge t a b] is the CSR slot of [b] in [a]'s neighbor slice of
+    {!adj} (link state ignored), or [-1] when [a] and [b] share no link or
+    [a] is out of range. Binary search; allocates nothing. *)
+
 val rel : t -> int -> int -> Relationship.t option
-(** Role of [b] relative to [a] if an up link [a]–[b] exists. *)
+(** Role of [b] relative to [a] if an up link [a]–[b] exists. Answered
+    from the CSR adjacency without allocating. *)
 
 val rel_any : t -> int -> int -> Relationship.t option
 (** Like {!rel} but ignoring link state. Business relationships are

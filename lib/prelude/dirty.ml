@@ -1,8 +1,27 @@
-type t = { set : (int, unit) Hashtbl.t }
+(* Flat layout: a [Flat_tbl] answers membership and an int array holds
+   the keys in marking order. Taking the keys sorts a copy of that array
+   and empties the set in place, so a set that is marked and drained over
+   and over is reset, never reallocated. *)
+type t = {
+  seen : Flat_tbl.t;
+  mutable keys : int array;
+  mutable len : int;
+}
 
-let create ?(size = 64) () = { set = Hashtbl.create size }
+let create ?(size = 64) () =
+  { seen = Flat_tbl.create ~initial:size (); keys = Array.make (max size 1) 0; len = 0 }
 
-let mark t key = if not (Hashtbl.mem t.set key) then Hashtbl.replace t.set key ()
+let mark t key =
+  if not (Flat_tbl.mem t.seen key) then begin
+    Flat_tbl.set t.seen key 1;
+    if t.len = Array.length t.keys then begin
+      let keys = Array.make (2 * t.len) 0 in
+      Array.blit t.keys 0 keys 0 t.len;
+      t.keys <- keys
+    end;
+    t.keys.(t.len) <- key;
+    t.len <- t.len + 1
+  end
 
 let mark_list t keys = List.iter (mark t) keys
 
@@ -11,28 +30,46 @@ let mark_range t lo hi =
     mark t key
   done
 
-let mem t key = Hashtbl.mem t.set key
+let mem t key = Flat_tbl.mem t.seen key
 
-let is_empty t = Hashtbl.length t.set = 0
+let is_empty t = t.len = 0
 
-let cardinal t = Hashtbl.length t.set
+let cardinal t = t.len
 
-let clear t = Hashtbl.reset t.set
+let clear t =
+  Flat_tbl.clear t.seen;
+  t.len <- 0
 
+(* The sets drained on the hot paths mostly hold a handful of keys:
+   those are insertion-sorted, which allocates nothing. Larger ones take
+   the merge sort, whose scratch is half the array ([Array.sort]
+   allocates an exception per element it sifts). *)
 let sorted_keys t =
-  Hashtbl.fold (fun key () acc -> key :: acc) t.set []
-  |> List.sort (fun (a : int) b -> compare a b)
-
-let take t =
-  let keys = sorted_keys t in
-  Hashtbl.reset t.set;
+  let keys = Array.sub t.keys 0 t.len in
+  if t.len > 32 then Array.stable_sort Int.compare keys
+  else
+    for i = 1 to t.len - 1 do
+      let k = keys.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && keys.(!j) > k do
+        keys.(!j + 1) <- keys.(!j);
+        decr j
+      done;
+      keys.(!j + 1) <- k
+    done;
   keys
 
-let rec drain t f =
-  match take t with
-  | [] -> ()
-  | keys ->
-    List.iter f keys;
-    drain t f
+let take_sorted t =
+  let keys = sorted_keys t in
+  clear t;
+  keys
 
-let fold t ~init ~f = List.fold_left f init (sorted_keys t)
+let take t = Array.to_list (take_sorted t)
+
+let rec drain t f =
+  if t.len > 0 then begin
+    Array.iter f (take_sorted t);
+    drain t f
+  end
+
+let fold t ~init ~f = Array.fold_left f init (sorted_keys t)

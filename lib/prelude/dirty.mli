@@ -12,7 +12,8 @@
 type t
 
 val create : ?size:int -> unit -> t
-(** Fresh empty set. [size] is the initial hash-table capacity hint. *)
+(** Fresh empty set. [size] is the initial capacity hint; draining
+    empties the set in place, keeping its capacity. *)
 
 val mark : t -> int -> unit
 (** Add one key; marking an already-dirty key is a no-op. *)

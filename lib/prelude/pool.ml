@@ -29,13 +29,23 @@ let parse_env () =
     | Some v when v >= 1 -> Some v
     | Some _ | None -> None)
 
-let default_size_lazy =
-  lazy
-    (match parse_env () with
-    | Some v -> v
-    | None -> max 1 (Domain.recommended_domain_count () - 1))
+(* Computed on first use and cached in an atomic (0 = not yet known):
+   worker domains may ask concurrently, and forcing one [lazy] from two
+   domains at once raises [CamlinternalLazy.Undefined]. Racing first
+   calls compute the same value. *)
+let default_size_cell = Atomic.make 0
 
-let default_size () = Lazy.force default_size_lazy
+let default_size () =
+  match Atomic.get default_size_cell with
+  | 0 ->
+    let v =
+      match parse_env () with
+      | Some v -> v
+      | None -> max 1 (Domain.recommended_domain_count () - 1)
+    in
+    Atomic.set default_size_cell v;
+    v
+  | v -> v
 
 (* [inside]: true in worker domains, and in the caller while it drains a
    job — any parallel entry from such a context runs sequentially

@@ -112,34 +112,59 @@ let test_path_of () =
   Helpers.check_path_opt "stored" (Some [ 0; 1; 2 ]) (Builder.path_of b ~dest:2);
   Helpers.check_path_opt "absent" None (Builder.path_of b ~dest:9)
 
-(* Randomized oracle: arbitrary set_path sequences against of_paths. *)
+(* Randomized oracle: arbitrary set_path sequences, interleaved with
+   flushes and wire invalidations, against the replay oracle and
+   of_paths. The path shapes make 3 and 4 reachable from two or three
+   parents, so random input builds, changes and withdraws Permission
+   Lists, and reroutes share prefixes and suffixes with the path they
+   replace. *)
+let shapes dest =
+  [| None;
+     Some [ 0; 1; dest ];
+     Some [ 0; 2; dest ];
+     Some [ 0; 1; 3; dest ];
+     Some [ 0; 2; 3; dest ];
+     Some [ 0; 1; 3; 4; dest ];
+     Some [ 0; 2; 4; dest ];
+     Some [ 0; 3; 4; dest ] |]
+
 let builder_matches_of_paths =
-  QCheck.Test.make ~name:"builder snapshot == of_paths of final selection"
-    ~count:100
-    QCheck.(list_of_size Gen.(1 -- 30) (pair (int_bound 8) (int_bound 3)))
+  QCheck.Test.make
+    ~name:"builder snapshot == of_paths of final selection"
+    ~count:300
+    QCheck.(list_of_size Gen.(1 -- 40) (pair (int_bound 10) (int_bound 7)))
     (fun ops ->
-      (* Interpret each (dest_raw, choice) as setting dest 10+dest_raw to
-         one of three fixed path shapes or removing it. *)
+      (* (0..8, shape): set dest 10+k to that shape or remove it;
+         (9, _): flush; (10, _): invalidate the wire state. *)
       let b = Builder.create ~root:0 in
+      let replica = Pgraph.create ~root:0 in
       let current = Hashtbl.create 8 in
-      List.iter
-        (fun (dest_raw, choice) ->
-          let dest = 10 + dest_raw in
-          let path =
-            match choice with
-            | 0 -> None
-            | 1 -> Some [ 0; 1; dest ]
-            | 2 -> Some [ 0; 2; dest ]
-            | _ -> Some [ 0; 1; 3; dest ]
-          in
-          (match path with
-          | None -> Hashtbl.remove current dest
-          | Some p -> Hashtbl.replace current dest p);
-          Builder.set_path b ~dest path)
-        ops;
+      let flush_checked () =
+        Pgraph.apply replica (Builder.flush_delta b);
+        Pgraph.equal replica (Builder.snapshot b)
+        && Pgraph.delta_is_empty (Builder.flush_delta b)
+      in
+      List.for_all
+        (fun (op, choice) ->
+          if op = 9 then flush_checked ()
+          else if op = 10 then begin
+            Builder.invalidate_wire b;
+            true
+          end
+          else begin
+            let dest = 10 + op in
+            let path = (shapes dest).(choice) in
+            (match path with
+            | None -> Hashtbl.remove current dest
+            | Some p -> Hashtbl.replace current dest p);
+            Builder.set_path b ~dest path;
+            true
+          end)
+        ops
+      && flush_checked ()
+      &&
       let final_paths = Hashtbl.fold (fun _ p acc -> p :: acc) current [] in
-      let expected = Pgraph.of_paths ~root:0 final_paths in
-      Pgraph.equal (Builder.snapshot b) expected)
+      Pgraph.equal (Builder.snapshot b) (Pgraph.of_paths ~root:0 final_paths))
 
 let suite =
   [ Alcotest.test_case "counters track use" `Quick test_counters_track_use;

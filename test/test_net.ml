@@ -219,6 +219,64 @@ let test_prefix_validation () =
     (Invalid_argument "Prefix.deaggregate: factor < 1") (fun () ->
       ignore (Prefix.deaggregate (Prefix.uniform ~n:2 ~per_as:1) ~factor:0))
 
+(* Pair lookups answer from the CSR adjacency; a scan of the link list
+   is the oracle. Random topologies, random links down, every ordered
+   pair including ids one past either end of the range. *)
+let pair_lookups_match_link_scan =
+  QCheck.Test.make ~name:"topology pair lookups == scan of links" ~count:200
+    QCheck.(pair (int_range 1 12) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let edges = ref [] in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          if Random.State.int st 3 = 0 then begin
+            let rel =
+              List.nth Relationship.all
+                (Random.State.int st (List.length Relationship.all))
+            in
+            let a, b = if Random.State.bool st then (a, b) else (b, a) in
+            edges := (a, b, rel, 1.0) :: !edges
+          end
+        done
+      done;
+      let topo = Topology.create ~n (List.rev !edges) in
+      Array.iter
+        (fun (l : Topology.link) ->
+          if Random.State.int st 3 = 0 then Topology.set_up topo l.id false)
+        (Topology.links topo);
+      let agrees a b =
+        let found =
+          Array.fold_left
+            (fun acc (l : Topology.link) ->
+              if (l.a = a && l.b = b) || (l.a = b && l.b = a) then Some l
+              else acc)
+            None (Topology.links topo)
+        in
+        let role =
+          Option.map
+            (fun (l : Topology.link) ->
+              if l.a = a then l.rel_ab else Relationship.invert l.rel_ab)
+            found
+        in
+        let up =
+          match found with
+          | Some l -> Topology.is_up topo l.Topology.id
+          | None -> false
+        in
+        Topology.link_between topo a b
+        = Option.map (fun (l : Topology.link) -> l.id) found
+        && Topology.rel_any topo a b = role
+        && Topology.rel topo a b = if up then role else None
+      in
+      let ok = ref true in
+      for a = -1 to n do
+        for b = -1 to n do
+          if not (agrees a b) then ok := false
+        done
+      done;
+      !ok)
+
 let suite =
   [ Alcotest.test_case "relationship invert" `Quick test_relationship_invert;
     Alcotest.test_case "prefix tables" `Quick test_prefix_tables;
@@ -242,4 +300,5 @@ let suite =
     Alcotest.test_case "tier assignment" `Quick test_tier_assignment;
     Alcotest.test_case "tier relationships" `Quick test_tier_relationships;
     Alcotest.test_case "tier hierarchy connected" `Quick
-      test_tier_annotate_connected_hierarchy ]
+      test_tier_annotate_connected_hierarchy;
+    QCheck_alcotest.to_alcotest pair_lookups_match_link_scan ]

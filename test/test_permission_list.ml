@@ -114,9 +114,7 @@ let compressed_roundtrip =
       let fp_rate = 0.01 in
       let c = Permission_list.compress pl ~fp_rate in
       Permission_list.compressed_bytes c
-      = Permission_list.wire_size_bytes pl ~fp_rate
-      && Permission_list.compressed_bytes c
-         = Permission_list.compressed_size_bytes pl ~fp_rate
+      = Permission_list.compressed_size_bytes pl ~fp_rate
       && List.for_all
            (fun (dest, nxt) ->
              let next = if nxt = 0 then None else Some (300 + nxt) in

@@ -275,6 +275,35 @@ let test_warm_workspace_allocation_free () =
     true
     (per_dest < 1.0)
 
+(* The same kind of pin for the Centaur node path: one fig6 kernel
+   round (link 3 of the 60-node BRITE graph down, then up, each run to
+   quiescence) on a warm network. Before the node path moved onto flat
+   arenas it allocated 267,127 minor words per round; it now allocates
+   66,420. The budget is 1.5x the latter, so a reintroduced
+   per-destination table, per-flush rebuild or per-hop option fails it. *)
+let test_centaur_flip_round_allocation () =
+  let topo =
+    Brite.annotated (Rng.create 8) ~n:60 ~m:2 ~max_delay:5.0 ~num_tiers:4
+  in
+  let runner = Protocols.Centaur_net.network topo in
+  ignore (runner.Sim.Runner.cold_start ());
+  let round () =
+    ignore (runner.Sim.Runner.flip ~link_id:3 ~up:false);
+    ignore (runner.Sim.Runner.flip ~link_id:3 ~up:true)
+  in
+  round ();
+  let rounds = 10 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per_round = (Gc.minor_words () -. m0) /. float_of_int rounds in
+  let budget = 1.5 *. 66_420.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per flip round (budget %.0f)" per_round
+       budget)
+    true (per_round < budget)
+
 let suite =
   [ Alcotest.test_case "figure2a routes to D" `Quick test_fig2_routes_to_d;
     Alcotest.test_case "figure2a route classes" `Quick test_fig2_route_classes;
@@ -311,4 +340,6 @@ let suite =
     Alcotest.test_case "customer preferred over shorter peer" `Quick
       test_customer_preferred_over_shorter_peer;
     Alcotest.test_case "warm workspace is allocation-free" `Quick
-      test_warm_workspace_allocation_free ]
+      test_warm_workspace_allocation_free;
+    Alcotest.test_case "centaur flip round allocation budget" `Quick
+      test_centaur_flip_round_allocation ]
