@@ -6,16 +6,15 @@
      its occurrence chain, and flag bits (forced, marked on the wire,
      queued for the next flush);
    - link slots ([link_slot], under [Pgraph.pack] keys): the §4.3 use
-     counter, the child's chain of current in-links, the link's
-     Permission List and the state last put on the wire. [set_path]
-     keeps a link's list up to date from the moment its child is first
-     multi-homed until the link leaves the graph, so a child flapping in
-     and out of multi-homing (a reroute between two parents removes one
-     in-link before adding the other) never rebuilds a list;
+     counter, the child's chain of current in-links and the state last
+     put on the wire (bare, or the Permission List announced);
    - occurrences ([occ], keyed by link slot): one entry per (installed
      path, link on it) carrying the destination and the child's next hop
-     on that path, the source material of a Permission List when a child
-     becomes multi-homed.
+     on that path. A link's chain is exactly its Permission List's
+     pairs, so [set_path] keeps no list: the flush fills a scratch from
+     the chain of each queued link into a multi-homed child, compares it
+     with the list on the wire and allocates a list only when it
+     changed.
 
    A slot lives while it is in the current graph or on the wire (or
    queued to leave it); the flush that finds it in neither frees it. *)
@@ -29,7 +28,6 @@ let queued_bit = 4
 
 (* Link flag bits. *)
 let queued_link = 1
-let plist_kept = 2
 
 (* Link wire states. *)
 let wire_none = 0
@@ -49,7 +47,6 @@ type t = {
   mutable l_key : int array;
   mutable l_count : int array;
   mutable l_next_in : int array; (* next current in-link of the child *)
-  mutable l_plist : Permission_list.t array; (* valid while [plist_kept] *)
   mutable l_wire : int array;
   mutable l_wire_plist : Permission_list.t array;
   mutable l_flags : int array;
@@ -59,6 +56,7 @@ type t = {
      (bound rather than removed: no tombstone churn) *)
   in_head : Flat_tbl.t;
   occ : Occ_index.t;
+  plist_scratch : Permission_list.scratch;
   (* Slots touched since the last flush. *)
   mutable queued_links : int array;
   mutable n_queued_links : int;
@@ -85,7 +83,6 @@ let create ~root =
     l_key = Array.make initial_cap nil;
     l_count = Array.make initial_cap 0;
     l_next_in = Array.make initial_cap nil;
-    l_plist = Array.make initial_cap Permission_list.empty;
     l_wire = Array.make initial_cap wire_none;
     l_wire_plist = Array.make initial_cap Permission_list.empty;
     l_flags = Array.make initial_cap 0;
@@ -93,6 +90,7 @@ let create ~root =
     l_free = nil;
     in_head = Flat_tbl.create ();
     occ = Occ_index.create ();
+    plist_scratch = Permission_list.Scratch.create ();
     queued_links = Array.make initial_cap nil;
     n_queued_links = 0;
     queued_dests = Array.make initial_cap nil;
@@ -170,7 +168,6 @@ let link_alloc t key =
         t.l_key <- grow t.l_key nil;
         t.l_count <- grow t.l_count 0;
         t.l_next_in <- grow t.l_next_in nil;
-        t.l_plist <- grow t.l_plist Permission_list.empty;
         t.l_wire <- grow t.l_wire wire_none;
         t.l_wire_plist <- grow t.l_wire_plist Permission_list.empty;
         t.l_flags <- grow t.l_flags 0
@@ -183,7 +180,6 @@ let link_alloc t key =
   t.l_key.(s) <- key;
   t.l_count.(s) <- 0;
   t.l_next_in.(s) <- nil;
-  t.l_plist.(s) <- Permission_list.empty;
   t.l_wire.(s) <- wire_none;
   t.l_wire_plist.(s) <- Permission_list.empty;
   t.l_flags.(s) <- 0;
@@ -194,7 +190,6 @@ let link_free t s =
   Flat_tbl.remove t.link_slot t.l_key.(s);
   t.l_key.(s) <- nil;
   t.l_flags.(s) <- 0;
-  t.l_plist.(s) <- Permission_list.empty;
   t.l_wire_plist.(s) <- Permission_list.empty;
   t.l_next_in.(s) <- t.l_free;
   t.l_free <- s
@@ -219,24 +214,17 @@ let multi_homed t child =
   let head = Flat_tbl.find_default t.in_head child ~default:nil in
   head <> nil && t.l_next_in.(head) <> nil
 
-let next_opt next = if next = nil then None else Some next
-
-(* Start maintaining a link's Permission List (a no-op when it already
-   is): every installed path through the link, as (destination, next
-   hop of the child). *)
-let keep_plist t l =
-  if not (link_flag t l plist_kept) then begin
-    let pl = ref Permission_list.empty in
-    let e = ref (Occ_index.first t.occ l) in
-    while !e <> nil do
-      pl :=
-        Permission_list.add !pl ~dest:(Occ_index.value t.occ !e)
-          ~next:(next_opt (Occ_index.aux t.occ !e));
-      e := Occ_index.next t.occ !e
-    done;
-    t.l_plist.(l) <- !pl;
-    set_link_flag t l plist_kept true
-  end
+(* Fill the scratch with a link's Permission List: every installed
+   path through it, as (destination, next hop of the child). *)
+let fill_plist t l =
+  let sc = t.plist_scratch in
+  Permission_list.Scratch.clear sc;
+  let e = ref (Occ_index.first t.occ l) in
+  while !e <> nil do
+    Permission_list.Scratch.push sc ~dest:(Occ_index.value t.occ !e)
+      ~next:(Occ_index.aux t.occ !e);
+    e := Occ_index.next t.occ !e
+  done
 
 (* One more installed path uses [parent -> child]; [next] is the
    child's next hop on it ([nil] at the destination). Returns the new
@@ -250,21 +238,14 @@ let add_occurrence t ~dest ~parent ~child ~next ~owner =
   in
   if t.l_count.(l) = 0 then begin
     (* The link enters the graph. A second in-link makes the child
-       multi-homed: the first one starts announcing its Permission List,
-       this one keeps a list from the start (it has no paths yet). *)
+       multi-homed: the first one starts announcing its Permission
+       List. *)
     let head = Flat_tbl.find_default t.in_head child ~default:nil in
     t.l_next_in.(l) <- head;
     Flat_tbl.set t.in_head child l;
-    if head <> nil then begin
-      if t.l_next_in.(head) = nil then queue_link t head;
-      keep_plist t head;
-      t.l_plist.(l) <- Permission_list.empty;
-      set_link_flag t l plist_kept true
-    end
+    if head <> nil && t.l_next_in.(head) = nil then queue_link t head
   end;
   t.l_count.(l) <- t.l_count.(l) + 1;
-  if link_flag t l plist_kept then
-    t.l_plist.(l) <- Permission_list.add t.l_plist.(l) ~dest ~next:(next_opt next);
   queue_link t l;
   Occ_index.add t.occ ~key:l ~value:dest ~aux:next ~owner
 
@@ -282,25 +263,21 @@ let unchain_in t child l =
   end;
   t.l_next_in.(l) <- nil
 
-(* Drop one occurrence of [dest]'s path; returns the next entry of the
-   path's chain. *)
-let remove_occurrence t dest e =
-  let l = Occ_index.key t.occ e and next = Occ_index.aux t.occ e in
+(* Drop one occurrence of a path; returns the next entry of the path's
+   chain. *)
+let remove_occurrence t e =
+  let l = Occ_index.key t.occ e in
   t.l_count.(l) <- t.l_count.(l) - 1;
   queue_link t l;
   if t.l_count.(l) = 0 then begin
     (* The link leaves the graph; a child left with one in-link is no
        longer multi-homed, so that link goes back to announcing no
-       Permission List (it keeps maintaining one). *)
+       Permission List. *)
     let child = Pgraph.key_child t.l_key.(l) in
     unchain_in t child l;
-    t.l_plist.(l) <- Permission_list.empty;
-    set_link_flag t l plist_kept false;
     let head = Flat_tbl.find_default t.in_head child ~default:nil in
     if head <> nil && t.l_next_in.(head) = nil then queue_link t head
-  end
-  else if link_flag t l plist_kept then
-    t.l_plist.(l) <- Permission_list.remove t.l_plist.(l) ~dest ~next:(next_opt next);
+  end;
   Occ_index.remove t.occ e
 
 (* Add the hops of path [p] (each link with the child's next hop) onto
@@ -315,7 +292,7 @@ let rec add_hops t ~dest owner = function
 let replace_path t s ~dest p =
   let e = ref t.d_occ.(s) in
   while !e <> nil do
-    e := remove_occurrence t dest !e
+    e := remove_occurrence t !e
   done;
   t.d_occ.(s) <- add_hops t ~dest nil p;
   t.d_path.(s) <- p
@@ -408,19 +385,27 @@ let flush_links t =
           remove_links := (parent, child) :: !remove_links;
         link_free t l
       end
+      else if not (multi_homed t child) then begin
+        if t.l_wire.(l) <> wire_bare || t.resend_all then begin
+          t.l_wire.(l) <- wire_bare;
+          t.l_wire_plist.(l) <- Permission_list.empty;
+          add_links := (parent, child, None) :: !add_links
+        end
+      end
       else begin
-        let multi = multi_homed t child in
-        let pl = t.l_plist.(l) in
-        let wire = t.l_wire.(l) in
-        let changed =
-          if wire = wire_none then true
-          else if wire = wire_bare then multi
-          else (not multi) || not (Permission_list.equal t.l_wire_plist.(l) pl)
+        fill_plist t l;
+        let same =
+          t.l_wire.(l) = wire_plist
+          && Permission_list.Scratch.equal t.plist_scratch t.l_wire_plist.(l)
         in
-        if changed || t.resend_all then begin
-          t.l_wire.(l) <- (if multi then wire_plist else wire_bare);
-          t.l_wire_plist.(l) <- (if multi then pl else Permission_list.empty);
-          add_links := (parent, child, if multi then Some pl else None) :: !add_links
+        if (not same) || t.resend_all then begin
+          let pl =
+            if same then t.l_wire_plist.(l)
+            else Permission_list.Scratch.freeze t.plist_scratch
+          in
+          t.l_wire.(l) <- wire_plist;
+          t.l_wire_plist.(l) <- pl;
+          add_links := (parent, child, Some pl) :: !add_links
         end
       end)
     queued;
@@ -467,7 +452,13 @@ let snapshot t =
     if t.l_key.(l) <> nil && t.l_count.(l) > 0 then begin
       let key = t.l_key.(l) in
       let parent = Pgraph.key_parent key and child = Pgraph.key_child key in
-      let plist = if multi_homed t child then Some t.l_plist.(l) else None in
+      let plist =
+        if multi_homed t child then begin
+          fill_plist t l;
+          Some (Permission_list.Scratch.freeze t.plist_scratch)
+        end
+        else None
+      in
       Pgraph.add_link g ~parent ~child
         ~data:{ Pgraph.counter = t.l_count.(l); plist }
     end

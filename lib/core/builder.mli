@@ -9,11 +9,12 @@
 
     {!flush_delta} returns the net wire-level change (the Δ of §4.3)
     since the previous flush, already coalesced — the exact payload of an
-    incremental downstream-link announcement. [set_path] keeps each
-    link's Permission List current, so a flush only compares the links
-    touched since the last one with what it last put on the wire. Cost
-    of [set_path] and [flush_delta] is proportional to the paths and
-    links touched, not to the graph size, which is what makes large
+    incremental downstream-link announcement. A flush visits only the
+    links touched since the last one; for each link into a multi-homed
+    node it builds the Permission List from the paths through the link
+    and compares it with what it last put on the wire. Cost of
+    [set_path] and [flush_delta] is proportional to the paths and links
+    touched, not to the graph size, which is what makes large
     simulations tractable. *)
 
 type t

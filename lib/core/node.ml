@@ -2,11 +2,14 @@ let nil = Occ_index.nil
 
 (* One session per live neighbor: the neighbor's announced P-graph, the
    cache of paths derived from it, an inverted index (node -> cached
-   destinations whose path visits it) so a link change maps to the small
-   set of destinations it can affect, and the export builder holding the
-   view last announced to that neighbor. The cache is a slot arena under
-   a destination index; the usage index is an occurrence arena keyed by
-   node, one owner chain per cached path. *)
+   destinations whose path visits it) so a link change maps to the
+   destinations it can affect, and the export builder holding the view
+   last announced to that neighbor. The cache is a slot arena under a
+   destination index; the usage index is an occurrence arena keyed by
+   node, one owner chain per cached path. A usage entry records the
+   DerivePath step taken at its node — the parent moved to and the next
+   hop arrived from, packed by [hop] — for every node of the path but
+   the root, where the walk stops. *)
 type session = {
   pg : Pgraph.t;
   export : Builder.t;
@@ -15,7 +18,7 @@ type session = {
   mutable c_use : int array; (* head of the path's usage chain; free list *)
   mutable c_hwm : int;
   mutable c_free : int;
-  usage : Occ_index.t; (* node -> cached destinations visiting it *)
+  usage : Occ_index.t; (* node -> (cached destination, [hop]) *)
   (* Marked destinations that failed to derive (transient inconsistency,
      e.g. a link the import filter dropped): retried on every delta. *)
   pending : Flat_tbl.t;
@@ -36,9 +39,13 @@ type t = {
      one [recompute] drains it — the cross-session invalidation shares
      the dirty-set scheduler with the other protocols. *)
   dirty : Dirty.t;
-  (* Scratch: the destinations one delta can affect, and the nodes of
-     the derivation being compared with the cache (destination first). *)
+  (* Scratch: the destinations one delta can affect, the children one
+     delta has checked (stamped with [epoch], one per delta), and the
+     nodes of the derivation being compared with the cache (destination
+     first). *)
   affected : Dirty.t;
+  checked : Flat_tbl.t;
+  mutable epoch : int;
   mutable walk : int array;
   mutable walk_len : int;
   mutable visit : int -> unit;
@@ -62,6 +69,8 @@ let create ?on_change ?policy topo ~id =
       selected = Array.make (max n 1) [];
       dirty = Dirty.create ();
       affected = Dirty.create ();
+      checked = Flat_tbl.create ();
+      epoch = 0;
       walk = Array.make 16 0;
       walk_len = 0;
       visit = ignore;
@@ -129,7 +138,23 @@ let uncache s dest =
     s.c_use.(c) <- s.c_free;
     s.c_free <- c
 
-let cache s dest p =
+(* A usage entry's step: the parent DerivePath moved to and the next hop
+   it arrived from ([nil] at the destination), signed-packed so a node
+   id up to [Pgraph.max_node] fits either half. *)
+let hop ~parent ~next = (next lsl 31) lor parent
+let hop_parent h = h land Pgraph.max_node
+let hop_next h = h asr 31
+
+let walk_path t =
+  let p = ref [] in
+  for i = 0 to t.walk_len - 1 do
+    p := t.walk.(i) :: !p
+  done;
+  !p
+
+(* Cache the derivation in [t.walk] as [dest]'s path, with one usage
+   entry per step. *)
+let cache t s dest =
   let c =
     if s.c_free <> nil then begin
       let c = s.c_free in
@@ -151,11 +176,15 @@ let cache s dest p =
     end
   in
   Flat_tbl.set s.cache_slot dest c;
-  s.c_path.(c) <- p;
-  s.c_use.(c) <-
-    List.fold_left
-      (fun owner node -> Occ_index.add s.usage ~key:node ~value:dest ~aux:0 ~owner)
-      nil p
+  s.c_path.(c) <- walk_path t;
+  let owner = ref nil in
+  for i = 0 to t.walk_len - 2 do
+    let next = if i = 0 then nil else t.walk.(i - 1) in
+    owner :=
+      Occ_index.add s.usage ~key:t.walk.(i) ~value:dest
+        ~aux:(hop ~parent:t.walk.(i + 1) ~next) ~owner:!owner
+  done;
+  s.c_use.(c) <- !owner
 
 (* Is the derivation in [t.walk] (destination first) the path [p]? *)
 let walk_is t p =
@@ -164,13 +193,6 @@ let walk_is t p =
     | x :: rest -> i >= 0 && t.walk.(i) = x && go (i - 1) rest
   in
   go (t.walk_len - 1) p
-
-let walk_path t =
-  let p = ref [] in
-  for i = 0 to t.walk_len - 1 do
-    p := t.walk.(i) :: !p
-  done;
-  !p
 
 (* Re-derive one destination from the session's graph; true iff the
    cached path changed. The derivation is walked into scratch and
@@ -185,60 +207,40 @@ let rederive t s ~dest =
   let same = if derived then walk_is t old_path else old_path = [] in
   if not same then begin
     uncache s dest;
-    if derived then cache s dest (walk_path t)
+    if derived then cache t s dest
   end;
   not same
 
-(* Destinations an incoming delta can affect, into [t.affected]: changed
-   destination marks, destinations mentioned in changed Permission Lists
-   (old and new), and destinations whose cached path visits an endpoint
-   of a changed link. *)
-let collect_affected t s (delta : Pgraph.delta) =
-  let add d = Dirty.mark t.affected d in
-  List.iter add delta.Pgraph.add_dests;
-  List.iter add delta.Pgraph.remove_dests;
-  Flat_tbl.iter s.pending (fun d _ -> add d);
-  let add_usage node =
-    let e = ref (Occ_index.first s.usage node) in
+(* One-hop invalidation. A delta changes the in-links of the children
+   of its links and nothing else, and a derivation reads only the
+   in-links of the nodes it steps from, so a cached path can first
+   diverge only at such a child. Re-run the step recorded at [c] by each
+   cached path through it; a destination whose step now answers
+   differently goes into [t.affected]. Each child is checked once per
+   delta. *)
+let check_child t s c =
+  if Flat_tbl.find_default t.checked c ~default:(-1) <> t.epoch then begin
+    Flat_tbl.set t.checked c t.epoch;
+    let e = ref (Occ_index.first s.usage c) in
     while !e <> nil do
-      add (Occ_index.value s.usage !e);
+      let h = Occ_index.aux s.usage !e and dest = Occ_index.value s.usage !e in
+      if Pgraph.derive_step s.pg ~dest ~node:c ~next:(hop_next h) <> hop_parent h
+      then Dirty.mark t.affected dest;
       e := Occ_index.next s.usage !e
     done
-  in
-  (* Derivation of a destination reads only the in-link sets (and
-     Permission Lists) of the nodes on its path, so a changed link
-     (p, c) can only affect destinations whose cached path visits the
-     child [c] — those are all in usage(c), including every destination
-     the link's OLD Permission List names — plus destinations whose
-     permitted next hop the NEW Permission List changes (reroutes onto a
-     link that was already present). *)
-  List.iter
-    (fun (p, c, pl) ->
-      match pl with
-      | Some new_pl ->
-        (* The child is multi-homed in the sender's view: the link only
-           carries the destinations its Permission List names, so only
-           destinations whose permitted mapping changed can reroute. *)
-        let old_pl =
-          match Pgraph.link_plist s.pg ~parent:p ~child:c with
-          | Some old_pl -> old_pl
-          | None -> Permission_list.empty
-        in
-        Permission_list.iter_changed old_pl new_pl add
-      | None ->
-        (* Single-homed child: every destination routed through [c] may
-           change parent (also covers a Permission List being dropped
-           when multi-homing ends). *)
-        add_usage c)
-    delta.Pgraph.add_links;
-  List.iter
-    (fun (p, c) ->
-      match Pgraph.link_plist s.pg ~parent:p ~child:c with
-      | Some old_pl ->
-        (* The old Permission List names exactly the link's users. *)
-        Permission_list.iter_dests old_pl add
-      | None -> add_usage c)
-    delta.Pgraph.remove_links
+  end
+
+let rec check_added t s = function
+  | [] -> ()
+  | (_, c, _) :: rest ->
+    check_child t s c;
+    check_added t s rest
+
+let rec check_removed t s = function
+  | [] -> ()
+  | (_, c) :: rest ->
+    check_child t s c;
+    check_removed t s rest
 
 (* --- selection --- *)
 
@@ -421,9 +423,8 @@ let flush t =
   !out
 
 (* Absorb one announcement: apply the delta to the sender's P-graph,
-   re-derive the destinations it can affect and mark those whose derived
-   path changed for re-selection. Emits nothing — [recompute] drains the
-   marks. *)
+   re-derive the destinations whose derivation it changed and mark them
+   for re-selection. Emits nothing — [recompute] drains the marks. *)
 let absorb t ann =
   (match session_of t ann.Announce.sender with
   | None ->
@@ -433,8 +434,16 @@ let absorb t ann =
   | Some s ->
     let ann = Announce.import ann ~receiver:t.node_id in
     let delta = ann.Announce.delta in
-    collect_affected t s delta;
     Pgraph.apply s.pg delta;
+    (* Changed destination marks and the destinations that failed to
+       derive are re-derived outright; cached paths only where a step
+       changed. *)
+    Dirty.mark_list t.affected delta.Pgraph.add_dests;
+    Dirty.mark_list t.affected delta.Pgraph.remove_dests;
+    Flat_tbl.iter s.pending (fun d _ -> Dirty.mark t.affected d);
+    t.epoch <- t.epoch + 1;
+    check_added t s delta.Pgraph.add_links;
+    check_removed t s delta.Pgraph.remove_links;
     Dirty.drain t.affected (fun dest ->
         if rederive t s ~dest then mark_dirty t dest));
   t

@@ -1,103 +1,274 @@
-module Iset = Set.Make (Int)
+(* Flat layout: a list is an immutable int array of packed
+   (next hop, destination) keys, sorted ascending with no duplicates.
+   The next hop sits in the high bits as a signed id, [-1] for none, so
+   Int.compare orders keys by next hop ([None] first) and then by
+   destination — the {!entries} order — and the pairs of one entry form
+   a contiguous run. Signed packing keeps the top pair
+   (max_id, max_id) at [max_int]: an unsigned [next + 1] would need a
+   64th bit. *)
 
-module Next_key = struct
-  type t = int option
+type t = int array
 
-  let compare (a : t) (b : t) =
-    match (a, b) with
-    | None, None -> 0
-    | None, Some _ -> -1
-    | Some _, None -> 1
-    | Some x, Some y -> Int.compare x y
-end
+let shift = 31
+let max_id = (1 lsl shift) - 1
 
-module Nmap = Map.Make (Next_key)
+let pack ~dest ~next = (next lsl shift) lor dest
+let key_dest k = k land max_id
+let key_next k = k asr shift
 
-type t = Iset.t Nmap.t
+let valid ~dest ~next = dest >= 0 && dest <= max_id && next >= -1 && next <= max_id
 
-let empty = Nmap.empty
+let check ~dest ~next =
+  if not (valid ~dest ~next) then
+    invalid_arg "Permission_list: node id out of packed range"
 
-let is_empty = Nmap.is_empty
+let next_id = function
+  | None -> -1
+  | Some n ->
+    if n < 0 then invalid_arg "Permission_list: negative next hop";
+    n
 
-let add t ~dest ~next =
-  Nmap.update next
-    (function
-      | None -> Some (Iset.singleton dest)
-      | Some set -> Some (Iset.add dest set))
-    t
+let next_opt n = if n < 0 then None else Some n
+
+let empty = [||]
+
+let is_empty t = Array.length t = 0
+
+(* First index of [t] whose key is >= [k]. *)
+let lower_bound (t : int array) k =
+  let lo = ref 0 and hi = ref (Array.length t) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if t.(mid) < k then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem t k =
+  let i = lower_bound t k in
+  i < Array.length t && t.(i) = k
+
+let permit_id t ~dest ~next = valid ~dest ~next && mem t (pack ~dest ~next)
 
 let permit t ~dest ~next =
-  match Nmap.find next t with
-  | set -> Iset.mem dest set
-  | exception Not_found -> false
+  match next with
+  | None -> permit_id t ~dest ~next:(-1)
+  | Some n -> n >= 0 && permit_id t ~dest ~next:n
 
-let remove t ~dest ~next =
-  Nmap.update next
-    (function
-      | None -> None
-      | Some set ->
-        let set = Iset.remove dest set in
-        if Iset.is_empty set then None else Some set)
-    t
-
-let remove_dest t ~dest =
-  Nmap.filter_map
-    (fun _next set ->
-      let set = Iset.remove dest set in
-      if Iset.is_empty set then None else Some set)
-    t
-
-let num_entries t = Nmap.cardinal t
-
-let dests t =
-  Nmap.fold (fun _next set acc -> Iset.union set acc) t Iset.empty
-  |> Iset.elements
-
-let iter_dests t f = Nmap.iter (fun _next set -> Iset.iter f set) t
-
-let entries t =
-  Nmap.bindings t |> List.map (fun (next, set) -> (next, Iset.elements set))
-
-let next_for t ~dest =
-  Nmap.fold
-    (fun next set acc ->
-      if Iset.mem dest set then
-        match acc with
-        | None -> Some next
-        | Some _ -> acc (* keep the smallest: maps iterate ascending *)
-      else acc)
-    t None
-
-let merge a b =
-  Nmap.union (fun _next s1 s2 -> Some (Iset.union s1 s2)) a b
-
-(* The (destination, next hop) pairs in one list but not the other,
-   entry by entry: a well-formed list gives each destination one next
-   hop, so these destinations are exactly those whose mapping changed.
-   Entries the two lists share physically (persistent updates keep
-   untouched entries) are skipped whole. *)
-let iter_changed a b f =
-  if a != b then begin
-    let one_way x y =
-      Nmap.iter
-        (fun next set ->
-          match Nmap.find_opt next y with
-          | None -> Iset.iter f set
-          | Some set' ->
-            if set != set' then
-              Iset.iter (fun d -> if not (Iset.mem d set') then f d) set)
-        x
-    in
-    one_way a b;
-    one_way b a
+let add t ~dest ~next =
+  let next = next_id next in
+  check ~dest ~next;
+  let k = pack ~dest ~next in
+  let len = Array.length t in
+  let i = lower_bound t k in
+  if i < len && t.(i) = k then t
+  else begin
+    let a = Array.make (len + 1) k in
+    Array.blit t 0 a 0 i;
+    Array.blit t i a (i + 1) (len - i);
+    a
   end
 
-let changed_dests a b =
-  let acc = ref [] in
-  iter_changed a b (fun d -> acc := d :: !acc);
-  List.sort_uniq Int.compare !acc
+let filter_dests t keep =
+  let out = Array.make (Array.length t) 0 in
+  let n = ref 0 in
+  Array.iter
+    (fun k ->
+      if keep (key_dest k) then begin
+        out.(!n) <- k;
+        incr n
+      end)
+    t;
+  if !n = Array.length t then t else Array.sub out 0 !n
 
-let equal a b = a == b || Nmap.equal Iset.equal a b
+let remove_dest t ~dest = filter_dests t (fun d -> d <> dest)
+
+(* The pairs of one entry form a run of equal next hops: the end of the
+   run starting at [i]. *)
+let run_end (a : int array) len i =
+  let next = key_next a.(i) in
+  let j = ref (i + 1) in
+  while !j < len && key_next a.(!j) = next do
+    incr j
+  done;
+  !j
+
+(* [f next lo hi] over each entry's run [a.(lo .. hi-1)], ascending. *)
+let iter_runs a len f =
+  let i = ref 0 in
+  while !i < len do
+    let j = run_end a len !i in
+    f (key_next a.(!i)) !i j;
+    i := j
+  done
+
+(* Counting and pricing loop without a closure: both run on the wire
+   path. *)
+let runs a len =
+  let n = ref 0 and i = ref 0 in
+  while !i < len do
+    incr n;
+    i := run_end a len !i
+  done;
+  !n
+
+let size_bytes a len ~fp_rate =
+  let bytes = ref 0 and i = ref 0 in
+  while !i < len do
+    let j = run_end a len !i in
+    bytes := !bytes + 4 + ((Bloom.optimal_bits ~expected:(j - !i) ~fp_rate + 7) / 8);
+    i := j
+  done;
+  !bytes
+
+let num_entries t = runs t (Array.length t)
+
+let compressed_size_bytes t ~fp_rate = size_bytes t (Array.length t) ~fp_rate
+
+let dests t = List.sort_uniq Int.compare (Array.to_list (Array.map key_dest t))
+
+let entries t =
+  let acc = ref [] in
+  iter_runs t (Array.length t) (fun next lo hi ->
+      acc := (next_opt next, List.init (hi - lo) (fun i -> key_dest t.(lo + i))) :: !acc);
+  List.rev !acc
+
+let next_for t ~dest =
+  (* Keys ascend by next hop, so the first match is the smallest. *)
+  let rec go i =
+    if i = Array.length t then None
+    else if key_dest t.(i) = dest then Some (next_opt (key_next t.(i)))
+    else go (i + 1)
+  in
+  go 0
+
+let prefix_equal (a : int array) len (b : int array) =
+  len = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < len && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = len
+
+let equal a b = a == b || prefix_equal a (Array.length a) b
+
+(* --- bulk building --- *)
+
+type scratch = {
+  mutable buf : int array;
+  mutable len : int;
+  mutable sorted : bool; (* [buf.(0 .. len-1)] is sorted, no duplicates *)
+}
+
+let swap (a : int array) i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let k = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > k do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- k
+  done
+
+(* In-place quicksort of [a.(lo .. hi-1)]: median-of-three pivot, Hoare
+   partition, recursion on the smaller side only (logarithmic depth),
+   insertion sort for short ranges. Allocates nothing. *)
+let rec sort_range (a : int array) lo hi =
+  if hi - lo <= 16 then insertion_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) lsr 1) and last = hi - 1 in
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(last) < a.(lo) then swap a last lo;
+    if a.(last) < a.(mid) then swap a last mid;
+    let pivot = a.(mid) in
+    let i = ref lo and j = ref last in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while a.(!j) > pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      sort_range a lo (!j + 1);
+      sort_range a !i hi
+    end
+    else begin
+      sort_range a !i hi;
+      sort_range a lo (!j + 1)
+    end
+  end
+
+let normalize s =
+  if not s.sorted then begin
+    let a = s.buf in
+    sort_range a 0 s.len;
+    let n = ref 0 in
+    for i = 0 to s.len - 1 do
+      if !n = 0 || a.(i) <> a.(!n - 1) then begin
+        a.(!n) <- a.(i);
+        incr n
+      end
+    done;
+    s.len <- !n;
+    s.sorted <- true
+  end
+
+module Scratch = struct
+  let create () = { buf = Array.make 16 0; len = 0; sorted = true }
+
+  let clear s =
+    s.len <- 0;
+    s.sorted <- true
+
+  let push_key s k =
+    if s.len = Array.length s.buf then begin
+      let buf = Array.make (2 * s.len) 0 in
+      Array.blit s.buf 0 buf 0 s.len;
+      s.buf <- buf
+    end;
+    s.buf.(s.len) <- k;
+    s.len <- s.len + 1;
+    s.sorted <- false
+
+  let push s ~dest ~next =
+    check ~dest ~next;
+    push_key s (pack ~dest ~next)
+
+  let freeze s =
+    normalize s;
+    if s.len = 0 then empty else Array.sub s.buf 0 s.len
+
+  let equal s t =
+    normalize s;
+    prefix_equal s.buf s.len t
+
+  let num_entries s =
+    normalize s;
+    runs s.buf s.len
+
+  let compressed_size_bytes s ~fp_rate =
+    normalize s;
+    size_bytes s.buf s.len ~fp_rate
+end
+
+let merge a b =
+  let s = Scratch.create () in
+  Array.iter (Scratch.push_key s) a;
+  Array.iter (Scratch.push_key s) b;
+  Scratch.freeze s
 
 type compressed = {
   c_entries : (int option * Bloom.t) list;
@@ -105,19 +276,15 @@ type compressed = {
 }
 
 let compress t ~fp_rate =
-  let entries, bytes =
-    Nmap.fold
-      (fun next set (es, bytes) ->
-        (* Well-formed lists never hold an empty entry ([remove_dest]
-           drops them), but size defensively. *)
-        let filter =
-          Bloom.create ~expected:(max 1 (Iset.cardinal set)) ~fp_rate
-        in
-        Iset.iter (Bloom.add filter) set;
-        ((next, filter) :: es, bytes + 4 + Bloom.size_bytes filter))
-      t ([], 0)
-  in
-  { c_entries = entries; c_bytes = bytes }
+  let es = ref [] and bytes = ref 0 in
+  iter_runs t (Array.length t) (fun next lo hi ->
+      let filter = Bloom.create ~expected:(hi - lo) ~fp_rate in
+      for i = lo to hi - 1 do
+        Bloom.add filter (key_dest t.(i))
+      done;
+      es := (next_opt next, filter) :: !es;
+      bytes := !bytes + 4 + Bloom.size_bytes filter);
+  { c_entries = !es; c_bytes = !bytes }
 
 let compressed_bytes c = c.c_bytes
 
@@ -125,16 +292,6 @@ let compressed_permit c ~dest ~next =
   List.exists
     (fun (n, filter) -> n = next && Bloom.mem filter dest)
     c.c_entries
-
-let compressed_size_bytes t ~fp_rate =
-  Nmap.fold
-    (fun _next set acc ->
-      let n = Iset.cardinal set in
-      let bloom_bytes =
-        if n = 0 then 0 else (Bloom.optimal_bits ~expected:n ~fp_rate + 7) / 8
-      in
-      acc + 4 + bloom_bytes)
-    t 0
 
 let pp fmt t =
   let pp_next fmt = function
@@ -154,9 +311,6 @@ let pp fmt t =
        pp_entry)
     (entries t)
 
-(* Alias for use inside [Exhaustive], where [empty] is shadowed. *)
-let per_dest_next_empty = empty
-
 module Exhaustive = struct
   module Pset = Set.Make (struct
     type t = Path.t
@@ -175,15 +329,13 @@ module Exhaustive = struct
   let paths t = Pset.elements t
 
   let to_per_dest_next t ~multi_homed =
-    let compiled =
-      Pset.fold
-        (fun p acc ->
-          if Path.contains p multi_homed then
-            let dest = Path.destination p in
-            let next = Path.next_hop_of p multi_homed in
-            add acc ~dest ~next
-          else acc)
-        t per_dest_next_empty
-    in
+    let s = Scratch.create () in
+    Pset.iter
+      (fun p ->
+        if Path.contains p multi_homed then
+          Scratch.push s ~dest:(Path.destination p)
+            ~next:(next_id (Path.next_hop_of p multi_homed)))
+      t;
+    let compiled = Scratch.freeze s in
     fun ~dest ~next -> permit compiled ~dest ~next
 end

@@ -11,6 +11,12 @@
     of [B] in [p] ([None] when [B] is itself the destination).
     Destinations sharing a next hop are grouped into one entry.
 
+    A list is stored flat: an immutable sorted array of (next hop,
+    destination) pairs packed into immediate ints, grouped by next hop in
+    {!entries} order. {!permit} is a binary search, and comparing or
+    pricing a list walks the array once without allocating. Lists are
+    built in bulk through a reusable {!scratch}.
+
     {!Exhaustive} provides the theoretical {e per-path encoding} used by
     the paper's expressiveness argument (Claim 1); the test suite checks
     the two encodings equivalent on derivable path sets. *)
@@ -24,18 +30,26 @@ val is_empty : t -> bool
 val add : t -> dest:int -> next:int option -> t
 (** Record that the path to [dest] continues from the multi-homed node
     through [next] ([None] when the multi-homed node is the
-    destination). Idempotent. *)
+    destination). Idempotent. Node ids must lie in [0, 2^31 - 1], the
+    range of a P-graph's packed link keys ([Invalid_argument]
+    otherwise). Copies the list: build lists of more than a few pairs
+    through a {!scratch}. *)
 
 val permit : t -> dest:int -> next:int option -> bool
-(** The [Permit] predicate of the paper's [DerivePath] (Table 1). *)
+(** The [Permit] predicate of the paper's [DerivePath] (Table 1). Ids
+    outside the packed range are never permitted. *)
 
-val remove : t -> dest:int -> next:int option -> t
-(** Undo one {!add}: drop [dest] from the entry of [next] only; an entry
-    left empty disappears. *)
+val permit_id : t -> dest:int -> next:int -> bool
+(** {!permit} with the next hop as a node id, [-1] when the multi-homed
+    node is the destination. Allocates nothing. *)
 
 val remove_dest : t -> dest:int -> t
 (** Drop the destination from every entry (steady-phase updates, §4.3);
     entries left empty disappear. *)
+
+val filter_dests : t -> (int -> bool) -> t
+(** Keep the pairs whose destination satisfies the predicate, in one
+    pass. *)
 
 val num_entries : t -> int
 (** Number of ⟨DestList, NextHop⟩ pairs — the quantity whose distribution
@@ -43,10 +57,6 @@ val num_entries : t -> int
 
 val dests : t -> int list
 (** All destinations mentioned, ascending. *)
-
-val iter_dests : t -> (int -> unit) -> unit
-(** Visit every destination mentioned (once per entry naming it),
-    without building the list {!dests} returns. *)
 
 val entries : t -> (int option * int list) list
 (** [(next_hop, destinations)] pairs; next hops ascending ([None]
@@ -62,17 +72,6 @@ val next_for : t -> dest:int -> int option option
 val merge : t -> t -> t
 (** Union of the permitted sets. *)
 
-val changed_dests : t -> t -> int list
-(** Destinations whose permitted next hop differs between the two lists
-    (including destinations present in only one), ascending, for
-    well-formed lists (one next hop per destination). Lets a receiver map
-    a Permission-List update to the small set of routes it can affect. *)
-
-val iter_changed : t -> t -> (int -> unit) -> unit
-(** [iter_changed a b f] calls [f] on every destination of
-    {!changed_dests}[ a b], possibly twice and in no particular order,
-    without building an intermediate map or list. *)
-
 val equal : t -> t -> bool
 
 val compressed_size_bytes : t -> fp_rate:float -> int
@@ -81,6 +80,35 @@ val compressed_size_bytes : t -> fp_rate:float -> int
     plus 4 bytes per entry for the next hop. Agrees exactly with
     [compressed_bytes (compress t ~fp_rate)] (the formula the filters
     are sized by) without building the filters. *)
+
+type scratch
+(** A reusable buffer lists are built in: pairs are pushed in any order,
+    with duplicates, then sorted in place. Reading the sorted pairs
+    (comparing, counting, pricing) allocates nothing; only {!Scratch.freeze}
+    copies them into a list. Not thread-safe: one per domain. *)
+
+module Scratch : sig
+  val create : unit -> scratch
+
+  val clear : scratch -> unit
+
+  val push : scratch -> dest:int -> next:int -> unit
+  (** Add one pair; [next] is a node id, [-1] for none (as in
+      {!permit_id}). Ids outside the packed range raise
+      [Invalid_argument], as in {!add}. *)
+
+  val freeze : scratch -> t
+  (** The list of the pairs pushed since the last {!clear}. *)
+
+  val equal : scratch -> t -> bool
+  (** [equal s t] iff [freeze s] would equal [t]. *)
+
+  val num_entries : scratch -> int
+  (** [num_entries (freeze s)]. *)
+
+  val compressed_size_bytes : scratch -> fp_rate:float -> int
+  (** [compressed_size_bytes (freeze s) ~fp_rate]. *)
+end
 
 type compressed
 (** A Permission List as it travels: one Bloom filter per

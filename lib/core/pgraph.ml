@@ -181,10 +181,6 @@ let link_data t ~parent ~child =
   if s = nil then None
   else Some { counter = t.l_counter.(s); plist = t.l_plist.(s) }
 
-let link_plist t ~parent ~child =
-  let s = slot t ~parent ~child in
-  if s = nil then None else t.l_plist.(s)
-
 let mem_link t ~parent ~child = slot t ~parent ~child <> nil
 
 let in_degree t node =
@@ -304,7 +300,7 @@ let build_graph ~what ~allow_multi ~root paths =
   (* Pass 1: counters and per-link traversal records, keyed by packed
      link. *)
   let counters : int ITbl.t = ITbl.create 64 in
-  let traversals : (int * int option) list ITbl.t = ITbl.create 64 in
+  let traversals : (int * int) list ITbl.t = ITbl.create 64 in
   let graph = create ~root in
   List.iter
     (fun p ->
@@ -317,7 +313,7 @@ let build_graph ~what ~allow_multi ~root paths =
           let key = pack ~parent:a ~child:b in
           ITbl.replace counters key
             (1 + Option.value (ITbl.find_opt counters key) ~default:0);
-          let next = Path.next_hop_of p b in
+          let next = Option.value (Path.next_hop_of p b) ~default:nil in
           let prev = Option.value (ITbl.find_opt traversals key) ~default:[] in
           ITbl.replace traversals key ((d, next) :: prev))
         (Path.links p))
@@ -331,15 +327,18 @@ let build_graph ~what ~allow_multi ~root paths =
         (1 + Option.value (ITbl.find_opt indeg b) ~default:0))
     counters;
   (* Pass 2: insert links; multi-homed children get Permission Lists. *)
+  let scratch = Permission_list.Scratch.create () in
   ITbl.iter
     (fun key count ->
       let a = key_parent key and b = key_child key in
       let plist =
-        if Option.value (ITbl.find_opt indeg b) ~default:0 > 1 then
-          Some
-            (List.fold_left
-               (fun pl (dest, next) -> Permission_list.add pl ~dest ~next)
-               Permission_list.empty (ITbl.find traversals key))
+        if Option.value (ITbl.find_opt indeg b) ~default:0 > 1 then begin
+          Permission_list.Scratch.clear scratch;
+          List.iter
+            (fun (dest, next) -> Permission_list.Scratch.push scratch ~dest ~next)
+            (ITbl.find traversals key);
+          Some (Permission_list.Scratch.freeze scratch)
+        end
         else None
       in
       add_link graph ~parent:a ~child:b ~data:{ counter = count; plist })
@@ -352,48 +351,45 @@ let of_paths ~root paths =
 let of_multipaths ~root paths =
   build_graph ~what:"Pgraph.of_multipaths" ~allow_multi:true ~root paths
 
-(* DerivePath (paper Table 1): backtrack from the destination, following
-   the single parent at single-homed nodes and the Permission-List-
-   permitted parent at multi-homed nodes. [prev] is the node we arrived
-   from — the current node's next hop in the final path — which is what
-   Permit matches against ([nil] while standing on the destination). The
-   in-edge chain is walked in place; among several permitting parents
-   the lowest parent id wins, deterministically. *)
+(* One step of DerivePath (paper Table 1): the parent the walk moves to
+   from [node], having arrived from [next] — [node]'s next hop in the
+   final path, [nil] while standing on the destination, which is what
+   Permit matches against. A single-homed node's lone parent; at a
+   multi-homed node the in-edge chain is walked in place and, among
+   several permitting parents, the lowest id wins, deterministically.
+   [nil] when no parent qualifies. Reads only [node]'s in-links and
+   their Permission Lists. *)
+let derive_step t ~dest ~node ~next =
+  let first = Flat_tbl.find_default t.in_head node ~default:nil in
+  if first = nil then nil
+  else if t.l_next_in.(first) = nil then key_parent t.l_key.(first)
+  else begin
+    let permitted = ref nil in
+    let s = ref first in
+    while !s <> nil do
+      (match t.l_plist.(!s) with
+      | None -> ()
+      | Some pl ->
+        if Permission_list.permit_id pl ~dest ~next then begin
+          let parent = key_parent t.l_key.(!s) in
+          if !permitted = nil || parent < !permitted then permitted := parent
+        end);
+      s := t.l_next_in.(!s)
+    done;
+    !permitted
+  end
+
+(* DerivePath: backtrack from the destination one step at a time until
+   the root. *)
 let rec derive_from t ~dest visit current prev fuel =
-  if fuel = 0 then false
-  else
-    let first = Flat_tbl.find_default t.in_head current ~default:nil in
-    if first = nil then false
-    else begin
-      let parent =
-        if t.l_next_in.(first) = nil then
-          (* Single-homed: follow the lone parent. *)
-          key_parent t.l_key.(first)
-        else begin
-          let next = if prev = nil then None else Some prev in
-          let permitted = ref nil in
-          let s = ref first in
-          while !s <> nil do
-            (match t.l_plist.(!s) with
-            | None -> ()
-            | Some pl ->
-              if Permission_list.permit pl ~dest ~next then begin
-                let parent = key_parent t.l_key.(!s) in
-                if !permitted = nil || parent < !permitted then
-                  permitted := parent
-              end);
-            s := t.l_next_in.(!s)
-          done;
-          !permitted
-        end
-      in
-      if parent = nil then false
-      else begin
-        visit parent;
-        parent = t.root_node
-        || derive_from t ~dest visit parent current (fuel - 1)
-      end
-    end
+  fuel > 0
+  &&
+  let parent = derive_step t ~dest ~node:current ~next:prev in
+  parent <> nil
+  && begin
+    visit parent;
+    parent = t.root_node || derive_from t ~dest visit parent current (fuel - 1)
+  end
 
 let derive_walk t ~dest visit =
   visit dest;

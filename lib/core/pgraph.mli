@@ -86,6 +86,15 @@ val derive_walk : t -> dest:int -> (int -> unit) -> bool
     then the derived path, reversed). Lets a caller compare a derivation
     with a cached path before allocating it. *)
 
+val derive_step : t -> dest:int -> node:int -> next:int -> int
+(** One step of {!derive_walk}: the node the walk toward [dest] moves to
+    from [node], given [node]'s next hop [next] on the path ([-1] when
+    [node] is [dest]); [-1] when no in-link qualifies. The answer
+    depends only on [node]'s in-links and their Permission Lists, so a
+    derivation can change only where a step on its path does — what
+    lets a receiver re-check one hop per changed link instead of
+    re-deriving. Allocates nothing. *)
+
 val derive_all : t -> (int * Path.t) list
 (** Derived path for every marked destination (destinations ascending;
     destinations that fail to derive are omitted). *)
@@ -107,10 +116,6 @@ val remove_link : t -> parent:int -> child:int -> unit
 val mem_link : t -> parent:int -> child:int -> bool
 
 val link_data : t -> parent:int -> child:int -> link_data option
-
-val link_plist : t -> parent:int -> child:int -> Permission_list.t option
-(** The link's Permission List; [None] when the link is absent or
-    carries none. Allocates nothing. *)
 
 val in_degree : t -> int -> int
 

@@ -51,14 +51,15 @@ let stats_add_into ~into ws =
   into.a_more <- into.a_more + ws.a_more;
   into.a_bytes <- into.a_bytes + ws.a_bytes
 
-let stats_add_plist ~fp_rate acc pl =
+(* One Permission List of [entries] entries, priced at [bytes]. *)
+let stats_add_plist acc ~entries ~bytes =
   acc.a_plists <- acc.a_plists + 1;
-  (match Permission_list.num_entries pl with
+  (match entries with
   | 1 -> acc.a_one <- acc.a_one + 1
   | 2 -> acc.a_two <- acc.a_two + 1
   | 3 -> acc.a_three <- acc.a_three + 1
   | _ -> acc.a_more <- acc.a_more + 1);
-  acc.a_bytes <- acc.a_bytes + Permission_list.compressed_size_bytes pl ~fp_rate
+  acc.a_bytes <- acc.a_bytes + bytes
 
 let stats_finalize ~num_sources acc =
   let k = float_of_int num_sources in
@@ -88,7 +89,10 @@ let aggregate ?(plist_fp_rate = default_plist_fp_rate) ~sources pgraph_of =
       let g = pgraph_of src_arr.(i) in
       ws.a_links <- ws.a_links + Pgraph.num_links g;
       List.iter
-        (stats_add_plist ~fp_rate:plist_fp_rate ws)
+        (fun pl ->
+          stats_add_plist ws
+            ~entries:(Permission_list.num_entries pl)
+            ~bytes:(Permission_list.compressed_size_bytes pl ~fp_rate:plist_fp_rate))
         (Pgraph.permission_lists g));
   stats_finalize ~num_sources:(Array.length src_arr) total
 
@@ -113,9 +117,7 @@ let pack_trav ~dest ~nexti = (dest lsl 32) lor (nexti + 1)
 
 let trav_dest v = v lsr 32
 
-let trav_next v =
-  let x = v land 0xFFFFFFFF in
-  if x = 0 then None else Some (x - 1)
+let trav_nexti v = (v land 0xFFFFFFFF) - 1
 
 type src_stream = {
   heads : Flat_tbl.t; (* packed link -> head of its traversal chain *)
@@ -164,10 +166,11 @@ let stream_merge ~into src =
 
 (* Fold one source's merged stream into the Table 4/5 totals: distinct
    links from the table size, in-degrees from a one-pass child count,
-   Permission Lists rebuilt — only for links into multi-homed children —
-   from the traversal chains. This is exactly [Pgraph.build_graph]'s
-   pass 2 without constructing the graph. *)
-let stream_stats ~fp_rate acc st =
+   and — only for links into multi-homed children — each Permission
+   List's entry count and priced size, read off its traversal chain
+   sorted in [scratch]. This is exactly [Pgraph.build_graph]'s pass 2
+   without constructing the graph or its lists. *)
+let stream_stats ~fp_rate ~scratch acc st =
   let num_links = Flat_tbl.length st.heads in
   acc.a_links <- acc.a_links + num_links;
   let indeg = Flat_tbl.create ~initial:(2 * num_links) () in
@@ -175,14 +178,17 @@ let stream_stats ~fp_rate acc st =
       ignore (Flat_tbl.add_to indeg (link_child key) 1));
   Flat_tbl.iter st.heads (fun key head ->
       if Flat_tbl.find_default indeg (link_child key) ~default:0 > 1 then begin
-        let pl = ref Permission_list.empty in
+        Permission_list.Scratch.clear scratch;
         let i = ref head in
         while !i >= 0 do
           let v = st.tv.(!i) in
-          pl := Permission_list.add !pl ~dest:(trav_dest v) ~next:(trav_next v);
+          Permission_list.Scratch.push scratch ~dest:(trav_dest v)
+            ~next:(trav_nexti v);
           i := st.tn.(!i)
         done;
-        stats_add_plist ~fp_rate acc !pl
+        stats_add_plist acc
+          ~entries:(Permission_list.Scratch.num_entries scratch)
+          ~bytes:(Permission_list.Scratch.compressed_size_bytes scratch ~fp_rate)
       end)
 
 (* Per-domain scratch for the per-destination sweep: reusable solver
@@ -324,7 +330,11 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
       done)
     ~init:() n body;
   let total = stats_zero () in
-  Array.iter (stream_stats ~fp_rate:plist_fp_rate total) merged;
+  (* The statistics pass runs on the calling domain, after the pool
+     fold: one scratch per call, never shared between concurrent
+     analyses. *)
+  let scratch = Permission_list.Scratch.create () in
+  Array.iter (stream_stats ~fp_rate:plist_fp_rate ~scratch total) merged;
   stats_finalize ~num_sources:k total
 
 (* Reference implementation: bag every (dest, path) per source, build a

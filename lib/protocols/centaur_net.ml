@@ -19,16 +19,7 @@ module Trace = Obs.Trace
    the override clears. *)
 let corrupt_keeps dest = dest land 1 = 0
 
-let corrupt_plist pl =
-  List.fold_left
-    (fun acc (next, dests) ->
-      List.fold_left
-        (fun acc dest ->
-          if corrupt_keeps dest then Centaur.Permission_list.add acc ~dest ~next
-          else acc)
-        acc dests)
-    Centaur.Permission_list.empty
-    (Centaur.Permission_list.entries pl)
+let corrupt_plist pl = Centaur.Permission_list.filter_dests pl corrupt_keeps
 
 let corrupt_announce ann =
   let delta = ann.Centaur.Announce.delta in
@@ -40,7 +31,7 @@ let corrupt_announce ann =
           delta.Centaur.Pgraph.add_links;
       add_dests = List.filter corrupt_keeps delta.Centaur.Pgraph.add_dests;
       remove_dests =
-        List.sort_uniq compare
+        List.sort_uniq Int.compare
           (delta.Centaur.Pgraph.remove_dests
           @ List.filter
               (fun d -> not (corrupt_keeps d))

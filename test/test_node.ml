@@ -5,29 +5,39 @@
 open Helpers
 open Centaur
 
-(* Deliver messages synchronously until quiescence; returns the nodes. *)
-let converge topo =
-  let n = Topology.num_nodes topo in
-  let nodes = Array.init n (fun id -> Node.create topo ~id) in
-  let queue = Queue.create () in
-  let push from outputs =
-    List.iter (fun (dst, ann) -> Queue.push (from, dst, ann) queue) outputs
-  in
-  Array.iteri
-    (fun i _ ->
-      let st, out = Node.start nodes.(i) in
-      nodes.(i) <- st;
-      push i out)
-    nodes;
+(* Deliver queued messages synchronously until quiescence, discarding
+   those [drop] picks (a lossy link: nothing resends them). *)
+let pump ?(drop = fun () -> false) nodes queue =
   let guard = ref 0 in
   while not (Queue.is_empty queue) do
     incr guard;
     if !guard > 1_000_000 then failwith "node pump diverged";
-    let _from, dst, ann = Queue.pop queue in
-    let st, out = Node.handle nodes.(dst) ann in
-    nodes.(dst) <- st;
-    push dst out
-  done;
+    let dst, ann = Queue.pop queue in
+    if not (drop ()) then begin
+      let st, out = Node.handle nodes.(dst) ann in
+      nodes.(dst) <- st;
+      List.iter (fun m -> Queue.push m queue) out
+    end
+  done
+
+(* Tell node [i] its adjacency changed and queue what it sends. *)
+let bump nodes queue i =
+  let st, out = Node.on_adjacency_change nodes.(i) in
+  nodes.(i) <- st;
+  List.iter (fun m -> Queue.push m queue) out
+
+(* Start every node and pump to quiescence; returns the nodes. *)
+let converge ?drop topo =
+  let n = Topology.num_nodes topo in
+  let nodes = Array.init n (fun id -> Node.create topo ~id) in
+  let queue = Queue.create () in
+  Array.iteri
+    (fun i _ ->
+      let st, out = Node.start nodes.(i) in
+      nodes.(i) <- st;
+      List.iter (fun m -> Queue.push m queue) out)
+    nodes;
+  pump ?drop nodes queue;
   nodes
 
 let test_converges_to_solver_fig2 () =
@@ -137,22 +147,9 @@ let test_adjacency_loss_reroutes () =
   | Some id -> Topology.set_up topo id false
   | None -> Alcotest.fail "missing link");
   let queue = Queue.create () in
-  let bump i =
-    let st, out = Node.on_adjacency_change nodes.(i) in
-    nodes.(i) <- st;
-    List.iter (fun (dst, ann) -> Queue.push (dst, ann) queue) out
-  in
-  bump Fixtures.a;
-  bump Fixtures.b;
-  let guard = ref 0 in
-  while not (Queue.is_empty queue) do
-    incr guard;
-    if !guard > 100_000 then failwith "pump diverged";
-    let dst, ann = Queue.pop queue in
-    let st, out = Node.handle nodes.(dst) ann in
-    nodes.(dst) <- st;
-    List.iter (fun (d, a) -> Queue.push (d, a) queue) out
-  done;
+  bump nodes queue Fixtures.a;
+  bump nodes queue Fixtures.b;
+  pump nodes queue;
   check_path_opt "A reroutes via C"
     (Some [ Fixtures.a; Fixtures.c; Fixtures.d ])
     (Node.selected_path nodes.(Fixtures.a) ~dest:Fixtures.d);
@@ -190,6 +187,43 @@ let test_announce_import_filter () =
   Alcotest.(check int) "links to self dropped (removes)" 1
     (List.length d.Pgraph.remove_links)
 
+(* After lost deltas a node's session graphs are whatever arrived, but
+   what it derives from them must still be exact: at quiescence, every
+   node's routes equal those of a fresh node of the same id that is
+   handed the same session graphs, one full announcement per session.
+   Lossy pumping on small BRITE graphs, with link flips between
+   quiescent phases. *)
+let routes_equal_rebuild_after_loss =
+  QCheck.Test.make ~name:"routes = rebuild from own session graphs under loss"
+    ~count:(qcheck_count 200)
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let topo = random_brite ~seed ~n:(12 + (seed mod 5)) ~m:2 in
+      let rng = Random.State.make [| seed |] in
+      let drop () = Random.State.float rng 1.0 < 0.15 in
+      let nodes = converge ~drop topo in
+      let queue = Queue.create () in
+      for _ = 1 to 6 do
+        let link = Topology.link topo (Random.State.int rng (Topology.num_links topo)) in
+        Topology.set_up topo link.Topology.id (not (Topology.is_up topo link.Topology.id));
+        bump nodes queue link.Topology.a;
+        bump nodes queue link.Topology.b;
+        pump ~drop nodes queue
+      done;
+      Array.for_all
+        (fun node ->
+          let id = Node.id node in
+          let fresh = ref (fst (Node.start (Node.create topo ~id))) in
+          Topology.iter_neighbors topo id (fun nbr _ _ ->
+              match Node.neighbor_pgraph node ~neighbor:nbr with
+              | None -> ()
+              | Some pg ->
+                let delta = Pgraph.diff ~old_:(Pgraph.create ~root:nbr) ~new_:pg in
+                fresh := Node.absorb !fresh (Announce.make ~sender:nbr delta));
+          let fresh = fst (Node.recompute !fresh) in
+          Node.selected_paths node = Node.selected_paths fresh)
+        nodes)
+
 let suite =
   [ Alcotest.test_case "node pump = solver (fig2)" `Quick
       test_converges_to_solver_fig2;
@@ -209,4 +243,5 @@ let suite =
       test_adjacency_loss_reroutes;
     Alcotest.test_case "announce units" `Quick test_announce_units;
     Alcotest.test_case "announce import filter" `Quick
-      test_announce_import_filter ]
+      test_announce_import_filter;
+    QCheck_alcotest.to_alcotest routes_equal_rebuild_after_loss ]

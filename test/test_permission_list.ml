@@ -79,14 +79,65 @@ let test_equal () =
   let c = pl_of [ (5, Some 2) ] in
   Alcotest.(check bool) "different" false (Permission_list.equal a c)
 
-let test_changed_dests () =
-  let old_pl = pl_of [ (5, Some 2); (6, Some 2); (7, None) ] in
-  let new_pl = pl_of [ (5, Some 3); (6, Some 2); (8, Some 2) ] in
-  Alcotest.(check (list int))
-    "moved, dropped and added dests" [ 5; 7; 8 ]
-    (Permission_list.changed_dests old_pl new_pl);
-  Alcotest.(check (list int)) "self comparison" []
-    (Permission_list.changed_dests old_pl old_pl)
+(* Lists built in bulk: pairs pushed into a scratch in any order, with
+   duplicates, freeze to the same list as [add] folded over them — and
+   the scratch's own reads (equality, entry count, priced size) agree
+   with the frozen list's. *)
+let scratch_equals_add_fold =
+  QCheck.Test.make ~name:"scratch build = add fold (shuffled, duplicates)"
+    ~count:200
+    QCheck.(
+      pair (list_of_size Gen.(0 -- 60) (pair (int_bound 40) (int_bound 5)))
+        (int_bound 1000))
+    (fun (specs, seed) ->
+      let pairs =
+        List.map
+          (fun (dest, nxt) -> (dest, if nxt = 0 then None else Some (100 + nxt)))
+          specs
+      in
+      (* Shuffle a duplicated copy of the pairs. *)
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        List.map (fun p -> (Random.State.bits rng, p)) (pairs @ pairs)
+        |> List.sort compare |> List.map snd
+      in
+      (* A reused scratch: [clear] drops what an earlier list left. *)
+      let s = Permission_list.Scratch.create () in
+      Permission_list.Scratch.push s ~dest:0 ~next:(-1);
+      Permission_list.Scratch.clear s;
+      List.iter
+        (fun (dest, next) ->
+          Permission_list.Scratch.push s ~dest
+            ~next:(match next with None -> -1 | Some n -> n))
+        shuffled;
+      let folded = pl_of pairs in
+      let fp_rate = 0.01 in
+      Permission_list.Scratch.equal s folded
+      && Permission_list.Scratch.num_entries s
+         = Permission_list.num_entries folded
+      && Permission_list.Scratch.compressed_size_bytes s ~fp_rate
+         = Permission_list.compressed_size_bytes folded ~fp_rate
+      && Permission_list.equal (Permission_list.Scratch.freeze s) folded
+      && Permission_list.entries (Permission_list.Scratch.freeze s)
+         = Permission_list.entries folded)
+
+(* The packing covers every id a P-graph accepts, and the int-coded
+   permit agrees with the option one. *)
+let test_extreme_ids () =
+  let top = Pgraph.max_node in
+  let pl = pl_of [ (top, Some top); (top, None); (0, Some 0) ] in
+  Alcotest.(check bool) "top pair" true
+    (Permission_list.permit pl ~dest:top ~next:(Some top));
+  Alcotest.(check bool) "top dest, terminal" true
+    (Permission_list.permit_id pl ~dest:top ~next:(-1));
+  Alcotest.(check bool) "zero pair" true
+    (Permission_list.permit_id pl ~dest:0 ~next:0);
+  Alcotest.(check bool) "out of range never permitted" false
+    (Permission_list.permit_id pl ~dest:(top + 1) ~next:(-1));
+  match Permission_list.entries pl with
+  | [ (None, [ d1 ]); (Some 0, [ 0 ]); (Some n, [ d2 ]) ]
+    when d1 = top && n = top && d2 = top -> ()
+  | _ -> Alcotest.fail "unexpected entry order at the id limits"
 
 let test_compressed_size () =
   let pl = pl_of (List.init 50 (fun i -> (i, Some 99))) in
@@ -197,7 +248,8 @@ let suite =
     Alcotest.test_case "next_for" `Quick test_next_for;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "equal" `Quick test_equal;
-    Alcotest.test_case "changed dests" `Quick test_changed_dests;
+    QCheck_alcotest.to_alcotest scratch_equals_add_fold;
+    Alcotest.test_case "extreme ids" `Quick test_extreme_ids;
     Alcotest.test_case "compressed size" `Quick test_compressed_size;
     QCheck_alcotest.to_alcotest compressed_roundtrip;
     Alcotest.test_case "compressed rejects unknown next" `Quick
