@@ -1,101 +1,108 @@
-(* Entries carry an insertion sequence number so that equal keys pop in FIFO
-   order; simulations rely on this for determinism. *)
-type 'a entry = { value : 'a; seq : int }
-
+(* Flat layout: entry [i] is [keys.(i)], [ties.(i)], [vals.(i)]. The
+   heap is 4-ary (entry [i]'s children are [4i + 1 .. 4i + 4]), which
+   halves the depth of a binary heap; sifting moves a hole rather than
+   swapping, so each level costs one write per array. Slots at [size] and
+   beyond hold [dummy], never a payload that was pushed. *)
 type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a entry array;
+  dummy : 'a;
+  mutable keys : float array;
+  mutable ties : int array;
+  mutable vals : 'a array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0; next_seq = 0 }
+let create ~dummy = { dummy; keys = [||]; ties = [||]; vals = [||]; size = 0 }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
 
-let entry_cmp t a b =
-  let c = t.cmp a.value b.value in
-  if c <> 0 then c else compare a.seq b.seq
-
 let grow t =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let new_cap = if cap = 0 then 16 else cap * 2 in
-    (* The dummy cell is never read: indices >= size are unused. *)
-    let dummy = t.data in
-    let data =
-      if cap = 0 then Array.make new_cap { value = Obj.magic 0; seq = 0 }
-      else Array.make new_cap dummy.(0)
-    in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+  let cap = if t.size = 0 then 16 else 2 * t.size in
+  let keys = Array.make cap 0.0
+  and ties = Array.make cap 0
+  and vals = Array.make cap t.dummy in
+  Array.blit t.keys 0 keys 0 t.size;
+  Array.blit t.ties 0 ties 0 t.size;
+  Array.blit t.vals 0 vals 0 t.size;
+  t.keys <- keys;
+  t.ties <- ties;
+  t.vals <- vals
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if entry_cmp t t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && entry_cmp t t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && entry_cmp t t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let push t v =
-  grow t;
-  t.data.(t.size) <- { value = v; seq = t.next_seq };
-  t.next_seq <- t.next_seq + 1;
+let push t ~key ~tie v =
+  if t.size = Array.length t.keys then grow t;
+  let keys = t.keys and ties = t.ties and vals = t.vals in
+  let i = ref t.size and rising = ref true in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  while !rising && !i > 0 do
+    let p = (!i - 1) / 4 in
+    let pk = Array.unsafe_get keys p in
+    if key < pk || (key = pk && tie < Array.unsafe_get ties p) then begin
+      Array.unsafe_set keys !i pk;
+      Array.unsafe_set ties !i (Array.unsafe_get ties p);
+      Array.unsafe_set vals !i (Array.unsafe_get vals p);
+      i := p
+    end
+    else rising := false
+  done;
+  Array.unsafe_set keys !i key;
+  Array.unsafe_set ties !i tie;
+  Array.unsafe_set vals !i v
 
-let peek t = if t.size = 0 then None else Some t.data.(0).value
+let min_key t =
+  if t.size = 0 then invalid_arg "Heap.min_key: empty heap";
+  Array.unsafe_get t.keys 0
 
+let min_tie t =
+  if t.size = 0 then invalid_arg "Heap.min_tie: empty heap";
+  Array.unsafe_get t.ties 0
+
+let min_value t =
+  if t.size = 0 then invalid_arg "Heap.min_value: empty heap";
+  Array.unsafe_get t.vals 0
+
+(* Take the last entry out, then sift it down from the root's hole. *)
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0).value in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
+  if t.size = 0 then invalid_arg "Heap.pop: empty heap";
+  let n = t.size - 1 in
+  let keys = t.keys and ties = t.ties and vals = t.vals in
+  let key = Array.unsafe_get keys n
+  and tie = Array.unsafe_get ties n
+  and v = Array.unsafe_get vals n in
+  Array.unsafe_set vals n t.dummy;
+  t.size <- n;
+  if n > 0 then begin
+    let i = ref 0 and sinking = ref true in
+    while !sinking do
+      let first = (4 * !i) + 1 in
+      if first >= n then sinking := false
+      else begin
+        let last = if first + 3 < n then first + 3 else n - 1 in
+        let m = ref first in
+        for j = first + 1 to last do
+          let kj = Array.unsafe_get keys j
+          and km = Array.unsafe_get keys !m in
+          if
+            kj < km
+            || (kj = km && Array.unsafe_get ties j < Array.unsafe_get ties !m)
+          then m := j
+        done;
+        let m = !m in
+        let km = Array.unsafe_get keys m in
+        if km < key || (km = key && Array.unsafe_get ties m < tie) then begin
+          Array.unsafe_set keys !i km;
+          Array.unsafe_set ties !i (Array.unsafe_get ties m);
+          Array.unsafe_set vals !i (Array.unsafe_get vals m);
+          i := m
+        end
+        else sinking := false
+      end
+    done;
+    Array.unsafe_set keys !i key;
+    Array.unsafe_set ties !i tie;
+    Array.unsafe_set vals !i v
   end
-
-let pop_exn t =
-  match pop t with
-  | Some v -> v
-  | None -> invalid_arg "Heap.pop_exn: empty heap"
 
 let clear t =
-  t.size <- 0;
-  t.next_seq <- 0
-
-let to_sorted_list t =
-  let copy =
-    { cmp = t.cmp;
-      data = (if t.size = 0 then [||] else Array.sub t.data 0 t.size);
-      size = t.size;
-      next_seq = t.next_seq }
-  in
-  let rec drain acc =
-    match pop copy with
-    | None -> List.rev acc
-    | Some v -> drain (v :: acc)
-  in
-  drain []
+  Array.fill t.vals 0 t.size t.dummy;
+  t.size <- 0

@@ -1,32 +1,39 @@
-(** Imperative binary min-heap.
+(** Imperative min-heap ordered by a float key, then an int tie.
 
     Used as the event queue of the discrete-event simulator and as the
-    priority queue of Dijkstra-style solvers. Elements are ordered by a
-    comparison function supplied at creation time; ties are broken by
-    insertion order (FIFO), which keeps simulations deterministic. *)
+    priority queue of Dijkstra-style solvers. Keys, ties and payloads
+    live in three parallel flat arrays, so a push stores no per-entry
+    record and a comparison reads an unboxed float.
+
+    The order is [(key, tie)] and nothing else: there is no hidden
+    insertion counter, so callers that need a deterministic order among
+    equal keys make their ties unique (the simulator passes its schedule
+    counter). Keys must not be NaN. *)
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
-(** [create ~cmp] is an empty heap ordered by [cmp]. *)
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty heap. [dummy] fills every payload slot
+    that holds no entry, so a popped payload is not kept reachable by the
+    heap; it is never returned. *)
 
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val push : 'a t -> 'a -> unit
+val push : 'a t -> key:float -> tie:int -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
+val min_key : 'a t -> float
+(** Key of the smallest entry. Raises [Invalid_argument] on an empty
+    heap, as do {!min_tie}, {!min_value} and {!pop}. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. Among elements that compare
-    equal, the one pushed first is popped first. *)
+val min_tie : 'a t -> int
 
-val pop_exn : 'a t -> 'a
-(** Like {!pop} but raises [Invalid_argument] on an empty heap. *)
+val min_value : 'a t -> 'a
+(** Payload of the smallest entry, without removing it. *)
+
+val pop : 'a t -> unit
+(** Remove the smallest entry. *)
 
 val clear : 'a t -> unit
-
-val to_sorted_list : 'a t -> 'a list
-(** Non-destructive: the heap contents in pop order. *)
+(** Remove every entry; the capacity is kept. *)

@@ -6,37 +6,34 @@ type tree = {
 
 let src t = t.src
 
+let node_mask = (1 lsl 31) - 1
+
 let from_filtered topo ~src ~link_ok =
   let n = Topology.num_nodes topo in
   if src < 0 || src >= n then invalid_arg "Dijkstra.from: source out of range";
   let dist = Array.make n infinity in
   let pred = Array.make n (-1) in
   let settled = Array.make n false in
-  let cmp (d1, p1, v1) (d2, p2, v2) =
-    let c = compare (d1 : float) d2 in
-    if c <> 0 then c
-    else
-      let c = compare (p1 : int) p2 in
-      if c <> 0 then c else compare (v1 : int) v2
-  in
-  let heap = Heap.create ~cmp in
-  Heap.push heap (0.0, -1, src);
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, p, v) ->
-      if not settled.(v) then begin
-        settled.(v) <- true;
-        dist.(v) <- d;
-        pred.(v) <- p;
-        Topology.iter_neighbors topo v (fun nb _ link_id ->
-            if (not settled.(nb)) && link_ok link_id then
-              let w = (Topology.link topo link_id).Topology.delay in
-              Heap.push heap (d +. w, v, nb))
-      end;
-      drain ()
-  in
-  drain ();
+  (* Entries pop in (distance, predecessor, node) order: the tie packs the
+     predecessor (+1, so the root's -1 is 0) above the node id, which
+     fits in 31 bits. *)
+  let heap = Heap.create ~dummy:() in
+  Heap.push heap ~key:0.0 ~tie:src ();
+  while not (Heap.is_empty heap) do
+    let d = Heap.min_key heap and tie = Heap.min_tie heap in
+    Heap.pop heap;
+    let v = tie land node_mask in
+    if not settled.(v) then begin
+      settled.(v) <- true;
+      dist.(v) <- d;
+      pred.(v) <- (tie lsr 31) - 1;
+      let above = (v + 1) lsl 31 in
+      Topology.iter_neighbors topo v (fun nb _ link_id ->
+          if (not settled.(nb)) && link_ok link_id then
+            let w = (Topology.link topo link_id).Topology.delay in
+            Heap.push heap ~key:(d +. w) ~tie:(above lor nb) ())
+    end
+  done;
   { src; dist; pred }
 
 let all_links _ = true

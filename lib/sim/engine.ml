@@ -32,7 +32,10 @@ type 'msg t = {
   units : 'msg -> int;
   bytes : 'msg -> int;
   handlers : 'msg handlers;
-  queue : (float * 'msg event) Heap.t;
+  queue : 'msg event Heap.t;
+  (* Keyed by delivery time, tied by [scheduled]: events due at the same
+     time run in the order they were scheduled. *)
+  mutable scheduled : int;
   loss : float array;  (* per-link delivery loss probability *)
   epochs : int array;
   (* Per-link session incarnation, bumped on every up->down transition.
@@ -68,9 +71,11 @@ type run_stats = {
   waves : int;
 }
 
+(* Fills the queue's vacant payload slots. *)
+let vacant = Timer_fire { node = -1; key = -1 }
+
 let create ?(trace = Trace.none) ?metrics ?(bytes = fun _ -> 0) topo ~units
     ~handlers =
-  let cmp (t1, _) (t2, _) = compare (t1 : float) t2 in
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -79,7 +84,8 @@ let create ?(trace = Trace.none) ?metrics ?(bytes = fun _ -> 0) topo ~units
       units;
       bytes;
       handlers;
-      queue = Heap.create ~cmp;
+      queue = Heap.create ~dummy:vacant;
+      scheduled = 0;
       loss = Array.make (Topology.num_links topo) 0.0;
       epochs = Array.make (Topology.num_links topo) 0;
       loss_rng = Rng.create 0;
@@ -131,39 +137,36 @@ let set_loss t ~link_id ~rate =
 
 let seed_loss t seed = t.loss_rng <- Rng.create seed
 
-let perform t ~node actions =
-  List.iter
-    (fun action ->
-      match action with
-      | Send (dst, msg) -> (
-        match Topology.link_between t.topo node dst with
-        | None -> ()
-        | Some link_id ->
-          if Topology.is_up t.topo link_id then begin
-            let delay = (Topology.link t.topo link_id).Topology.delay in
-            let units = t.units msg in
-            Metrics.incr t.c_messages;
-            Metrics.add t.c_units units;
-            Metrics.add t.c_bytes (t.bytes msg);
-            if Trace.enabled t.trace then
-              Trace.emit t.trace
-                (Trace.Msg_send { src = node; dst; link_id; units });
-            Heap.push t.queue
-              ( t.clock +. delay,
-                Deliver
-                  { src = node;
-                    dst;
-                    link_id;
-                    epoch = t.epochs.(link_id);
-                    msg } )
-          end)
-      | Timer (delay, key) ->
-        if delay < 0.0 then invalid_arg "Engine.perform: negative timer";
-        let fire_at = t.clock +. delay in
+let schedule t time event =
+  Heap.push t.queue ~key:time ~tie:t.scheduled event;
+  t.scheduled <- t.scheduled + 1
+
+let rec perform t ~node = function
+  | [] -> ()
+  | Send (dst, msg) :: rest ->
+    (match Topology.link_between t.topo node dst with
+    | None -> ()
+    | Some link_id ->
+      if Topology.is_up t.topo link_id then begin
+        let delay = (Topology.link t.topo link_id).Topology.delay in
+        let units = t.units msg in
+        Metrics.incr t.c_messages;
+        Metrics.add t.c_units units;
+        Metrics.add t.c_bytes (t.bytes msg);
         if Trace.enabled t.trace then
-          Trace.emit t.trace (Trace.Timer_set { node; key; fire_at });
-        Heap.push t.queue (fire_at, Timer_fire { node; key }))
-    actions
+          Trace.emit t.trace (Trace.Msg_send { src = node; dst; link_id; units });
+        schedule t (t.clock +. delay)
+          (Deliver
+             { src = node; dst; link_id; epoch = t.epochs.(link_id); msg })
+      end);
+    perform t ~node rest
+  | Timer (delay, key) :: rest ->
+    if not (delay >= 0.0) then invalid_arg "Engine.perform: negative timer";
+    let fire_at = t.clock +. delay in
+    if Trace.enabled t.trace then
+      Trace.emit t.trace (Trace.Timer_set { node; key; fire_at });
+    schedule t fire_at (Timer_fire { node; key });
+    perform t ~node rest
 
 let flip_link t ~link_id ~up =
   Log.debug (fun m ->
@@ -178,8 +181,8 @@ let flip_link t ~link_id ~up =
       (Trace.Link_flip
          { link_id; a = link.Topology.a; b = link.Topology.b; up })
   end;
-  Heap.push t.queue (t.clock, Link_notify { node = link.Topology.a; link_id });
-  Heap.push t.queue (t.clock, Link_notify { node = link.Topology.b; link_id })
+  schedule t t.clock (Link_notify { node = link.Topology.a; link_id });
+  schedule t t.clock (Link_notify { node = link.Topology.b; link_id })
 
 exception Diverged of { processed : int; pending : int; waves : int }
 
@@ -204,6 +207,13 @@ let mark t =
     m_processed = Metrics.value t.c_events;
     m_waves = Metrics.value t.c_waves }
 
+(* Whether [event] extends the open batch of [node] (given it is due at
+   the batch's time). *)
+let extends ~node = function
+  | Deliver { dst; _ } -> dst = node
+  | Link_notify { node = n; _ } -> n = node
+  | Timer_fire _ -> false
+
 (* Shared event loop. [until = Some h] stops before the first event
    scheduled after [h] and advances the clock to [h]; [None] drains the
    queue.
@@ -225,112 +235,107 @@ let mark t =
    it triggers — sits between the two markers. *)
 let run_core ~max_events ~since ~until t =
   let start_time = since.m_time in
-  let budget = ref max_events in
-  let horizon_allows time =
-    match until with None -> true | Some h -> time <= h
-  in
+  let horizon = match until with None -> infinity | Some h -> h in
   let traced = Trace.enabled t.trace in
-  (* Open batch: Some (time, node) after a handler ran for that node at
-     that timestamp and its batch end is still pending. *)
-  let open_batch = ref None in
+  let q = t.queue in
+  let budget = ref max_events in
+  (* Open batch: the node a handler ran for at the current clock whose
+     batch end is still pending, or -1. The batch's time is always the
+     clock, since any event at another time closes it first. *)
+  let batch = ref (-1) in
   let close_batch () =
-    match !open_batch with
-    | None -> ()
-    | Some (bt, bn) ->
-      open_batch := None;
-      Metrics.incr t.c_waves;
-      perform t ~node:bn (t.handlers.on_batch_end ~now:bt ~node:bn);
-      if traced then Trace.emit t.trace (Trace.Batch_end { node = bn })
+    let node = !batch in
+    batch := -1;
+    Metrics.incr t.c_waves;
+    perform t ~node (t.handlers.on_batch_end ~now:t.clock ~node);
+    if traced then Trace.emit t.trace (Trace.Batch_end { node })
   in
-  let begin_batch time node =
-    if traced && !open_batch = None then
-      Trace.emit t.trace (Trace.Batch_begin { node });
-    Some (time, node)
-  in
-  let rec loop () =
-    (* Close the open batch as soon as the next event cannot extend it
-       (different node, different time, a timer, horizon, quiescence). *)
-    (match !open_batch with
-    | Some (bt, bn) ->
-      let continues =
-        match Heap.peek t.queue with
-        | Some (time, Deliver { dst; _ }) ->
-          time = bt && dst = bn && horizon_allows time
-        | Some (time, Link_notify { node; _ }) ->
-          time = bt && node = bn && horizon_allows time
-        | Some (_, Timer_fire _) | None -> false
-      in
-      if not continues then close_batch ()
-    | None -> ());
-    match Heap.peek t.queue with
-    | None -> ()
-    | Some (time, _) when not (horizon_allows time) -> ()
-    | Some _ ->
-      let time, event = Heap.pop_exn t.queue in
-      if !budget = 0 then
-        raise
-          (Diverged
-             { processed = Metrics.value t.c_events;
-               pending = Heap.length t.queue + 1;
-               waves = Metrics.value t.c_waves });
-      decr budget;
-      t.clock <- time;
-      t.last_event <- time;
-      if traced then Trace.set_now t.trace time;
-      Metrics.incr t.c_events;
-      (match event with
-      | Deliver { src; dst; link_id; epoch; msg } ->
-        (* Lost if the link died while the message was in flight — even
-           if it has since come back up: a bounce tears the session down
-           and messages do not survive into the next incarnation — or to
-           the link's probabilistic loss process. The loss draw happens
-           only on links with a configured rate, so runs without a loss
-           model never touch the RNG. *)
-        if
-          (not (Topology.is_up t.topo link_id))
-          || epoch <> t.epochs.(link_id)
-        then begin
-          Metrics.incr t.c_losses;
-          if traced then
-            Trace.emit t.trace
-              (Trace.Msg_loss { src; dst; link_id; dead_link = true })
-        end
-        else if
-          t.loss.(link_id) > 0.0 && Rng.chance t.loss_rng t.loss.(link_id)
-        then begin
-          Metrics.incr t.c_losses;
-          if traced then
-            Trace.emit t.trace
-              (Trace.Msg_loss { src; dst; link_id; dead_link = false })
-        end
-        else begin
-          Metrics.incr t.c_deliveries;
-          let batch = begin_batch time dst in
-          if traced then
-            Trace.emit t.trace (Trace.Msg_deliver { src; dst; link_id });
+  let running = ref true in
+  while !running do
+    if Heap.is_empty q then
+      if !batch >= 0 then close_batch () else running := false
+    else begin
+      let time = Heap.min_key q in
+      (* Close the open batch as soon as the next event cannot extend it
+         (another node, another time, a timer; an empty queue above);
+         its recompute may queue more events, so look again. *)
+      if
+        !batch >= 0
+        && not (time = t.clock && extends ~node:!batch (Heap.min_value q))
+      then close_batch ()
+      else if time > horizon then running := false
+      else begin
+        (* Checked before the event is taken, so a diverged engine still
+           holds every event it reports pending. *)
+        if !budget = 0 then
+          raise
+            (Diverged
+               { processed = Metrics.value t.c_events;
+                 pending = Heap.length q;
+                 waves = Metrics.value t.c_waves });
+        decr budget;
+        t.clock <- time;
+        let event = Heap.min_value q in
+        Heap.pop q;
+        t.last_event <- t.clock;
+        if traced then Trace.set_now t.trace t.clock;
+        Metrics.incr t.c_events;
+        match event with
+        | Deliver { src; dst; link_id; epoch; msg } ->
+          (* Lost if the link died while the message was in flight — even
+             if it has since come back up: a bounce tears the session down
+             and messages do not survive into the next incarnation — or to
+             the link's probabilistic loss process. The loss draw happens
+             only on links with a configured rate, so runs without a loss
+             model never touch the RNG. *)
+          if
+            (not (Topology.is_up t.topo link_id))
+            || epoch <> t.epochs.(link_id)
+          then begin
+            Metrics.incr t.c_losses;
+            if traced then
+              Trace.emit t.trace
+                (Trace.Msg_loss { src; dst; link_id; dead_link = true })
+          end
+          else if
+            t.loss.(link_id) > 0.0 && Rng.chance t.loss_rng t.loss.(link_id)
+          then begin
+            Metrics.incr t.c_losses;
+            if traced then
+              Trace.emit t.trace
+                (Trace.Msg_loss { src; dst; link_id; dead_link = false })
+          end
+          else begin
+            Metrics.incr t.c_deliveries;
+            if traced then begin
+              if !batch < 0 then
+                Trace.emit t.trace (Trace.Batch_begin { node = dst });
+              Trace.emit t.trace (Trace.Msg_deliver { src; dst; link_id })
+            end;
+            let actions =
+              t.handlers.on_message ~now:t.clock ~node:dst ~src msg
+            in
+            batch := dst;
+            perform t ~node:dst actions
+          end
+        | Link_notify { node; link_id } ->
+          if traced && !batch < 0 then
+            Trace.emit t.trace (Trace.Batch_begin { node });
           let actions =
-            t.handlers.on_message ~now:t.clock ~node:dst ~src msg
+            t.handlers.on_link_change ~now:t.clock ~node ~link_id
           in
-          open_batch := batch;
-          perform t ~node:dst actions
-        end
-      | Link_notify { node; link_id } ->
-        let batch = begin_batch time node in
-        let actions =
-          t.handlers.on_link_change ~now:t.clock ~node ~link_id
-        in
-        open_batch := batch;
-        perform t ~node actions
-      | Timer_fire { node; key } ->
-        if traced then Trace.emit t.trace (Trace.Timer_fire { node; key });
-        let actions = t.handlers.on_timer ~now:t.clock ~node ~key in
-        perform t ~node actions);
-      loop ()
-  in
-  (* The top-of-loop check closes any open batch (and processes whatever
-     its recompute emitted) before the loop can exit, so on return no
-     batch is pending. *)
-  loop ();
+          batch := node;
+          perform t ~node actions
+        | Timer_fire { node; key } ->
+          if traced then Trace.emit t.trace (Trace.Timer_fire { node; key });
+          let actions = t.handlers.on_timer ~now:t.clock ~node ~key in
+          perform t ~node actions
+      end
+    end
+  done;
+  (* The loop closes any open batch (and processes whatever its
+     recompute emitted) before it can exit, so on return no batch is
+     pending. *)
   (match until with
   | Some h ->
     if h > t.clock then begin

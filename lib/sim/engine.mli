@@ -9,7 +9,8 @@
     event.
 
     The engine is deterministic: simultaneous events are processed in
-    schedule order (the heap breaks ties FIFO), and the probabilistic
+    schedule order (the event queue ties equal times by a schedule
+    counter), and the probabilistic
     loss model draws from a seeded generator in event order, so equal
     seeds give equal runs.
 

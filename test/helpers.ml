@@ -26,6 +26,29 @@ let random_brite ~seed ~n ~m =
   let rng = Rng.create seed in
   Brite.annotated rng ~n ~m ~max_delay:5.0 ~num_tiers:4
 
+(* Connected random peer graph on [n] nodes: a random spanning tree
+   plus up to [extra] more links, each with a delay drawn from [delays]
+   (small integers make equal path lengths and delivery times common). *)
+let random_connected ~seed ~n ~extra ~delays =
+  let rng = Rng.create seed in
+  let delay () = delays.(Rng.int rng (Array.length delays)) in
+  let linked = Hashtbl.create 16 in
+  let edges = ref [] in
+  let add a b =
+    let key = (min a b, max a b) in
+    if a <> b && not (Hashtbl.mem linked key) then begin
+      Hashtbl.add linked key ();
+      edges := (a, b, Relationship.Peer, delay ()) :: !edges
+    end
+  in
+  for v = 1 to n - 1 do
+    add (Rng.int rng v) v
+  done;
+  for _ = 1 to extra do
+    add (Rng.int rng n) (Rng.int rng n)
+  done;
+  Topology.create ~n (List.rev !edges)
+
 (* Ground-truth next hops from the static solver, for every (src, dest). *)
 let solver_next_hops topo =
   let n = Topology.num_nodes topo in

@@ -81,45 +81,157 @@ let test_rng_weighted_index () =
   Alcotest.(check bool) "heaviest weight dominates" true
     (hits.(2) > hits.(1) && hits.(1) > hits.(0))
 
-let test_heap_pop_order () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  Alcotest.(check (list int))
-    "sorted drain" [ 1; 1; 3; 4; 5 ]
-    (Heap.to_sorted_list h);
-  Alcotest.(check int) "length preserved" 5 (Heap.length h)
+(* Pop every entry as (key, tie, payload), smallest first. *)
+let drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else begin
+      let e = (Heap.min_key h, Heap.min_tie h, Heap.min_value h) in
+      Heap.pop h;
+      go (e :: acc)
+    end
+  in
+  go []
 
-let test_heap_fifo_ties () =
-  (* Equal keys must pop in insertion order — simulator determinism. *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare (a : int) b) in
-  List.iter (Heap.push h) [ (1, "first"); (0, "zero"); (1, "second") ];
-  Alcotest.(check (option (pair int string))) "zero" (Some (0, "zero")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo 1" (Some (1, "first")) (Heap.pop h);
-  Alcotest.(check (option (pair int string))) "fifo 2" (Some (1, "second")) (Heap.pop h)
+let test_heap_pop_order () =
+  let h = Heap.create ~dummy:"" in
+  List.iteri
+    (fun i (k, v) -> Heap.push h ~key:k ~tie:i v)
+    [ (5.0, "e"); (1.0, "a"); (4.0, "d"); (1.0, "b"); (3.0, "c") ];
+  Alcotest.(check int) "length" 5 (Heap.length h);
+  Alcotest.(check (float 0.0)) "min key" 1.0 (Heap.min_key h);
+  Alcotest.(check int) "min tie" 1 (Heap.min_tie h);
+  Alcotest.(check string) "peek keeps the entry" "a" (Heap.min_value h);
+  Alcotest.(check int) "length after peek" 5 (Heap.length h);
+  Alcotest.(check (list string))
+    "sorted drain" [ "a"; "b"; "c"; "d"; "e" ]
+    (List.map (fun (_, _, v) -> v) (drain h))
+
+let test_heap_tie_order () =
+  (* Equal keys pop by tie, whatever the push order: there is no hidden
+     insertion counter. *)
+  let h = Heap.create ~dummy:"" in
+  Heap.push h ~key:1.0 ~tie:5 "late tie";
+  Heap.push h ~key:0.0 ~tie:9 "zero";
+  Heap.push h ~key:1.0 ~tie:2 "early tie";
+  Alcotest.(check (list (triple (float 0.0) int string)))
+    "(key, tie) order"
+    [ (0.0, 9, "zero"); (1.0, 2, "early tie"); (1.0, 5, "late tie") ]
+    (drain h)
 
 let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check (option int)) "empty pop" None (Heap.pop h);
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
+  let h = Heap.create ~dummy:0 in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
+  Alcotest.(check int) "length" 0 (Heap.length h);
+  Alcotest.check_raises "min_key" (Invalid_argument "Heap.min_key: empty heap")
+    (fun () -> ignore (Heap.min_key h));
+  Alcotest.check_raises "min_tie" (Invalid_argument "Heap.min_tie: empty heap")
+    (fun () -> ignore (Heap.min_tie h));
+  Alcotest.check_raises "min_value"
+    (Invalid_argument "Heap.min_value: empty heap") (fun () ->
+      ignore (Heap.min_value h));
+  Alcotest.check_raises "pop" (Invalid_argument "Heap.pop: empty heap")
+    (fun () -> Heap.pop h)
 
 let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1 ];
+  let h = Heap.create ~dummy:0 in
+  Heap.push h ~key:3.0 ~tie:0 3;
+  Heap.push h ~key:1.0 ~tie:1 1;
   Heap.clear h;
   Alcotest.(check bool) "cleared" true (Heap.is_empty h);
-  Heap.push h 9;
-  Alcotest.(check (option int)) "usable after clear" (Some 9) (Heap.pop h)
+  Heap.push h ~key:9.0 ~tie:0 9;
+  Alcotest.(check int) "usable after clear" 9 (Heap.min_value h);
+  Alcotest.(check int) "one entry" 1 (Heap.length h)
+
+(* A payload the heap no longer holds must be collectable while the heap
+   lives on: popped and cleared entries leave [dummy] behind. *)
+let test_heap_releases_payloads () =
+  let h = Heap.create ~dummy:(ref (-1)) in
+  let weak = Weak.create 40 in
+  for i = 0 to 39 do
+    let v = ref i in
+    Weak.set weak i (Some v);
+    Heap.push h ~key:(float_of_int (i mod 7)) ~tie:i v
+  done;
+  let popped = Array.make 40 false in
+  for _ = 1 to 30 do
+    popped.(!(Heap.min_value h)) <- true;
+    Heap.pop h
+  done;
+  Gc.full_major ();
+  for i = 0 to 39 do
+    if Weak.check weak i = popped.(i) then
+      Alcotest.failf "payload %d: %s" i
+        (if popped.(i) then "popped but still reachable"
+         else "queued but collected")
+  done;
+  Heap.clear h;
+  Gc.full_major ();
+  for i = 0 to 39 do
+    if Weak.check weak i then
+      Alcotest.failf "payload %d reachable after clear" i
+  done;
+  Alcotest.(check int) "heap still usable" 0 (Heap.length h)
 
 let heap_qcheck =
   QCheck.Test.make ~name:"heap drains any int list sorted" ~count:200
-    QCheck.(list int)
+    QCheck.(list small_signed_int)
     (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) l;
-      Heap.to_sorted_list h = List.sort compare l)
+      let h = Heap.create ~dummy:0 in
+      List.iteri (fun i x -> Heap.push h ~key:(float_of_int x) ~tie:i x) l;
+      List.map (fun (_, _, v) -> v) (drain h) = List.sort compare l)
+
+(* The heap against a sorted-list model. Keys come from five values, so
+   equal keys are common; ties are unique but not in push order. Pushes,
+   pops and clears interleave, and the runs between clears often pass
+   the initial capacity of 16. *)
+type heap_op = Push of float * int | Pop | Clear
+
+let heap_model_qcheck =
+  let keys = [| 0.0; 0.5; 1.0; 2.5; 7.0 |] in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (40, map2 (fun k r -> Push (keys.(k), r)) (int_bound 4) (int_bound 1000));
+          (19, return Pop);
+          (1, return Clear) ])
+  in
+  let show = function
+    | Push (k, r) -> Printf.sprintf "push %g/%d" k r
+    | Pop -> "pop"
+    | Clear -> "clear"
+  in
+  QCheck.Test.make ~name:"heap matches a sorted-list model"
+    ~count:(Helpers.qcheck_count 300)
+    QCheck.(
+      make ~print:Print.(list show) Gen.(list_size (int_bound 400) op))
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1) in
+      let model = ref [] in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push (key, r) ->
+            (* Unique: the op index sits below a random high part. *)
+            let tie = (r lsl 10) lor i in
+            Heap.push h ~key ~tie i;
+            model := List.merge compare !model [ (key, tie, i) ]
+          | Pop -> (
+            match !model with
+            | [] -> ()
+            | top :: rest ->
+              if (Heap.min_key h, Heap.min_tie h, Heap.min_value h) <> top then
+                QCheck.Test.fail_reportf "op %d: wrong minimum" i;
+              Heap.pop h;
+              model := rest)
+          | Clear ->
+            Heap.clear h;
+            model := []);
+          if Heap.length h <> List.length !model then
+            QCheck.Test.fail_reportf "op %d: length %d, model %d" i
+              (Heap.length h) (List.length !model))
+        ops;
+      drain h = !model)
 
 let test_stats_basics () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
@@ -483,10 +595,13 @@ let suite =
     Alcotest.test_case "rng sample clamps" `Quick test_rng_sample_clamps;
     Alcotest.test_case "rng weighted index" `Quick test_rng_weighted_index;
     Alcotest.test_case "heap pop order" `Quick test_heap_pop_order;
-    Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
+    Alcotest.test_case "heap tie order" `Quick test_heap_tie_order;
     Alcotest.test_case "heap empty" `Quick test_heap_empty;
     Alcotest.test_case "heap clear" `Quick test_heap_clear;
+    Alcotest.test_case "heap releases payloads" `Quick
+      test_heap_releases_payloads;
     QCheck_alcotest.to_alcotest heap_qcheck;
+    QCheck_alcotest.to_alcotest heap_model_qcheck;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
     Alcotest.test_case "stats geometric mean" `Quick
       test_stats_geometric_mean;

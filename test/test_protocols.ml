@@ -124,6 +124,67 @@ let test_ospf_reconverges_after_failure () =
     done
   done
 
+(* Dijkstra's tie-break, which [Ospf_net]'s SPF-cache check relies on:
+   among equally short paths, a node's predecessor is the lowest-id
+   neighbor [p] with [dist p + w = dist v]. *)
+let test_dijkstra_diamond_tie_break () =
+  (* 0-2-3 is listed first, so a tie broken by link order would pick 2. *)
+  let topo =
+    Topology.create ~n:4
+      [ (0, 2, Relationship.Peer, 1.0);
+        (2, 3, Relationship.Peer, 1.0);
+        (0, 1, Relationship.Peer, 1.0);
+        (1, 3, Relationship.Peer, 1.0) ]
+  in
+  let tree = Dijkstra.from topo ~src:0 in
+  Alcotest.(check (option (float 0.0))) "dist 0->3" (Some 2.0)
+    (Dijkstra.dist tree 3);
+  Alcotest.(check (option int)) "predecessor of 3" (Some 1)
+    (Dijkstra.predecessor tree 3)
+
+let dijkstra_tie_break_qcheck =
+  QCheck.Test.make
+    ~name:"dijkstra = reference distances and lowest-id predecessors"
+    ~count:(Helpers.qcheck_count 300)
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let n = 2 + (seed mod 11) in
+      let src = seed / 11 mod n in
+      let topo =
+        Helpers.random_connected ~seed ~n ~extra:n ~delays:[| 1.0; 2.0; 3.0 |]
+      in
+      let links = Topology.links topo in
+      (* Reference distances: Bellman-Ford over the (undirected) links. *)
+      let dist = Array.make n infinity in
+      dist.(src) <- 0.0;
+      for _ = 1 to n do
+        Array.iter
+          (fun { Topology.a; b; delay = w; _ } ->
+            if dist.(a) +. w < dist.(b) then dist.(b) <- dist.(a) +. w;
+            if dist.(b) +. w < dist.(a) then dist.(a) <- dist.(b) +. w)
+          links
+      done;
+      let reference_pred v =
+        Array.fold_left
+          (fun best { Topology.a; b; delay = w; _ } ->
+            let consider p =
+              if dist.(p) +. w = dist.(v) then
+                match best with Some q when q <= p -> best | _ -> Some p
+              else best
+            in
+            if a = v then consider b else if b = v then consider a else best)
+          None links
+      in
+      let tree = Dijkstra.from topo ~src in
+      for v = 0 to n - 1 do
+        if Dijkstra.dist tree v <> Some dist.(v) then
+          QCheck.Test.fail_reportf "dist %d->%d" src v;
+        let expected = if v = src then None else reference_pred v in
+        if Dijkstra.predecessor tree v <> expected then
+          QCheck.Test.fail_reportf "predecessor of %d from %d" v src
+      done;
+      true)
+
 let test_centaur_cheaper_than_bgp_on_failure () =
   (* The headline claim, in miniature: a link failure costs Centaur fewer
      update messages than BGP on the same topology (the paper's message
@@ -182,6 +243,9 @@ let suite =
       test_ospf_shortest_paths;
     Alcotest.test_case "ospf reconverges after failure" `Quick
       test_ospf_reconverges_after_failure;
+    Alcotest.test_case "dijkstra diamond tie-break" `Quick
+      test_dijkstra_diamond_tie_break;
+    QCheck_alcotest.to_alcotest dijkstra_tie_break_qcheck;
     Alcotest.test_case "centaur cheaper than bgp on failure" `Quick
       test_centaur_cheaper_than_bgp_on_failure;
     Alcotest.test_case "convergence harness" `Quick test_convergence_harness ]

@@ -132,7 +132,11 @@ let test_divergence_guard () =
   let e = Sim.Engine.create topo ~units:(fun _ -> 1) ~handlers in
   Sim.Engine.perform e ~node:0 [ Sim.Engine.Send (1, { payload = 0 }) ];
   match Sim.Engine.run_to_quiescence ~max_events:100 e with
-  | exception Sim.Engine.Diverged _ -> ()
+  | exception Sim.Engine.Diverged { processed; pending; _ } ->
+    Alcotest.(check int) "processed the budget" 100 processed;
+    (* The event that hit the budget is still queued, not dropped. *)
+    Alcotest.(check int) "pending = events still queued" pending
+      (Sim.Engine.pending_events e)
   | _ -> Alcotest.fail "divergence not detected"
 
 let test_mark_spans_initial_sends () =
@@ -243,6 +247,86 @@ let test_batch_survives_run_until_split () =
   Alcotest.(check (list (pair (float 1e-9) int)))
     "same batching split or not" (run false) (run true)
 
+(* Delivery order on random small graphs with delays 1 and 2, so many
+   deliveries fall due at the same time. Every send carries a global
+   sequence number taken when its handler returns it, which is the order
+   the engine schedules sends in. Deliveries must run in time order and,
+   at equal times, in send order; [on_batch_end] must run exactly once
+   after each maximal run of deliveries to one node at one time. *)
+type tagged = { seq : int; ttl : int }
+
+type logged = Delivered of float * int * int | Batch_end of float * int
+
+let engine_order_qcheck =
+  QCheck.Test.make
+    ~name:"equal-time deliveries in send order, one batch end per burst"
+    ~count:(Helpers.qcheck_count 200)
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 7 in
+      let topo =
+        Helpers.random_connected ~seed ~n ~extra:n ~delays:[| 1.0; 2.0 |]
+      in
+      let next_seq = ref 0 in
+      (* A message with a fresh sequence number to each neighbor that a
+         coin flip picks, in neighbor order. *)
+      let sends node ttl =
+        Topology.fold_neighbors topo node ~init:[] ~f:(fun acc nb _ _ ->
+            if Rng.bool rng then begin
+              let m = { seq = !next_seq; ttl } in
+              incr next_seq;
+              Sim.Engine.Send (nb, m) :: acc
+            end
+            else acc)
+        |> List.rev
+      in
+      let log = ref [] in
+      let handlers =
+        { Sim.Engine.on_message =
+            (fun ~now ~node ~src:_ m ->
+              log := Delivered (now, node, m.seq) :: !log;
+              if m.ttl = 0 then [] else sends node (m.ttl - 1));
+          on_link_change = (fun ~now:_ ~node:_ ~link_id:_ -> []);
+          on_timer = Sim.Engine.no_timers;
+          on_batch_end =
+            (fun ~now ~node ->
+              log := Batch_end (now, node) :: !log;
+              if Rng.int rng 4 = 0 then sends node 0 else []) }
+      in
+      let e = Sim.Engine.create topo ~units:(fun _ -> 1) ~handlers in
+      for node = 0 to n - 1 do
+        Sim.Engine.perform e ~node (sends node 2)
+      done;
+      if Rng.bool rng then
+        ignore (Sim.Engine.run_until e (float_of_int (Rng.int rng 5)));
+      ignore (Sim.Engine.run_to_quiescence e);
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* [last]: the previous delivery's (time, seq); [open_]: the
+         (time, node) of the burst awaiting its batch end; [closed]: the
+         burst whose batch end was the previous entry. *)
+      let step (last, open_, closed) entry =
+        match entry with
+        | Delivered (time, node, seq) ->
+          (match last with
+          | Some (t, s) when time < t || (time = t && seq < s) ->
+            fail "seq %d at t=%g after seq %d at t=%g" seq time s t
+          | _ -> ());
+          (match open_ with
+          | Some burst when burst <> (time, node) ->
+            fail "delivery to %d at t=%g inside another burst" node time
+          | _ -> ());
+          if closed = Some (time, node) then
+            fail "burst at node %d, t=%g split by its batch end" node time;
+          (Some (time, seq), Some (time, node), None)
+        | Batch_end (time, node) ->
+          if open_ <> Some (time, node) then
+            fail "batch end at node %d, t=%g closes no burst" node time;
+          (last, None, Some (time, node))
+      in
+      let _, open_, _ = List.fold_left step (None, None, None) (List.rev !log) in
+      open_ = None)
+
 let test_forwarding_path_helper () =
   let topo = Fixtures.figure2a () in
   let runner = Protocols.Centaur_net.network topo in
@@ -274,5 +358,6 @@ let suite =
     Alcotest.test_case "batch end per burst" `Quick test_batch_end_per_burst;
     Alcotest.test_case "batching stable under run_until split" `Quick
       test_batch_survives_run_until_split;
+    QCheck_alcotest.to_alcotest engine_order_qcheck;
     Alcotest.test_case "forwarding path helper" `Quick
       test_forwarding_path_helper ]
