@@ -1,25 +1,24 @@
-(* Flat layout. Two slot arenas, each a set of parallel arrays reached
-   through a [Flat_tbl] index and recycled through a free list, plus an
-   occurrence index:
+(* Flat layout, indexed by node id wherever a node id is the key:
 
-   - destination slots ([dest_slot]): the installed path, the head of
-     its occurrence chain, and flag bits (forced, marked on the wire,
-     queued for the next flush);
-   - link slots ([link_slot], under [Pgraph.pack] keys): the §4.3 use
-     counter, the child's chain of current in-links and the state last
-     put on the wire (bare, or the Permission List announced);
-   - occurrences ([occ], keyed by link slot): one entry per (installed
-     path, link on it) carrying the destination and the child's next hop
-     on that path. A link's chain is exactly its Permission List's
-     pairs, so [set_path] keeps no list: the flush fills a scratch from
-     the chain of each queued link into a multi-homed child, compares it
-     with the list on the wire and allocates a list only when it
-     changed.
+   - destinations ([d_path], [d_flags]): the installed path and flag
+     bits (forced, marked on the wire, queued for the next flush);
+   - link slots ([link_slot], under [Pgraph.pack] keys, recycled through
+     a free list): the §4.3 use counter, the child's chain of current
+     in-links (headed in [in_head]) and the state last put on the wire
+     (bare, or the Permission List announced);
+   - one bit row per child ([enters]): the destinations whose installed
+     path enters it. A link's Permission List is read back off its
+     child's row: the destinations whose path enters the child from the
+     link's parent, each with the child's next hop on it. So [set_path]
+     keeps no list: the flush fills a scratch for each queued link into a
+     multi-homed child, compares it with the list on the wire and
+     allocates a list only when it changed.
 
-   A slot lives while it is in the current graph or on the wire (or
-   queued to leave it); the flush that finds it in neither frees it. *)
+   A link slot lives while the link is in the current graph or on the
+   wire (or queued to leave it); the flush that finds it in neither frees
+   it. *)
 
-let nil = Occ_index.nil
+let nil = -1
 
 (* Destination flag bits. *)
 let forced_bit = 1
@@ -36,13 +35,9 @@ let wire_plist = 2
 
 type t = {
   root_node : int;
-  dest_slot : Flat_tbl.t; (* dest -> slot *)
-  mutable d_dest : int array;
-  mutable d_path : Path.t array; (* [] when no path is installed *)
-  mutable d_occ : int array; (* head of the path's occurrence chain *)
-  mutable d_flags : int array; (* the free list runs through [d_occ] *)
-  mutable d_hwm : int;
-  mutable d_free : int;
+  d_path : Path.t array; (* [] when no path is installed *)
+  d_flags : int array;
+  mutable n_queued_dests : int;
   link_slot : Flat_tbl.t; (* packed link key -> slot *)
   mutable l_key : int array;
   mutable l_count : int array;
@@ -52,16 +47,12 @@ type t = {
   mutable l_flags : int array;
   mutable l_hwm : int;
   mutable l_free : int; (* runs through [l_next_in] *)
-  (* child -> first current in-link slot, [nil] once the child has none
-     (bound rather than removed: no tombstone churn) *)
-  in_head : Flat_tbl.t;
-  occ : Occ_index.t;
+  in_head : int array; (* child -> first current in-link slot, or [nil] *)
+  enters : Bit_rows.t; (* child -> destinations whose path enters it *)
   plist_scratch : Permission_list.scratch;
-  (* Slots touched since the last flush. *)
+  (* Link slots touched since the last flush. *)
   mutable queued_links : int array;
   mutable n_queued_links : int;
-  mutable queued_dests : int array;
-  mutable n_queued_dests : int;
   (* When set, the next flush re-announces current links and marks even
      where they equal the wire state — receivers may hold damaged copies
      (see invalidate_wire). Cleared by the flush. *)
@@ -70,15 +61,11 @@ type t = {
 
 let initial_cap = 16
 
-let create ~root =
+let create ~root ~nodes =
   { root_node = root;
-    dest_slot = Flat_tbl.create ();
-    d_dest = Array.make initial_cap nil;
-    d_path = Array.make initial_cap [];
-    d_occ = Array.make initial_cap nil;
-    d_flags = Array.make initial_cap 0;
-    d_hwm = 0;
-    d_free = nil;
+    d_path = Array.make nodes [];
+    d_flags = Array.make nodes 0;
+    n_queued_dests = 0;
     link_slot = Flat_tbl.create ();
     l_key = Array.make initial_cap nil;
     l_count = Array.make initial_cap 0;
@@ -88,71 +75,32 @@ let create ~root =
     l_flags = Array.make initial_cap 0;
     l_hwm = 0;
     l_free = nil;
-    in_head = Flat_tbl.create ();
-    occ = Occ_index.create ();
+    in_head = Array.make nodes nil;
+    enters = Bit_rows.create nodes;
     plist_scratch = Permission_list.Scratch.create ();
     queued_links = Array.make initial_cap nil;
     n_queued_links = 0;
-    queued_dests = Array.make initial_cap nil;
-    n_queued_dests = 0;
     resend_all = false }
 
 let root t = t.root_node
+
+let nodes t = Array.length t.d_path
 
 let grow a fill =
   let a' = Array.make (2 * Array.length a) fill in
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-(* [a] with [x] stored at index [n], grown when full. *)
-let pushed a n x =
-  let a = if n = Array.length a then grow a nil else a in
-  a.(n) <- x;
-  a
+(* --- destinations --- *)
 
-(* --- destination slots --- *)
-
-let dest_alloc t dest =
-  let s =
-    if t.d_free <> nil then begin
-      let s = t.d_free in
-      t.d_free <- t.d_occ.(s);
-      s
-    end
-    else begin
-      if t.d_hwm = Array.length t.d_dest then begin
-        t.d_dest <- grow t.d_dest nil;
-        t.d_path <- grow t.d_path [];
-        t.d_occ <- grow t.d_occ nil;
-        t.d_flags <- grow t.d_flags 0
-      end;
-      let s = t.d_hwm in
-      t.d_hwm <- s + 1;
-      s
-    end
-  in
-  t.d_dest.(s) <- dest;
-  t.d_path.(s) <- [];
-  t.d_occ.(s) <- nil;
-  t.d_flags.(s) <- 0;
-  Flat_tbl.set t.dest_slot dest s;
-  s
-
-let dest_free t s =
-  Flat_tbl.remove t.dest_slot t.d_dest.(s);
-  t.d_dest.(s) <- nil;
-  t.d_occ.(s) <- t.d_free;
-  t.d_free <- s
-
-let queue_dest t s =
-  let f = t.d_flags.(s) in
+let queue_dest t d =
+  let f = t.d_flags.(d) in
   if f land queued_bit = 0 then begin
-    t.d_flags.(s) <- f lor queued_bit;
-    t.queued_dests <- pushed t.queued_dests t.n_queued_dests s;
+    t.d_flags.(d) <- f lor queued_bit;
     t.n_queued_dests <- t.n_queued_dests + 1
   end
 
-let marked t s = t.d_path.(s) <> [] || t.d_flags.(s) land forced_bit <> 0
+let marked t d = t.d_path.(d) <> [] || t.d_flags.(d) land forced_bit <> 0
 
 (* --- link slots --- *)
 
@@ -203,7 +151,9 @@ let set_link_flag t l bit on =
 let queue_link t s =
   if not (link_flag t s queued_link) then begin
     set_link_flag t s queued_link true;
-    t.queued_links <- pushed t.queued_links t.n_queued_links s;
+    if t.n_queued_links = Array.length t.queued_links then
+      t.queued_links <- grow t.queued_links nil;
+    t.queued_links.(t.n_queued_links) <- s;
     t.n_queued_links <- t.n_queued_links + 1
   end
 
@@ -211,25 +161,26 @@ let queue_link t s =
    current links; exactly then its in-links carry Permission Lists
    (paper §4.1/§4.3). *)
 let multi_homed t child =
-  let head = Flat_tbl.find_default t.in_head child ~default:nil in
+  let head = t.in_head.(child) in
   head <> nil && t.l_next_in.(head) <> nil
 
-(* Fill the scratch with a link's Permission List: every installed
-   path through it, as (destination, next hop of the child). *)
+(* Fill the scratch with a link's Permission List: every installed path
+   that enters the child from the link's parent, as (destination, next
+   hop of the child). *)
 let fill_plist t l =
   let sc = t.plist_scratch in
   Permission_list.Scratch.clear sc;
-  let e = ref (Occ_index.first t.occ l) in
-  while !e <> nil do
-    Permission_list.Scratch.push sc ~dest:(Occ_index.value t.occ !e)
-      ~next:(Occ_index.aux t.occ !e);
-    e := Occ_index.next t.occ !e
+  let parent = Pgraph.key_parent t.l_key.(l) and child = Pgraph.key_child t.l_key.(l) in
+  let d = ref (Bit_rows.next t.enters child 0) in
+  while !d >= 0 do
+    let h = Pgraph.path_step t.d_path.(!d) ~node:child in
+    if Pgraph.step_parent h = parent then
+      Permission_list.Scratch.push sc ~dest:!d ~next:(Pgraph.step_next h);
+    d := Bit_rows.next t.enters child (!d + 1)
   done
 
-(* One more installed path uses [parent -> child]; [next] is the
-   child's next hop on it ([nil] at the destination). Returns the new
-   head of the path's occurrence chain. *)
-let add_occurrence t ~dest ~parent ~child ~next ~owner =
+(* One more installed path, toward [dest], uses [parent -> child]. *)
+let add_use t ~dest ~parent ~child =
   let key = Pgraph.pack ~parent ~child in
   let l =
     match Flat_tbl.find_default t.link_slot key ~default:nil with
@@ -240,20 +191,20 @@ let add_occurrence t ~dest ~parent ~child ~next ~owner =
     (* The link enters the graph. A second in-link makes the child
        multi-homed: the first one starts announcing its Permission
        List. *)
-    let head = Flat_tbl.find_default t.in_head child ~default:nil in
+    let head = t.in_head.(child) in
     t.l_next_in.(l) <- head;
-    Flat_tbl.set t.in_head child l;
+    t.in_head.(child) <- l;
     if head <> nil && t.l_next_in.(head) = nil then queue_link t head
   end;
   t.l_count.(l) <- t.l_count.(l) + 1;
   queue_link t l;
-  Occ_index.add t.occ ~key:l ~value:dest ~aux:next ~owner
+  Bit_rows.add t.enters child dest
 
 (* Unlink [l] from its child's in-link chain (as short as the child's
    in-degree). *)
 let unchain_in t child l =
-  let head = Flat_tbl.find_default t.in_head child ~default:nil in
-  if head = l then Flat_tbl.set t.in_head child t.l_next_in.(l)
+  let head = t.in_head.(child) in
+  if head = l then t.in_head.(child) <- t.l_next_in.(l)
   else begin
     let p = ref head in
     while t.l_next_in.(!p) <> l do
@@ -263,55 +214,54 @@ let unchain_in t child l =
   end;
   t.l_next_in.(l) <- nil
 
-(* Drop one occurrence of a path; returns the next entry of the path's
-   chain. *)
-let remove_occurrence t e =
-  let l = Occ_index.key t.occ e in
+(* One installed path fewer, toward [dest], uses [parent -> child]. *)
+let drop_use t ~dest ~parent ~child =
+  let l =
+    Flat_tbl.find_default t.link_slot (Pgraph.pack ~parent ~child) ~default:nil
+  in
   t.l_count.(l) <- t.l_count.(l) - 1;
   queue_link t l;
   if t.l_count.(l) = 0 then begin
     (* The link leaves the graph; a child left with one in-link is no
        longer multi-homed, so that link goes back to announcing no
        Permission List. *)
-    let child = Pgraph.key_child t.l_key.(l) in
     unchain_in t child l;
-    let head = Flat_tbl.find_default t.in_head child ~default:nil in
+    let head = t.in_head.(child) in
     if head <> nil && t.l_next_in.(head) = nil then queue_link t head
   end;
-  Occ_index.remove t.occ e
+  Bit_rows.remove t.enters child dest
 
-(* Add the hops of path [p] (each link with the child's next hop) onto
-   the owner chain [owner]; returns the chain's new head. *)
-let rec add_hops t ~dest owner = function
-  | parent :: (child :: rest as tail) ->
-    let next = match rest with n :: _ -> n | [] -> nil in
-    add_hops t ~dest (add_occurrence t ~dest ~parent ~child ~next ~owner) tail
-  | [] | [ _ ] -> owner
+let rec iter_links f t ~dest = function
+  | parent :: (child :: _ as tail) ->
+    f t ~dest ~parent ~child;
+    iter_links f t ~dest tail
+  | [] | [ _ ] -> ()
 
-(* Install [p] ([] for none) as [dest]'s path in slot [s]. *)
-let replace_path t s ~dest p =
-  let e = ref t.d_occ.(s) in
-  while !e <> nil do
-    e := remove_occurrence t !e
-  done;
-  t.d_occ.(s) <- add_hops t ~dest nil p;
-  t.d_path.(s) <- p
+(* Install [p] ([] for none) as [dest]'s path. *)
+let replace_path t ~dest p =
+  iter_links drop_use t ~dest t.d_path.(dest);
+  iter_links add_use t ~dest p;
+  t.d_path.(dest) <- p
+
+let in_range t d = d >= 0 && d < nodes t
 
 let path_of t ~dest =
-  match Flat_tbl.find_default t.dest_slot dest ~default:nil with
-  | -1 -> None
-  | s -> ( match t.d_path.(s) with [] -> None | p -> Some p)
+  if not (in_range t dest) then None
+  else match t.d_path.(dest) with [] -> None | p -> Some p
 
-let live_dests t =
+let dests t =
   let acc = ref [] in
-  for s = 0 to t.d_hwm - 1 do
-    if t.d_dest.(s) <> nil && marked t s then acc := t.d_dest.(s) :: !acc
+  for d = nodes t - 1 downto 0 do
+    if marked t d then acc := d :: !acc
   done;
   !acc
 
-let dests t = List.sort Int.compare (live_dests t)
+let rec all_in_range t = function
+  | [] -> true
+  | v :: rest -> in_range t v && all_in_range t rest
 
 let set_path t ~dest path =
+  if not (in_range t dest) then invalid_arg "Builder.set_path: node id out of range";
   (match path with
   | None -> ()
   | Some p ->
@@ -320,33 +270,29 @@ let set_path t ~dest path =
     | first :: _ when first <> t.root_node ->
       invalid_arg "Builder.set_path: path does not start at root"
     | _ -> ());
+    if not (all_in_range t p) then
+      invalid_arg "Builder.set_path: node id out of range";
     if not (Path.is_loop_free p) then
       invalid_arg "Builder.set_path: path has a loop";
     if Path.destination p <> dest then
       invalid_arg "Builder.set_path: path destination mismatch");
-  let s = Flat_tbl.find_default t.dest_slot dest ~default:nil in
-  let old_path = if s = nil then [] else t.d_path.(s) in
+  let old_path = t.d_path.(dest) in
   match path with
   | None ->
     if old_path <> [] then begin
-      replace_path t s ~dest [];
-      queue_dest t s
+      replace_path t ~dest [];
+      queue_dest t dest
     end
   | Some p ->
     if not (Path.equal old_path p) then begin
-      let s = if s = nil then dest_alloc t dest else s in
-      replace_path t s ~dest p;
-      queue_dest t s
+      replace_path t ~dest p;
+      queue_dest t dest
     end
 
 let force_dest t d =
-  let s =
-    match Flat_tbl.find_default t.dest_slot d ~default:nil with
-    | -1 -> dest_alloc t d
-    | s -> s
-  in
-  t.d_flags.(s) <- t.d_flags.(s) lor forced_bit;
-  queue_dest t s
+  if not (in_range t d) then invalid_arg "Builder.force_dest: node id out of range";
+  t.d_flags.(d) <- t.d_flags.(d) lor forced_bit;
+  queue_dest t d
 
 let counter t ~parent ~child =
   if parent < 0 || parent > Pgraph.max_node || child < 0 || child > Pgraph.max_node
@@ -361,8 +307,8 @@ let invalidate_wire t =
   for l = 0 to t.l_hwm - 1 do
     if t.l_key.(l) <> nil then queue_link t l
   done;
-  for s = 0 to t.d_hwm - 1 do
-    if t.d_dest.(s) <> nil then queue_dest t s
+  for d = 0 to nodes t - 1 do
+    if t.d_path.(d) <> [] || t.d_flags.(d) <> 0 then queue_dest t d
   done
 
 let empty_delta =
@@ -411,27 +357,29 @@ let flush_links t =
     queued;
   (!add_links, !remove_links)
 
+(* Compare each queued destination with its wire state, scanning down
+   (so the consed lists come out ascending) until the last queued one. *)
 let flush_dests t =
-  let queued = Array.sub t.queued_dests 0 t.n_queued_dests in
-  t.n_queued_dests <- 0;
-  Array.stable_sort (fun a b -> Int.compare t.d_dest.(b) t.d_dest.(a)) queued;
   let add_dests = ref [] and remove_dests = ref [] in
-  Array.iter
-    (fun s ->
-      let flags = t.d_flags.(s) land lnot queued_bit in
-      let d = t.d_dest.(s) in
-      let now = marked t s and before = flags land wire_bit <> 0 in
+  let d = ref (nodes t) in
+  while t.n_queued_dests > 0 do
+    decr d;
+    let flags = t.d_flags.(!d) in
+    if flags land queued_bit <> 0 then begin
+      t.n_queued_dests <- t.n_queued_dests - 1;
+      let flags = flags land lnot queued_bit in
+      let now = marked t !d and before = flags land wire_bit <> 0 in
       if now && ((not before) || t.resend_all) then begin
-        t.d_flags.(s) <- flags lor wire_bit;
-        add_dests := d :: !add_dests
+        t.d_flags.(!d) <- flags lor wire_bit;
+        add_dests := !d :: !add_dests
       end
       else if before && not now then begin
-        t.d_flags.(s) <- flags land lnot wire_bit;
-        remove_dests := d :: !remove_dests
+        t.d_flags.(!d) <- flags land lnot wire_bit;
+        remove_dests := !d :: !remove_dests
       end
-      else t.d_flags.(s) <- flags;
-      if not now && t.d_flags.(s) = 0 then dest_free t s)
-    queued;
+      else t.d_flags.(!d) <- flags
+    end
+  done;
   (!add_dests, !remove_dests)
 
 let flush_delta t =
@@ -463,5 +411,5 @@ let snapshot t =
         ~data:{ Pgraph.counter = t.l_count.(l); plist }
     end
   done;
-  List.iter (Pgraph.mark_dest g) (live_dests t);
+  List.iter (Pgraph.mark_dest g) (dests t);
   g

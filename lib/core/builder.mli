@@ -14,12 +14,15 @@
     node it builds the Permission List from the paths through the link
     and compares it with what it last put on the wire. Cost of
     [set_path] and [flush_delta] is proportional to the paths and links
-    touched, not to the graph size, which is what makes large
+    touched (plus, when a destination mark is queued, one scan of a flag
+    per node), not to the graph's link count, which is what makes large
     simulations tractable. *)
 
 type t
 
-val create : root:int -> t
+val create : root:int -> nodes:int -> t
+(** An empty view rooted at [root], over node ids in [\[0, nodes)]: its
+    per-destination and per-node state is sized to [nodes] up front. *)
 
 val root : t -> int
 
@@ -31,11 +34,13 @@ val dests : t -> int list
 val set_path : t -> dest:int -> Path.t option -> unit
 (** Install, replace or remove ([None]) the selected path for one
     destination. Paths must start at the root, be loop-free and have
-    length ≥ 1 (raises [Invalid_argument] otherwise). *)
+    length ≥ 1, and every node id, the destination's included, must lie
+    in [\[0, nodes)] (raises [Invalid_argument] otherwise). *)
 
 val force_dest : t -> int -> unit
 (** Permanently mark a node as destination even without a path — the
-    exporter marks itself so neighbors learn its own prefix. *)
+    exporter marks itself so neighbors learn its own prefix. Raises
+    [Invalid_argument] on an id outside [\[0, nodes)]. *)
 
 val counter : t -> parent:int -> child:int -> int
 (** Current use counter of a link; 0 if absent. *)

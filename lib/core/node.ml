@@ -1,24 +1,18 @@
-let nil = Occ_index.nil
+let nil = -1
 
 (* One session per live neighbor: the neighbor's announced P-graph, the
-   cache of paths derived from it, an inverted index (node -> cached
-   destinations whose path visits it) so a link change maps to the
-   destinations it can affect, and the export builder holding the view
-   last announced to that neighbor. The cache is a slot arena under a
-   destination index; the usage index is an occurrence arena keyed by
-   node, one owner chain per cached path. A usage entry records the
-   DerivePath step taken at its node — the parent moved to and the next
-   hop arrived from, packed by [hop] — for every node of the path but
-   the root, where the walk stops. *)
+   paths derived from it (indexed by destination), an inverted index so
+   a link change maps to the destinations it can affect, and the export
+   builder holding the view last announced to that neighbor. The index
+   is one bit row per node: row x holds the cached destinations whose
+   path visits x, the root (the neighbor) excepted. The DerivePath step
+   a cached path takes at x is read back off the path itself
+   ([Pgraph.path_step]). *)
 type session = {
   pg : Pgraph.t;
   export : Builder.t;
-  cache_slot : Flat_tbl.t; (* dest -> cache slot *)
-  mutable c_path : Path.t array; (* derived path, starts at the neighbor *)
-  mutable c_use : int array; (* head of the path's usage chain; free list *)
-  mutable c_hwm : int;
-  mutable c_free : int;
-  usage : Occ_index.t; (* node -> (cached destination, [hop]) *)
+  c_path : Path.t array; (* dest -> derived path from the neighbor, or [] *)
+  usage : Bit_rows.t; (* node -> cached destinations whose path visits it *)
   (* Marked destinations that failed to derive (transient inconsistency,
      e.g. a link the import filter dropped): retried on every delta. *)
   pending : Flat_tbl.t;
@@ -27,6 +21,7 @@ type session = {
 type t = {
   node_id : int;
   topo : Topology.t;
+  nodes : int; (* [Topology.num_nodes]: every id a session holds is below it *)
   adj : Topology.adj;
   off : int; (* this node's slice of the CSR half-edges *)
   hi : int;
@@ -40,14 +35,15 @@ type t = {
      the dirty-set scheduler with the other protocols. *)
   dirty : Dirty.t;
   (* Scratch: the destinations one delta can affect, the children one
-     delta has checked (stamped with [epoch], one per delta), and the
-     nodes of the derivation being compared with the cache (destination
+     delta has checked (node -> [epoch], one per delta), and the nodes
+     of the derivation being compared with the cache (destination
      first). *)
   affected : Dirty.t;
-  checked : Flat_tbl.t;
+  checked : int array;
   mutable epoch : int;
   mutable walk : int array;
   mutable walk_len : int;
+  mutable steps : int array; (* [check_child]: (destination, step) pairs *)
   mutable visit : int -> unit;
   on_change : (int -> unit) option; (* selection-change tap *)
   policy : Policy.compiled;
@@ -62,6 +58,7 @@ let create ?on_change ?policy topo ~id =
   let t =
     { node_id = id;
       topo;
+      nodes = n;
       adj;
       off;
       hi;
@@ -69,9 +66,10 @@ let create ?on_change ?policy topo ~id =
       selected = Array.make (max n 1) [];
       dirty = Dirty.create ();
       affected = Dirty.create ();
-      checked = Flat_tbl.create ();
+      checked = Array.make n 0;
       epoch = 0;
       walk = Array.make 16 0;
+      steps = Array.make 32 0;
       walk_len = 0;
       visit = ignore;
       on_change;
@@ -105,13 +103,9 @@ let mark_dirty t dest = Dirty.mark t.dirty dest
 
 let new_session t ~neighbor =
   { pg = Pgraph.create ~root:neighbor;
-    export = Builder.create ~root:t.node_id;
-    cache_slot = Flat_tbl.create ();
-    c_path = Array.make 16 [];
-    c_use = Array.make 16 nil;
-    c_hwm = 0;
-    c_free = nil;
-    usage = Occ_index.create ();
+    export = Builder.create ~root:t.node_id ~nodes:t.nodes;
+    c_path = Array.make t.nodes [];
+    usage = Bit_rows.create t.nodes;
     pending = Flat_tbl.create () }
 
 let session_of t neighbor =
@@ -120,30 +114,20 @@ let session_of t neighbor =
 
 (* --- derived-path cache maintenance --- *)
 
-let cached s dest =
-  match Flat_tbl.find_default s.cache_slot dest ~default:nil with
-  | -1 -> []
-  | c -> s.c_path.(c)
+let cached s dest = if dest < Array.length s.c_path then s.c_path.(dest) else []
+
+let rec unmark usage dest = function
+  | [] -> ()
+  | x :: rest ->
+    Bit_rows.remove usage x dest;
+    unmark usage dest rest
 
 let uncache s dest =
-  match Flat_tbl.find_default s.cache_slot dest ~default:nil with
-  | -1 -> ()
-  | c ->
-    let e = ref s.c_use.(c) in
-    while !e <> nil do
-      e := Occ_index.remove s.usage !e
-    done;
-    Flat_tbl.remove s.cache_slot dest;
-    s.c_path.(c) <- [];
-    s.c_use.(c) <- s.c_free;
-    s.c_free <- c
-
-(* A usage entry's step: the parent DerivePath moved to and the next hop
-   it arrived from ([nil] at the destination), signed-packed so a node
-   id up to [Pgraph.max_node] fits either half. *)
-let hop ~parent ~next = (next lsl 31) lor parent
-let hop_parent h = h land Pgraph.max_node
-let hop_next h = h asr 31
+  match s.c_path.(dest) with
+  | [] -> ()
+  | _root :: rest ->
+    unmark s.usage dest rest;
+    s.c_path.(dest) <- []
 
 let walk_path t =
   let p = ref [] in
@@ -152,39 +136,13 @@ let walk_path t =
   done;
   !p
 
-(* Cache the derivation in [t.walk] as [dest]'s path, with one usage
-   entry per step. *)
+(* Cache the derivation in [t.walk] as [dest]'s path, setting [dest] in
+   the row of every node on it but the root. *)
 let cache t s dest =
-  let c =
-    if s.c_free <> nil then begin
-      let c = s.c_free in
-      s.c_free <- s.c_use.(c);
-      c
-    end
-    else begin
-      if s.c_hwm = Array.length s.c_path then begin
-        let cap = 2 * s.c_hwm in
-        let paths = Array.make cap [] and use = Array.make cap nil in
-        Array.blit s.c_path 0 paths 0 s.c_hwm;
-        Array.blit s.c_use 0 use 0 s.c_hwm;
-        s.c_path <- paths;
-        s.c_use <- use
-      end;
-      let c = s.c_hwm in
-      s.c_hwm <- c + 1;
-      c
-    end
-  in
-  Flat_tbl.set s.cache_slot dest c;
-  s.c_path.(c) <- walk_path t;
-  let owner = ref nil in
+  s.c_path.(dest) <- walk_path t;
   for i = 0 to t.walk_len - 2 do
-    let next = if i = 0 then nil else t.walk.(i - 1) in
-    owner :=
-      Occ_index.add s.usage ~key:t.walk.(i) ~value:dest
-        ~aux:(hop ~parent:t.walk.(i + 1) ~next) ~owner:!owner
-  done;
-  s.c_use.(c) <- !owner
+    Bit_rows.add s.usage t.walk.(i) dest
+  done
 
 (* Is the derivation in [t.walk] (destination first) the path [p]? *)
 let walk_is t p =
@@ -214,19 +172,42 @@ let rederive t s ~dest =
 (* One-hop invalidation. A delta changes the in-links of the children
    of its links and nothing else, and a derivation reads only the
    in-links of the nodes it steps from, so a cached path can first
-   diverge only at such a child. Re-run the step recorded at [c] by each
-   cached path through it; a destination whose step now answers
-   differently goes into [t.affected]. Each child is checked once per
-   delta. *)
+   diverge only at such a child. Re-run the step each cached path
+   through [c] takes there; a destination whose step now answers
+   differently goes into [t.affected]. A child with at most one in-link
+   steps to the same parent whatever the destination, so that step runs
+   once. Each child is checked once per delta. *)
 let check_child t s c =
-  if Flat_tbl.find_default t.checked c ~default:(-1) <> t.epoch then begin
-    Flat_tbl.set t.checked c t.epoch;
-    let e = ref (Occ_index.first s.usage c) in
-    while !e <> nil do
-      let h = Occ_index.aux s.usage !e and dest = Occ_index.value s.usage !e in
-      if Pgraph.derive_step s.pg ~dest ~node:c ~next:(hop_next h) <> hop_parent h
-      then Dirty.mark t.affected dest;
-      e := Occ_index.next s.usage !e
+  if t.checked.(c) <> t.epoch then begin
+    t.checked.(c) <- t.epoch;
+    (* Read every cached path's step first, then re-run the steps: the
+       path reads are independent loads, and they overlap only when no
+       other work runs between them. *)
+    let n = ref 0 in
+    let d = ref (Bit_rows.next s.usage c 0) in
+    while !d >= 0 do
+      if 2 * !n = Array.length t.steps then begin
+        let a = Array.make (4 * !n) 0 in
+        Array.blit t.steps 0 a 0 (2 * !n);
+        t.steps <- a
+      end;
+      t.steps.(2 * !n) <- !d;
+      t.steps.((2 * !n) + 1) <- Pgraph.path_step s.c_path.(!d) ~node:c;
+      incr n;
+      d := Bit_rows.next s.usage c (!d + 1)
+    done;
+    let single_homed = Pgraph.in_degree s.pg c <= 1 in
+    let single_parent =
+      if single_homed then Pgraph.derive_step s.pg ~dest:nil ~node:c ~next:nil
+      else nil
+    in
+    for i = 0 to !n - 1 do
+      let dest = t.steps.(2 * i) and h = t.steps.((2 * i) + 1) in
+      let parent =
+        if single_homed then single_parent
+        else Pgraph.derive_step s.pg ~dest ~node:c ~next:(Pgraph.step_next h)
+      in
+      if parent <> Pgraph.step_parent h then Dirty.mark t.affected dest
     done
   end
 
@@ -422,6 +403,30 @@ let flush t =
   done;
   !out
 
+(* A delta that names a node outside [0, nodes) cannot describe this
+   topology; such links and marks are dropped before they reach the
+   session's node-indexed state. No peer on the topology sends one, so
+   the common case checks and hands the delta through. *)
+let known n v = v >= 0 && v < n
+let link_known n (p, c, _) = known n p && known n c
+let removal_known n (p, c) = known n p && known n c
+
+let rec all_known f n = function [] -> true | x :: rest -> f n x && all_known f n rest
+
+let known_delta n d =
+  let { Pgraph.add_links; remove_links; add_dests; remove_dests } = d in
+  if
+    all_known link_known n add_links
+    && all_known removal_known n remove_links
+    && all_known known n add_dests
+    && all_known known n remove_dests
+  then d
+  else
+    { Pgraph.add_links = List.filter (link_known n) add_links;
+      remove_links = List.filter (removal_known n) remove_links;
+      add_dests = List.filter (known n) add_dests;
+      remove_dests = List.filter (known n) remove_dests }
+
 (* Absorb one announcement: apply the delta to the sender's P-graph,
    re-derive the destinations whose derivation it changed and mark them
    for re-selection. Emits nothing — [recompute] drains the marks. *)
@@ -433,7 +438,7 @@ let absorb t ann =
     ()
   | Some s ->
     let ann = Announce.import ann ~receiver:t.node_id in
-    let delta = ann.Announce.delta in
+    let delta = known_delta t.nodes ann.Announce.delta in
     Pgraph.apply s.pg delta;
     (* Changed destination marks and the destinations that failed to
        derive are re-derived outright; cached paths only where a step
@@ -516,7 +521,7 @@ let refresh_policy ?(resend = false) t =
     (function
       | None -> ()
       | Some s ->
-        Flat_tbl.iter s.cache_slot (fun d _ -> mark_dirty t d);
+        Array.iteri (fun d p -> if p <> [] then mark_dirty t d) s.c_path;
         Flat_tbl.iter s.pending (fun d _ -> mark_dirty t d))
     t.sessions;
   iter_selected t (fun d _ -> mark_dirty t d);

@@ -379,6 +379,20 @@ let derive_step t ~dest ~node ~next =
     !permitted
   end
 
+(* A step, signed-packed so a node id up to [max_node] fits either half
+   and the next hop may be [nil]. *)
+let step ~parent ~next = (next lsl pack_shift) lor parent
+let step_parent h = h land pack_mask
+let step_next h = h asr pack_shift
+
+let rec step_from prev node = function
+  | x :: rest when x = node && prev <> nil ->
+    step ~parent:prev ~next:(match rest with n :: _ -> n | [] -> nil)
+  | x :: rest -> step_from x node rest
+  | [] -> invalid_arg "Pgraph.path_step: node not on the path"
+
+let path_step p ~node = step_from nil node p
+
 (* DerivePath: backtrack from the destination one step at a time until
    the root. *)
 let rec derive_from t ~dest visit current prev fuel =

@@ -95,6 +95,19 @@ val derive_step : t -> dest:int -> node:int -> next:int -> int
     lets a receiver re-check one hop per changed link instead of
     re-deriving. Allocates nothing. *)
 
+val path_step : Path.t -> node:int -> int
+(** The {!derive_step} a derivation of path [p] (root first) takes at
+    [node], packed in one int: the parent it moves to is the node before
+    [node] on [p] ({!step_parent}), and the next hop it arrived from is
+    the node after, [-1] at the destination ({!step_next}). For a path
+    into a multi-homed node this is also the path's Permission-List
+    pair on the link it enters by. Raises [Invalid_argument] unless
+    [node] is on [p] after its first node. Allocates nothing. *)
+
+val step_parent : int -> int
+
+val step_next : int -> int
+
 val derive_all : t -> (int * Path.t) list
 (** Derived path for every marked destination (destinations ascending;
     destinations that fail to derive are omitted). *)

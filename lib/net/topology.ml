@@ -41,6 +41,8 @@ let create ~n edges =
       invalid_arg
         (Printf.sprintf "Topology.create: node id out of range (%d, %d)" a b);
     if a = b then invalid_arg "Topology.create: self-loop";
+    if not (Float.is_finite delay) then
+      invalid_arg "Topology.create: non-finite delay";
     if delay < 0.0 then invalid_arg "Topology.create: negative delay";
     let key = (min a b * n) + max a b in
     if Flat_tbl.mem seen key then

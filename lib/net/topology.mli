@@ -23,8 +23,9 @@ type t
 val create : n:int -> (int * int * Relationship.t * float) list -> t
 (** [create ~n edges] builds a topology on nodes [0..n-1] from
     [(a, b, rel_ab, delay)] tuples. Raises [Invalid_argument] on
-    out-of-range ids, self-loops, negative delays, or duplicate links
-    between the same pair. All links start up. *)
+    out-of-range ids, self-loops, negative or non-finite (NaN, infinite)
+    delays, or duplicate links between the same pair. All links start
+    up. *)
 
 val num_nodes : t -> int
 

@@ -102,6 +102,14 @@ let note_effective_change st topo link_id ~now_up =
       if not keep then st.tree <- None
     end
 
+(* Report every destination on the change feed. The feed holds only
+   this range and empties only when a reader takes it, so between two
+   reads (all through a cold start, for one) it is full after the first
+   effective change, and marking the range again would change nothing. *)
+let mark_all changed topo =
+  let n = Topology.num_nodes topo in
+  if Dirty.cardinal changed <> n then Dirty.mark_range changed 0 (n - 1)
+
 (* Install an LSA; when it flips the link's effective state, every
    destination may re-route, so the whole range is reported on the
    uniform changed-destination feed (a deliberate over-approximation —
@@ -113,7 +121,7 @@ let install ~changed ~tr topo st m =
     (db_val ~seq:m.seq ~up:m.up);
   let after = effective_up st topo m.link_id in
   if before <> after then begin
-    Dirty.mark_range changed 0 (Topology.num_nodes topo - 1);
+    mark_all changed topo;
     (* Every destination may re-route: one bulk mark on the trace. *)
     if Obs.Trace.enabled tr then
       Obs.Trace.emit tr (Obs.Trace.Mark_dirty { node = st.id; dest = -1 });
@@ -166,7 +174,7 @@ let on_link_change ~changed ~tr topo states ~node ~link_id =
   let up = Topology.is_up topo link_id in
   (* The ground truth flipped: effective state changes at once for every
      node that believed the link up, before any LSA propagates. *)
-  Dirty.mark_range changed 0 (Topology.num_nodes topo - 1);
+  mark_all changed topo;
   if Obs.Trace.enabled tr then
     Obs.Trace.emit tr (Obs.Trace.Mark_dirty { node; dest = -1 });
   buffer_flood st ~except:None (originate ~changed ~tr topo st link_id ~up);

@@ -6,7 +6,7 @@
 open Centaur
 
 let test_counters_track_use () =
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
   Builder.set_path b ~dest:3 (Some [ 0; 1; 3 ]);
   Alcotest.(check int) "shared link counted twice" 2
@@ -21,7 +21,7 @@ let test_counters_track_use () =
 let test_flush_delta_roundtrip_sequence () =
   (* The oracle from the interface: apply every flushed delta in order to
      an empty graph; at each flush the replica equals the snapshot. *)
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   let replica = Pgraph.create ~root:0 in
   let check_replica step =
     Pgraph.apply replica (Builder.flush_delta b);
@@ -44,7 +44,7 @@ let test_flush_delta_roundtrip_sequence () =
   Alcotest.(check int) "empty at end" 0 (Pgraph.num_links (Builder.snapshot b))
 
 let test_plist_appears_on_multihoming () =
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   Builder.set_path b ~dest:3 (Some [ 0; 1; 3 ]);
   ignore (Builder.flush_delta b);
   (* Second parent for node 3 appears: both in-links must be
@@ -69,7 +69,7 @@ let test_plist_appears_on_multihoming () =
     (List.length bare_reannounce)
 
 let test_no_delta_when_nothing_changes () =
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
   ignore (Builder.flush_delta b);
   Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
@@ -78,7 +78,7 @@ let test_no_delta_when_nothing_changes () =
     (Pgraph.delta_is_empty delta)
 
 let test_cancelling_changes_coalesce () =
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
   ignore (Builder.flush_delta b);
   (* Change and change back between flushes: nothing on the wire. *)
@@ -88,14 +88,14 @@ let test_cancelling_changes_coalesce () =
   Alcotest.(check bool) "cancelled out" true (Pgraph.delta_is_empty delta)
 
 let test_force_dest () =
-  let b = Builder.create ~root:7 in
+  let b = Builder.create ~root:7 ~nodes:8 in
   Builder.force_dest b 7;
   let delta = Builder.flush_delta b in
   Alcotest.(check (list int)) "self marked" [ 7 ] delta.Pgraph.add_dests;
   Alcotest.(check (list int)) "dests include forced" [ 7 ] (Builder.dests b)
 
 let test_set_path_validation () =
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   Alcotest.check_raises "wrong root"
     (Invalid_argument "Builder.set_path: path does not start at root")
     (fun () -> Builder.set_path b ~dest:2 (Some [ 1; 2 ]));
@@ -104,10 +104,28 @@ let test_set_path_validation () =
     (fun () -> Builder.set_path b ~dest:9 (Some [ 0; 2 ]));
   Alcotest.check_raises "loop"
     (Invalid_argument "Builder.set_path: path has a loop") (fun () ->
-      Builder.set_path b ~dest:2 (Some [ 0; 1; 0; 2 ]))
+      Builder.set_path b ~dest:2 (Some [ 0; 1; 0; 2 ]));
+  (* Ids index the builder's per-node state: [0, nodes) only. *)
+  let out_of_range = Invalid_argument "Builder.set_path: node id out of range" in
+  Alcotest.check_raises "dest = nodes" out_of_range (fun () ->
+      Builder.set_path b ~dest:10 None);
+  Alcotest.check_raises "negative dest" out_of_range (fun () ->
+      Builder.set_path b ~dest:(-1) None);
+  Alcotest.check_raises "path node = nodes" out_of_range (fun () ->
+      Builder.set_path b ~dest:2 (Some [ 0; 10; 2 ]));
+  Alcotest.check_raises "negative path node" out_of_range (fun () ->
+      Builder.set_path b ~dest:2 (Some [ 0; -1; 2 ]));
+  let out_of_range = Invalid_argument "Builder.force_dest: node id out of range" in
+  Alcotest.check_raises "force_dest = nodes" out_of_range (fun () ->
+      Builder.force_dest b 10);
+  Alcotest.check_raises "negative force_dest" out_of_range (fun () ->
+      Builder.force_dest b (-1));
+  Alcotest.(check (list int)) "rejected calls leave nothing" [] (Builder.dests b);
+  Alcotest.(check bool) "and queue nothing" true
+    (Pgraph.delta_is_empty (Builder.flush_delta b))
 
 let test_path_of () =
-  let b = Builder.create ~root:0 in
+  let b = Builder.create ~root:0 ~nodes:10 in
   Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
   Helpers.check_path_opt "stored" (Some [ 0; 1; 2 ]) (Builder.path_of b ~dest:2);
   Helpers.check_path_opt "absent" None (Builder.path_of b ~dest:9)
@@ -136,7 +154,7 @@ let builder_matches_of_paths =
     (fun ops ->
       (* (0..8, shape): set dest 10+k to that shape or remove it;
          (9, _): flush; (10, _): invalidate the wire state. *)
-      let b = Builder.create ~root:0 in
+      let b = Builder.create ~root:0 ~nodes:19 in
       let replica = Pgraph.create ~root:0 in
       let current = Hashtbl.create 8 in
       let flush_checked () =

@@ -108,6 +108,12 @@ let test_topology_validation () =
   bad "Topology.create: duplicate link 0-1"
     [ (0, 1, Relationship.Peer, 1.0); (1, 0, Relationship.Peer, 1.0) ];
   bad "Topology.create: negative delay" [ (0, 1, Relationship.Peer, -1.0) ];
+  (* A NaN or infinite delay would put a non-ordered or unreachable key
+     into the event heap. *)
+  List.iter
+    (fun delay ->
+      bad "Topology.create: non-finite delay" [ (0, 1, Relationship.Peer, delay) ])
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   Alcotest.check_raises "out of range"
     (Invalid_argument "Topology.create: node id out of range (0, 9)")
     (fun () ->
@@ -153,6 +159,9 @@ let test_topo_io_errors () =
   (match Topo_io.of_string "nodes 2\nlink 0 1 friend 1.0" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted bad relationship");
+  (match Topo_io.of_string "nodes 2\nlink 0 1 peer nan" with
+  | Error e -> Alcotest.(check string) "NaN delay" "Topology.create: non-finite delay" e
+  | Ok _ -> Alcotest.fail "accepted a NaN delay");
   match Topo_io.of_string "nodes 2\n# comment\n\nlink 0 1 peer 0.5" with
   | Ok t -> Alcotest.(check int) "comments skipped" 1 (Topology.num_links t)
   | Error e -> Alcotest.failf "rejected valid input: %s" e

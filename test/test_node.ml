@@ -139,6 +139,36 @@ let test_message_from_unknown_sender_dropped () =
   Alcotest.(check bool) "no session created" true
     (Node.neighbor_pgraph node ~neighbor:Fixtures.d = None)
 
+(* A node's per-session state is indexed by node id, so an announcement
+   naming an id outside the topology cannot be applied. It is dropped:
+   no exception, nothing sent, the sender's graph and every route as
+   they were. *)
+let test_out_of_range_ids_dropped () =
+  let topo = Fixtures.figure2a () in
+  let n = Topology.num_nodes topo in
+  let nodes = converge topo in
+  let a = nodes.(Fixtures.a) in
+  let routes = Node.selected_paths a in
+  let graph =
+    match Node.neighbor_pgraph a ~neighbor:Fixtures.b with
+    | Some g -> Pgraph.copy g
+    | None -> Alcotest.fail "no session with B"
+  in
+  let bogus =
+    Announce.make ~sender:Fixtures.b
+      { Pgraph.add_links = [ (Fixtures.b, n, None); (n + 5, Fixtures.b, None) ];
+        remove_links = [ (Fixtures.b, n) ];
+        add_dests = [ n; n + 3; -1 ];
+        remove_dests = [ n ] }
+  in
+  let a, out = Node.handle a bogus in
+  Alcotest.(check int) "nothing sent" 0 (List.length out);
+  Alcotest.(check bool) "sender's graph unchanged" true
+    (match Node.neighbor_pgraph a ~neighbor:Fixtures.b with
+    | Some g -> Pgraph.equal g graph
+    | None -> false);
+  Alcotest.(check bool) "routes unchanged" true (Node.selected_paths a = routes)
+
 let test_adjacency_loss_reroutes () =
   let topo = Fixtures.figure2a () in
   let nodes = converge topo in
@@ -239,6 +269,8 @@ let suite =
       test_announcements_are_incremental;
     Alcotest.test_case "unknown sender dropped" `Quick
       test_message_from_unknown_sender_dropped;
+    Alcotest.test_case "out-of-range ids dropped" `Quick
+      test_out_of_range_ids_dropped;
     Alcotest.test_case "adjacency loss reroutes" `Quick
       test_adjacency_loss_reroutes;
     Alcotest.test_case "announce units" `Quick test_announce_units;

@@ -581,6 +581,78 @@ let test_dirty_range_fold () =
   Alcotest.(check int) "fold ascending sum" 22 sum;
   Alcotest.(check bool) "fold preserves" false (Dirty.is_empty d)
 
+(* Bit rows against one sorted id list per row: random adds and removes
+   over rows touched in any order, with the ids at both ends of the
+   range drawn often. After each op the touched row must answer
+   membership and read back ascending, from its start and from the op's
+   id; at the end every row must, and ids outside the range raise. *)
+type bit_op = Set of int * int | Unset of int * int
+
+let bit_rows_model_qcheck =
+  let rows_gen =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n ->
+      let id = frequency [ (1, return 0); (1, return (n - 1)); (4, int_bound (n - 1)) ] in
+      let op =
+        map3 (fun set r i -> if set then Set (r, i) else Unset (r, i))
+          (frequencyl [ (3, true); (2, false) ]) id id
+      in
+      map (fun ops -> (n, ops)) (list_size (int_bound 300) op))
+  in
+  let show = function
+    | Set (r, i) -> Printf.sprintf "set %d.%d" r i
+    | Unset (r, i) -> Printf.sprintf "unset %d.%d" r i
+  in
+  QCheck.Test.make ~name:"bit rows match a sorted-list model"
+    ~count:(Helpers.qcheck_count 300)
+    QCheck.(make ~print:Print.(pair int (list show)) rows_gen)
+    (fun (n, ops) ->
+      let t = Bit_rows.create n in
+      let model = Array.make n [] in
+      let read r from =
+        let acc = ref [] in
+        let i = ref (Bit_rows.next t r from) in
+        while !i >= 0 do
+          acc := !i :: !acc;
+          i := Bit_rows.next t r (!i + 1)
+        done;
+        List.rev !acc
+      in
+      List.iteri
+        (fun k op ->
+          let r, i, member =
+            match op with
+            | Set (r, i) ->
+              Bit_rows.add t r i;
+              model.(r) <- List.sort_uniq Int.compare (i :: model.(r));
+              (r, i, true)
+            | Unset (r, i) ->
+              Bit_rows.remove t r i;
+              model.(r) <- List.filter (( <> ) i) model.(r);
+              (r, i, false)
+          in
+          if Bit_rows.mem t r i <> member then
+            QCheck.Test.fail_reportf "op %d: membership of %d in row %d" k i r;
+          if read r 0 <> model.(r) then
+            QCheck.Test.fail_reportf "op %d: row %d reads back wrong" k r;
+          if read r i <> List.filter (fun x -> x >= i) model.(r) then
+            QCheck.Test.fail_reportf "op %d: row %d from %d reads back wrong" k r i)
+        ops;
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun r m ->
+             read r 0 = m
+             && List.for_all (fun i -> Bit_rows.mem t r i = List.mem i m) (List.init n Fun.id)
+             && Bit_rows.next t r n = -1)
+           model)
+      && raises (fun () -> Bit_rows.add t n 0)
+      && raises (fun () -> Bit_rows.add t 0 n)
+      && raises (fun () -> Bit_rows.remove t (-1) 0)
+      && raises (fun () -> Bit_rows.mem t 0 (-1))
+      && raises (fun () -> Bit_rows.next t 0 (-1))
+      && raises (fun () -> Bit_rows.next t n 0))
+
 let suite =
   [ Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick
@@ -635,4 +707,5 @@ let suite =
     Alcotest.test_case "dirty drain cascades" `Quick
       test_dirty_drain_cascades;
     Alcotest.test_case "dirty range and fold" `Quick
-      test_dirty_range_fold ]
+      test_dirty_range_fold;
+    QCheck_alcotest.to_alcotest bit_rows_model_qcheck ]

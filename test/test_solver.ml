@@ -306,6 +306,28 @@ let test_centaur_flip_round_allocation () =
        budget)
     true (per_round < budget)
 
+(* And for what a converged Centaur network keeps: the words reachable
+   from a cold-started runner on the 100-node default BRITE graph, after
+   a full major collection. With occurrence-arena indexes (a usage chain
+   per cached path, an occurrence chain per exported path) and slot
+   arenas under hash indexes it held 3,014,060 words. One bit row per
+   node over destinations, and node-indexed arrays for the derived
+   cache and the export builders, bring it to 1,654,112. The budget is
+   1.25x the latter, so a reintroduced per-entry index fails it. *)
+let test_centaur_converged_state () =
+  let topo =
+    Experiments.Inputs.brite_sized Experiments.Config.default ~n:100
+  in
+  let runner = Protocols.Centaur_net.network topo in
+  ignore (runner.Sim.Runner.cold_start ());
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr runner) in
+  let budget = 1.25 *. 1_654_112.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after cold start (budget %.0f)" words budget)
+    true
+    (float_of_int words < budget)
+
 (* And for the engine's own share of an event: a warm 50-node ring in
    which each delivery forwards its message one hop on, until its hop
    count runs out. What a handler allocates (the message, the [Send] and
@@ -387,5 +409,7 @@ let suite =
       test_warm_workspace_allocation_free;
     Alcotest.test_case "centaur flip round allocation budget" `Quick
       test_centaur_flip_round_allocation;
+    Alcotest.test_case "centaur converged state budget" `Quick
+      test_centaur_converged_state;
     Alcotest.test_case "engine event allocation budget" `Quick
       test_engine_event_allocation ]
