@@ -6,7 +6,7 @@ type link_data = {
 (* Arena / struct-of-arrays layout: a link (parent, child) is a single
    immediate int key — [parent lsl 31 lor child] — resolved through a
    flat open-addressing table to a {e slot} in a set of parallel arrays
-   (key, counter, Permission List, two chain links). No per-entry heap
+   (key, counter, Permission List, chain link). No per-entry heap
    records: the only per-link allocation is the slot itself, and the
    arrays grow geometrically, so a P-graph's resident size is a handful
    of flat arrays regardless of link count. Packed-key order is exactly
@@ -15,9 +15,9 @@ type link_data = {
 
    The per-node adjacency needed by DerivePath is woven through the same
    arena: [l_next_in] chains the slots sharing a child (the in-edge list
-   walked at multi-homed nodes), [l_next_out] chains the slots sharing a
-   parent, with chain heads in flat tables. Chains are unordered;
-   sorted views sort on extraction (adjacency lists are short). *)
+   walked at multi-homed nodes), with chain heads in a flat table.
+   Chains are unordered; sorted views sort on extraction (adjacency
+   lists are short). *)
 
 let pack_shift = 31
 let pack_mask = (1 lsl pack_shift) - 1
@@ -42,12 +42,10 @@ type t = {
   mutable l_counter : int array;
   mutable l_plist : Permission_list.t option array;
   mutable l_next_in : int array;
-  mutable l_next_out : int array;
   mutable slot_hwm : int; (* arena high-water mark *)
   mutable free_head : int;
   slot_of : Flat_tbl.t; (* packed key -> slot *)
   in_head : Flat_tbl.t; (* child -> first slot of its in-edge chain *)
-  out_head : Flat_tbl.t; (* parent -> first slot of its out-edge chain *)
   dest_marks : Flat_tbl.t;
   mutable link_count : int;
 }
@@ -61,12 +59,10 @@ let create ~root =
     l_counter = Array.make initial_cap 0;
     l_plist = Array.make initial_cap None;
     l_next_in = Array.make initial_cap nil;
-    l_next_out = Array.make initial_cap nil;
     slot_hwm = 0;
     free_head = nil;
     slot_of = Flat_tbl.create ();
     in_head = Flat_tbl.create ();
-    out_head = Flat_tbl.create ();
     dest_marks = Flat_tbl.create ();
     link_count = 0 }
 
@@ -93,7 +89,6 @@ let grow_arena t =
   t.l_key <- grow_int t.l_key nil;
   t.l_counter <- grow_int t.l_counter 0;
   t.l_next_in <- grow_int t.l_next_in nil;
-  t.l_next_out <- grow_int t.l_next_out nil;
   let pl = Array.make cap' None in
   Array.blit t.l_plist 0 pl 0 cap;
   t.l_plist <- pl
@@ -124,8 +119,6 @@ let put_link t ~parent ~child ~counter ~plist =
     t.l_plist.(s) <- plist;
     t.l_next_in.(s) <- Flat_tbl.find_default t.in_head child ~default:nil;
     Flat_tbl.set t.in_head child s;
-    t.l_next_out.(s) <- Flat_tbl.find_default t.out_head parent ~default:nil;
-    Flat_tbl.set t.out_head parent s;
     Flat_tbl.set t.slot_of key s;
     t.link_count <- t.link_count + 1
   | s ->
@@ -135,13 +128,14 @@ let put_link t ~parent ~child ~counter ~plist =
 let add_link t ~parent ~child ~data =
   put_link t ~parent ~child ~counter:data.counter ~plist:data.plist
 
-(* Unlink slot [s] from the chain rooted at [head.(at)] and threaded
-   through [next]. Chains are as short as the node's degree. *)
-let unchain head next ~at s =
-  let first = Flat_tbl.find_default head at ~default:nil in
+(* Unlink slot [s] from [child]'s in-edge chain. Chains are as short as
+   the node's in-degree. *)
+let unchain t ~child s =
+  let next = t.l_next_in in
+  let first = Flat_tbl.find_default t.in_head child ~default:nil in
   if first = s then begin
-    if next.(s) = nil then Flat_tbl.remove head at
-    else Flat_tbl.set head at next.(s)
+    if next.(s) = nil then Flat_tbl.remove t.in_head child
+    else Flat_tbl.set t.in_head child next.(s)
   end
   else begin
     let p = ref first in
@@ -159,8 +153,7 @@ let remove_link t ~parent ~child =
     | None -> ()
     | Some s ->
       Flat_tbl.remove t.slot_of key;
-      unchain t.in_head t.l_next_in ~at:child s;
-      unchain t.out_head t.l_next_out ~at:parent s;
+      unchain t ~child s;
       t.l_key.(s) <- nil;
       t.l_plist.(s) <- None;
       t.l_next_in.(s) <- t.free_head;
@@ -180,8 +173,6 @@ let link_data t ~parent ~child =
   let s = slot t ~parent ~child in
   if s = nil then None
   else Some { counter = t.l_counter.(s); plist = t.l_plist.(s) }
-
-let mem_link t ~parent ~child = slot t ~parent ~child <> nil
 
 let in_degree t node =
   let s = ref (Flat_tbl.find_default t.in_head node ~default:nil) in
@@ -203,15 +194,6 @@ let parents_of t node =
     s := t.l_next_in.(!s)
   done;
   List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) !acc
-
-let children_of t node =
-  let acc = ref [] in
-  let s = ref (Flat_tbl.find_default t.out_head node ~default:nil) in
-  while !s <> nil do
-    acc := key_child t.l_key.(!s) :: !acc;
-    s := t.l_next_out.(!s)
-  done;
-  List.sort Int.compare !acc
 
 (* Visit every live slot in arena order (not key order). *)
 let iter_slots t f =
@@ -259,12 +241,104 @@ let copy t =
   Flat_tbl.iter t.dest_marks (fun d _ -> mark_dest fresh d);
   fresh
 
-module ITbl = Hashtbl.Make (struct
-  type t = int
+(* A step, signed-packed so a node id up to [max_node] fits either half
+   and the next hop may be [nil]. *)
+let step ~parent ~next = (next lsl pack_shift) lor parent
+let step_parent h = h land pack_mask
+let step_next h = h asr pack_shift
 
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end)
+(* BuildGraph's first pass, kept flat: a packed link key -> chain-head
+   table plus a traversal arena (value and chain-link arrays, grown
+   geometrically). A traversal packs like a step, the destination in the
+   parent's half. Resident cost is two ints per traversal and one table
+   slot per distinct link; nothing is kept per path. *)
+module Traversals = struct
+  type t = {
+    heads : Flat_tbl.t; (* packed link -> head of its traversal chain *)
+    mutable tv : int array; (* packed traversals *)
+    mutable tn : int array; (* next index in the link's chain; [nil] ends *)
+    mutable len : int;
+  }
+
+  (* [hint] sizes the link table and the arena for an expected number of
+     distinct links, so a large record ramps up in one or two doublings
+     instead of rehash-growing from 16 slots. *)
+  let create ~hint =
+    let hint = max 16 hint in
+    { heads = Flat_tbl.create ~initial:(2 * hint) ();
+      tv = Array.make hint 0;
+      tn = Array.make hint 0;
+      len = 0 }
+
+  let push r key v =
+    if r.len = Array.length r.tv then begin
+      let cap = 2 * r.len in
+      let tv = Array.make cap 0 and tn = Array.make cap 0 in
+      Array.blit r.tv 0 tv 0 r.len;
+      Array.blit r.tn 0 tn 0 r.len;
+      r.tv <- tv;
+      r.tn <- tn
+    end;
+    r.tv.(r.len) <- v;
+    r.tn.(r.len) <- Flat_tbl.find_default r.heads key ~default:nil;
+    Flat_tbl.set r.heads key r.len;
+    r.len <- r.len + 1
+
+  let add r ~parent ~child ~dest ~next =
+    push r (pack ~parent ~child) (step ~parent:dest ~next)
+
+  (* Walks path [p] to [dest] with a three-node window: link [a -> b]
+     gets the traversal (dest, the node after [b]). *)
+  let rec add_links ~what r dest = function
+    | a :: (b :: rest as tail) ->
+      check_node what a;
+      check_node what b;
+      add r ~parent:a ~child:b ~dest
+        ~next:(match rest with c :: _ -> c | [] -> nil);
+      add_links ~what r dest tail
+    | [ _ ] | [] -> ()
+
+  let add_path r p =
+    add_links ~what:"Pgraph.Traversals.add_path" r (Path.destination p) p
+
+  (* Chains are re-threaded into [into]'s arena; traversal order within a
+     link is scheduling-dependent, which is fine — a Permission List is a
+     set structure, insertion order never reaches the result. *)
+  let merge ~into r =
+    Flat_tbl.iter r.heads (fun key head ->
+        let i = ref head in
+        while !i <> nil do
+          push into key r.tv.(!i);
+          i := r.tn.(!i)
+        done)
+
+  (* The second pass: in-degrees from a one-pass child count, then every
+     link's traversal count and, only for links into multi-homed
+     children, its Permission List sorted in [scratch]. The same
+     [Some scratch] is handed out for every such link, so the pass
+     allocates nothing per link. *)
+  let iter r scratch f =
+    let indeg = Flat_tbl.create ~initial:(2 * Flat_tbl.length r.heads) () in
+    Flat_tbl.iter r.heads (fun key _ ->
+        ignore (Flat_tbl.add_to indeg (key_child key) 1));
+    let filled = Some scratch in
+    Flat_tbl.iter r.heads (fun key head ->
+        let multi_homed =
+          Flat_tbl.find_default indeg (key_child key) ~default:0 > 1
+        in
+        if multi_homed then Permission_list.Scratch.clear scratch;
+        let count = ref 0 and i = ref head in
+        while !i <> nil do
+          incr count;
+          if multi_homed then begin
+            let v = r.tv.(!i) in
+            Permission_list.Scratch.push scratch ~dest:(step_parent v)
+              ~next:(step_next v)
+          end;
+          i := r.tn.(!i)
+        done;
+        f ~key ~count:!count (if multi_homed then filled else None))
+end
 
 (* BuildGraph (paper Table 2), with retroactive Permission Lists: the
    paper's inline formulation attaches an entry only when the node is
@@ -274,7 +348,7 @@ end)
    fixed point the incremental protocol maintains ("a Permission List
    will be created if a multi-homed node appears", §4.3). *)
 let build_graph ~what ~allow_multi ~root paths =
-  let seen_dest = ITbl.create 16 in
+  let seen_dest = Hashtbl.create 16 in
   let seen_path = Hashtbl.create 16 in
   let paths =
     List.filter
@@ -289,60 +363,27 @@ let build_graph ~what ~allow_multi ~root paths =
         let d = Path.destination p in
         if Hashtbl.mem seen_path p then false
         else begin
-          if (not allow_multi) && ITbl.mem seen_dest d then
+          if (not allow_multi) && Hashtbl.mem seen_dest d then
             invalid_arg (what ^ ": two paths for one destination");
-          ITbl.replace seen_dest d ();
+          Hashtbl.replace seen_dest d ();
           Hashtbl.add seen_path p ();
           true
         end)
       paths
   in
-  (* Pass 1: counters and per-link traversal records, keyed by packed
-     link. *)
-  let counters : int ITbl.t = ITbl.create 64 in
-  let traversals : (int * int) list ITbl.t = ITbl.create 64 in
   let graph = create ~root in
+  let r = Traversals.create ~hint:(List.length paths) in
   List.iter
     (fun p ->
       let d = Path.destination p in
       mark_dest graph d;
-      List.iter
-        (fun (a, b) ->
-          check_node what a;
-          check_node what b;
-          let key = pack ~parent:a ~child:b in
-          ITbl.replace counters key
-            (1 + Option.value (ITbl.find_opt counters key) ~default:0);
-          let next = Option.value (Path.next_hop_of p b) ~default:nil in
-          let prev = Option.value (ITbl.find_opt traversals key) ~default:[] in
-          ITbl.replace traversals key ((d, next) :: prev))
-        (Path.links p))
+      Traversals.add_links ~what r d p)
     paths;
-  (* In-degree per child over the collected links. *)
-  let indeg = ITbl.create 64 in
-  ITbl.iter
-    (fun key _ ->
-      let b = key_child key in
-      ITbl.replace indeg b
-        (1 + Option.value (ITbl.find_opt indeg b) ~default:0))
-    counters;
-  (* Pass 2: insert links; multi-homed children get Permission Lists. *)
-  let scratch = Permission_list.Scratch.create () in
-  ITbl.iter
-    (fun key count ->
-      let a = key_parent key and b = key_child key in
-      let plist =
-        if Option.value (ITbl.find_opt indeg b) ~default:0 > 1 then begin
-          Permission_list.Scratch.clear scratch;
-          List.iter
-            (fun (dest, next) -> Permission_list.Scratch.push scratch ~dest ~next)
-            (ITbl.find traversals key);
-          Some (Permission_list.Scratch.freeze scratch)
-        end
-        else None
-      in
-      add_link graph ~parent:a ~child:b ~data:{ counter = count; plist })
-    counters;
+  Traversals.iter r (Permission_list.Scratch.create ())
+    (fun ~key ~count pl ->
+      put_link graph ~parent:(key_parent key) ~child:(key_child key)
+        ~counter:count
+        ~plist:(Option.map Permission_list.Scratch.freeze pl));
   graph
 
 let of_paths ~root paths =
@@ -378,12 +419,6 @@ let derive_step t ~dest ~node ~next =
     done;
     !permitted
   end
-
-(* A step, signed-packed so a node id up to [max_node] fits either half
-   and the next hop may be [nil]. *)
-let step ~parent ~next = (next lsl pack_shift) lor parent
-let step_parent h = h land pack_mask
-let step_next h = h asr pack_shift
 
 let rec step_from prev node = function
   | x :: rest when x = node && prev <> nil ->

@@ -62,6 +62,44 @@ val of_multipaths : root:int -> Path.t list -> t
     (destination, next hop) pair in use, and {!derive_paths} recovers
     the announced set. *)
 
+(** BuildGraph's two passes, without the graph. The first pass records,
+    for every link, the (destination, next hop) pair of each path
+    through it; the second reads each link's traversal count (its use
+    counter) and, for links into multi-homed children, its Permission
+    List. {!of_paths} and {!of_multipaths} build their graphs from it,
+    and [Static] reads the Table 4/5 statistics of whole-topology route
+    sets off it. *)
+module Traversals : sig
+  type t
+
+  val create : hint:int -> t
+  (** An empty record sized for about [hint] distinct links. *)
+
+  val add : t -> parent:int -> child:int -> dest:int -> next:int -> unit
+  (** Record that the path to [dest] crosses [parent -> child] and
+      continues to [next] ([-1] when [child] is [dest]). Ids must lie in
+      [0, max_node]; unchecked. Allocates nothing unless the record
+      grows. *)
+
+  val add_path : t -> Path.t -> unit
+  (** {!add} every link of a root-first path. Raises [Invalid_argument]
+      on an id outside [0, max_node]. *)
+
+  val merge : into:t -> t -> unit
+  (** Add every traversal of the second record to [into]. *)
+
+  val iter :
+    t ->
+    Permission_list.scratch ->
+    (key:int -> count:int -> Permission_list.scratch option -> unit) ->
+    unit
+  (** The second pass: for every distinct link, in unspecified order,
+      [f ~key ~count pl] with the packed link [key], its number of
+      traversals, and [Some scratch] holding the link's Permission List
+      when the child is multi-homed ([None] otherwise). The scratch is
+      refilled for each such link. Allocates nothing per link. *)
+end
+
 val derive_paths : ?limit:int -> t -> dest:int -> Path.t list
 (** All root→destination paths derivable under the Permission-List
     restrictions, most results first sorted lexicographically; at most
@@ -126,16 +164,12 @@ val add_link : t -> parent:int -> child:int -> data:link_data -> unit
 
 val remove_link : t -> parent:int -> child:int -> unit
 
-val mem_link : t -> parent:int -> child:int -> bool
-
 val link_data : t -> parent:int -> child:int -> link_data option
 
 val in_degree : t -> int -> int
 
 val parents_of : t -> int -> (int * link_data) list
 (** Ascending parent id. *)
-
-val children_of : t -> int -> int list
 
 val links : t -> (int * int * link_data) list
 (** All [(parent, child, data)], sorted by (parent, child). *)

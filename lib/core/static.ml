@@ -73,133 +73,36 @@ let stats_finalize ~num_sources acc =
       (if acc.a_plists = 0 then 0.0
        else float_of_int acc.a_bytes /. float_of_int acc.a_plists) }
 
-(* Shared Table 4/5 aggregation over one P-graph per source, sharded by
-   source across the pool: each domain reduces its sources straight into
-   a private totals record (the P-graph itself is dropped as soon as its
-   statistics are read off), and the records are summed — commutatively —
-   on the way down. No per-source result list is ever materialized. *)
-let aggregate ?(plist_fp_rate = default_plist_fp_rate) ~sources pgraph_of =
-  let src_arr = Array.of_list sources in
-  let total = stats_zero () in
-  Pool.parallel_fold
-    ~create:stats_zero
-    ~merge:(fun () ws -> stats_add_into ~into:total ws)
-    ~init:() (Array.length src_arr)
-    (fun ws i ->
-      let g = pgraph_of src_arr.(i) in
-      ws.a_links <- ws.a_links + Pgraph.num_links g;
-      List.iter
-        (fun pl ->
-          stats_add_plist ws
-            ~entries:(Permission_list.num_entries pl)
-            ~bytes:(Permission_list.compressed_size_bytes pl ~fp_rate:plist_fp_rate))
-        (Pgraph.permission_lists g));
-  stats_finalize ~num_sources:(Array.length src_arr) total
-
 (* {2 Streamed per-source P-graph statistics}
 
-   [analyze] never builds a P-graph per source. A source's statistics
-   need only (a) its set of distinct P-graph links and (b), for links
-   into multi-homed nodes, the (dest, next) traversals that make up the
-   Permission List — so each (source, dest, path) is streamed link by
-   link into a {!src_stream}: a flat link-key → chain-head table plus a
-   packed-int traversal arena (value and chain-link arrays, grown
-   geometrically). Nothing is kept per path; resident cost is two ints
-   per traversal and one table slot per distinct link. *)
+   [analyze] and [analyze_vf] never build a P-graph per source. A
+   source's statistics need only its BuildGraph traversal record, so
+   each (source, dest, path) is streamed link by link into a
+   {!Pgraph.Traversals.t}. *)
 
-let pack_link ~parent ~child = (parent lsl 31) lor child
-let link_child key = key land ((1 lsl 31) - 1)
-
-(* A traversal is (dest, next-hop id) packed into one immediate int:
-   dest in the high bits, next + 1 in the low 32 ([nexti = -1] = none,
-   matching the solvers' allocation-free next-hop accessors). *)
-let pack_trav ~dest ~nexti = (dest lsl 32) lor (nexti + 1)
-
-let trav_dest v = v lsr 32
-
-let trav_nexti v = (v land 0xFFFFFFFF) - 1
-
-type src_stream = {
-  heads : Flat_tbl.t; (* packed link -> head of its traversal chain *)
-  mutable tv : int array; (* packed traversal values *)
-  mutable tn : int array; (* next index in the link's chain; -1 ends *)
-  mutable tlen : int;
-}
-
-(* [hint] sizes the link table and the traversal arena for an expected
-   number of distinct links, so streaming at scale ramps up in one or
-   two doublings instead of rehash-growing from 16 slots per source. *)
-let stream_create ?(hint = 16) () =
-  let hint = max 16 hint in
-  { heads = Flat_tbl.create ~initial:(2 * hint) ();
-    tv = Array.make hint 0;
-    tn = Array.make hint 0;
-    tlen = 0 }
-
-let stream_push st key v =
-  if st.tlen = Array.length st.tv then begin
-    let cap = 2 * st.tlen in
-    let tv = Array.make cap 0 and tn = Array.make cap 0 in
-    Array.blit st.tv 0 tv 0 st.tlen;
-    Array.blit st.tn 0 tn 0 st.tlen;
-    st.tv <- tv;
-    st.tn <- tn
-  end;
-  st.tv.(st.tlen) <- v;
-  st.tn.(st.tlen) <- Flat_tbl.find_default st.heads key ~default:(-1);
-  Flat_tbl.set st.heads key st.tlen;
-  st.tlen <- st.tlen + 1
-
-let stream_add st ~parent ~child ~dest ~nexti =
-  stream_push st (pack_link ~parent ~child) (pack_trav ~dest ~nexti)
-
-(* Chains are re-threaded into [into]'s arena; traversal order within a
-   link is scheduling-dependent, which is fine — a Permission List is a
-   set structure, insertion order never reaches the result. *)
-let stream_merge ~into src =
-  Flat_tbl.iter src.heads (fun key head ->
-      let i = ref head in
-      while !i >= 0 do
-        stream_push into key src.tv.(!i);
-        i := src.tn.(!i)
-      done)
-
-(* Fold one source's merged stream into the Table 4/5 totals: distinct
-   links from the table size, in-degrees from a one-pass child count,
-   and — only for links into multi-homed children — each Permission
-   List's entry count and priced size, read off its traversal chain
-   sorted in [scratch]. This is exactly [Pgraph.build_graph]'s pass 2
-   without constructing the graph or its lists. *)
-let stream_stats ~fp_rate ~scratch acc st =
-  let num_links = Flat_tbl.length st.heads in
-  acc.a_links <- acc.a_links + num_links;
-  let indeg = Flat_tbl.create ~initial:(2 * num_links) () in
-  Flat_tbl.iter st.heads (fun key _ ->
-      ignore (Flat_tbl.add_to indeg (link_child key) 1));
-  Flat_tbl.iter st.heads (fun key head ->
-      if Flat_tbl.find_default indeg (link_child key) ~default:0 > 1 then begin
-        Permission_list.Scratch.clear scratch;
-        let i = ref head in
-        while !i >= 0 do
-          let v = st.tv.(!i) in
-          Permission_list.Scratch.push scratch ~dest:(trav_dest v)
-            ~next:(trav_nexti v);
-          i := st.tn.(!i)
-        done;
+(* Fold one source's record into the Table 4/5 totals: every link
+   counts, and each link into a multi-homed child adds its Permission
+   List's entry count and priced size, read off the scratch BuildGraph's
+   second pass fills. *)
+let record_stats ~fp_rate ~scratch acc r =
+  Pgraph.Traversals.iter r scratch (fun ~key:_ ~count:_ pl ->
+      acc.a_links <- acc.a_links + 1;
+      match pl with
+      | None -> ()
+      | Some s ->
         stats_add_plist acc
-          ~entries:(Permission_list.Scratch.num_entries scratch)
-          ~bytes:(Permission_list.Scratch.compressed_size_bytes scratch ~fp_rate)
-      end)
+          ~entries:(Permission_list.Scratch.num_entries s)
+          ~bytes:(Permission_list.Scratch.compressed_size_bytes s ~fp_rate))
 
 (* Per-domain scratch for the per-destination sweep: reusable solver
-   workspaces (three-phase and fixpoint) plus one stream per requested
-   source, and (when metrics are requested) a domain-private registry
+   workspaces (three-phase and fixpoint) plus one traversal record per
+   requested source, and (when metrics are requested) a domain-private registry
    merged after the sweep — with its instrument handles resolved once
    at workspace creation, not looked up by name per destination. *)
 type analyze_ws = {
   sws : Solver.workspace;
   stws : Stable.workspace;
-  accs : src_stream array;
+  accs : Pgraph.Traversals.t array;
   ams : Obs.Metrics.t option;
   am_dests : Obs.Metrics.counter option;
   am_paths : Obs.Metrics.counter option;
@@ -225,7 +128,8 @@ let rec stream_route r acc d x hops =
   let y = Solver.next_hop_id r x in
   if y < 0 then hops
   else begin
-    stream_add acc ~parent:x ~child:y ~dest:d ~nexti:(Solver.next_hop_id r y);
+    Pgraph.Traversals.add acc ~parent:x ~child:y ~dest:d
+      ~next:(Solver.next_hop_id r y);
     stream_route r acc d y (hops + 1)
   end
 
@@ -288,8 +192,7 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
               if hops >= 0 then begin
                 ws_record_path ws hops;
                 let acc = Array.unsafe_get ws.accs i in
-                Stable.iter_links r s (fun ~parent ~child ~next ->
-                    stream_add acc ~parent ~child ~dest:d ~nexti:next)
+                Stable.iter_links r s (Pgraph.Traversals.add acc ~dest:d)
               end
             end
           done
@@ -297,7 +200,9 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
       done
   in
   let stream_hint = Topology.num_links topo / 2 in
-  let merged = Array.init k (fun _ -> stream_create ~hint:stream_hint ()) in
+  let merged =
+    Array.init k (fun _ -> Pgraph.Traversals.create ~hint:stream_hint)
+  in
   Pool.parallel_fold_ranges
     ~create:(fun () ->
       let ams =
@@ -307,7 +212,8 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
       in
       { sws = Solver.create_workspace ();
         stws = Stable.create_workspace ();
-        accs = Array.init k (fun _ -> stream_create ~hint:stream_hint ());
+        accs =
+          Array.init k (fun _ -> Pgraph.Traversals.create ~hint:stream_hint);
         ams;
         am_dests =
           Option.map (fun m -> Obs.Metrics.counter m "static.dests") ams;
@@ -326,7 +232,7 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
       | Some dst, Some m -> Obs.Metrics.merge_into ~dst m
       | _ -> ());
       for i = 0 to k - 1 do
-        stream_merge ~into:merged.(i) ws.accs.(i)
+        Pgraph.Traversals.merge ~into:merged.(i) ws.accs.(i)
       done)
     ~init:() n body;
   let total = stats_zero () in
@@ -334,57 +240,8 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
      fold: one scratch per call, never shared between concurrent
      analyses. *)
   let scratch = Permission_list.Scratch.create () in
-  Array.iter (stream_stats ~fp_rate:plist_fp_rate ~scratch total) merged;
+  Array.iter (record_stats ~fp_rate:plist_fp_rate ~scratch total) merged;
   stats_finalize ~num_sources:k total
-
-(* Reference implementation: bag every (dest, path) per source, build a
-   full P-graph per source, aggregate. Semantically identical to
-   [analyze] (the QCheck suite pins this down) but materializes the
-   n × sources path matrix — kept for cross-checking, not for scale. *)
-let analyze_materialized ?(discipline = Gao_rexford.Standard) ?policy
-    ?(plist_fp_rate = default_plist_fp_rate) topo ~sources =
-  if sources = [] then
-    invalid_arg "Static.analyze_materialized: empty source list";
-  let policy = Policy.configured policy in
-  let n = Topology.num_nodes topo in
-  let src_arr = Array.of_list sources in
-  let k = Array.length src_arr in
-  let merged = Array.make k [] in
-  Pool.parallel_fold
-    ~create:(fun () -> (Solver.create_workspace (), Array.make k []))
-    ~merge:(fun () (_, bags) ->
-      for i = 0 to k - 1 do
-        merged.(i) <- List.rev_append bags.(i) merged.(i)
-      done)
-    ~init:() n
-    (fun (sws, bags) d ->
-      let path_of =
-        match (discipline, policy) with
-        | Gao_rexford.Standard, None ->
-          let r = Solver.to_dest_with sws topo d in
-          fun s -> Solver.path r s
-        | _ -> (
-          match Stable.to_dest ~discipline ?policy ~max_rounds:512 topo d with
-          | r -> fun s -> Stable.path r s
-          | exception Stable.Diverged -> fun _ -> None)
-      in
-      for i = 0 to k - 1 do
-        let s = Array.unsafe_get src_arr i in
-        if s <> d then
-          match path_of s with
-          | None -> ()
-          | Some p -> bags.(i) <- (d, p) :: bags.(i)
-      done);
-  let bag_of = Array.make k [] in
-  for i = 0 to k - 1 do
-    bag_of.(i) <-
-      List.sort (fun (d1, _) (d2, _) -> Int.compare d2 d1) merged.(i)
-      |> List.map snd
-  done;
-  let idx = Hashtbl.create k in
-  Array.iteri (fun i s -> Hashtbl.replace idx s i) src_arr;
-  aggregate ~plist_fp_rate ~sources (fun s ->
-      Pgraph.of_paths ~root:s bag_of.(Hashtbl.find idx s))
 
 type link_overhead = {
   link_id : int;
@@ -521,8 +378,22 @@ let immediate_overhead ?dests ?prefixes topo =
   Array.init num_links (fun link_id ->
       { link_id; bgp_units = bgp.(link_id); centaur_units = centaur.(link_id) })
 
-let analyze_vf ?plist_fp_rate topo ~sources =
+(* One record per source, sharded by source across the pool: each domain
+   reduces its sources straight into private totals (a record is dropped
+   as soon as its statistics are read off), and the totals are summed —
+   commutatively — on the way down. *)
+let analyze_vf ?(plist_fp_rate = default_plist_fp_rate) topo ~sources =
   if sources = [] then invalid_arg "Static.analyze_vf: empty source list";
-  aggregate ?plist_fp_rate ~sources (fun s ->
-      let r = Vf_paths.from_source topo ~src:s in
-      Pgraph.of_paths ~root:s (Vf_paths.path_set r))
+  let src_arr = Array.of_list sources in
+  let hint = Topology.num_nodes topo in
+  let total = stats_zero () in
+  Pool.parallel_fold
+    ~create:(fun () -> (stats_zero (), Permission_list.Scratch.create ()))
+    ~merge:(fun () (ws, _) -> stats_add_into ~into:total ws)
+    ~init:() (Array.length src_arr)
+    (fun (ws, scratch) i ->
+      let r = Pgraph.Traversals.create ~hint in
+      List.iter (Pgraph.Traversals.add_path r)
+        (Vf_paths.path_set (Vf_paths.from_source topo ~src:src_arr.(i)));
+      record_stats ~fp_rate:plist_fp_rate ~scratch ws r);
+  stats_finalize ~num_sources:(Array.length src_arr) total

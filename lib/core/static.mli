@@ -41,8 +41,10 @@ val analyze :
   Topology.t ->
   sources:int list ->
   pgraph_stats
-(** Build the P-graph of every listed source (paths to {e all}
-    destinations) and aggregate. Raises [Invalid_argument] on an empty
+(** The P-graph statistics of every listed source (paths to {e all}
+    destinations), read off BuildGraph's traversal record
+    ({!Pgraph.Traversals}) without building the graphs, and aggregated.
+    Raises [Invalid_argument] on an empty
     source list. [discipline] selects the within-class ranking
     (default {!Gao_rexford.Standard}); [Class_only] is the ablation
     matching the paper's bushier P-graphs.
@@ -61,19 +63,6 @@ val analyze :
     [CENTAUR_DOMAINS] — the domain-invariance law pinned down by
     [test_obs.ml]. When absent, the sweep allocates and touches no
     metrics state at all. *)
-
-val analyze_materialized :
-  ?discipline:Gao_rexford.discipline ->
-  ?policy:Policy.compiled ->
-  ?plist_fp_rate:float ->
-  Topology.t ->
-  sources:int list ->
-  pgraph_stats
-(** Reference implementation of {!analyze}: materialize the full
-    per-source path bags, build one complete P-graph per source, and
-    aggregate — the memory-hungry path the streamed [analyze] replaced.
-    Kept (and exported) so the test suite can assert the streamed
-    statistics are identical; do not use at scale. *)
 
 val analyze_vf :
   ?plist_fp_rate:float -> Topology.t -> sources:int list -> pgraph_stats

@@ -86,7 +86,7 @@ let render_table5 rows =
       line "hetop-like" r.hetop)
     rows;
   Buffer.add_string buf
-    "  (paper: CAIDA 0.7/91.9/7.0/0.6%%; HeTop 0.7/92.9/6.4/0.1%% —\n";
+    "  (paper: CAIDA 0.7/91.9/7.0/0.6%; HeTop 0.7/92.9/6.4/0.1% —\n";
   Buffer.add_string buf
     "   small entry counts dominate in every discipline; the exact\n";
   Buffer.add_string buf

@@ -61,7 +61,7 @@ let all =
       title = "MRAI sweep (what drives the Figure 6 gap)";
       run = (fun cfg -> Exp_ablations.render_mrai (Exp_ablations.run_mrai cfg)) };
     { id = "ablation-multipath";
-      title = "Multi-path compactness (paper Â§7)";
+      title = "Multi-path compactness (paper §7)";
       run =
         (fun cfg ->
           Exp_ablations.render_multipath (Exp_ablations.run_multipath cfg)) } ]

@@ -1,271 +1,14 @@
 (* Equivalence suites for the flat-layout rewrites: the packed-key
    P-graph against a reference port of the previous nested-Hashtbl
    implementation, and the workspace-reusing solver against fresh
-   per-call solver state. The reference below is the pre-packed
-   [Pgraph] code, verbatim modulo the [Pgraph.link_data] type, so any
-   observable divergence of the packed layout fails here. *)
+   per-call solver state. The reference ([Oracle.Reference]) is the
+   pre-packed [Pgraph] code, verbatim modulo the [Pgraph.link_data]
+   type, so any observable divergence of the packed layout fails
+   here. *)
 
 open Centaur
 
-(* --- reference P-graph: the former (int, (int, link_data) Hashtbl.t)
-   Hashtbl.t implementation --- *)
-module Reference = struct
-  type data = Pgraph.link_data = {
-    counter : int;
-    plist : Permission_list.t option;
-  }
-
-  type t = {
-    root_node : int;
-    parents : (int, (int, data) Hashtbl.t) Hashtbl.t;
-    children : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-    dest_marks : (int, unit) Hashtbl.t;
-    mutable link_count : int;
-  }
-
-  let create ~root =
-    { root_node = root;
-      parents = Hashtbl.create 64;
-      children = Hashtbl.create 64;
-      dest_marks = Hashtbl.create 16;
-      link_count = 0 }
-
-  let dests t =
-    Hashtbl.fold (fun d () acc -> d :: acc) t.dest_marks []
-    |> List.sort compare
-
-  let is_dest t d = Hashtbl.mem t.dest_marks d
-
-  let mark_dest t d = Hashtbl.replace t.dest_marks d ()
-
-  let unmark_dest t d = Hashtbl.remove t.dest_marks d
-
-  let add_link t ~parent ~child ~data =
-    if parent = child then invalid_arg "Reference.add_link: self-loop";
-    let m =
-      match Hashtbl.find_opt t.parents child with
-      | Some m -> m
-      | None ->
-        let m = Hashtbl.create 4 in
-        Hashtbl.replace t.parents child m;
-        m
-    in
-    if not (Hashtbl.mem m parent) then t.link_count <- t.link_count + 1;
-    Hashtbl.replace m parent data;
-    let s =
-      match Hashtbl.find_opt t.children parent with
-      | Some s -> s
-      | None ->
-        let s = Hashtbl.create 4 in
-        Hashtbl.replace t.children parent s;
-        s
-    in
-    Hashtbl.replace s child ()
-
-  let remove_link t ~parent ~child =
-    (match Hashtbl.find_opt t.parents child with
-    | None -> ()
-    | Some m ->
-      if Hashtbl.mem m parent then begin
-        Hashtbl.remove m parent;
-        t.link_count <- t.link_count - 1
-      end;
-      if Hashtbl.length m = 0 then Hashtbl.remove t.parents child);
-    match Hashtbl.find_opt t.children parent with
-    | None -> ()
-    | Some s ->
-      Hashtbl.remove s child;
-      if Hashtbl.length s = 0 then Hashtbl.remove t.children parent
-
-  let parents_of t node =
-    match Hashtbl.find_opt t.parents node with
-    | None -> []
-    | Some m ->
-      Hashtbl.fold (fun parent data acc -> (parent, data) :: acc) m []
-      |> List.sort (fun (p1, _) (p2, _) -> compare p1 p2)
-
-  let children_of t node =
-    match Hashtbl.find_opt t.children node with
-    | None -> []
-    | Some s ->
-      Hashtbl.fold (fun c () acc -> c :: acc) s [] |> List.sort compare
-
-  let in_degree t node =
-    match Hashtbl.find_opt t.parents node with
-    | None -> 0
-    | Some m -> Hashtbl.length m
-
-  let links t =
-    Hashtbl.fold
-      (fun child m acc ->
-        Hashtbl.fold
-          (fun parent data acc -> (parent, child, data) :: acc)
-          m acc)
-      t.parents []
-    |> List.sort (fun (p1, c1, _) (p2, c2, _) -> compare (p1, c1) (p2, c2))
-
-  let num_links t = t.link_count
-
-  let nodes t =
-    let set = Hashtbl.create 64 in
-    Hashtbl.replace set t.root_node ();
-    Hashtbl.iter
-      (fun child m ->
-        Hashtbl.replace set child ();
-        Hashtbl.iter (fun parent _ -> Hashtbl.replace set parent ()) m)
-      t.parents;
-    Hashtbl.fold (fun n () acc -> n :: acc) set [] |> List.sort compare
-
-  let build_graph ~what ~allow_multi ~root paths =
-    let seen_dest = Hashtbl.create 16 in
-    let seen_path = Hashtbl.create 16 in
-    let paths =
-      List.filter
-        (fun p ->
-          (match p with
-          | [] | [ _ ] -> invalid_arg (what ^ ": path too short")
-          | first :: _ when first <> root ->
-            invalid_arg (what ^ ": path does not start at root")
-          | _ -> ());
-          if not (Path.is_loop_free p) then
-            invalid_arg (what ^ ": path has a loop");
-          let d = Path.destination p in
-          if Hashtbl.mem seen_path p then false
-          else begin
-            if (not allow_multi) && Hashtbl.mem seen_dest d then
-              invalid_arg (what ^ ": two paths for one destination");
-            Hashtbl.add seen_dest d ();
-            Hashtbl.add seen_path p ();
-            true
-          end)
-        paths
-    in
-    let counters : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    let traversals : (int * int, (int * int option) list) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let graph = create ~root in
-    List.iter
-      (fun p ->
-        let d = Path.destination p in
-        mark_dest graph d;
-        List.iter
-          (fun (a, b) ->
-            let key = (a, b) in
-            Hashtbl.replace counters key
-              (1 + Option.value (Hashtbl.find_opt counters key) ~default:0);
-            let next = Path.next_hop_of p b in
-            let prev =
-              Option.value (Hashtbl.find_opt traversals key) ~default:[]
-            in
-            Hashtbl.replace traversals key ((d, next) :: prev))
-          (Path.links p))
-      paths;
-    let indeg = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun (_a, b) _ ->
-        Hashtbl.replace indeg b
-          (1 + Option.value (Hashtbl.find_opt indeg b) ~default:0))
-      counters;
-    Hashtbl.iter
-      (fun (a, b) count ->
-        let plist =
-          if Option.value (Hashtbl.find_opt indeg b) ~default:0 > 1 then
-            Some
-              (List.fold_left
-                 (fun pl (dest, next) -> Permission_list.add pl ~dest ~next)
-                 Permission_list.empty
-                 (Hashtbl.find traversals (a, b)))
-          else None
-        in
-        add_link graph ~parent:a ~child:b ~data:{ counter = count; plist })
-      counters;
-    graph
-
-  let of_paths ~root paths =
-    build_graph ~what:"Reference.of_paths" ~allow_multi:false ~root paths
-
-  let derive_path t ~dest =
-    if dest = t.root_node then Some [ t.root_node ]
-    else begin
-      let fuel = num_links t + 1 in
-      let rec go current prev acc fuel =
-        if fuel = 0 then None
-        else if current = t.root_node then Some acc
-        else
-          match Hashtbl.find_opt t.parents current with
-          | None -> None
-          | Some m when Hashtbl.length m = 1 ->
-            let parent = Hashtbl.fold (fun p _ _ -> p) m (-1) in
-            go parent (Some current) (parent :: acc) (fuel - 1)
-          | Some m ->
-            let permitted =
-              Hashtbl.fold
-                (fun parent data best ->
-                  let ok =
-                    match data.plist with
-                    | None -> false
-                    | Some pl -> Permission_list.permit pl ~dest ~next:prev
-                  in
-                  if not ok then best
-                  else
-                    match best with
-                    | Some p when p <= parent -> best
-                    | Some _ | None -> Some parent)
-                m None
-            in
-            (match permitted with
-            | None -> None
-            | Some parent -> go parent (Some current) (parent :: acc) (fuel - 1))
-      in
-      go dest None [ dest ] fuel
-    end
-
-  let plist_opt_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> Permission_list.equal x y
-    | None, Some _ | Some _, None -> false
-
-  let diff ~old_ ~new_ =
-    let old_links = links old_ and new_links = links new_ in
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun (p, c, d) -> Hashtbl.replace tbl (p, c) d.plist) old_links;
-    let add_links =
-      List.filter_map
-        (fun (p, c, d) ->
-          match Hashtbl.find_opt tbl (p, c) with
-          | Some old_pl when plist_opt_equal old_pl d.plist -> None
-          | Some _ | None -> Some (p, c, d.plist))
-        new_links
-    in
-    let new_tbl = Hashtbl.create 64 in
-    List.iter (fun (p, c, _) -> Hashtbl.replace new_tbl (p, c) ()) new_links;
-    let remove_links =
-      List.filter_map
-        (fun (p, c, _) ->
-          if Hashtbl.mem new_tbl (p, c) then None else Some (p, c))
-        old_links
-    in
-    let add_dests =
-      List.filter (fun d -> not (is_dest old_ d)) (dests new_)
-    in
-    let remove_dests =
-      List.filter (fun d -> not (is_dest new_ d)) (dests old_)
-    in
-    (add_links, remove_links, add_dests, remove_dests)
-
-  let apply t (remove_links, add_links, add_dests, remove_dests) =
-    List.iter
-      (fun (parent, child) -> remove_link t ~parent ~child)
-      remove_links;
-    List.iter
-      (fun (parent, child, plist) ->
-        add_link t ~parent ~child ~data:{ counter = 0; plist })
-      add_links;
-    List.iter (mark_dest t) add_dests;
-    List.iter (unmark_dest t) remove_dests
-end
+module Reference = Oracle.Reference
 
 let plist_opt_equal = Reference.plist_opt_equal
 
@@ -279,7 +22,11 @@ let links_equal a b =
        a b
 
 let same_graph ~what (g : Pgraph.t) (r : Reference.t) =
-  if not (links_equal (Pgraph.links g) (Reference.links r)) then
+  let links = Pgraph.links g in
+  let children_of node =
+    List.filter_map (fun (p, c, _) -> if p = node then Some c else None) links
+  in
+  if not (links_equal links (Reference.links r)) then
     Alcotest.failf "%s: links differ" what;
   if Pgraph.num_links g <> Reference.num_links r then
     Alcotest.failf "%s: num_links differ" what;
@@ -291,7 +38,7 @@ let same_graph ~what (g : Pgraph.t) (r : Reference.t) =
     (fun node ->
       if Pgraph.in_degree g node <> Reference.in_degree r node then
         Alcotest.failf "%s: in_degree %d differs" what node;
-      if Pgraph.children_of g node <> Reference.children_of r node then
+      if children_of node <> Reference.children_of r node then
         Alcotest.failf "%s: children_of %d differs" what node;
       let pg = Pgraph.parents_of g node
       and pr = Reference.parents_of r node in
@@ -377,6 +124,19 @@ let packed_matches_reference =
       done;
       same_graph ~what:"after ops" g r;
       true)
+
+(* BuildGraph at the top of the id range: a multi-homed [max_node] with
+   parents [max_node - 2] and [max_node - 1], one path ending there and
+   one continuing to 0, so packed links, traversals and Permission-List
+   pairs all carry ids of 31 bits (and a next hop of none). *)
+let test_build_graph_at_id_limit () =
+  let m = Pgraph.max_node in
+  let root = m - 3 in
+  let paths = [ [ root; m - 2; m ]; [ root; m - 1; m; 0 ] ] in
+  let g = Pgraph.of_paths ~root paths in
+  Alcotest.(check int) "both in-links of max_node carry lists" 2
+    (Pgraph.num_permission_lists g);
+  same_graph ~what:"id limit" g (Reference.of_paths ~root paths)
 
 let diff_apply_matches_reference =
   QCheck.Test.make ~name:"packed diff/apply == reference" ~count:30
@@ -494,4 +254,6 @@ let suite =
   [ QCheck_alcotest.to_alcotest packed_matches_reference;
     QCheck_alcotest.to_alcotest diff_apply_matches_reference;
     QCheck_alcotest.to_alcotest workspace_solver_matches_fresh;
-    QCheck_alcotest.to_alcotest analyze_domain_invariant ]
+    QCheck_alcotest.to_alcotest analyze_domain_invariant;
+    Alcotest.test_case "BuildGraph at the id limit" `Quick
+      test_build_graph_at_id_limit ]

@@ -171,8 +171,8 @@ let parallel_matches_sequential_qcheck =
       && seq_ov = par_ov)
 
 (* The streamed per-source-sharded analyze must be indistinguishable —
-   floats included — from the reference implementation that materializes
-   every per-source path bag and builds complete P-graphs. All four
+   floats included — from the oracle that materializes every per-source
+   path bag and builds complete reference P-graphs. All four
    disciplines, since only Standard takes the allocation-free
    next-hop-chain walk. *)
 let streamed_matches_materialized_qcheck =
@@ -184,8 +184,20 @@ let streamed_matches_materialized_qcheck =
       List.for_all
         (fun d ->
           Centaur.Static.analyze ~discipline:d topo ~sources
-          = Centaur.Static.analyze_materialized ~discipline:d topo ~sources)
+          = Oracle.analyze_materialized ~discipline:d topo ~sources)
         Gao_rexford.[ Standard; Class_only; Diverse; Arbitrary ])
+
+(* Same law for the valley-free path sets, which [analyze_vf] streams
+   path by path. *)
+let streamed_matches_materialized_vf_qcheck =
+  QCheck.Test.make ~name:"static analysis: streamed = materialized (vf)"
+    ~count:8
+    QCheck.(pair (int_range 1 1000) (int_range 20 70))
+    (fun (seed, n) ->
+      let topo = random_as_topology ~seed ~n in
+      let sources = List.sort_uniq compare [ 0; n / 4; n / 2; n - 1 ] in
+      Centaur.Static.analyze_vf topo ~sources
+      = Oracle.analyze_vf_materialized topo ~sources)
 
 (* Same law under random compiled policies (the slow [Stable.to_dest]
    selection path): the destination-batched streamed analyze, the
@@ -210,8 +222,7 @@ let streamed_matches_materialized_policy_qcheck =
               Centaur.Static.analyze ~discipline:d ~policy topo ~sources
             in
             streamed
-            = Centaur.Static.analyze_materialized ~discipline:d ~policy topo
-                ~sources
+            = Oracle.analyze_materialized ~discipline:d ~policy topo ~sources
             && Pool.with_size 3 (fun () ->
                    Centaur.Static.analyze ~discipline:d ~policy topo ~sources)
                = streamed)
@@ -236,4 +247,5 @@ let suite =
       test_fig5_ratio_grows_with_size;
     QCheck_alcotest.to_alcotest parallel_matches_sequential_qcheck;
     QCheck_alcotest.to_alcotest streamed_matches_materialized_qcheck;
-    QCheck_alcotest.to_alcotest streamed_matches_materialized_policy_qcheck ]
+    QCheck_alcotest.to_alcotest streamed_matches_materialized_policy_qcheck;
+    QCheck_alcotest.to_alcotest streamed_matches_materialized_vf_qcheck ]
