@@ -632,14 +632,4 @@ let main_cmd =
     [ exp_cmd; gen_cmd; import_cmd; routes_cmd; pgraph_cmd; simulate_cmd;
       policy_cmd; verify_cmd; trace_cmd ]
 
-let () =
-  (* $(b,CENTAUR_LOG=debug) enables engine tracing. *)
-  (match Sys.getenv_opt "CENTAUR_LOG" with
-  | Some "debug" ->
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  | Some "info" ->
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Info)
-  | Some _ | None -> ());
-  exit (Cmd.eval main_cmd)
+let () = exit (Cmd.eval main_cmd)

@@ -163,22 +163,14 @@ let run_one cfg ~pairs (kind, proto) =
   let base = runner.Sim.Runner.now () in
   let step t =
     total :=
-      Faults.Injector.add_stats !total
-        (runner.Sim.Runner.run_until (base +. t))
+      Sim.Engine.add_stats !total (runner.Sim.Runner.run_until (base +. t))
   in
+  let wave = Faults.Delta_wave.create () in
   let apply (e : Faults.Scenario.event) =
-    match e.Faults.Scenario.change with
-    | Faults.Scenario.Set_policy changes ->
-      let nodes =
-        List.sort_uniq compare
-          (List.map (Faults.Injector.apply_policy_change policy) changes)
-      in
-      runner.Sim.Runner.on_policy_change nodes;
-      if List.exists Faults.Scenario.policy_change_on changes then
-        Faults.Observer.note_disruption obs runner
-          ~now:e.Faults.Scenario.at
-    | Faults.Scenario.Set_links _ | Faults.Scenario.Set_loss _ ->
-      assert false (* the containment family is pure policy faults *)
+    Faults.Delta_wave.add wave e.Faults.Scenario.change;
+    ignore (Faults.Delta_wave.apply ~policy wave topo runner);
+    if Faults.Scenario.disrupts e.Faults.Scenario.change then
+      Faults.Observer.note_disruption obs runner ~now:e.Faults.Scenario.at
   in
   (* RIB snapshots over the scan destinations: what each node would
      forward along (control-plane path), per destination. *)
@@ -265,7 +257,7 @@ let run_one cfg ~pairs (kind, proto) =
   apply off_e;
   sample_to (horizon +. 1.0);
   total :=
-    Faults.Injector.add_stats !total (runner.Sim.Runner.run_to_quiescence ());
+    Sim.Engine.add_stats !total (runner.Sim.Runner.run_to_quiescence ());
   let residual = fst (scan_poisoned (snap ())) in
   let report =
     Faults.Observer.report obs ~protocol:proto ~stats:!total

@@ -16,11 +16,11 @@ let row_for cfg ~n =
     Inputs.sample_links cfg (Inputs.brite_sized cfg ~n) ~count:events
   in
   let measure make =
-    let runner = make (Inputs.brite_sized cfg ~n) in
-    let cold = runner.Sim.Runner.cold_start () in
-    let result = Protocols.Convergence.flip_links_preconverged runner ~links in
-    let msgs = Protocols.Convergence.message_counts result in
-    (Stats.mean msgs, cold.Sim.Engine.messages)
+    let result =
+      Protocols.Convergence.flip_links (make (Inputs.brite_sized cfg ~n)) ~links
+    in
+    ( Stats.mean (Protocols.Convergence.message_counts result),
+      result.Protocols.Convergence.cold.Sim.Engine.messages )
   in
   let centaur_rate, centaur_cold = measure Protocols.Centaur_net.network in
   let bgp_rate, bgp_cold =

@@ -1,26 +1,3 @@
-let add_stats (a : Sim.Engine.run_stats) (b : Sim.Engine.run_stats) =
-  { Sim.Engine.duration = a.Sim.Engine.duration +. b.Sim.Engine.duration;
-    messages = a.Sim.Engine.messages + b.Sim.Engine.messages;
-    units = a.Sim.Engine.units + b.Sim.Engine.units;
-    bytes = a.Sim.Engine.bytes + b.Sim.Engine.bytes;
-    deliveries = a.Sim.Engine.deliveries + b.Sim.Engine.deliveries;
-    losses = a.Sim.Engine.losses + b.Sim.Engine.losses;
-    events = a.Sim.Engine.events + b.Sim.Engine.events;
-    waves = a.Sim.Engine.waves + b.Sim.Engine.waves }
-
-(* Map one policy-override flip onto the compiled policy's setters and
-   return the node owed a poke. *)
-let apply_policy_change pol = function
-  | Scenario.Leak { node; on } ->
-    Policy.set_leak pol ~node on;
-    node
-  | Scenario.Claim { node; dest; on } ->
-    Policy.set_claim pol ~node ~dest on;
-    node
-  | Scenario.Corrupt { node; on } ->
-    Policy.set_corrupt pol ~node on;
-    node
-
 let run ?metrics ?policy (runner : Sim.Runner.t) ~topo
     ~(scenario : Scenario.t) ~pairs =
   let events =
@@ -52,58 +29,34 @@ let run ?metrics ?policy (runner : Sim.Runner.t) ~topo
   (* Scenario times are relative to the steady state reached by cold
      start: offset them by the engine clock so t=0 means "converged". *)
   let base = runner.Sim.Runner.now () in
-  let step t = total := add_stats !total (runner.Sim.Runner.run_until (base +. t)) in
+  let step t =
+    total :=
+      Sim.Engine.add_stats !total (runner.Sim.Runner.run_until (base +. t))
+  in
   (* Concurrent scenario events — everything sharing one timestamp —
      drain as a single delta wave: flaps coalesce, per-destination dirty
      work dedups across the members, and the observer's ground truth and
      disruption bookkeeping update once per wave instead of once per
      event. *)
-  let wave = Sim.Delta_wave.create ?metrics () in
-  let policy_change_node = function
-    | Scenario.Leak { node; _ }
-    | Scenario.Claim { node; _ }
-    | Scenario.Corrupt { node; _ } -> node
-  in
+  let wave = Delta_wave.create ?metrics () in
   let apply_wave ~at (wave_events : Scenario.event list) =
-    let has_link = ref false and disrupts = ref false in
+    let any f =
+      List.exists (fun (e : Scenario.event) -> f e.Scenario.change) wave_events
+    in
     List.iter
-      (fun (e : Scenario.event) ->
-        match e.Scenario.change with
-        | Scenario.Set_links changes ->
-          has_link := true;
-          if List.exists (fun (_, up) -> not up) changes then
-            disrupts := true;
-          List.iter
-            (fun (link_id, up) ->
-              Sim.Delta_wave.add wave
-                (Sim.Delta_wave.Set_link { link_id; up }))
-            changes
-        | Scenario.Set_loss rates ->
-          List.iter
-            (fun (link_id, rate) ->
-              Sim.Delta_wave.add wave
-                (Sim.Delta_wave.Set_loss { link_id; rate }))
-            rates
-        | Scenario.Set_policy changes ->
-          let pol = Option.get policy in
-          if List.exists Scenario.policy_change_on changes then
-            disrupts := true;
-          List.iter
-            (fun pc ->
-              Sim.Delta_wave.add wave
-                (Sim.Delta_wave.Policy_edit
-                   { node = policy_change_node pc;
-                     edit = (fun () -> ignore (apply_policy_change pol pc))
-                   }))
-            changes)
+      (fun (e : Scenario.event) -> Delta_wave.add wave e.Scenario.change)
       wave_events;
-    ignore (Sim.Delta_wave.apply wave topo runner);
+    ignore (Delta_wave.apply ?policy wave topo runner);
     (* Truth refresh only for link-state members: the Gao–Rexford truth
        of every pair is unchanged by an adversarial override, so
        hijacked and leaked forwarding keeps being judged against the
        honest baseline. *)
-    if !has_link then Observer.refresh_truth obs;
-    if !disrupts then Observer.note_disruption obs runner ~now:at
+    if
+      any (function
+        | Scenario.Set_links _ -> true
+        | Scenario.Set_loss _ | Scenario.Set_policy _ -> false)
+    then Observer.refresh_truth obs;
+    if any Scenario.disrupts then Observer.note_disruption obs runner ~now:at
   in
   (* Interleave injections and samples in time order; at equal times the
      injection applies first, so the sample observes the instant after
@@ -131,7 +84,8 @@ let run ?metrics ?policy (runner : Sim.Runner.t) ~topo
   go events 0.0;
   (* Drain whatever convergence is still in flight so the cost counters
      cover the complete scenario. *)
-  total := add_stats !total (runner.Sim.Runner.run_to_quiescence ());
+  total :=
+    Sim.Engine.add_stats !total (runner.Sim.Runner.run_to_quiescence ());
   (match metrics with
   | None -> ()
   | Some dst ->

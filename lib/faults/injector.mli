@@ -4,7 +4,7 @@
     The schedule's times are relative to the steady state reached by
     [cold_start] (t = 0 is "converged, nothing pending"). At each
     timeline point the runner is stepped with [run_until]; then {e all}
-    events sharing that timestamp drain as one {!Sim.Delta_wave} —
+    events sharing that timestamp drain as one {!Delta_wave} —
     concurrent flaps coalesce, per-destination dirty work dedups across
     the members, loss-rate updates land on the engine's seeded loss
     stream (re-seeded from the scenario seed), and the observer's ground
@@ -15,17 +15,6 @@
     scenario horizon are dropped. Fully deterministic: equal (scenario,
     topology, runner construction) triples produce byte-identical
     reports. *)
-
-val add_stats :
-  Sim.Engine.run_stats -> Sim.Engine.run_stats -> Sim.Engine.run_stats
-(** Componentwise sum — for harnesses that accumulate cost across
-    [cold_start] / [run_until] / [run_to_quiescence] segments. *)
-
-val apply_policy_change : Policy.compiled -> Scenario.policy_change -> int
-(** Map one override flip onto the compiled policy's setters and return
-    the node owed an [on_policy_change] poke. Exposed for harnesses that
-    drive a scenario's timeline themselves (the containment experiment
-    scans mid-fault state, which {!run} has no hook for). *)
 
 val run :
   ?metrics:Obs.Metrics.t ->
@@ -43,7 +32,7 @@ val run :
     [policy] must be the same compiled policy the runner was built with;
     it is required (checked up front, [Invalid_argument]) whenever the
     scenario contains policy faults. [Set_policy] members flip the
-    overrides through the {!Policy} setters in timeline order and the
+    overrides through {!Delta_wave.apply}, in timeline order, and the
     wave pokes the runner's [on_policy_change] once with the sorted,
     deduplicated node list.
     Ground truth is {e not} refreshed on policy events — adversarial

@@ -20,7 +20,7 @@ type t = {
 }
 
 (* Policy overrides are expressed over plain ints so the scenario layer
-   stays policy-type-free; the injector maps them onto the compiled
+   stays policy-type-free; Delta_wave maps them onto the compiled
    policy's setters. *)
 type policy_change =
   | Leak of { node : int; on : bool }
@@ -145,18 +145,16 @@ let compile topo s =
   in
   List.map (fun (at, _, change) -> { at; change }) sorted
 
-let policy_change_on = function
-  | Leak { on; _ } | Claim { on; _ } | Corrupt { on; _ } -> on
+let disrupts = function
+  | Set_links changes -> List.exists (fun (_, up) -> not up) changes
+  | Set_loss _ -> false
+  | Set_policy changes ->
+    List.exists
+      (function Leak { on; _ } | Claim { on; _ } | Corrupt { on; _ } -> on)
+      changes
 
 let num_disruptions events =
-  List.length
-    (List.filter
-       (fun e ->
-         match e.change with
-         | Set_links changes -> List.exists (fun (_, up) -> not up) changes
-         | Set_loss _ -> false
-         | Set_policy changes -> List.exists policy_change_on changes)
-       events)
+  List.length (List.filter (fun e -> disrupts e.change) events)
 
 (* Seeded churn generator: [flaps] link flaps at uniform times with
    exponential outage durations, plus (on topologies large enough) one

@@ -48,19 +48,24 @@ type t = {
 }
 
 (** A policy-override flip, expressed over plain ints so this layer
-    carries no policy types; the {!Injector} maps each onto the
-    corresponding {!Policy} setter and pokes the runner. *)
+    carries no policy types; {!Delta_wave.apply} maps each onto the
+    corresponding {!Policy} setter and pokes the node it names. *)
 type policy_change =
   | Leak of { node : int; on : bool }
   | Claim of { node : int; dest : int; on : bool }
   | Corrupt of { node : int; on : bool }
 
+(** The one vocabulary of external control-plane changes: compiled
+    fault timelines, synthetic update streams ([Stream.Update_stream])
+    and the containment experiment all speak it, and {!Delta_wave} is
+    its one applier. *)
 type change =
   | Set_links of (int * bool) list  (** atomic group of link flips *)
   | Set_loss of (int * float) list  (** per-link loss-rate updates *)
   | Set_policy of policy_change list  (** atomic group of override flips *)
 
 type event = { at : float; change : change }
+(** A change and its time, ms. *)
 
 val compile : Topology.t -> t -> event list
 (** Expand the faults into a timeline sorted by time (ties broken by the
@@ -69,13 +74,13 @@ val compile : Topology.t -> t -> event list
     negative times or durations, loss rates outside \[0, 1\], or
     non-positive [horizon]/[sample_every]. *)
 
-val policy_change_on : policy_change -> bool
-(** Does the flip switch its override {e on} (the disruptive edge)? *)
+val disrupts : change -> bool
+(** Does the change take at least one link down or switch a policy
+    override {e on} (the disruptive edges)? *)
 
 val num_disruptions : event list -> int
-(** Timeline events that take at least one link down or switch a policy
-    override {e on} — the denominator for per-disruption recovery
-    statistics. *)
+(** Timeline events that {!disrupts} — the denominator for
+    per-disruption recovery statistics. *)
 
 val adjacent_links : Topology.t -> int -> int list
 (** All links touching a node regardless of up/down state, ascending. *)

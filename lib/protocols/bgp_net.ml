@@ -130,6 +130,12 @@ let emit st ~mrai ~now msgs =
       in
       if mrai <= 0.0 || now >= dl then begin
         ITbl.replace st.deadline peer (now +. session_mrai mrai st.id peer);
+        (* A flush timer due at this same instant may still be queued
+           behind us: drop the updates this batch supersedes, or it
+           would re-send an older route for the prefix after ours. *)
+        (match ITbl.find_opt st.pending peer with
+        | Some pending -> List.iter (fun m -> ITbl.remove pending m.dest) batch
+        | None -> ());
         List.map (fun m -> Sim.Engine.Send (peer, m)) batch
       end
       else begin

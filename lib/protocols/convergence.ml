@@ -26,16 +26,6 @@ type group_result = {
   groups : group_sample list;
 }
 
-let zero_stats =
-  { Sim.Engine.duration = 0.0;
-    messages = 0;
-    units = 0;
-    bytes = 0;
-    deliveries = 0;
-    losses = 0;
-    events = 0;
-    waves = 0 }
-
 (* Per-run accumulation into a caller-supplied registry: counters sum
    the control-plane cost across runs, the histogram shapes the
    convergence-time distribution. Deterministic: driven only by run
@@ -60,28 +50,23 @@ let converge_counting ?metrics (runner : Sim.Runner.t) run =
   (match metrics with Some m -> record m stats ~changed | None -> ());
   (stats, changed)
 
-let do_flips ?metrics (runner : Sim.Runner.t) ~links =
-  List.map
-    (fun link_id ->
-      let down, down_changed =
-        converge_counting ?metrics runner (fun () ->
-            runner.Sim.Runner.flip ~link_id ~up:false)
-      in
-      let up, up_changed =
-        converge_counting ?metrics runner (fun () ->
-            runner.Sim.Runner.flip ~link_id ~up:true)
-      in
-      { link_id; down; up; down_changed; up_changed })
-    links
-
 let flip_links ?metrics (runner : Sim.Runner.t) ~links =
   let cold = runner.Sim.Runner.cold_start () in
-  let flips = do_flips ?metrics runner ~links in
+  let flips =
+    List.map
+      (fun link_id ->
+        let down, down_changed =
+          converge_counting ?metrics runner (fun () ->
+              runner.Sim.Runner.flip ~link_id ~up:false)
+        in
+        let up, up_changed =
+          converge_counting ?metrics runner (fun () ->
+              runner.Sim.Runner.flip ~link_id ~up:true)
+        in
+        { link_id; down; up; down_changed; up_changed })
+      links
+  in
   { protocol = runner.Sim.Runner.name; cold; flips }
-
-let flip_links_preconverged ?metrics (runner : Sim.Runner.t) ~links =
-  let flips = do_flips ?metrics runner ~links in
-  { protocol = runner.Sim.Runner.name; cold = zero_stats; flips }
 
 let flip_groups ?metrics (runner : Sim.Runner.t) ~groups =
   let g_cold = runner.Sim.Runner.cold_start () in

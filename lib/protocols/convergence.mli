@@ -55,11 +55,6 @@ val flip_links :
     [convergence.duration_ms] histogram. The returned result is
     unaffected. *)
 
-val flip_links_preconverged :
-  ?metrics:Obs.Metrics.t -> Sim.Runner.t -> links:int list -> result
-(** Like {!flip_links} for a runner whose [cold_start] already ran (the
-    [cold] field is zeroed). *)
-
 val flip_groups :
   ?metrics:Obs.Metrics.t -> Sim.Runner.t -> groups:int list list ->
   group_result

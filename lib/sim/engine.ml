@@ -1,7 +1,3 @@
-let src = Logs.Src.create "sim.engine" ~doc:"discrete-event engine"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 module Trace = Obs.Trace
 module Metrics = Obs.Metrics
 
@@ -70,6 +66,20 @@ type run_stats = {
   events : int;
   waves : int;
 }
+
+let zero_stats =
+  { duration = 0.0; messages = 0; units = 0; bytes = 0; deliveries = 0;
+    losses = 0; events = 0; waves = 0 }
+
+let add_stats a b =
+  { duration = a.duration +. b.duration;
+    messages = a.messages + b.messages;
+    units = a.units + b.units;
+    bytes = a.bytes + b.bytes;
+    deliveries = a.deliveries + b.deliveries;
+    losses = a.losses + b.losses;
+    events = a.events + b.events;
+    waves = a.waves + b.waves }
 
 (* Fills the queue's vacant payload slots. *)
 let vacant = Timer_fire { node = -1; key = -1 }
@@ -169,8 +179,6 @@ let rec perform t ~node = function
     perform t ~node rest
 
 let flip_link t ~link_id ~up =
-  Log.debug (fun m ->
-      m "t=%.3f link %d -> %s" t.clock link_id (if up then "up" else "down"));
   if (not up) && Topology.is_up t.topo link_id then
     t.epochs.(link_id) <- t.epochs.(link_id) + 1;
   Topology.set_up t.topo link_id up;
@@ -344,12 +352,6 @@ let run_core ~max_events ~since ~until t =
     end
   | None -> ());
   let m = mark t in
-  Log.debug (fun m' ->
-      m' "%s at t=%.3f: %d messages, %d events"
-        (match until with None -> "quiescent" | Some _ -> "paused")
-        t.clock
-        (m.m_messages - since.m_messages)
-        (m.m_processed - since.m_processed));
   { duration = t.clock -. start_time;
     messages = m.m_messages - since.m_messages;
     units = m.m_units - since.m_units;

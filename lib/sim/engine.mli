@@ -74,6 +74,13 @@ type run_stats = {
                           events into *)
 }
 
+val zero_stats : run_stats
+(** All counters zero: the unit of {!add_stats}. *)
+
+val add_stats : run_stats -> run_stats -> run_stats
+(** Componentwise sum — for harnesses that accumulate cost across
+    [cold_start] / [run_until] / [run_to_quiescence] segments. *)
+
 val create :
   ?trace:Obs.Trace.t ->
   ?metrics:Obs.Metrics.t ->

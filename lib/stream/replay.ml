@@ -13,24 +13,14 @@ let latency_buckets =
   [| 0.5; 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0;
      2000.0; 5000.0 |]
 
-let zero_stats =
-  { Sim.Engine.duration = 0.0;
-    messages = 0;
-    units = 0;
-    bytes = 0;
-    deliveries = 0;
-    losses = 0;
-    events = 0;
-    waves = 0 }
-
 (* Application schedule: [(apply_at, events)] groups in time order.
    Event-at-a-time applies each event at its own timestamp; a window [w]
    drains the events of ((k-1)·w, k·w] together at k·w. *)
 let schedule mode (events : Update_stream.event array) =
   let apply_at (e : Update_stream.event) =
     match mode with
-    | Event_at_a_time -> e.Update_stream.at
-    | Waves w -> w *. Float.of_int (int_of_float (ceil (e.Update_stream.at /. w)))
+    | Event_at_a_time -> e.at
+    | Waves w -> w *. Float.of_int (int_of_float (ceil (e.at /. w)))
   in
   let groups = ref [] in
   Array.iter
@@ -46,25 +36,6 @@ let schedule mode (events : Update_stream.event array) =
   (* Groups were built newest-first with each group's events newest
      first; one rev_map restores time order on both levels. *)
   List.rev_map (fun (t, g) -> (t, List.rev g)) !groups
-
-let to_wave_event policy (u : Update_stream.update) =
-  match u with
-  | Update_stream.Link { link_id; up } ->
-    Sim.Delta_wave.Set_link { link_id; up }
-  | Update_stream.Loss { link_id; rate } ->
-    Sim.Delta_wave.Set_loss { link_id; rate }
-  | Update_stream.Policy pc ->
-    let pol = Option.get policy in
-    let node =
-      match pc with
-      | Faults.Scenario.Leak { node; _ }
-      | Faults.Scenario.Claim { node; _ }
-      | Faults.Scenario.Corrupt { node; _ } -> node
-    in
-    Sim.Delta_wave.Policy_edit
-      { node;
-        edit = (fun () -> ignore (Faults.Injector.apply_policy_change pol pc))
-      }
 
 let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
     (runner : Sim.Runner.t) =
@@ -100,50 +71,25 @@ let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
       (List.rev !outstanding);
     outstanding := []
   in
-  let total = ref zero_stats in
-  let step stats = total := Faults.Injector.add_stats !total stats in
-  let wave_acc = Sim.Delta_wave.create ?metrics () in
+  let total = ref Sim.Engine.zero_stats in
+  let step stats = total := Sim.Engine.add_stats !total stats in
+  let wave_acc = Faults.Delta_wave.create ?metrics () in
   let waves = ref 0 in
   let cancelled = ref 0 in
   let idx = ref 0 in
-  let apply_group evs =
-    match mode with
-    | Event_at_a_time ->
-      List.iter
-        (fun (e : Update_stream.event) ->
-          (match e.Update_stream.update with
-          | Update_stream.Link { link_id; up } ->
-            runner.Sim.Runner.inject [ (link_id, up) ]
-          | Update_stream.Loss { link_id; rate } ->
-            runner.Sim.Runner.set_loss ~link_id ~rate
-          | Update_stream.Policy pc ->
-            let node =
-              Faults.Injector.apply_policy_change (Option.get policy) pc
-            in
-            runner.Sim.Runner.on_policy_change [ node ]);
-          incr waves)
-        evs
-    | Waves _ ->
-      List.iter
-        (fun (e : Update_stream.event) ->
-          Sim.Delta_wave.add wave_acc
-            (to_wave_event policy e.Update_stream.update))
-        evs;
-      let w = Sim.Delta_wave.apply wave_acc topo runner in
-      incr waves;
-      cancelled := !cancelled + w.Sim.Delta_wave.cancelled
-  in
   List.iter
     (fun (t_app, evs) ->
       step (runner.Sim.Runner.run_until (base +. t_app));
       if runner.Sim.Runner.pending_events () = 0 then flush_stamps ();
-      apply_group evs;
       List.iter
         (fun (e : Update_stream.event) ->
-          outstanding :=
-            (!idx, base +. e.Update_stream.at, base +. t_app) :: !outstanding;
+          Faults.Delta_wave.add wave_acc e.change;
+          outstanding := (!idx, base +. e.at, base +. t_app) :: !outstanding;
           incr idx)
-        evs)
+        evs;
+      let w = Faults.Delta_wave.apply ?policy wave_acc topo runner in
+      incr waves;
+      cancelled := !cancelled + w.Faults.Delta_wave.cancelled)
     (schedule mode (Update_stream.events stream));
   step (runner.Sim.Runner.run_to_quiescence ());
   flush_stamps ();

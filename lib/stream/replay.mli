@@ -5,22 +5,24 @@
     Both modes apply the same events at the same relative times and
     converge the network fully at the end, so for loss-free streams the
     final forwarding state is identical — the QCheck property pinned in
-    the test suite. What differs is the work: [Event_at_a_time] pays one
-    injection and one convergence wavefront per event (the PR-2
-    baseline), [Waves w] accumulates each window of [w] ms into a
-    {!Sim.Delta_wave} and drains one coalesced wave per window. *)
+    the test suite. Both drain every group of events through a
+    {!Faults.Delta_wave}; what differs is the grouping, and so the work:
+    [Event_at_a_time] drains a one-event wave per event, paying one
+    injection and one convergence wavefront each, while [Waves w]
+    accumulates each window of [w] ms and drains one coalesced wave per
+    window. *)
 
 type mode =
-  | Event_at_a_time  (** every event is its own injection at its own
+  | Event_at_a_time  (** every event is its own wave at its own
                          timestamp *)
   | Waves of float   (** events of ((k-1)·w, k·w] drain together at k·w *)
 
 type outcome = {
   events : int;    (** stream events ingested *)
-  waves : int;     (** applications: one per event, or one per
+  waves : int;     (** waves drained: one per event, or one per
                        non-empty window *)
-  cancelled : int; (** link events coalesced away (always 0
-                       event-at-a-time) *)
+  cancelled : int; (** link events coalesced away (0 event-at-a-time:
+                       a generated stream never repeats a link's state) *)
   stats : Sim.Engine.run_stats;
       (** summed over the whole replay, cold start excluded *)
   latencies : float array;

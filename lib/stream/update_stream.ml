@@ -1,9 +1,6 @@
-type update =
-  | Link of { link_id : int; up : bool }
-  | Policy of Faults.Scenario.policy_change
-  | Loss of { link_id : int; rate : float }
+module Scenario = Faults.Scenario
 
-type event = { at : float; update : update }
+type event = Scenario.event
 
 type t = {
   seed : int;
@@ -18,7 +15,10 @@ let num_events t = Array.length t.events
 
 let has_policy_events t =
   Array.exists
-    (fun e -> match e.update with Policy _ -> true | _ -> false)
+    (fun (e : event) ->
+      match e.change with
+      | Scenario.Set_policy _ -> true
+      | Scenario.Set_links _ | Scenario.Set_loss _ -> false)
     t.events
 
 (* How many times to re-draw a busy link/node before giving the arrival
@@ -40,7 +40,7 @@ let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
     invalid_arg "Update_stream.generate: topology has no links";
   let rng = Rng.create seed in
   let events = ref [] in
-  let push at update = events := { at; update } :: !events in
+  let push at change = events := { Scenario.at; change } :: !events in
   (* A link (or policy node) is busy while its paired restore event is
      still ahead: generating only on free resources keeps every
      transition real — per-resource sequences strictly alternate — so
@@ -71,21 +71,21 @@ let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
           let on, off =
             match Rng.int_in rng 0 2 with
             | 0 ->
-              ( Faults.Scenario.Leak { node; on = true },
-                Faults.Scenario.Leak { node; on = false } )
+              ( Scenario.Leak { node; on = true },
+                Scenario.Leak { node; on = false } )
             | 1 ->
               let dest =
                 let d = Rng.int_in rng 0 (num_nodes - 2) in
                 if d >= node then d + 1 else d
               in
-              ( Faults.Scenario.Claim { node; dest; on = true },
-                Faults.Scenario.Claim { node; dest; on = false } )
+              ( Scenario.Claim { node; dest; on = true },
+                Scenario.Claim { node; dest; on = false } )
             | _ ->
-              ( Faults.Scenario.Corrupt { node; on = true },
-                Faults.Scenario.Corrupt { node; on = false } )
+              ( Scenario.Corrupt { node; on = true },
+                Scenario.Corrupt { node; on = false } )
           in
-          push t (Policy on);
-          push (t +. hold) (Policy off)
+          push t (Scenario.Set_policy [ on ]);
+          push (t +. hold) (Scenario.Set_policy [ off ])
       end
       else if kind < policy_share +. loss_share then begin
         match find_free link_free num_links t attempts with
@@ -93,8 +93,8 @@ let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
         | Some link_id ->
           let hold = Rng.exponential rng flap_hold in
           link_free.(link_id) <- t +. hold;
-          push t (Loss { link_id; rate = loss_rate });
-          push (t +. hold) (Loss { link_id; rate = 0.0 })
+          push t (Scenario.Set_loss [ (link_id, loss_rate) ]);
+          push (t +. hold) (Scenario.Set_loss [ (link_id, 0.0) ])
       end
       else begin
         match find_free link_free num_links t attempts with
@@ -102,8 +102,8 @@ let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
         | Some link_id ->
           let hold = Rng.exponential rng flap_hold in
           link_free.(link_id) <- t +. hold;
-          push t (Link { link_id; up = false });
-          push (t +. hold) (Link { link_id; up = true })
+          push t (Scenario.Set_links [ (link_id, false) ]);
+          push (t +. hold) (Scenario.Set_links [ (link_id, true) ])
       end
     end
   done;
@@ -111,5 +111,5 @@ let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
   (* Restore events trail their outage, so arrival order is not time
      order; the sort is stable, so equal-time events keep generation
      order and replay is fully deterministic. *)
-  Array.stable_sort (fun e1 e2 -> compare e1.at e2.at) arr;
+  Array.stable_sort (fun (e1 : event) (e2 : event) -> compare e1.at e2.at) arr;
   { seed; rate; duration; events = arr }

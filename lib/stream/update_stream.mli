@@ -12,12 +12,10 @@
     every generated transition is real. Restores trail the arrival
     window: a stream of [duration] D may carry events past D. *)
 
-type update =
-  | Link of { link_id : int; up : bool }
-  | Policy of Faults.Scenario.policy_change
-  | Loss of { link_id : int; rate : float }
-
-type event = { at : float; update : update }
+type event = Faults.Scenario.event
+(** Each generated event carries a one-entry group:
+    [Set_links \[ (link, up) \]], [Set_loss \[ (link, rate) \]] or
+    [Set_policy \[ change \]]. *)
 
 type t = {
   seed : int;

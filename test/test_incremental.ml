@@ -153,6 +153,23 @@ let bgp_rcn ~trace topo = Protocols.Bgp_net.network ~rcn:true ~trace topo
 let ospf ~incremental ~trace topo =
   Protocols.Ospf_net.network ~incremental ~trace topo
 
+(* Pinned MRAI race (a churned == fresh counterexample): at t=161.348
+   a delivery batch at node 10 re-selects 10,1,7 and sends it to 11
+   through an open gate, while 10's flush timer toward 11, due at that
+   same instant and queued behind the batch, still holds an older
+   route for 7. Unless the open-gate send drops it, the timer re-sends
+   it; 11 keeps the stale path, and 10's Adj-RIB-Out already records
+   10,1,7, so no correction ever follows. *)
+let test_bgp_mrai_same_instant () =
+  let topo = random_brite ~seed:6745 ~n:nodes ~m:2 in
+  let runner = bgp ~incremental:true ~trace:Obs.Trace.none topo in
+  ignore (runner.Sim.Runner.cold_start ());
+  ignore (runner.Sim.Runner.flip ~link_id:11 ~up:false);
+  ignore (runner.Sim.Runner.flip_many [ (9, false); (12, false) ]);
+  ignore (runner.Sim.Runner.flip ~link_id:12 ~up:true);
+  check_path_opt "node 11 routes to 7 via 10" (Some [ 11; 10; 1; 7 ])
+    (runner.Sim.Runner.path ~src:11 ~dest:7)
+
 (* Deterministic spot check of the observer's verdict cache riding the
    same feed, read through its Obs.Metrics counters: a second sample
    with no traffic in between replays every verdict from cache; a wave
@@ -179,9 +196,9 @@ let test_observer_cache () =
   Alcotest.(check int) "quiet sample all cached" 3 (cached1 - cached0);
   Alcotest.(check int) "quiet sample no fresh walks" fresh0 fresh1;
   (* The next fault wave invalidates the verdict cache wholesale. *)
-  let wave = Sim.Delta_wave.create () in
-  Sim.Delta_wave.add wave (Sim.Delta_wave.Set_link { link_id = 0; up = false });
-  ignore (Sim.Delta_wave.apply wave topo runner);
+  let wave = Faults.Delta_wave.create () in
+  Faults.Delta_wave.add wave (Faults.Scenario.Set_links [ (0, false) ]);
+  ignore (Faults.Delta_wave.apply wave topo runner);
   Faults.Observer.refresh_truth obs;
   Faults.Observer.sample obs runner ~now:10.0;
   let fresh2 = fresh () in
@@ -201,4 +218,6 @@ let suite =
       (changed_dests_sound ~name:"bgp" (bgp ~incremental:true));
     QCheck_alcotest.to_alcotest
       (changed_dests_sound ~name:"ospf" (ospf ~incremental:true));
+    Alcotest.test_case "bgp: MRAI timer vs same-instant send" `Quick
+      test_bgp_mrai_same_instant;
     Alcotest.test_case "observer verdict cache" `Quick test_observer_cache ]

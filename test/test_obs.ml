@@ -3,7 +3,8 @@
    as zero — the law that makes pool-parallel aggregation independent of
    scheduling), the domain-invariance of Static.analyze's registry, the
    invariant checker both as an oracle on real runs and as a detector of
-   seeded corruptions, and the golden fig-2a trace digest. *)
+   seeded corruptions. The golden fig-2a trace digest is checked by
+   gen_trace_baseline.ml's runtest rule. *)
 
 module T = Obs.Trace
 module M = Obs.Metrics
@@ -289,40 +290,6 @@ let test_truncated_degrades () =
        (fun v -> v.Obs.Check.invariant)
        r.Obs.Check.violations)
 
-(* --- golden fig-2a failover trace --- *)
-
-let link_bd = 2 (* figure2a link ids, in declaration order *)
-
-(* Must match test/gen_trace_baseline.ml, which regenerates the
-   committed baseline:
-     dune exec test/gen_trace_baseline.exe > test/trace-baseline.txt *)
-let fig2a_trace () =
-  let trace = T.create () in
-  let topo = Fixtures.figure2a () in
-  let runner = Protocols.Centaur_net.network ~trace topo in
-  ignore (runner.Sim.Runner.cold_start ());
-  ignore (runner.Sim.Runner.flip ~link_id:link_bd ~up:false);
-  ignore (runner.Sim.Runner.flip ~link_id:link_bd ~up:true);
-  trace
-
-let test_golden_fig2a () =
-  let trace = fig2a_trace () in
-  Obs.Check.expect_ok ~what:"fig2a centaur failover" trace;
-  let baseline =
-    (* dune runtest sandboxes the file next to the executable; direct
-       `dune exec test/test_main.exe` runs from the repo root. *)
-    let path =
-      if Sys.file_exists "trace-baseline.txt" then "trace-baseline.txt"
-      else "test/trace-baseline.txt"
-    in
-    In_channel.with_open_text path In_channel.input_all
-  in
-  (* The digest is timestamp-free, so this only moves when the event
-     sequence itself changes — regenerate with gen_trace_baseline.exe
-     and review the diff like any other semantic change. *)
-  Alcotest.(check string) "fig2a digest matches baseline" baseline
-    (T.digest trace)
-
 let suite =
   [ Alcotest.test_case "disabled sink is inert" `Quick test_disabled_sink;
     Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
@@ -338,5 +305,4 @@ let suite =
     QCheck_alcotest.to_alcotest analyze_domain_invariant;
     Alcotest.test_case "checker catches corruptions" `Quick check_catches;
     Alcotest.test_case "checker degrades when truncated" `Quick
-      test_truncated_degrades;
-    Alcotest.test_case "golden fig2a trace" `Quick test_golden_fig2a ]
+      test_truncated_degrades ]

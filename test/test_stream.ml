@@ -10,6 +10,8 @@
    [run_until] calls changes nothing. *)
 
 open Helpers
+module Delta_wave = Faults.Delta_wave
+module Scenario = Faults.Scenario
 
 let nodes = 12
 
@@ -65,6 +67,31 @@ let equivalence ~name ~policy_share make_runner =
     QCheck.(int_bound 10_000)
     (equivalent_at ~policy_share make_runner)
 
+(* Event-at-a-time replay drains one-event waves. The generator only
+   schedules a change on a free resource, so no generated change is a
+   no-op: no one-event wave may cancel, and each event is its own wave —
+   exactly the injections of applying every event directly. *)
+let event_waves_never_cancel =
+  QCheck.Test.make ~name:"event-at-a-time: one-event waves never cancel"
+    ~count:(qcheck_count 10)
+    QCheck.(
+      quad (int_bound 10_000) (float_range 0.05 1.0) (float_range 0.0 0.5)
+        (float_range 0.0 0.5))
+    (fun (seed, rate, policy_share, loss_share) ->
+      let topo = random_brite ~seed ~n:nodes ~m:2 in
+      let policy = Policy.default () in
+      let runner = Protocols.Centaur_net.network ~policy topo in
+      let stream =
+        Stream.Update_stream.generate ~seed:(seed + 5) ~rate ~duration:50.0
+          ~flap_hold:10.0 ~policy_share ~loss_share topo
+      in
+      let o =
+        Stream.Replay.replay ~policy ~topo ~stream
+          ~mode:Stream.Replay.Event_at_a_time runner
+      in
+      o.Stream.Replay.cancelled = 0
+      && o.Stream.Replay.waves = o.Stream.Replay.events)
+
 let centaur ~policy topo = Protocols.Centaur_net.network ~policy topo
 
 let bgp ~policy topo = Protocols.Bgp_net.network ~policy topo
@@ -94,13 +121,13 @@ let test_flap_cancels () =
   let runner = Protocols.Centaur_net.network topo in
   ignore (runner.Sim.Runner.cold_start ());
   let before = forwarding_snapshot 10 runner in
-  let acc = Sim.Delta_wave.create () in
-  Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id = 0; up = false });
-  Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id = 0; up = true });
-  let w = Sim.Delta_wave.apply acc topo runner in
-  Alcotest.(check int) "both events seen" 2 w.Sim.Delta_wave.events_seen;
-  Alcotest.(check int) "flap cancelled" 2 w.Sim.Delta_wave.cancelled;
-  Alcotest.(check int) "no surviving flips" 0 w.Sim.Delta_wave.link_sets;
+  let acc = Delta_wave.create () in
+  Delta_wave.add acc (Scenario.Set_links [ (0, false) ]);
+  Delta_wave.add acc (Scenario.Set_links [ (0, true) ]);
+  let w = Delta_wave.apply acc topo runner in
+  Alcotest.(check int) "both events seen" 2 w.Delta_wave.events_seen;
+  Alcotest.(check int) "flap cancelled" 2 w.Delta_wave.cancelled;
+  Alcotest.(check int) "no surviving flips" 0 w.Delta_wave.link_sets;
   Alcotest.(check int) "nothing queued" 0 (runner.Sim.Runner.pending_events ());
   let stats = runner.Sim.Runner.run_to_quiescence () in
   Alcotest.(check int) "no traffic" 0 stats.Sim.Engine.messages;
@@ -113,18 +140,37 @@ let test_redundant_and_last_wins () =
   let topo = random_brite ~seed:4 ~n:10 ~m:2 in
   let runner = Protocols.Centaur_net.network topo in
   ignore (runner.Sim.Runner.cold_start ());
-  let acc = Sim.Delta_wave.create () in
+  let acc = Delta_wave.create () in
   (* up -> up: redundant; down, up, down: net transition down. *)
-  Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id = 1; up = true });
-  Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id = 2; up = false });
-  Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id = 2; up = true });
-  Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id = 2; up = false });
-  let w = Sim.Delta_wave.apply acc topo runner in
-  Alcotest.(check int) "one surviving flip" 1 w.Sim.Delta_wave.link_sets;
-  Alcotest.(check int) "three cancelled" 3 w.Sim.Delta_wave.cancelled;
+  Delta_wave.add acc (Scenario.Set_links [ (1, true) ]);
+  Delta_wave.add acc (Scenario.Set_links [ (2, false) ]);
+  Delta_wave.add acc (Scenario.Set_links [ (2, true) ]);
+  Delta_wave.add acc (Scenario.Set_links [ (2, false) ]);
+  let w = Delta_wave.apply acc topo runner in
+  Alcotest.(check int) "one surviving flip" 1 w.Delta_wave.link_sets;
+  Alcotest.(check int) "three cancelled" 3 w.Delta_wave.cancelled;
   ignore (runner.Sim.Runner.run_to_quiescence ());
   Alcotest.(check bool) "link 2 is down" false (Topology.is_up topo 2);
   Alcotest.(check bool) "link 1 stayed up" true (Topology.is_up topo 1)
+
+(* A window holding an override but no [~policy] is refused before
+   anything is injected: the link flip queued ahead of it never lands. *)
+let test_apply_needs_policy () =
+  let topo = random_brite ~seed:3 ~n:10 ~m:2 in
+  let runner = Protocols.Centaur_net.network topo in
+  ignore (runner.Sim.Runner.cold_start ());
+  let acc = Delta_wave.create () in
+  Delta_wave.add acc (Scenario.Set_links [ (0, false) ]);
+  Delta_wave.add acc
+    (Scenario.Set_policy [ Scenario.Leak { node = 1; on = true } ]);
+  (match Delta_wave.apply acc topo runner with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "override applied without a policy");
+  Alcotest.(check int) "nothing queued" 0 (runner.Sim.Runner.pending_events ());
+  for l = 0 to Topology.num_links topo - 1 do
+    Alcotest.(check bool) (Printf.sprintf "link %d still up" l) true
+      (Topology.is_up topo l)
+  done
 
 (* Hand-built stream: an SRLG-style correlated cut whose members land on
    both sides of a window boundary (two links just before t=8, one just
@@ -132,18 +178,15 @@ let test_redundant_and_last_wins () =
    state, draining exactly three waves. *)
 let test_srlg_across_boundary () =
   let mk_stream () =
-    let ev at update = { Stream.Update_stream.at; update } in
+    let ev at link_id up =
+      { Scenario.at; change = Scenario.Set_links [ (link_id, up) ] }
+    in
     { Stream.Update_stream.seed = 0;
       rate = 1.0;
       duration = 40.0;
       events =
-        [| ev 7.8 (Stream.Update_stream.Link { link_id = 4; up = false });
-           ev 7.9 (Stream.Update_stream.Link { link_id = 5; up = false });
-           ev 8.1 (Stream.Update_stream.Link { link_id = 6; up = false });
-           ev 30.0 (Stream.Update_stream.Link { link_id = 4; up = true });
-           ev 30.5 (Stream.Update_stream.Link { link_id = 5; up = true });
-           ev 31.0 (Stream.Update_stream.Link { link_id = 6; up = true })
-        |] }
+        [| ev 7.8 4 false; ev 7.9 5 false; ev 8.1 6 false; ev 30.0 4 true;
+           ev 30.5 5 true; ev 31.0 6 true |] }
   in
   let run mode =
     let topo = random_brite ~seed:7 ~n:nodes ~m:2 in
@@ -175,21 +218,17 @@ let test_policy_with_adjacent_flip () =
       | Some link_id -> link_id
       | None -> Alcotest.fail "node 1 has no neighbors"
     in
-    let ev at update = { Stream.Update_stream.at; update } in
+    let ev at change = { Scenario.at; change } in
+    let leak on = Scenario.Set_policy [ Scenario.Leak { node = leaker; on } ] in
     let stream =
       { Stream.Update_stream.seed = 0;
         rate = 1.0;
         duration = 40.0;
         events =
-          [| ev 5.0
-               (Stream.Update_stream.Policy
-                  (Faults.Scenario.Leak { node = leaker; on = true }));
-             ev 5.5 (Stream.Update_stream.Link { link_id; up = false });
-             ev 25.0 (Stream.Update_stream.Link { link_id; up = true });
-             ev 26.0
-               (Stream.Update_stream.Policy
-                  (Faults.Scenario.Leak { node = leaker; on = false }))
-          |] }
+          [| ev 5.0 (leak true);
+             ev 5.5 (Scenario.Set_links [ (link_id, false) ]);
+             ev 25.0 (Scenario.Set_links [ (link_id, true) ]);
+             ev 26.0 (leak false) |] }
     in
     ignore (Stream.Replay.replay ~policy:pol ~topo ~stream ~mode runner);
     runner
@@ -214,8 +253,8 @@ let test_generator_deterministic () =
   let prev = ref neg_infinity in
   Array.iter
     (fun (e : Stream.Update_stream.event) ->
-      if e.Stream.Update_stream.at < !prev then sorted := false;
-      prev := e.Stream.Update_stream.at)
+      if e.Scenario.at < !prev then sorted := false;
+      prev := e.Scenario.at)
     (Stream.Update_stream.events a);
   Alcotest.(check bool) "sorted by time" true !sorted;
   (* Per-link transitions strictly alternate: generation only flaps free
@@ -224,8 +263,8 @@ let test_generator_deterministic () =
   let alternates = ref true in
   Array.iter
     (fun (e : Stream.Update_stream.event) ->
-      match e.Stream.Update_stream.update with
-      | Stream.Update_stream.Link { link_id; up } ->
+      match e.Scenario.change with
+      | Scenario.Set_links [ (link_id, up) ] ->
         (match Hashtbl.find_opt last link_id with
         | Some prev when prev = up -> alternates := false
         | _ -> ());
@@ -309,11 +348,10 @@ let test_split_stepping_composition () =
   let events = Stream.Update_stream.events stream in
   let horizon =
     Array.fold_left
-      (fun acc (e : Stream.Update_stream.event) ->
-        Float.max acc e.Stream.Update_stream.at)
+      (fun acc (e : Stream.Update_stream.event) -> Float.max acc e.Scenario.at)
       0.0 events
   in
-  let acc = Sim.Delta_wave.create () in
+  let acc = Delta_wave.create () in
   let i = ref 0 in
   let nwin = int_of_float (ceil (horizon /. window)) in
   for k = 1 to nwin do
@@ -323,21 +361,14 @@ let test_split_stepping_composition () =
         (runner_b.Sim.Runner.run_until
            (base +. t -. window +. (window *. float_of_int s /. 4.0)))
     done;
-    while
-      !i < Array.length events
-      && events.(!i).Stream.Update_stream.at <= t
-    do
-      (match events.(!i).Stream.Update_stream.update with
-      | Stream.Update_stream.Link { link_id; up } ->
-        Sim.Delta_wave.add acc (Sim.Delta_wave.Set_link { link_id; up })
-      | Stream.Update_stream.Loss { link_id; rate } ->
-        Sim.Delta_wave.add acc (Sim.Delta_wave.Set_loss { link_id; rate })
-      | Stream.Update_stream.Policy _ ->
-        Alcotest.fail "link-only stream expected");
+    (* A policy change would make [apply] raise: the stream must be
+       link/loss only. *)
+    while !i < Array.length events && events.(!i).Scenario.at <= t do
+      Delta_wave.add acc events.(!i).Scenario.change;
       incr i
     done;
-    if not (Sim.Delta_wave.is_empty acc) then
-      ignore (Sim.Delta_wave.apply acc topo_b runner_b)
+    if not (Delta_wave.is_empty acc) then
+      ignore (Delta_wave.apply acc topo_b runner_b)
   done;
   ignore (runner_b.Sim.Runner.run_to_quiescence ());
   Alcotest.(check bool) "split stepping == driver replay" true
@@ -370,4 +401,7 @@ let suite =
     Alcotest.test_case "latency stamps cover every update" `Quick
       test_latency_stamps;
     Alcotest.test_case "split run_until stepping composes" `Quick
-      test_split_stepping_composition ]
+      test_split_stepping_composition;
+    QCheck_alcotest.to_alcotest event_waves_never_cancel;
+    Alcotest.test_case "override without a policy injects nothing" `Quick
+      test_apply_needs_policy ]
