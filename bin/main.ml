@@ -82,8 +82,8 @@ let exp_cmd =
   let trace_digest_t =
     let doc =
       "Run instrumented experiments with tracing enabled and write \
-       per-run normalized trace digests to $(docv) (the CI determinism \
-       gate diffs two such files)."
+       per-run normalized trace digests to $(docv) (same seed, same \
+       file, at any domain count)."
     in
     Arg.(
       value
@@ -119,11 +119,16 @@ let exp_cmd =
         [ ("caida", Experiments.Inputs.caida cfg);
           ("hetop", Experiments.Inputs.hetop cfg);
           ("brite", Experiments.Inputs.brite cfg) ];
+    let batch = Experiments.Registry.batch cfg in
     let run_one (e : Experiments.Registry.entry) =
+      let t0 = Unix.gettimeofday () in
       Printf.printf "== %s: %s ==\n%!" e.Experiments.Registry.id
         e.Experiments.Registry.title;
-      print_string (e.Experiments.Registry.run cfg);
-      print_newline ()
+      print_string (e.Experiments.Registry.run batch);
+      print_newline ();
+      (* Wall time is environment noise: stderr keeps stdout diffable. *)
+      Printf.eprintf "(%s regenerated in %.1fs)\n%!" e.Experiments.Registry.id
+        (Unix.gettimeofday () -. t0)
     in
     if id = "all" then
       or_diverged (fun () ->
@@ -174,7 +179,7 @@ let gen_cmd =
   in
   let run model n out seed =
     let rng = Rng.create seed in
-    let topo =
+    let generate () =
       match model with
       | "caida" -> Some (As_gen.generate rng (As_gen.caida_like ~n))
       | "hetop" -> Some (As_gen.generate rng (As_gen.hetop_like ~n))
@@ -182,7 +187,12 @@ let gen_cmd =
         Some (Brite.annotated rng ~n ~m:2 ~max_delay:5.0 ~num_tiers:4)
       | _ -> None
     in
-    match topo with
+    (* The generators reject sizes their model cannot build. *)
+    match generate () with
+    | exception Invalid_argument msg ->
+      `Error
+        ( false,
+          Printf.sprintf "cannot generate a %d-node %s topology: %s" n model msg )
     | None ->
       `Error (false, Printf.sprintf "unknown model %S (caida|hetop|brite)" model)
     | Some topo ->
@@ -229,17 +239,24 @@ let topo_pos_t =
   let doc = "Topology file (produced by $(b,gen))." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TOPOLOGY" ~doc)
 
-let node_t =
-  let doc = "Node id." in
-  Arg.(value & opt int 0 & info [ "node" ] ~docv:"NODE" ~doc)
-
-let routes_cmd =
-  let run path node =
+(* A topology file and one of its node ids, range-checked on load. *)
+let topo_node_t =
+  let node_t =
+    let doc = "Node id." in
+    Arg.(value & opt int 0 & info [ "node" ] ~docv:"NODE" ~doc)
+  in
+  let load path node =
     let topo = read_topology path in
     if node < 0 || node >= Topology.num_nodes topo then begin
       Printf.eprintf "error: node %d out of range\n" node;
       exit 1
     end;
+    (topo, node)
+  in
+  Term.(const load $ topo_pos_t $ node_t)
+
+let routes_cmd =
+  let run (topo, node) =
     let paths = Solver.path_set_from topo ~src:node in
     Printf.printf "# %d selected routes of node %d\n" (List.length paths) node;
     List.iter
@@ -254,13 +271,12 @@ let routes_cmd =
       paths
   in
   let doc = "Print a node's selected Gao-Rexford routes." in
-  Cmd.v (Cmd.info "routes" ~doc) Term.(const run $ topo_pos_t $ node_t)
+  Cmd.v (Cmd.info "routes" ~doc) Term.(const run $ topo_node_t)
 
 (* --- pgraph --- *)
 
 let pgraph_cmd =
-  let run path node =
-    let topo = read_topology path in
+  let run (topo, node) =
     let g = Centaur.Static.pgraph_of_source topo ~src:node in
     Format.printf "%a@." Centaur.Pgraph.pp g;
     Printf.printf "links: %d, permission lists: %d\n"
@@ -268,7 +284,7 @@ let pgraph_cmd =
       (Centaur.Pgraph.num_permission_lists g)
   in
   let doc = "Print a node's local P-graph (links, counters, Permission Lists)." in
-  Cmd.v (Cmd.info "pgraph" ~doc) Term.(const run $ topo_pos_t $ node_t)
+  Cmd.v (Cmd.info "pgraph" ~doc) Term.(const run $ topo_node_t)
 
 (* --- simulate --- *)
 
@@ -309,8 +325,8 @@ let simulate_cmd =
     Arg.(value & opt string "centaur" & info [ "protocol" ] ~docv:"PROTO" ~doc)
   in
   let link_t =
-    let doc = "Link id to flip (down then up). -1 picks the first link." in
-    Arg.(value & opt int (-1) & info [ "link" ] ~docv:"LINK" ~doc)
+    let doc = "Link id to flip (down then up)." in
+    Arg.(value & opt int 0 & info [ "link" ] ~docv:"LINK" ~doc)
   in
   let trace_out_t =
     let doc = "Write the run's event trace to $(docv) as JSON Lines." in
@@ -447,8 +463,7 @@ let simulate_cmd =
               if metrics then print_string (Obs.Metrics.render reg);
               finish ())
       | None ->
-        let link = if link < 0 then 0 else link in
-        if link >= Topology.num_links topo then
+        if link < 0 || link >= Topology.num_links topo then
           `Error (false, Printf.sprintf "link %d out of range" link)
         else
           or_diverged ~verdict (fun () ->

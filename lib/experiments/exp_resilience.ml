@@ -26,9 +26,6 @@ type result = {
   pairs : int;
   horizon : float;
   rows : agg list;  (* centaur, bgp, ospf — fixed order *)
-  digests : (string * string array) list;
-      (* protocol -> per-scenario trace digest (MD5 of the normalized
-         digest text); [] unless the config asks for trace digests *)
   registries : (string * Obs.Metrics.t) list;
       (* protocol -> merged per-run metrics; [] unless emit_metrics *)
 }
@@ -133,20 +130,6 @@ let run cfg =
                 per_scenario)))
       names
   in
-  let digests =
-    if cfg.Config.trace_digest = None then []
-    else
-      List.mapi
-        (fun p name ->
-          ( name,
-            Array.map
-              (fun reports ->
-                match nth_run reports p with
-                | _, Some d, _ -> d
-                | _, None, _ -> "-")
-              per_scenario ))
-        names
-  in
   (* Scenario registries merge in index order; the merge is commutative
      and associative, so the pooled scheduling can't change the result. *)
   let registries =
@@ -164,23 +147,26 @@ let run cfg =
           (name, dst))
         names
   in
+  (* Per protocol, one MD5 of each scenario's normalized trace digest. *)
   (match cfg.Config.trace_digest with
   | None -> ()
   | Some path ->
     let oc = open_out path in
-    List.iter
-      (fun (name, ds) ->
+    List.iteri
+      (fun p name ->
         Array.iteri
-          (fun i d ->
-            Printf.fprintf oc "scenario=%d protocol=%s digest=%s\n" i name d)
-          ds)
-      digests;
+          (fun i reports ->
+            match nth_run reports p with
+            | _, Some d, _ ->
+              Printf.fprintf oc "scenario=%d protocol=%s digest=%s\n" i name d
+            | _, None, _ -> ())
+          per_scenario)
+      names;
     close_out oc);
   { scenarios = cfg.Config.resilience_scenarios;
     pairs = List.length pairs;
     horizon = cfg.Config.resilience_horizon;
     rows;
-    digests;
     registries }
 
 let find_row r name = List.find (fun a -> a.protocol = name) r.rows
@@ -251,10 +237,4 @@ let render r =
           if line <> "" then Buffer.add_string buf ("    " ^ line ^ "\n"))
         (String.split_on_char '\n' (Obs.Metrics.render m)))
     r.registries;
-  List.iter
-    (fun (name, ds) ->
-      Buffer.add_string buf (Printf.sprintf "  trace-digests[%s]:" name);
-      Array.iter (fun d -> Buffer.add_string buf (" " ^ d)) ds;
-      Buffer.add_string buf "\n")
-    r.digests;
   Buffer.contents buf

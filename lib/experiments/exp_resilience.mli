@@ -29,9 +29,6 @@ type result = {
   pairs : int;
   horizon : float;
   rows : agg list;  (** centaur, bgp, ospf *)
-  digests : (string * string array) list;
-      (** per protocol, one MD5 of each scenario's normalized trace
-          digest; [[]] unless [Config.trace_digest] is set *)
   registries : (string * Obs.Metrics.t) list;
       (** per protocol, the scenario registries merged in index order;
           [[]] unless [Config.emit_metrics] *)
@@ -39,9 +36,10 @@ type result = {
 
 val run : Config.t -> result
 (** When [Config.trace_digest] is [Some path], every protocol run is
-    traced and the per-run digests are also written to [path] (the CI
-    determinism gate diffs two such files). The aggregate rows are
-    unaffected by either observability option. *)
+    traced and one MD5 of each run's normalized trace digest is written
+    to [path] (identical for the same seed at any domain count). The
+    aggregate rows, and {!render}, are unaffected by either
+    observability option. *)
 
 val find_row : result -> string -> agg
 (** Raises [Not_found] on an unknown protocol name. *)

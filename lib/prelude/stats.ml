@@ -26,8 +26,6 @@ let variance xs =
     sq /. float_of_int n
   end
 
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty array";
   Array.fold_left

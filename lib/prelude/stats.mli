@@ -15,8 +15,6 @@ val geometric_mean : float array -> float
 val variance : float array -> float
 (** Population variance; [nan] on an empty array. *)
 
-val stddev : float array -> float
-
 val min_max : float array -> float * float
 (** Raises [Invalid_argument] on an empty array. *)
 

@@ -2,28 +2,12 @@ type flip_sample = {
   link_id : int;
   down : Sim.Engine.run_stats;
   up : Sim.Engine.run_stats;
-  down_changed : int;
-  up_changed : int;
 }
 
 type result = {
   protocol : string;
   cold : Sim.Engine.run_stats;
   flips : flip_sample list;
-}
-
-type group_sample = {
-  links : int list;
-  g_down : Sim.Engine.run_stats;
-  g_up : Sim.Engine.run_stats;
-  g_down_changed : int;
-  g_up_changed : int;
-}
-
-type group_result = {
-  g_protocol : string;
-  g_cold : Sim.Engine.run_stats;
-  groups : group_sample list;
 }
 
 (* Per-run accumulation into a caller-supplied registry: counters sum
@@ -48,45 +32,25 @@ let converge_counting ?metrics (runner : Sim.Runner.t) run =
   let stats = run () in
   let changed = List.length (runner.Sim.Runner.changed_dests ()) in
   (match metrics with Some m -> record m stats ~changed | None -> ());
-  (stats, changed)
+  stats
 
 let flip_links ?metrics (runner : Sim.Runner.t) ~links =
   let cold = runner.Sim.Runner.cold_start () in
   let flips =
     List.map
       (fun link_id ->
-        let down, down_changed =
+        let down =
           converge_counting ?metrics runner (fun () ->
               runner.Sim.Runner.flip ~link_id ~up:false)
         in
-        let up, up_changed =
+        let up =
           converge_counting ?metrics runner (fun () ->
               runner.Sim.Runner.flip ~link_id ~up:true)
         in
-        { link_id; down; up; down_changed; up_changed })
+        { link_id; down; up })
       links
   in
   { protocol = runner.Sim.Runner.name; cold; flips }
-
-let flip_groups ?metrics (runner : Sim.Runner.t) ~groups =
-  let g_cold = runner.Sim.Runner.cold_start () in
-  let groups =
-    List.map
-      (fun links ->
-        let cut = List.map (fun id -> (id, false)) links in
-        let restore = List.map (fun id -> (id, true)) links in
-        let g_down, g_down_changed =
-          converge_counting ?metrics runner (fun () ->
-              runner.Sim.Runner.flip_many cut)
-        in
-        let g_up, g_up_changed =
-          converge_counting ?metrics runner (fun () ->
-              runner.Sim.Runner.flip_many restore)
-        in
-        { links; g_down; g_up; g_down_changed; g_up_changed })
-      groups
-  in
-  { g_protocol = runner.Sim.Runner.name; g_cold; groups }
 
 let gather f result =
   let samples =
@@ -98,26 +62,3 @@ let times result = gather (fun (s : Sim.Engine.run_stats) -> s.duration) result
 
 let message_counts result =
   gather (fun (s : Sim.Engine.run_stats) -> float_of_int s.messages) result
-
-let unit_counts result =
-  gather (fun (s : Sim.Engine.run_stats) -> float_of_int s.units) result
-
-let changed_counts result =
-  Array.of_list
-    (List.concat_map
-       (fun s ->
-         [ float_of_int s.down_changed; float_of_int s.up_changed ])
-       result.flips)
-
-let gather_groups f result =
-  let samples =
-    List.concat_map (fun s -> [ f s.g_down; f s.g_up ]) result.groups
-  in
-  Array.of_list samples
-
-let group_times result =
-  gather_groups (fun (s : Sim.Engine.run_stats) -> s.duration) result
-
-let group_message_counts result =
-  gather_groups (fun (s : Sim.Engine.run_stats) -> float_of_int s.messages)
-    result

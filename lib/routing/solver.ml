@@ -413,8 +413,6 @@ let class_raw t v = cls_table.(t.cls.(v))
 
 let length t v = if reachable t v then Some t.len.(v) else None
 
-let length_raw t v = if t.stamp.(v) <> t.epoch then -1 else t.len.(v)
-
 let path t src =
   if not (reachable t src) then None
   else begin

@@ -79,10 +79,6 @@ val class_raw : routes -> int -> Gao_rexford.route_class
 val length : routes -> int -> int option
 (** Hop count of the selected route. *)
 
-val length_raw : routes -> int -> int
-(** Allocation-free variant of {!length}: hop count, or [-1] when the
-    node is unreachable. *)
-
 val path : routes -> int -> Path.t option
 (** Full selected path from the given source to the destination, [None]
     if unreachable. The destination's own path is [[d]]. *)

@@ -368,9 +368,3 @@ let run_to_quiescence ?(max_events = 20_000_000) ?since t =
 let run_until ?(max_events = 20_000_000) ?since t horizon =
   let since = match since with Some m -> m | None -> mark t in
   run_core ~max_events ~since ~until:(Some horizon) t
-
-let total_messages t = Metrics.value t.c_messages
-
-let total_units t = Metrics.value t.c_units
-
-let total_bytes t = Metrics.value t.c_bytes

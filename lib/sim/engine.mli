@@ -179,11 +179,3 @@ val run_until :
     [run_until] calls followed by {!run_to_quiescence} processes exactly
     the events one {!run_to_quiescence} would, with identical counter
     totals. *)
-
-val total_messages : 'msg t -> int
-(** Messages sent since creation (across all runs). *)
-
-val total_units : 'msg t -> int
-
-val total_bytes : 'msg t -> int
-(** Wire bytes sent since creation (across all runs). *)

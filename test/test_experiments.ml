@@ -1,6 +1,6 @@
 (* Experiment harness plumbing: every registry entry runs end-to-end on
-   a miniature configuration and renders non-empty output with the
-   expected headline properties. *)
+   a miniature configuration, renders the same output at any domain
+   count, and shows the expected headline properties. *)
 
 let tiny =
   { Experiments.Config.seed = 7;
@@ -135,17 +135,25 @@ let test_ablation_mrai_monotone () =
       && r10.bgp_median_ms >= r0.bgp_median_ms)
   | _ -> Alcotest.fail "expected three rows"
 
-let test_registry_renders () =
-  (* Every entry's run/render path executes and produces output; the
-     heavy ones were exercised individually above with shared inputs. *)
-  List.iter
-    (fun id ->
-      match Experiments.Registry.find id with
-      | None -> Alcotest.failf "missing %s" id
-      | Some e ->
-        let s = e.Experiments.Registry.run tiny in
-        Alcotest.(check bool) (id ^ " renders") true (String.length s > 40))
-    [ "table3"; "fig5" ]
+(* Every registry entry is a pure function of its configuration: one
+   batch per pool size, every entry rendered, sequential and 4-domain
+   output byte-identical. CI checks `exp all` at seed 42 the same way,
+   against test/exp-baseline.txt; this runs it on the tiny config. *)
+let test_registry_domain_invariant () =
+  let render_all () =
+    let batch = Experiments.Registry.batch tiny in
+    List.map
+      (fun (e : Experiments.Registry.entry) ->
+        (e.Experiments.Registry.id, e.Experiments.Registry.run batch))
+      Experiments.Registry.all
+  in
+  let seq = Pool.with_size 1 render_all in
+  let par = Pool.with_size 4 render_all in
+  List.iter2
+    (fun (id, s) (_, p) ->
+      Alcotest.(check bool) (id ^ " renders") true (String.length s > 40);
+      Alcotest.(check string) (id ^ " 1 = 4 domains") s p)
+    seq par
 
 let test_churnrate_shapes () =
   let open Experiments.Exp_churnrate in
@@ -226,7 +234,8 @@ let suite =
     Alcotest.test_case "fig8 rows" `Quick test_fig8_rows;
     Alcotest.test_case "ablation mrai monotone" `Quick
       test_ablation_mrai_monotone;
-    Alcotest.test_case "registry renders" `Quick test_registry_renders;
+    Alcotest.test_case "registry domain-invariant" `Quick
+      test_registry_domain_invariant;
     Alcotest.test_case "churnrate shapes" `Quick test_churnrate_shapes;
     Alcotest.test_case "resilience shapes" `Quick test_resilience_shapes;
     Alcotest.test_case "sample pairs" `Quick test_sample_pairs;

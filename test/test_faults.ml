@@ -192,25 +192,6 @@ let test_figure2a_bgp_window () =
   Alcotest.(check bool) "nothing unroutable in the diamond" true
     (centaur.Observer.unroutable_ms = 0.0 && bgp.Observer.unroutable_ms = 0.0)
 
-(* --- correlated flips --- *)
-
-let test_flip_groups () =
-  let topo = Fixtures.figure4 () in
-  let runner = Protocols.Centaur_net.network topo in
-  let r = Protocols.Convergence.flip_groups runner ~groups:[ [ 0; 1 ]; [ 2 ] ] in
-  Alcotest.(check string) "protocol" "centaur" r.Protocols.Convergence.g_protocol;
-  Alcotest.(check bool) "cold start did work" true
-    (r.Protocols.Convergence.g_cold.Sim.Engine.messages > 0);
-  Alcotest.(check (list (list int)))
-    "groups recorded" [ [ 0; 1 ]; [ 2 ] ]
-    (List.map
-       (fun g -> g.Protocols.Convergence.links)
-       r.Protocols.Convergence.groups);
-  Alcotest.(check int) "cut+restore per group" 4
-    (Array.length (Protocols.Convergence.group_times r));
-  (* Restores undo the cuts: the runner must match the solver again. *)
-  Helpers.check_matches_solver ~what:"after grouped flips" topo runner
-
 (* --- determinism and composition properties --- *)
 
 let scenario_report seed =
@@ -287,6 +268,5 @@ let suite =
       test_observer_detects_loop;
     Alcotest.test_case "figure2a: bgp window, centaur failover" `Quick
       test_figure2a_bgp_window;
-    Alcotest.test_case "flip groups" `Quick test_flip_groups;
     QCheck_alcotest.to_alcotest determinism_qcheck;
     QCheck_alcotest.to_alcotest composition_qcheck ]
