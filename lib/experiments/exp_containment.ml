@@ -134,7 +134,6 @@ let run_one cfg ~pairs (kind, proto) =
   let topo = Inputs.caida cfg in
   let policy = Policy.default () in
   let scenario, bad, victim = scenario_of cfg topo kind in
-  let horizon = scenario.Faults.Scenario.horizon in
   let make = Option.get (Protocols.Proto_table.find proto) in
   let runner =
     make ~policy ~plist_fp_rate:cfg.Config.plist_fp_rate ~mrai:cfg.Config.mrai
@@ -156,22 +155,9 @@ let run_one cfg ~pairs (kind, proto) =
     | [ on_e; off_e ] -> (on_e, off_e)
     | _ -> assert false (* one fault compiles to one on + one off edge *)
   in
-  runner.Sim.Runner.seed_loss scenario.Faults.Scenario.seed;
-  let total = ref (runner.Sim.Runner.cold_start ()) in
+  let cold = runner.Sim.Runner.cold_start () in
   Faults.Observer.refresh_truth obs;
   Policy.reset_rejects policy;
-  let base = runner.Sim.Runner.now () in
-  let step t =
-    total :=
-      Sim.Engine.add_stats !total (runner.Sim.Runner.run_until (base +. t))
-  in
-  let wave = Faults.Delta_wave.create () in
-  let apply (e : Faults.Scenario.event) =
-    Faults.Delta_wave.add wave e.Faults.Scenario.change;
-    ignore (Faults.Delta_wave.apply ~policy wave topo runner);
-    if Faults.Scenario.disrupts e.Faults.Scenario.change then
-      Faults.Observer.note_disruption obs runner ~now:e.Faults.Scenario.at
-  in
   (* RIB snapshots over the scan destinations: what each node would
      forward along (control-plane path), per destination. *)
   let scan_dests =
@@ -220,53 +206,54 @@ let run_one cfg ~pairs (kind, proto) =
     (!count, !nodes)
   in
   let detect = ref None in
-  let next = ref 0.0 in
-  let sample_to limit =
-    while !next < limit && !next <= horizon do
-      step !next;
-      Faults.Observer.sample obs runner ~now:!next;
-      if !detect = None && Policy.rejects policy > 0 then detect := Some !next;
-      next := !next +. sample_every
-    done
-  in
-  sample_to on_e.Faults.Scenario.at;
-  step on_e.Faults.Scenario.at;
-  apply on_e;
-  sample_to off_e.Faults.Scenario.at;
+  let poisoned = ref 0 and radius = ref 0 and dark_pairs = ref 0 in
   (* Mid-fault scan, the instant before the heal: how far did it get? *)
-  step off_e.Faults.Scenario.at;
-  let poisoned, radius =
-    match scan_poisoned (snap ()) with
-    | 0, _ -> (0, 0)
+  let mid_fault_scan () =
+    (match scan_poisoned (snap ()) with
+    | 0, _ -> ()
     | count, nodes ->
       let dist = bfs_dist topo bad in
-      ( count,
+      poisoned := count;
+      radius :=
         List.fold_left
           (fun acc v -> if dist.(v) > acc then dist.(v) else acc)
-          0 nodes )
+          0 nodes);
+    dark_pairs :=
+      List.length
+        (List.filter
+           (fun (src, dest) ->
+             match Faults.Observer.probe obs runner ~src ~dest with
+             | Faults.Observer.Blackholed | Faults.Observer.Looped -> true
+             | Faults.Observer.Delivered | Faults.Observer.Unroutable -> false)
+           probe_pairs)
   in
-  let dark_pairs =
-    List.length
-      (List.filter
-         (fun (src, dest) ->
-           match Faults.Observer.probe obs runner ~src ~dest with
-           | Faults.Observer.Blackholed | Faults.Observer.Looped -> true
-           | Faults.Observer.Delivered | Faults.Observer.Unroutable -> false)
-         probe_pairs)
+  let observe = Faults.Injector.observe obs runner in
+  let stats =
+    Faults.Injector.drive ~policy runner ~topo
+      ~seed:scenario.Faults.Scenario.seed
+      ~waves:
+        [ (on_e.Faults.Scenario.at, [ on_e ]);
+          (off_e.Faults.Scenario.at, [ off_e ]) ]
+      ~samples:(Faults.Scenario.sample_times scenario)
+      { observe with
+        before_wave =
+          (fun ~at _ -> if at = off_e.Faults.Scenario.at then mid_fault_scan ());
+        sample =
+          (fun now ->
+            observe.sample now;
+            if !detect = None && Policy.rejects policy > 0 then
+              detect := Some now) }
   in
-  apply off_e;
-  sample_to (horizon +. 1.0);
-  total :=
-    Sim.Engine.add_stats !total (runner.Sim.Runner.run_to_quiescence ());
   let residual = fst (scan_poisoned (snap ())) in
   let report =
-    Faults.Observer.report obs ~protocol:proto ~stats:!total
+    Faults.Observer.report obs ~protocol:proto
+      ~stats:(Sim.Engine.add_stats cold stats)
   in
   { kind;
     protocol = proto;
-    radius;
-    poisoned;
-    dark_pairs;
+    radius = !radius;
+    poisoned = !poisoned;
+    dark_pairs = !dark_pairs;
     detect_ms = !detect;
     residual;
     availability = report.Faults.Observer.availability;

@@ -15,12 +15,7 @@ type instruments = {
   i_size : Metrics.histogram;
 }
 
-type t = {
-  (* Pending window, newest first; reversed at drain so coalescing sees
-     arrival order. *)
-  mutable pending : Scenario.change list;
-  instruments : instruments option;
-}
+type t = { instruments : instruments option }
 
 let wave_size_buckets =
   [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0; 256.0; 512.0; 1024.0 |]
@@ -36,11 +31,7 @@ let create ?metrics () =
           i_cancelled = Metrics.counter m "wave.cancelled_links";
           i_size = Metrics.histogram m ~buckets:wave_size_buckets "wave.size" }
   in
-  { pending = []; instruments }
-
-let add t change = t.pending <- change :: t.pending
-
-let is_empty t = t.pending = []
+  { instruments }
 
 (* Flip one override on the compiled policy; the node it names is owed a
    recompute poke. *)
@@ -55,17 +46,15 @@ let apply_policy_change pol = function
     Policy.set_corrupt pol ~node on;
     node
 
-(* Net effect of the window against the live topology:
+(* Net effect of the group against the live topology:
    - links: the last target per link wins; a target equal to the link's
      current state is dropped entirely (an up→down→up flap inside one
-     window cancels, and a redundant re-assertion of the current state
+     group cancels, and a redundant re-assertion of the current state
      never wakes the endpoints);
    - loss rates: last write per link wins;
    - policy overrides: returned in arrival order (overrides can
      overwrite each other). *)
-let coalesce t topo =
-  let window = List.rev t.pending in
-  t.pending <- [];
+let coalesce topo changes =
   let link_events = ref 0 and loss_events = ref 0 in
   let link_target : (int, bool) Hashtbl.t = Hashtbl.create 16 in
   let link_order = ref [] in
@@ -88,9 +77,9 @@ let coalesce t topo =
     (function
       | Scenario.Set_links targets -> List.iter set_link targets
       | Scenario.Set_loss rates -> List.iter set_loss rates
-      | Scenario.Set_policy changes ->
-        overrides := List.rev_append changes !overrides)
-    window;
+      | Scenario.Set_policy flips ->
+        overrides := List.rev_append flips !overrides)
+    changes;
   let flips =
     List.filter_map
       (fun link_id ->
@@ -111,8 +100,8 @@ let coalesce t topo =
     losses,
     overrides )
 
-let apply ?policy t topo (runner : Sim.Runner.t) =
-  let seen, link_events, flips, losses, overrides = coalesce t topo in
+let apply ?policy t topo (runner : Sim.Runner.t) changes =
+  let seen, link_events, flips, losses, overrides = coalesce topo changes in
   (* Checked before anything is injected, so a bad call leaves the
      runner as it was. *)
   if overrides <> [] && policy = None then

@@ -153,8 +153,12 @@ let disrupts = function
       (function Leak { on; _ } | Claim { on; _ } | Corrupt { on; _ } -> on)
       changes
 
-let num_disruptions events =
-  List.length (List.filter (fun e -> disrupts e.change) events)
+let sample_times s =
+  let rec go acc t =
+    if t <= s.horizon then go (t :: acc) (t +. s.sample_every)
+    else List.rev acc
+  in
+  go [] 0.0
 
 (* Seeded churn generator: [flaps] link flaps at uniform times with
    exponential outage durations, plus (on topologies large enough) one

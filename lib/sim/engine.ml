@@ -126,8 +126,6 @@ let create ?(trace = Trace.none) ?metrics ?(bytes = fun _ -> 0) topo ~units
   end;
   t
 
-let topology t = t.topo
-
 let now t = t.clock
 
 let last_event_time t = t.last_event

@@ -112,8 +112,6 @@ val create :
     export it; registries are single-domain, so give each engine of a
     pool-parallel sweep its own and merge afterwards. *)
 
-val topology : 'msg t -> Topology.t
-
 val trace : 'msg t -> Obs.Trace.t
 (** The trace given at {!create} ({!Obs.Trace.none} when untraced). *)
 

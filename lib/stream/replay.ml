@@ -39,19 +39,13 @@ let schedule mode (events : Update_stream.event array) =
 
 let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
     (runner : Sim.Runner.t) =
-  if Update_stream.has_policy_events stream && policy = None then
-    invalid_arg
-      "Replay.replay: stream has policy updates but no ~policy was given \
-       (pass the same compiled policy the runner was built with)";
   let hist =
     Option.map
       (fun m -> Obs.Metrics.histogram m ~buckets:latency_buckets
                   "stream.latency_ms")
       metrics
   in
-  runner.Sim.Runner.seed_loss stream.Update_stream.seed;
   ignore (runner.Sim.Runner.cold_start ());
-  (* Stream times are relative to the converged steady state. *)
   let base = runner.Sim.Runner.now () in
   let n = Update_stream.num_events stream in
   let latencies = Array.make n nan in
@@ -71,34 +65,32 @@ let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
       (List.rev !outstanding);
     outstanding := []
   in
-  let total = ref Sim.Engine.zero_stats in
-  let step stats = total := Sim.Engine.add_stats !total stats in
-  let wave_acc = Faults.Delta_wave.create ?metrics () in
   let waves = ref 0 in
   let cancelled = ref 0 in
   let idx = ref 0 in
-  List.iter
-    (fun (t_app, evs) ->
-      step (runner.Sim.Runner.run_until (base +. t_app));
-      if runner.Sim.Runner.pending_events () = 0 then flush_stamps ();
-      List.iter
-        (fun (e : Update_stream.event) ->
-          Faults.Delta_wave.add wave_acc e.change;
-          outstanding := (!idx, base +. e.at, base +. t_app) :: !outstanding;
-          incr idx)
-        evs;
-      let w = Faults.Delta_wave.apply ?policy wave_acc topo runner in
-      incr waves;
-      cancelled := !cancelled + w.Faults.Delta_wave.cancelled)
-    (schedule mode (Update_stream.events stream));
-  step (runner.Sim.Runner.run_to_quiescence ());
+  let stats =
+    Faults.Injector.drive ?metrics ?policy runner ~topo
+      ~seed:stream.Update_stream.seed
+      ~waves:(schedule mode (Update_stream.events stream))
+      ~samples:[]
+      { before_wave =
+          (fun ~at evs ->
+            if runner.Sim.Runner.pending_events () = 0 then flush_stamps ();
+            List.iter
+              (fun (e : Update_stream.event) ->
+                outstanding := (!idx, base +. e.at, base +. at) :: !outstanding;
+                incr idx)
+              evs);
+        after_wave =
+          (fun ~at:_ _ w ->
+            incr waves;
+            cancelled := !cancelled + w.Faults.Delta_wave.cancelled);
+        sample = ignore }
+  in
   flush_stamps ();
-  (match metrics with
-  | None -> ()
-  | Some dst -> Obs.Metrics.merge_into ~dst runner.Sim.Runner.metrics);
   { events = n;
     waves = !waves;
     cancelled = !cancelled;
-    stats = !total;
+    stats;
     latencies;
     makespan = !last_stable -. base }

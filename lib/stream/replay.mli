@@ -1,16 +1,13 @@
-(** Stream replay: drive a protocol runner through a seeded update
-    stream, event-at-a-time or in batched delta waves, measuring
-    per-update enqueue→stable latency.
+(** Stream replay: a client of {!Faults.Injector.drive} that steps a
+    protocol runner through a seeded update stream, event-at-a-time or
+    in batched delta waves, measuring per-update enqueue→stable latency.
 
     Both modes apply the same events at the same relative times and
     converge the network fully at the end, so for loss-free streams the
     final forwarding state is identical — the QCheck property pinned in
-    the test suite. Both drain every group of events through a
-    {!Faults.Delta_wave}; what differs is the grouping, and so the work:
-    [Event_at_a_time] drains a one-event wave per event, paying one
-    injection and one convergence wavefront each, while [Waves w]
-    accumulates each window of [w] ms and drains one coalesced wave per
-    window. *)
+    the test suite. What differs is the grouping, and so the work:
+    [Event_at_a_time] drains a one-event wave per event, while [Waves w]
+    drains one coalesced wave per window of [w] ms. *)
 
 type mode =
   | Event_at_a_time  (** every event is its own wave at its own
@@ -42,15 +39,9 @@ val replay :
   mode:mode ->
   Sim.Runner.t ->
   outcome
-(** Cold-starts the runner (stream times are relative to the converged
-    steady state), replays the stream in the given mode, and drains to
-    quiescence. The engine's loss stream is re-seeded from the stream
-    seed, so equal [(topology, stream, mode, runner construction)] give
-    byte-identical outcomes.
-
-    [topo] must be the instance the runner's engine mutates (wave
-    coalescing reads its live link state). [policy] must be the compiled
-    policy the runner was built with; required ([Invalid_argument])
-    when the stream carries policy updates. [metrics], when given,
-    receives the [stream.latency_ms] histogram, the wave instruments
-    and, after the drain, the runner engine's counters. *)
+(** Cold-starts the runner, then drives it through the stream's waves
+    (see {!Faults.Injector.drive}, which also seeds loss from the stream
+    seed and takes [topo], [policy] and [metrics]). [metrics], when
+    given, also receives the [stream.latency_ms] histogram. Equal
+    [(topology, stream, mode, runner construction)] give byte-identical
+    outcomes. *)

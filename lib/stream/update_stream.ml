@@ -13,14 +13,6 @@ let events t = t.events
 
 let num_events t = Array.length t.events
 
-let has_policy_events t =
-  Array.exists
-    (fun (e : event) ->
-      match e.change with
-      | Scenario.Set_policy _ -> true
-      | Scenario.Set_links _ | Scenario.Set_loss _ -> false)
-    t.events
-
 (* How many times to re-draw a busy link/node before giving the arrival
    up. Sustained load keeps most resources free, so misses are rare; a
    bounded retry keeps generation O(events) on saturated streams. *)

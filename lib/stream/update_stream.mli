@@ -47,7 +47,3 @@ val generate :
 val events : t -> event array
 
 val num_events : t -> int
-
-val has_policy_events : t -> bool
-(** True when replay needs the compiled policy the runner was built
-    with. *)

@@ -196,9 +196,9 @@ let test_observer_cache () =
   Alcotest.(check int) "quiet sample all cached" 3 (cached1 - cached0);
   Alcotest.(check int) "quiet sample no fresh walks" fresh0 fresh1;
   (* The next fault wave invalidates the verdict cache wholesale. *)
-  let wave = Faults.Delta_wave.create () in
-  Faults.Delta_wave.add wave (Faults.Scenario.Set_links [ (0, false) ]);
-  ignore (Faults.Delta_wave.apply wave topo runner);
+  ignore
+    (Faults.Delta_wave.apply (Faults.Delta_wave.create ()) topo runner
+       [ Faults.Scenario.Set_links [ (0, false) ] ]);
   Faults.Observer.refresh_truth obs;
   Faults.Observer.sample obs runner ~now:10.0;
   let fresh2 = fresh () in

@@ -121,10 +121,10 @@ let test_flap_cancels () =
   let runner = Protocols.Centaur_net.network topo in
   ignore (runner.Sim.Runner.cold_start ());
   let before = forwarding_snapshot 10 runner in
-  let acc = Delta_wave.create () in
-  Delta_wave.add acc (Scenario.Set_links [ (0, false) ]);
-  Delta_wave.add acc (Scenario.Set_links [ (0, true) ]);
-  let w = Delta_wave.apply acc topo runner in
+  let w =
+    Delta_wave.apply (Delta_wave.create ()) topo runner
+      [ Scenario.Set_links [ (0, false) ]; Scenario.Set_links [ (0, true) ] ]
+  in
   Alcotest.(check int) "both events seen" 2 w.Delta_wave.events_seen;
   Alcotest.(check int) "flap cancelled" 2 w.Delta_wave.cancelled;
   Alcotest.(check int) "no surviving flips" 0 w.Delta_wave.link_sets;
@@ -140,30 +140,31 @@ let test_redundant_and_last_wins () =
   let topo = random_brite ~seed:4 ~n:10 ~m:2 in
   let runner = Protocols.Centaur_net.network topo in
   ignore (runner.Sim.Runner.cold_start ());
-  let acc = Delta_wave.create () in
   (* up -> up: redundant; down, up, down: net transition down. *)
-  Delta_wave.add acc (Scenario.Set_links [ (1, true) ]);
-  Delta_wave.add acc (Scenario.Set_links [ (2, false) ]);
-  Delta_wave.add acc (Scenario.Set_links [ (2, true) ]);
-  Delta_wave.add acc (Scenario.Set_links [ (2, false) ]);
-  let w = Delta_wave.apply acc topo runner in
+  let w =
+    Delta_wave.apply (Delta_wave.create ()) topo runner
+      [ Scenario.Set_links [ (1, true) ];
+        Scenario.Set_links [ (2, false) ];
+        Scenario.Set_links [ (2, true) ];
+        Scenario.Set_links [ (2, false) ] ]
+  in
   Alcotest.(check int) "one surviving flip" 1 w.Delta_wave.link_sets;
   Alcotest.(check int) "three cancelled" 3 w.Delta_wave.cancelled;
   ignore (runner.Sim.Runner.run_to_quiescence ());
   Alcotest.(check bool) "link 2 is down" false (Topology.is_up topo 2);
   Alcotest.(check bool) "link 1 stayed up" true (Topology.is_up topo 1)
 
-(* A window holding an override but no [~policy] is refused before
+(* A group holding an override but no [~policy] is refused before
    anything is injected: the link flip queued ahead of it never lands. *)
 let test_apply_needs_policy () =
   let topo = random_brite ~seed:3 ~n:10 ~m:2 in
   let runner = Protocols.Centaur_net.network topo in
   ignore (runner.Sim.Runner.cold_start ());
-  let acc = Delta_wave.create () in
-  Delta_wave.add acc (Scenario.Set_links [ (0, false) ]);
-  Delta_wave.add acc
-    (Scenario.Set_policy [ Scenario.Leak { node = 1; on = true } ]);
-  (match Delta_wave.apply acc topo runner with
+  (match
+     Delta_wave.apply (Delta_wave.create ()) topo runner
+       [ Scenario.Set_links [ (0, false) ];
+         Scenario.Set_policy [ Scenario.Leak { node = 1; on = true } ] ]
+   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "override applied without a policy");
   Alcotest.(check int) "nothing queued" 0 (runner.Sim.Runner.pending_events ());
@@ -363,12 +364,13 @@ let test_split_stepping_composition () =
     done;
     (* A policy change would make [apply] raise: the stream must be
        link/loss only. *)
+    let group = ref [] in
     while !i < Array.length events && events.(!i).Scenario.at <= t do
-      Delta_wave.add acc events.(!i).Scenario.change;
+      group := events.(!i).Scenario.change :: !group;
       incr i
     done;
-    if not (Delta_wave.is_empty acc) then
-      ignore (Delta_wave.apply acc topo_b runner_b)
+    if !group <> [] then
+      ignore (Delta_wave.apply acc topo_b runner_b (List.rev !group))
   done;
   ignore (runner_b.Sim.Runner.run_to_quiescence ());
   Alcotest.(check bool) "split stepping == driver replay" true
