@@ -2,10 +2,11 @@
 
    - destinations ([d_path], [d_flags]): the installed path and flag
      bits (forced, marked on the wire, queued for the next flush);
-   - link slots ([link_slot], under [Pgraph.pack] keys, recycled through
-     a free list): the §4.3 use counter, the child's chain of current
-     in-links (headed in [in_head]) and the state last put on the wire
-     (bare, or the Permission List announced);
+   - link slots (recycled through a free list): the §4.3 use counter,
+     the child's chain of in-links (headed in [in_head]), through which
+     a link's slot is found, and the state last put on the wire (bare,
+     or the Permission List announced); [in_live] counts the links of a
+     child's chain that are in the current graph;
    - one bit row per child ([enters]): the destinations whose installed
      path enters it. A link's Permission List is read back off its
      child's row: the destinations whose path enters the child from the
@@ -14,9 +15,9 @@
      multi-homed child, compares it with the list on the wire and
      allocates a list only when it changed.
 
-   A link slot lives while the link is in the current graph or on the
-   wire (or queued to leave it); the flush that finds it in neither frees
-   it. *)
+   A link slot lives, and stays on its child's chain, while the link is
+   in the current graph or on the wire (or queued to leave it); the
+   flush that finds it in neither frees it. *)
 
 let nil = -1
 
@@ -38,16 +39,16 @@ type t = {
   d_path : Path.t array; (* [] when no path is installed *)
   d_flags : int array;
   mutable n_queued_dests : int;
-  link_slot : Flat_tbl.t; (* packed link key -> slot *)
   mutable l_key : int array;
   mutable l_count : int array;
-  mutable l_next_in : int array; (* next current in-link of the child *)
+  mutable l_next_in : int array; (* next in-link of the child *)
   mutable l_wire : int array;
   mutable l_wire_plist : Permission_list.t array;
   mutable l_flags : int array;
   mutable l_hwm : int;
   mutable l_free : int; (* runs through [l_next_in] *)
-  in_head : int array; (* child -> first current in-link slot, or [nil] *)
+  in_head : int array; (* child -> first in-link slot, or [nil] *)
+  in_live : int array; (* child -> its in-links with a use count *)
   enters : Bit_rows.t; (* child -> destinations whose path enters it *)
   plist_scratch : Permission_list.scratch;
   (* Link slots touched since the last flush. *)
@@ -66,7 +67,6 @@ let create ~root ~nodes =
     d_path = Array.make nodes [];
     d_flags = Array.make nodes 0;
     n_queued_dests = 0;
-    link_slot = Flat_tbl.create ();
     l_key = Array.make initial_cap nil;
     l_count = Array.make initial_cap 0;
     l_next_in = Array.make initial_cap nil;
@@ -76,6 +76,7 @@ let create ~root ~nodes =
     l_hwm = 0;
     l_free = nil;
     in_head = Array.make nodes nil;
+    in_live = Array.make nodes 0;
     enters = Bit_rows.create nodes;
     plist_scratch = Permission_list.Scratch.create ();
     queued_links = Array.make initial_cap nil;
@@ -104,7 +105,18 @@ let marked t d = t.d_path.(d) <> [] || t.d_flags.(d) land forced_bit <> 0
 
 (* --- link slots --- *)
 
-let link_alloc t key =
+(* The slot of [parent -> child], [nil] when it has none: a walk down
+   the child's chain, as long as its in-degree plus the links into it
+   that await the flush that frees them. *)
+let find_link t ~parent ~child =
+  let key = Pgraph.pack ~parent ~child in
+  let l = ref t.in_head.(child) in
+  while !l <> nil && t.l_key.(!l) <> key do
+    l := t.l_next_in.(!l)
+  done;
+  !l
+
+let link_alloc t ~parent ~child =
   let s =
     if t.l_free <> nil then begin
       let s = t.l_free in
@@ -125,17 +137,29 @@ let link_alloc t key =
       s
     end
   in
-  t.l_key.(s) <- key;
+  t.l_key.(s) <- Pgraph.pack ~parent ~child;
   t.l_count.(s) <- 0;
-  t.l_next_in.(s) <- nil;
+  t.l_next_in.(s) <- t.in_head.(child);
+  t.in_head.(child) <- s;
   t.l_wire.(s) <- wire_none;
   t.l_wire_plist.(s) <- Permission_list.empty;
   t.l_flags.(s) <- 0;
-  Flat_tbl.set t.link_slot key s;
   s
 
+(* Unlink [l] from its child's chain. *)
+let unchain_in t child l =
+  let head = t.in_head.(child) in
+  if head = l then t.in_head.(child) <- t.l_next_in.(l)
+  else begin
+    let p = ref head in
+    while t.l_next_in.(!p) <> l do
+      p := t.l_next_in.(!p)
+    done;
+    t.l_next_in.(!p) <- t.l_next_in.(l)
+  end
+
 let link_free t s =
-  Flat_tbl.remove t.link_slot t.l_key.(s);
+  unchain_in t (Pgraph.key_child t.l_key.(s)) s;
   t.l_key.(s) <- nil;
   t.l_flags.(s) <- 0;
   t.l_wire_plist.(s) <- Permission_list.empty;
@@ -157,12 +181,19 @@ let queue_link t s =
     t.n_queued_links <- t.n_queued_links + 1
   end
 
-(* A child is multi-homed when its in-link chain holds two or more
-   current links; exactly then its in-links carry Permission Lists
+(* A child is multi-homed when two or more of its in-links are in the
+   current graph; exactly then its in-links carry Permission Lists
    (paper §4.1/§4.3). *)
-let multi_homed t child =
-  let head = t.in_head.(child) in
-  head <> nil && t.l_next_in.(head) <> nil
+let multi_homed t child = t.in_live.(child) > 1
+
+(* The one in-link of [child] in the current graph other than [l]
+   (called when the child has two, or has one and [l] just left). *)
+let other_live t child l =
+  let o = ref t.in_head.(child) in
+  while !o = l || t.l_count.(!o) = 0 do
+    o := t.l_next_in.(!o)
+  done;
+  !o
 
 (* Fill the scratch with a link's Permission List: every installed path
    that enters the child from the link's parent, as (destination, next
@@ -181,53 +212,33 @@ let fill_plist t l =
 
 (* One more installed path, toward [dest], uses [parent -> child]. *)
 let add_use t ~dest ~parent ~child =
-  let key = Pgraph.pack ~parent ~child in
   let l =
-    match Flat_tbl.find_default t.link_slot key ~default:nil with
-    | -1 -> link_alloc t key
+    match find_link t ~parent ~child with
+    | -1 -> link_alloc t ~parent ~child
     | l -> l
   in
   if t.l_count.(l) = 0 then begin
     (* The link enters the graph. A second in-link makes the child
        multi-homed: the first one starts announcing its Permission
        List. *)
-    let head = t.in_head.(child) in
-    t.l_next_in.(l) <- head;
-    t.in_head.(child) <- l;
-    if head <> nil && t.l_next_in.(head) = nil then queue_link t head
+    t.in_live.(child) <- t.in_live.(child) + 1;
+    if t.in_live.(child) = 2 then queue_link t (other_live t child l)
   end;
   t.l_count.(l) <- t.l_count.(l) + 1;
   queue_link t l;
   Bit_rows.add t.enters child dest
 
-(* Unlink [l] from its child's in-link chain (as short as the child's
-   in-degree). *)
-let unchain_in t child l =
-  let head = t.in_head.(child) in
-  if head = l then t.in_head.(child) <- t.l_next_in.(l)
-  else begin
-    let p = ref head in
-    while t.l_next_in.(!p) <> l do
-      p := t.l_next_in.(!p)
-    done;
-    t.l_next_in.(!p) <- t.l_next_in.(l)
-  end;
-  t.l_next_in.(l) <- nil
-
 (* One installed path fewer, toward [dest], uses [parent -> child]. *)
 let drop_use t ~dest ~parent ~child =
-  let l =
-    Flat_tbl.find_default t.link_slot (Pgraph.pack ~parent ~child) ~default:nil
-  in
+  let l = find_link t ~parent ~child in
   t.l_count.(l) <- t.l_count.(l) - 1;
   queue_link t l;
   if t.l_count.(l) = 0 then begin
-    (* The link leaves the graph; a child left with one in-link is no
-       longer multi-homed, so that link goes back to announcing no
-       Permission List. *)
-    unchain_in t child l;
-    let head = t.in_head.(child) in
-    if head <> nil && t.l_next_in.(head) = nil then queue_link t head
+    (* The link leaves the graph (its slot stays chained until the
+       flush); a child left with one in-link is no longer multi-homed,
+       so that link goes back to announcing no Permission List. *)
+    t.in_live.(child) <- t.in_live.(child) - 1;
+    if t.in_live.(child) = 1 then queue_link t (other_live t child l)
   end;
   Bit_rows.remove t.enters child dest
 
@@ -295,10 +306,9 @@ let force_dest t d =
   queue_dest t d
 
 let counter t ~parent ~child =
-  if parent < 0 || parent > Pgraph.max_node || child < 0 || child > Pgraph.max_node
-  then 0
+  if not (in_range t parent && in_range t child) then 0
   else
-    match Flat_tbl.find_default t.link_slot (Pgraph.pack ~parent ~child) ~default:nil with
+    match find_link t ~parent ~child with
     | -1 -> 0
     | l -> t.l_count.(l)
 

@@ -1,17 +1,19 @@
 let nil = -1
 
 (* One session per live neighbor: the neighbor's announced P-graph, the
-   paths derived from it (indexed by destination), an inverted index so
-   a link change maps to the destinations it can affect, and the export
-   builder holding the view last announced to that neighbor. The index
-   is one bit row per node: row x holds the cached destinations whose
-   path visits x, the root (the neighbor) excepted. The DerivePath step
-   a cached path takes at x is read back off the path itself
+   paths derived from it (indexed by destination) with the route
+   attributes selection reads off them, an inverted index so a link
+   change maps to the destinations it can affect, and the export builder
+   holding the view last announced to that neighbor. The index is one
+   bit row per node: row x holds the cached destinations whose path
+   visits x, the root (the neighbor) excepted. The DerivePath step a
+   cached path takes at x is read back off the path itself
    ([Pgraph.path_step]). *)
 type session = {
   pg : Pgraph.t;
   export : Builder.t;
   c_path : Path.t array; (* dest -> derived path from the neighbor, or [] *)
+  c_attr : int array; (* dest -> the cached path's attributes, packed *)
   usage : Bit_rows.t; (* node -> cached destinations whose path visits it *)
   (* Marked destinations that failed to derive (transient inconsistency,
      e.g. a link the import filter dropped): retried on every delta. *)
@@ -34,16 +36,18 @@ type t = {
      one [recompute] drains it — the cross-session invalidation shares
      the dirty-set scheduler with the other protocols. *)
   dirty : Dirty.t;
-  (* Scratch: the destinations one delta can affect, the children one
-     delta has checked (node -> [epoch], one per delta), and the nodes
-     of the derivation being compared with the cache (destination
-     first). *)
+  (* Scratch: the destinations one delta can affect, what one delta does
+     to each child of its links (node -> [epoch] and flag bits, see
+     [child_flags]), the Permission Lists its re-announced links had
+     before it, and the nodes of the derivation being compared with the
+     cache (destination first). *)
   affected : Dirty.t;
-  checked : int array;
+  child : int array;
   mutable epoch : int;
+  mutable old_plists : Permission_list.t option array;
   mutable walk : int array;
   mutable walk_len : int;
-  mutable steps : int array; (* [check_child]: (destination, step) pairs *)
+  mutable steps : int array; (* [scan_child]: (destination, step) pairs *)
   mutable visit : int -> unit;
   on_change : (int -> unit) option; (* selection-change tap *)
   policy : Policy.compiled;
@@ -66,8 +70,9 @@ let create ?on_change ?policy topo ~id =
       selected = Array.make (max n 1) [];
       dirty = Dirty.create ();
       affected = Dirty.create ();
-      checked = Array.make n 0;
+      child = Array.make n 0;
       epoch = 0;
+      old_plists = Array.make 8 None;
       walk = Array.make 16 0;
       steps = Array.make 32 0;
       walk_len = 0;
@@ -102,9 +107,10 @@ let set_selected t dest p =
 let mark_dirty t dest = Dirty.mark t.dirty dest
 
 let new_session t ~neighbor =
-  { pg = Pgraph.create ~root:neighbor;
+  { pg = Pgraph.create_bounded ~nodes:t.nodes ~root:neighbor;
     export = Builder.create ~root:t.node_id ~nodes:t.nodes;
     c_path = Array.make t.nodes [];
+    c_attr = Array.make t.nodes 0;
     usage = Bit_rows.create t.nodes;
     pending = Flat_tbl.create () }
 
@@ -136,13 +142,38 @@ let walk_path t =
   done;
   !p
 
+(* What selection reads off a cached path, packed in one int: whether
+   it visits this node (bit 0), the neighbor's route class (bits 1-3:
+   0 when the path crosses a pair of nodes with no link, else
+   [Gao_rexford.class_rank] + 1), and its hop count from this node (the
+   bits above). *)
+let attr_loop = 1
+let attr_len a = a lsr 4
+
+let class_code = function None -> 0 | Some cls -> Gao_rexford.class_rank cls + 1
+
+let class_of_code = function
+  | 1 -> Some Gao_rexford.Origin
+  | 2 -> Some Gao_rexford.Cust
+  | 3 -> Some Gao_rexford.Peer_r
+  | 4 -> Some Gao_rexford.Prov
+  | _ -> None
+
+let attr_class a = class_of_code ((a lsr 1) land 7)
+
 (* Cache the derivation in [t.walk] as [dest]'s path, setting [dest] in
-   the row of every node on it but the root. *)
+   the row of every node on it but the root, and record its
+   attributes. *)
 let cache t s dest =
-  s.c_path.(dest) <- walk_path t;
+  let p = walk_path t in
+  s.c_path.(dest) <- p;
   for i = 0 to t.walk_len - 2 do
     Bit_rows.add s.usage t.walk.(i) dest
-  done
+  done;
+  s.c_attr.(dest) <-
+    (t.walk_len lsl 4)
+    lor (class_code (Path_class.class_of t.topo p) lsl 1)
+    lor if Path.contains p t.node_id then attr_loop else 0
 
 (* Is the derivation in [t.walk] (destination first) the path [p]? *)
 let walk_is t p =
@@ -172,56 +203,139 @@ let rederive t s ~dest =
 (* One-hop invalidation. A delta changes the in-links of the children
    of its links and nothing else, and a derivation reads only the
    in-links of the nodes it steps from, so a cached path can first
-   diverge only at such a child. Re-run the step each cached path
-   through [c] takes there; a destination whose step now answers
-   differently goes into [t.affected]. A child with at most one in-link
-   steps to the same parent whatever the destination, so that step runs
-   once. Each child is checked once per delta. *)
-let check_child t s c =
-  if t.checked.(c) <> t.epoch then begin
-    t.checked.(c) <- t.epoch;
-    (* Read every cached path's step first, then re-run the steps: the
-       path reads are independent loads, and they overlap only when no
-       other work runs between them. *)
-    let n = ref 0 in
-    let d = ref (Bit_rows.next s.usage c 0) in
-    while !d >= 0 do
-      if 2 * !n = Array.length t.steps then begin
-        let a = Array.make (4 * !n) 0 in
-        Array.blit t.steps 0 a 0 (2 * !n);
-        t.steps <- a
-      end;
-      t.steps.(2 * !n) <- !d;
-      t.steps.((2 * !n) + 1) <- Pgraph.path_step s.c_path.(!d) ~node:c;
-      incr n;
-      d := Bit_rows.next s.usage c (!d + 1)
-    done;
-    let single_homed = Pgraph.in_degree s.pg c <= 1 in
-    let single_parent =
-      if single_homed then Pgraph.derive_step s.pg ~dest:nil ~node:c ~next:nil
-      else nil
+   diverge only at such a child; a destination whose step there now
+   answers differently goes into [t.affected]. How much of the child's
+   row that takes depends on what the delta did to the child's in-link
+   set, recorded before it is applied:
+
+   - changed, and the child is left with no in-link or with one it did
+     not have: every cached path through it stepped by an old link, so
+     every one changes — the row is marked without reading a path;
+   - changed otherwise: the step of every cached path through the child
+     is re-run ([scan_child]);
+   - unchanged, the child single-homed: its lone parent is every path's
+     step, whatever the Permission Lists say — nothing changes;
+   - unchanged, the child multi-homed: only a (destination, next hop)
+     pair whose [Permit] answer changed on a re-announced link, one in
+     the symmetric difference of its old and new list, can step
+     differently; those paths' steps are re-run ([recheck]).
+
+   Each case marks exactly the destinations re-running every step
+   would. *)
+
+(* Per-child flags of the delta being absorbed, valid while
+   [t.child.(c) lsr 3 = t.epoch]. *)
+let checked_bit = 1 (* the child's row was handled *)
+let changed_bit = 2 (* its in-link set changed *)
+let gained_bit = 4 (* it gained an in-link it did not have *)
+
+let child_flags t c =
+  let v = t.child.(c) in
+  if v lsr 3 = t.epoch then v land 7 else 0
+
+let set_child_flag t c bit = t.child.(c) <- (t.epoch lsl 3) lor child_flags t c lor bit
+
+let scan_child t s c =
+  (* Read every cached path's step first, then re-run the steps: the
+     path reads are independent loads, and they overlap only when no
+     other work runs between them. *)
+  let n = ref 0 in
+  let d = ref (Bit_rows.next s.usage c 0) in
+  while !d >= 0 do
+    if 2 * !n = Array.length t.steps then begin
+      let a = Array.make (4 * !n) 0 in
+      Array.blit t.steps 0 a 0 (2 * !n);
+      t.steps <- a
+    end;
+    t.steps.(2 * !n) <- !d;
+    t.steps.((2 * !n) + 1) <- Pgraph.path_step s.c_path.(!d) ~node:c;
+    incr n;
+    d := Bit_rows.next s.usage c (!d + 1)
+  done;
+  (* A child with at most one in-link steps to the same parent whatever
+     the destination, so that step runs once. *)
+  let single_homed = Pgraph.in_degree s.pg c <= 1 in
+  let single_parent =
+    if single_homed then Pgraph.derive_step s.pg ~dest:nil ~node:c ~next:nil
+    else nil
+  in
+  for i = 0 to !n - 1 do
+    let dest = t.steps.(2 * i) and h = t.steps.((2 * i) + 1) in
+    let parent =
+      if single_homed then single_parent
+      else Pgraph.derive_step s.pg ~dest ~node:c ~next:(Pgraph.step_next h)
     in
-    for i = 0 to !n - 1 do
-      let dest = t.steps.(2 * i) and h = t.steps.((2 * i) + 1) in
-      let parent =
-        if single_homed then single_parent
-        else Pgraph.derive_step s.pg ~dest ~node:c ~next:(Pgraph.step_next h)
-      in
-      if parent <> Pgraph.step_parent h then Dirty.mark t.affected dest
-    done
+    if parent <> Pgraph.step_parent h then Dirty.mark t.affected dest
+  done
+
+let mark_row t s c =
+  let d = ref (Bit_rows.next s.usage c 0) in
+  while !d >= 0 do
+    Dirty.mark t.affected !d;
+    d := Bit_rows.next s.usage c (!d + 1)
+  done
+
+(* A child whose in-link set changed, once per delta. *)
+let check_changed t s c =
+  let flags = child_flags t c in
+  if flags land checked_bit = 0 then begin
+    set_child_flag t c checked_bit;
+    let deg = Pgraph.in_degree s.pg c in
+    if deg = 0 || (deg = 1 && flags land gained_bit <> 0) then mark_row t s c
+    else scan_child t s c
   end
 
-let rec check_added t s = function
-  | [] -> ()
-  | (_, c, _) :: rest ->
-    check_child t s c;
-    check_added t s rest
+(* The cached path to [dest] through [c], if its step there arrives
+   from [next], re-runs that step. *)
+let recheck t s c ~dest ~next =
+  if dest < t.nodes && Bit_rows.mem s.usage c dest then begin
+    let h = Pgraph.path_step s.c_path.(dest) ~node:c in
+    if
+      Pgraph.step_next h = next
+      && Pgraph.derive_step s.pg ~dest ~node:c ~next <> Pgraph.step_parent h
+    then Dirty.mark t.affected dest
+  end
 
+let or_empty = function None -> Permission_list.empty | Some pl -> pl
+
+(* Before the delta: which children's in-link sets it changes, and the
+   list each re-announced link had ([t.old_plists], by position in
+   [add_links]). *)
+let rec note_removed t s = function
+  | [] -> ()
+  | (parent, c) :: rest ->
+    if Pgraph.mem_link s.pg ~parent ~child:c then set_child_flag t c changed_bit;
+    note_removed t s rest
+
+let rec note_added t s i = function
+  | [] -> ()
+  | (parent, c, _) :: rest ->
+    if i = Array.length t.old_plists then begin
+      let a = Array.make (2 * i) None in
+      Array.blit t.old_plists 0 a 0 i;
+      t.old_plists <- a
+    end;
+    if Pgraph.mem_link s.pg ~parent ~child:c then
+      t.old_plists.(i) <- Pgraph.plist s.pg ~parent ~child:c
+    else set_child_flag t c (changed_bit lor gained_bit);
+    note_added t s (i + 1) rest
+
+(* After it: one check per child, by the cases above. *)
 let rec check_removed t s = function
   | [] -> ()
   | (_, c) :: rest ->
-    check_child t s c;
+    if child_flags t c land changed_bit <> 0 then check_changed t s c;
     check_removed t s rest
+
+let rec check_added t s i = function
+  | [] -> ()
+  | (_, c, pl) :: rest ->
+    if child_flags t c land changed_bit <> 0 then check_changed t s c
+    else if Pgraph.in_degree s.pg c > 1 then
+      Permission_list.iter_diff (or_empty t.old_plists.(i)) (or_empty pl)
+        (recheck t s c);
+    t.old_plists.(i) <- None;
+    check_added t s (i + 1) rest
 
 (* --- selection --- *)
 
@@ -247,16 +361,19 @@ let offer ch path route =
     ch.best <- route
   end
 
-let offer_path t ch ~neighbor ~role down_path =
-  if not (Path.contains down_path t.node_id) then
-    (* One walk computes the route's class at the neighbor; both the
-       verification check (was the neighbor allowed to offer this under
-       the baseline contract?) and our own class derive from it. The
-       contract check is always Gao–Rexford, never the offering node's
-       configured policy — a leaker's permissive export chain doesn't
-       make its announcements acceptable here, which is exactly how
-       Centaur contains leaked and hijacked routes. *)
-    match Path_class.class_of t.topo down_path with
+(* Offer the path to [ch.dest] cached in session [s], with the
+   attributes recorded when it was cached. *)
+let offer_path t ch ~neighbor ~role s down_path =
+  let a = s.c_attr.(ch.dest) in
+  if a land attr_loop = 0 then
+    (* The verification check (was the neighbor allowed to offer this
+       under the baseline contract?) and our own class both derive from
+       the route's class at the neighbor. The contract check is always
+       Gao–Rexford, never the offering node's configured policy — a
+       leaker's permissive export chain doesn't make its announcements
+       acceptable here, which is exactly how Centaur contains leaked and
+       hijacked routes. *)
+    match attr_class a with
     | None -> Policy.note_reject t.policy
     | Some neighbor_class ->
       if
@@ -269,7 +386,7 @@ let offer_path t ch ~neighbor ~role down_path =
           Gao_rexford.class_of_learned ~neighbor_role:role ~neighbor_class
         in
         let path = t.node_id :: down_path in
-        let len = Path.length path in
+        let len = attr_len a in
         let pref =
           Policy.import_eval t.policy ~node:t.node_id ~peer:neighbor ~role
             ~dest:ch.dest ~cls ~len ~path
@@ -311,7 +428,7 @@ let best_path t ~dest =
       | Some s -> (
         match cached s dest with
         | [] -> ()
-        | down_path -> offer_path t ch ~neighbor:n ~role down_path));
+        | down_path -> offer_path t ch ~neighbor:n ~role s down_path));
       if dest = n then begin
         let cls =
           Gao_rexford.class_of_learned ~neighbor_role:role
@@ -439,6 +556,9 @@ let absorb t ann =
   | Some s ->
     let ann = Announce.import ann ~receiver:t.node_id in
     let delta = known_delta t.nodes ann.Announce.delta in
+    t.epoch <- t.epoch + 1;
+    note_removed t s delta.Pgraph.remove_links;
+    note_added t s 0 delta.Pgraph.add_links;
     Pgraph.apply s.pg delta;
     (* Changed destination marks and the destinations that failed to
        derive are re-derived outright; cached paths only where a step
@@ -446,8 +566,7 @@ let absorb t ann =
     Dirty.mark_list t.affected delta.Pgraph.add_dests;
     Dirty.mark_list t.affected delta.Pgraph.remove_dests;
     Flat_tbl.iter s.pending (fun d _ -> Dirty.mark t.affected d);
-    t.epoch <- t.epoch + 1;
-    check_added t s delta.Pgraph.add_links;
+    check_added t s 0 delta.Pgraph.add_links;
     check_removed t s delta.Pgraph.remove_links;
     Dirty.drain t.affected (fun dest ->
         if rederive t s ~dest then mark_dirty t dest));

@@ -11,11 +11,13 @@
     Processing is incremental, as §4.3's steady phase prescribes: an
     incoming delta re-derives exactly the destinations whose derivation
     it changes — found by re-running one DerivePath step
-    ({!Pgraph.derive_step}) at each node whose in-links changed, for the
-    cached paths through it — re-selects only those, and flushes only
-    the resulting net changes to each neighbor. The derived cache stays
-    equal to a fresh derivation from the session graphs, lost deltas
-    included.
+    ({!Pgraph.derive_step}) at each child of a link the delta touched,
+    for the cached paths through it whose step the delta can change (all
+    of them where the child's in-link set changed, only those whose
+    Permission-List pair changed where it did not) — re-selects only
+    those, and flushes only the resulting net changes to each neighbor.
+    The derived cache stays equal to a fresh derivation from the session
+    graphs, lost deltas included.
 
     The node consults the shared {!Topology.t} only for (a) its own
     adjacency and link state and (b) the static business relationship of

@@ -152,6 +152,27 @@ let prefix_equal (a : int array) len (b : int array) =
 
 let equal a b = a == b || prefix_equal a (Array.length a) b
 
+(* A merge walk over the two sorted key arrays. *)
+let iter_diff a b f =
+  if a != b then begin
+    let la = Array.length a and lb = Array.length b in
+    let i = ref 0 and j = ref 0 in
+    while !i < la || !j < lb do
+      if !j = lb || (!i < la && a.(!i) < b.(!j)) then begin
+        f ~dest:(key_dest a.(!i)) ~next:(key_next a.(!i));
+        incr i
+      end
+      else if !i = la || b.(!j) < a.(!i) then begin
+        f ~dest:(key_dest b.(!j)) ~next:(key_next b.(!j));
+        incr j
+      end
+      else begin
+        incr i;
+        incr j
+      end
+    done
+  end
+
 (* --- bulk building --- *)
 
 type scratch = {

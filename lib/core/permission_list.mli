@@ -74,6 +74,12 @@ val merge : t -> t -> t
 
 val equal : t -> t -> bool
 
+val iter_diff : t -> t -> (dest:int -> next:int -> unit) -> unit
+(** [iter_diff a b f] calls [f] on every (destination, next hop) pair
+    that is in exactly one of the two lists, in key order, with the next
+    hop as in {!permit_id}: the pairs whose [Permit] answer differs
+    between them. One merge walk over both; allocates nothing. *)
+
 val compressed_size_bytes : t -> fp_rate:float -> int
 (** Size estimate when each entry's destination list is Bloom-compressed
     at the given false-positive rate (paper §4.1 suggests Bloom filters),

@@ -3,21 +3,25 @@ type link_data = {
   plist : Permission_list.t option;
 }
 
-(* Arena / struct-of-arrays layout: a link (parent, child) is a single
-   immediate int key — [parent lsl 31 lor child] — resolved through a
-   flat open-addressing table to a {e slot} in a set of parallel arrays
-   (key, counter, Permission List, chain link). No per-entry heap
-   records: the only per-link allocation is the slot itself, and the
-   arrays grow geometrically, so a P-graph's resident size is a handful
-   of flat arrays regardless of link count. Packed-key order is exactly
-   (parent, child) lexicographic order, so every sorted view sorts
-   immediate ints.
+(* Arena / struct-of-arrays layout: a link (parent, child) lives in a
+   {e slot} of a set of parallel arrays (packed key, counter, Permission
+   List, chain link). The key is one immediate int, [parent lsl 31 lor
+   child], whose order is exactly (parent, child) lexicographic order,
+   so every sorted view sorts immediate ints. No per-entry heap records:
+   the only per-link allocation is the slot itself, and the arrays grow
+   geometrically.
 
    The per-node adjacency needed by DerivePath is woven through the same
    arena: [l_next_in] chains the slots sharing a child (the in-edge list
-   walked at multi-homed nodes), with chain heads in a flat table.
-   Chains are unordered; sorted views sort on extraction (adjacency
-   lists are short). *)
+   walked at multi-homed nodes). Chains are unordered; sorted views sort
+   on extraction (adjacency lists are short).
+
+   A link's slot is found by walking its child's in-chain. Chain heads
+   and destination marks have two layouts. A graph created with a node
+   bound (a session graph: ids are topology nodes) keeps them in
+   node-indexed arrays, so it holds no hash table. An unbounded graph
+   (BuildGraph's, over any id up to [max_node]) keeps them in flat
+   tables. *)
 
 let pack_shift = 31
 let pack_mask = (1 lsl pack_shift) - 1
@@ -33,8 +37,19 @@ let check_node what v =
 
 let nil = -1
 
+type index =
+  | Bounded of {
+      heads : int array; (* child -> first slot of its in-edge chain *)
+      marks : Bytes.t; (* node -> ['\001'] when a destination *)
+    }
+  | Packed of {
+      in_head : Flat_tbl.t; (* child -> first slot of its in-edge chain *)
+      dest_marks : Flat_tbl.t;
+    }
+
 type t = {
   root_node : int;
+  index : index;
   (* Link arena, one slot per live link; [l_key.(s) = nil] on free slots
      (packed keys are non-negative). Freed slots are chained through
      [l_next_in] and reused before the arena grows. *)
@@ -44,39 +59,110 @@ type t = {
   mutable l_next_in : int array;
   mutable slot_hwm : int; (* arena high-water mark *)
   mutable free_head : int;
-  slot_of : Flat_tbl.t; (* packed key -> slot *)
-  in_head : Flat_tbl.t; (* child -> first slot of its in-edge chain *)
-  dest_marks : Flat_tbl.t;
   mutable link_count : int;
+  mutable dest_count : int;
 }
 
 let initial_cap = 8
 
+(* Every node id of [t] is below this. *)
+let bound t = match t.index with Bounded b -> Array.length b.heads | Packed _ -> max_node + 1
+
+let check_id t what v =
+  check_node what v;
+  if v >= bound t then invalid_arg (what ^ ": node id out of bound")
+
+let with_index index ~root =
+  let t =
+    { root_node = root;
+      index;
+      l_key = Array.make initial_cap nil;
+      l_counter = Array.make initial_cap 0;
+      l_plist = Array.make initial_cap None;
+      l_next_in = Array.make initial_cap nil;
+      slot_hwm = 0;
+      free_head = nil;
+      link_count = 0;
+      dest_count = 0 }
+  in
+  check_id t "Pgraph.create" root;
+  t
+
 let create ~root =
-  check_node "Pgraph.create" root;
-  { root_node = root;
-    l_key = Array.make initial_cap nil;
-    l_counter = Array.make initial_cap 0;
-    l_plist = Array.make initial_cap None;
-    l_next_in = Array.make initial_cap nil;
-    slot_hwm = 0;
-    free_head = nil;
-    slot_of = Flat_tbl.create ();
-    in_head = Flat_tbl.create ();
-    dest_marks = Flat_tbl.create ();
-    link_count = 0 }
+  with_index ~root
+    (Packed { in_head = Flat_tbl.create (); dest_marks = Flat_tbl.create () })
+
+let create_bounded ~nodes ~root =
+  if nodes < 1 || nodes > max_node + 1 then
+    invalid_arg "Pgraph.create_bounded: node bound out of range";
+  with_index ~root (Bounded { heads = Array.make nodes nil; marks = Bytes.make nodes '\000' })
 
 let root t = t.root_node
 
-let dests t = Array.to_list (Flat_tbl.sorted_keys t.dest_marks)
+let in_bound t v = v >= 0 && v < bound t
 
-let is_dest t d = Flat_tbl.mem t.dest_marks d
+let is_dest t d =
+  match t.index with
+  | Bounded b -> d >= 0 && d < Bytes.length b.marks && Bytes.unsafe_get b.marks d <> '\000'
+  | Packed p -> Flat_tbl.mem p.dest_marks d
+
+(* [f] on every destination, ascending. *)
+let iter_dests t f =
+  match t.index with
+  | Bounded b ->
+    for d = 0 to Bytes.length b.marks - 1 do
+      if Bytes.unsafe_get b.marks d <> '\000' then f d
+    done
+  | Packed p -> Array.iter f (Flat_tbl.sorted_keys p.dest_marks)
+
+(* The destinations that pass [keep], ascending. *)
+let dests_where t keep =
+  let acc = ref [] in
+  iter_dests t (fun d -> if keep d then acc := d :: !acc);
+  List.rev !acc
+
+let dests t = dests_where t (fun _ -> true)
 
 let mark_dest t d =
-  check_node "Pgraph.mark_dest" d;
-  Flat_tbl.set t.dest_marks d 1
+  check_id t "Pgraph.mark_dest" d;
+  if not (is_dest t d) then begin
+    t.dest_count <- t.dest_count + 1;
+    match t.index with
+    | Bounded b -> Bytes.unsafe_set b.marks d '\001'
+    | Packed p -> Flat_tbl.set p.dest_marks d 1
+  end
 
-let unmark_dest t d = Flat_tbl.remove t.dest_marks d
+let unmark_dest t d =
+  if is_dest t d then begin
+    t.dest_count <- t.dest_count - 1;
+    match t.index with
+    | Bounded b -> Bytes.unsafe_set b.marks d '\000'
+    | Packed p -> Flat_tbl.remove p.dest_marks d
+  end
+
+(* First slot of [node]'s in-edge chain, [nil] when it has none. *)
+let head t node =
+  match t.index with
+  | Bounded b -> if node >= 0 && node < Array.length b.heads then Array.unsafe_get b.heads node else nil
+  | Packed p -> Flat_tbl.find_default p.in_head node ~default:nil
+
+let set_head t node s =
+  match t.index with
+  | Bounded b -> b.heads.(node) <- s
+  | Packed p -> if s = nil then Flat_tbl.remove p.in_head node else Flat_tbl.set p.in_head node s
+
+(* The slot of [parent -> child], [nil] when absent: a walk down the
+   child's in-chain, as long as its in-degree. *)
+let slot t ~parent ~child =
+  if not (in_bound t parent && in_bound t child) then nil
+  else begin
+    let key = pack ~parent ~child in
+    let s = ref (head t child) in
+    while !s <> nil && t.l_key.(!s) <> key do
+      s := t.l_next_in.(!s)
+    done;
+    !s
+  end
 
 let grow_arena t =
   let cap = Array.length t.l_key in
@@ -108,18 +194,16 @@ let alloc_slot t =
 
 let put_link t ~parent ~child ~counter ~plist =
   if parent = child then invalid_arg "Pgraph.add_link: self-loop";
-  check_node "Pgraph.add_link" parent;
-  check_node "Pgraph.add_link" child;
-  let key = pack ~parent ~child in
-  match Flat_tbl.find_default t.slot_of key ~default:nil with
+  check_id t "Pgraph.add_link" parent;
+  check_id t "Pgraph.add_link" child;
+  match slot t ~parent ~child with
   | -1 ->
     let s = alloc_slot t in
-    t.l_key.(s) <- key;
+    t.l_key.(s) <- pack ~parent ~child;
     t.l_counter.(s) <- counter;
     t.l_plist.(s) <- plist;
-    t.l_next_in.(s) <- Flat_tbl.find_default t.in_head child ~default:nil;
-    Flat_tbl.set t.in_head child s;
-    Flat_tbl.set t.slot_of key s;
+    t.l_next_in.(s) <- head t child;
+    set_head t child s;
     t.link_count <- t.link_count + 1
   | s ->
     t.l_counter.(s) <- counter;
@@ -132,11 +216,8 @@ let add_link t ~parent ~child ~data =
    the node's in-degree. *)
 let unchain t ~child s =
   let next = t.l_next_in in
-  let first = Flat_tbl.find_default t.in_head child ~default:nil in
-  if first = s then begin
-    if next.(s) = nil then Flat_tbl.remove t.in_head child
-    else Flat_tbl.set t.in_head child next.(s)
-  end
+  let first = head t child in
+  if first = s then set_head t child next.(s)
   else begin
     let p = ref first in
     while next.(!p) <> s do
@@ -146,28 +227,21 @@ let unchain t ~child s =
   end
 
 let remove_link t ~parent ~child =
-  if parent >= 0 && parent <= max_node && child >= 0 && child <= max_node
-  then begin
-    let key = pack ~parent ~child in
-    match Flat_tbl.find_opt t.slot_of key with
-    | None -> ()
-    | Some s ->
-      Flat_tbl.remove t.slot_of key;
-      unchain t ~child s;
-      t.l_key.(s) <- nil;
-      t.l_plist.(s) <- None;
-      t.l_next_in.(s) <- t.free_head;
-      t.free_head <- s;
-      t.link_count <- t.link_count - 1
+  let s = slot t ~parent ~child in
+  if s <> nil then begin
+    unchain t ~child s;
+    t.l_key.(s) <- nil;
+    t.l_plist.(s) <- None;
+    t.l_next_in.(s) <- t.free_head;
+    t.free_head <- s;
+    t.link_count <- t.link_count - 1
   end
 
-let slot t ~parent ~child =
-  if parent < 0 || parent > max_node || child < 0 || child > max_node then
-    nil
-  else
-    match Flat_tbl.find_opt t.slot_of (pack ~parent ~child) with
-    | Some s -> s
-    | None -> nil
+let mem_link t ~parent ~child = slot t ~parent ~child <> nil
+
+let plist t ~parent ~child =
+  let s = slot t ~parent ~child in
+  if s = nil then None else t.l_plist.(s)
 
 let link_data t ~parent ~child =
   let s = slot t ~parent ~child in
@@ -175,7 +249,7 @@ let link_data t ~parent ~child =
   else Some { counter = t.l_counter.(s); plist = t.l_plist.(s) }
 
 let in_degree t node =
-  let s = ref (Flat_tbl.find_default t.in_head node ~default:nil) in
+  let s = ref (head t node) in
   let deg = ref 0 in
   while !s <> nil do
     incr deg;
@@ -185,7 +259,7 @@ let in_degree t node =
 
 let parents_of t node =
   let acc = ref [] in
-  let s = ref (Flat_tbl.find_default t.in_head node ~default:nil) in
+  let s = ref (head t node) in
   while !s <> nil do
     acc :=
       ( key_parent t.l_key.(!s),
@@ -224,21 +298,23 @@ let permission_lists t =
   !acc
 
 let nodes t =
-  let set = Flat_tbl.create () in
-  Flat_tbl.set set t.root_node 1;
+  let acc = ref [ t.root_node ] in
   iter_slots t (fun s ->
       let key = t.l_key.(s) in
-      Flat_tbl.set set (key_parent key) 1;
-      Flat_tbl.set set (key_child key) 1);
-  Array.to_list (Flat_tbl.sorted_keys set)
+      acc := key_parent key :: key_child key :: !acc);
+  List.sort_uniq Int.compare !acc
 
 let copy t =
-  let fresh = create ~root:t.root_node in
+  let fresh =
+    match t.index with
+    | Bounded b -> create_bounded ~nodes:(Array.length b.heads) ~root:t.root_node
+    | Packed _ -> create ~root:t.root_node
+  in
   iter_slots t (fun s ->
       let key = t.l_key.(s) in
       add_link fresh ~parent:(key_parent key) ~child:(key_child key)
         ~data:{ counter = t.l_counter.(s); plist = t.l_plist.(s) });
-  Flat_tbl.iter t.dest_marks (fun d _ -> mark_dest fresh d);
+  iter_dests t (mark_dest fresh);
   fresh
 
 (* A step, signed-packed so a node id up to [max_node] fits either half
@@ -401,7 +477,7 @@ let of_multipaths ~root paths =
    [nil] when no parent qualifies. Reads only [node]'s in-links and
    their Permission Lists. *)
 let derive_step t ~dest ~node ~next =
-  let first = Flat_tbl.find_default t.in_head node ~default:nil in
+  let first = head t node in
   if first = nil then nil
   else if t.l_next_in.(first) = nil then key_parent t.l_key.(first)
   else begin
@@ -481,7 +557,7 @@ let derive_paths ?(limit = 64) t ~dest =
             if not (List.mem parent acc) then
               go parent (Some current) (parent :: acc)
           in
-          let first = Flat_tbl.find_default t.in_head current ~default:nil in
+          let first = head t current in
           if first <> nil then
             if t.l_next_in.(first) = nil then
               follow (key_parent t.l_key.(first))
@@ -511,22 +587,21 @@ let plist_opt_equal a b =
   | Some x, Some y -> Permission_list.equal x y
   | None, Some _ | Some _, None -> false
 
+(* Either side may have either layout: links are matched through
+   [slot], destinations through [is_dest]. *)
 let equal a b =
   a.root_node = b.root_node
   && a.link_count = b.link_count
-  && Flat_tbl.length a.dest_marks = Flat_tbl.length b.dest_marks
-  && Flat_tbl.fold a.dest_marks ~init:true ~f:(fun ok d _ ->
-         ok && Flat_tbl.mem b.dest_marks d)
+  && a.dest_count = b.dest_count
+  && dests_where a (fun d -> not (is_dest b d)) = []
   &&
   let ok = ref true in
   iter_slots a (fun s ->
       if !ok then begin
         let key = a.l_key.(s) in
-        match Flat_tbl.find_opt b.slot_of key with
-        | None -> ok := false
-        | Some s' ->
-          if not (plist_opt_equal a.l_plist.(s) b.l_plist.(s')) then
-            ok := false
+        match slot b ~parent:(key_parent key) ~child:(key_child key) with
+        | -1 -> ok := false
+        | s' -> if not (plist_opt_equal a.l_plist.(s) b.l_plist.(s')) then ok := false
       end);
   !ok
 
@@ -544,17 +619,17 @@ let delta_is_empty d =
 let delta_units d = List.length d.add_links + List.length d.remove_links
 
 (* Both sides are iterated in place over their arenas — no intermediate
-   sorted link lists. Results are sorted on the (small) delta, by
-   immediate-int key, so the output order is the same (parent, child)
-   order as before. *)
+   sorted link lists — and either may have either layout. Results are
+   sorted on the (small) delta, by immediate-int key, so the output
+   order is (parent, child) order. *)
 let diff ~old_ ~new_ =
   let added = ref [] in
   iter_slots new_ (fun s ->
       let key = new_.l_key.(s) in
       let pl = new_.l_plist.(s) in
-      match Flat_tbl.find_opt old_.slot_of key with
-      | Some os when plist_opt_equal old_.l_plist.(os) pl -> ()
-      | Some _ | None -> added := (key, pl) :: !added);
+      match slot old_ ~parent:(key_parent key) ~child:(key_child key) with
+      | -1 -> added := (key, pl) :: !added
+      | os -> if not (plist_opt_equal old_.l_plist.(os) pl) then added := (key, pl) :: !added);
   let add_links =
     List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) !added
     |> List.map (fun (k, pl) -> (key_parent k, key_child k, pl))
@@ -562,22 +637,16 @@ let diff ~old_ ~new_ =
   let removed = ref [] in
   iter_slots old_ (fun s ->
       let key = old_.l_key.(s) in
-      if not (Flat_tbl.mem new_.slot_of key) then removed := key :: !removed);
+      if not (mem_link new_ ~parent:(key_parent key) ~child:(key_child key)) then
+        removed := key :: !removed);
   let remove_links =
     List.sort Int.compare !removed
     |> List.map (fun k -> (key_parent k, key_child k))
   in
-  let add_dests =
-    Flat_tbl.fold new_.dest_marks ~init:[] ~f:(fun acc d _ ->
-        if is_dest old_ d then acc else d :: acc)
-    |> List.sort Int.compare
-  in
-  let remove_dests =
-    Flat_tbl.fold old_.dest_marks ~init:[] ~f:(fun acc d _ ->
-        if is_dest new_ d then acc else d :: acc)
-    |> List.sort Int.compare
-  in
-  { add_links; remove_links; add_dests; remove_dests }
+  { add_links;
+    remove_links;
+    add_dests = dests_where new_ (fun d -> not (is_dest old_ d));
+    remove_dests = dests_where old_ (fun d -> not (is_dest new_ d)) }
 
 let apply t delta =
   List.iter

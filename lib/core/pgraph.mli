@@ -28,7 +28,16 @@ type link_data = {
 }
 
 val create : root:int -> t
-(** A fresh graph with no links and no destination marks. *)
+(** A fresh graph with no links and no destination marks, over node ids
+    up to {!max_node}; its per-node state lives in hash tables. *)
+
+val create_bounded : nodes:int -> root:int -> t
+(** {!create} for node ids in [\[0, nodes)] (the root's included; any
+    other id raises [Invalid_argument]): the graph keeps its per-node
+    state in node-indexed arrays and holds no hash table. The layout of
+    a session graph, whose ids are a topology's nodes. Every operation
+    accepts graphs of either layout, {!equal} and {!diff} across the two
+    included. *)
 
 val pack : parent:int -> child:int -> int
 (** The packed link key [parent lsl 31 lor child], one immediate int
@@ -53,7 +62,7 @@ val of_paths : root:int -> Path.t list -> t
     added earlier. *)
 
 val copy : t -> t
-(** Independent deep copy. *)
+(** Independent deep copy, with the same layout. *)
 
 val of_multipaths : root:int -> Path.t list -> t
 (** Multi-path [BuildGraph] (the paper's §7 extension): like
@@ -165,6 +174,12 @@ val add_link : t -> parent:int -> child:int -> data:link_data -> unit
 val remove_link : t -> parent:int -> child:int -> unit
 
 val link_data : t -> parent:int -> child:int -> link_data option
+
+val mem_link : t -> parent:int -> child:int -> bool
+
+val plist : t -> parent:int -> child:int -> Permission_list.t option
+(** The link's Permission List; [None] when it carries none or is
+    absent. Allocates nothing. *)
 
 val in_degree : t -> int -> int
 

@@ -12,10 +12,10 @@ let sample_every = 5.0
 
 (* Centaur's cold start on the caida_like model is dominated by
    Permission-List construction and flooding, which grow superlinearly
-   with node count (~17 s at 300 nodes, >5 min at 600 on one core). The
-   containment story is about propagation *radius*, not absolute scale,
-   so the experiment caps the topology; the quick preset already sits at
-   the cap. *)
+   with node count (4.5 s at 300 nodes, 31 s at 600, one core of a
+   shared 2-core x86-64 host). The containment story is about
+   propagation *radius*, not absolute scale, so the experiment caps the
+   topology; the quick preset already sits at the cap. *)
 let max_nodes = 300
 
 type kind = Route_leak | Prefix_hijack | Plist_misconfig

@@ -1,19 +1,30 @@
-(* Flat layout: a [Flat_tbl] answers membership and an int array holds
-   the keys in marking order. Taking the keys sorts a copy of that array
-   and empties the set in place, so a set that is marked and drained over
-   and over is reset, never reallocated. *)
+(* Flat layout: one byte per key answers membership, and an int array
+   holds the keys in marking order. The membership bytes reach up to the
+   largest key marked and grow by doubling. Taking the keys sorts a copy
+   of that array and resets only the marked bytes, so a set that is
+   marked and drained over and over is reset, never reallocated, and a
+   drain costs what was marked, not the key range. *)
 type t = {
-  seen : Flat_tbl.t;
+  mutable seen : Bytes.t;
   mutable keys : int array;
   mutable len : int;
 }
 
 let create ?(size = 64) () =
-  { seen = Flat_tbl.create ~initial:size (); keys = Array.make (max size 1) 0; len = 0 }
+  let size = max size 1 in
+  { seen = Bytes.make size '\000'; keys = Array.make size 0; len = 0 }
+
+let mem t key = key >= 0 && key < Bytes.length t.seen && Bytes.unsafe_get t.seen key <> '\000'
 
 let mark t key =
-  if not (Flat_tbl.mem t.seen key) then begin
-    Flat_tbl.set t.seen key 1;
+  if key < 0 then invalid_arg "Dirty.mark: negative key";
+  if key >= Bytes.length t.seen then begin
+    let seen = Bytes.make (max (key + 1) (2 * Bytes.length t.seen)) '\000' in
+    Bytes.blit t.seen 0 seen 0 (Bytes.length t.seen);
+    t.seen <- seen
+  end;
+  if Bytes.unsafe_get t.seen key = '\000' then begin
+    Bytes.unsafe_set t.seen key '\001';
     if t.len = Array.length t.keys then begin
       let keys = Array.make (2 * t.len) 0 in
       Array.blit t.keys 0 keys 0 t.len;
@@ -30,14 +41,14 @@ let mark_range t lo hi =
     mark t key
   done
 
-let mem t key = Flat_tbl.mem t.seen key
-
 let is_empty t = t.len = 0
 
 let cardinal t = t.len
 
 let clear t =
-  Flat_tbl.clear t.seen;
+  for i = 0 to t.len - 1 do
+    Bytes.unsafe_set t.seen t.keys.(i) '\000'
+  done;
   t.len <- 0
 
 (* The sets drained on the hot paths mostly hold a handful of keys:

@@ -1,22 +1,27 @@
 (** Generic dirty-set scheduler for delta-first recomputation.
 
-    A [Dirty.t] collects integer keys (destinations, prefixes, tree ids —
-    whatever the recomputation unit is) that an update has invalidated,
-    deduplicating marks, and later drains them in a {e deterministic}
-    order (ascending key) so that incremental recomputation visits
-    entries in the same order regardless of the arrival order of the
-    marks. All three protocol implementations and the Centaur node's
-    cross-session invalidation schedule their recomputation through this
-    one abstraction. *)
+    A [Dirty.t] collects non-negative integer ids that an update has
+    invalidated, deduplicating marks, and later drains them in a
+    {e deterministic} order (ascending key) so that incremental
+    recomputation visits entries in the same order regardless of the
+    arrival order of the marks. All three protocol implementations and
+    the Centaur node's cross-session invalidation schedule their
+    recomputation through this one abstraction, each keyed by
+    destination id.
+
+    Membership costs one byte per key, up to the largest key marked;
+    emptying the set costs what was marked, not the key range. *)
 
 type t
 
 val create : ?size:int -> unit -> t
-(** Fresh empty set. [size] is the initial capacity hint; draining
-    empties the set in place, keeping its capacity. *)
+(** Fresh empty set. [size] is the initial capacity hint (keys below it
+    mark without growing the set); draining empties the set in place,
+    keeping its capacity. *)
 
 val mark : t -> int -> unit
-(** Add one key; marking an already-dirty key is a no-op. *)
+(** Add one key; marking an already-dirty key is a no-op. Raises
+    [Invalid_argument] on a negative key. *)
 
 val mark_list : t -> int list -> unit
 

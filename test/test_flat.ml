@@ -1,5 +1,6 @@
 (* Equivalence suites for the flat-layout rewrites: the packed-key
-   P-graph against a reference port of the previous nested-Hashtbl
+   P-graph, in both its hash-indexed and its node-indexed layout,
+   against a reference port of the previous nested-Hashtbl
    implementation, and the workspace-reusing solver against fresh
    per-call solver state. The reference ([Oracle.Reference]) is the
    pre-packed [Pgraph] code, verbatim modulo the [Pgraph.link_data]
@@ -85,6 +86,13 @@ let packed_matches_reference =
       let g = Pgraph.of_paths ~root:src paths
       and r = Reference.of_paths ~root:src paths in
       same_graph ~what:"of_paths" g r;
+      (* The node-indexed layout of a session graph, built link by link
+         to the same graph, takes the same burst. *)
+      let gb = Pgraph.create_bounded ~nodes:64 ~root:src in
+      List.iter
+        (fun (parent, child, data) -> Pgraph.add_link gb ~parent ~child ~data)
+        (Pgraph.links g);
+      List.iter (Pgraph.mark_dest gb) (Pgraph.dests g);
       (* Random mutation burst applied to both. *)
       let rng = Random.State.make [| seed; 77 |] in
       let rand_plist () =
@@ -111,18 +119,27 @@ let packed_matches_reference =
               { Pgraph.counter = Random.State.int rng 3; plist = rand_plist () }
             in
             Pgraph.add_link g ~parent:a ~child:b ~data;
+            Pgraph.add_link gb ~parent:a ~child:b ~data;
             Reference.add_link r ~parent:a ~child:b ~data
           | 1 ->
             Pgraph.remove_link g ~parent:a ~child:b;
+            Pgraph.remove_link gb ~parent:a ~child:b;
             Reference.remove_link r ~parent:a ~child:b
           | 2 ->
             Pgraph.mark_dest g a;
+            Pgraph.mark_dest gb a;
             Reference.mark_dest r a
           | _ ->
             Pgraph.unmark_dest g a;
+            Pgraph.unmark_dest gb a;
             Reference.unmark_dest r a
       done;
       same_graph ~what:"after ops" g r;
+      same_graph ~what:"bounded, after ops" gb r;
+      if not (Pgraph.equal g gb && Pgraph.equal gb g) then
+        Alcotest.fail "layouts not equal";
+      if not (Pgraph.delta_is_empty (Pgraph.diff ~old_:g ~new_:gb)) then
+        Alcotest.fail "diff across layouts not empty";
       true)
 
 (* BuildGraph at the top of the id range: a multi-homed [max_node] with

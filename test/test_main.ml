@@ -28,5 +28,6 @@ let () =
       ("incremental", Test_incremental.suite);
       ("stream", Test_stream.suite);
       ("obs", Test_obs.suite);
+      ("parsers", Test_parsers.suite);
       ("verify", Test_verify.suite);
       ("experiments", Test_experiments.suite) ]

@@ -254,6 +254,82 @@ let routes_equal_rebuild_after_loss =
           Node.selected_paths node = Node.selected_paths fresh)
         nodes)
 
+(* A valley-free walk of up to [hops] links from [src], never visiting
+   [avoid]: up to providers, across at most one peer, then down to
+   customers; siblings anywhere. *)
+let vf_walk topo rng ~src ~avoid ~hops =
+  let rec go node down acc k =
+    let options = ref [] in
+    if k > 0 then
+      Topology.iter_neighbors topo node (fun nbr role _ ->
+          if nbr <> avoid && not (List.mem nbr acc) then
+            match role with
+            | Relationship.Customer -> options := (nbr, true) :: !options
+            | Relationship.Sibling -> options := (nbr, down) :: !options
+            | Relationship.Provider | Relationship.Peer ->
+              if not down then options := (nbr, role = Relationship.Peer) :: !options);
+    match !options with
+    | [] -> List.rev acc
+    | opts ->
+      let nbr, down = List.nth opts (Random.State.int rng (List.length opts)) in
+      go nbr down (nbr :: acc) (k - 1)
+  in
+  go src false [ src ] hops
+
+(* The one-hop check, delta by delta: a node fed one neighbor's graph
+   as a sequence of deltas must select what a fresh node handed the
+   current graph whole selects, after every delta. Each graph is the
+   multi-path BuildGraph of a random subset of a fixed pool of
+   valley-free walks from the neighbor, so from one graph to the next
+   children gain and lose in-links, turn multi-homed and single-homed
+   again, and keep their in-links while their Permission Lists change:
+   every case of the check. Now and then one link loses its Permission
+   List, as under the misconfigured-list fault: in a well-formed graph a
+   child that turns multi-homed has every in-link re-announced with a
+   list, which would hide a check that missed the new in-link. *)
+let delta_check_matches_rebuild =
+  QCheck.Test.make ~name:"one-hop check = rebuild after every session delta"
+    ~count:(qcheck_count 300)
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let topo = random_brite ~seed ~n:(8 + (seed mod 5)) ~m:2 in
+      let rng = Random.State.make [| seed |] in
+      let me = Random.State.int rng (Topology.num_nodes topo) in
+      let nbrs = ref [] in
+      Topology.iter_neighbors topo me (fun v _ _ -> nbrs := v :: !nbrs);
+      QCheck.assume (!nbrs <> []);
+      let nbr = List.nth !nbrs (Random.State.int rng (List.length !nbrs)) in
+      let pool =
+        List.init 12 (fun _ ->
+            vf_walk topo rng ~src:nbr ~avoid:me ~hops:(1 + Random.State.int rng 4))
+        |> List.filter (fun p -> List.length p >= 2)
+      in
+      let started () = fst (Node.start (Node.create topo ~id:me)) in
+      let absorb node ~old_ ~new_ =
+        let ann = Announce.make ~sender:nbr (Pgraph.diff ~old_ ~new_) in
+        fst (Node.recompute (Node.absorb node ann))
+      in
+      let node = ref (started ()) and graph = ref (Pgraph.create ~root:nbr) in
+      List.for_all
+        (fun _ ->
+          let g =
+            Pgraph.of_multipaths ~root:nbr
+              (List.filter (fun _ -> Random.State.bool rng) pool)
+          in
+          (match Pgraph.links g with
+          | links when links <> [] && Random.State.int rng 4 = 0 ->
+            let parent, child, _ =
+              List.nth links (Random.State.int rng (List.length links))
+            in
+            Pgraph.add_link g ~parent ~child
+              ~data:{ Pgraph.counter = 0; plist = None }
+          | _ -> ());
+          node := absorb !node ~old_:!graph ~new_:g;
+          graph := g;
+          let fresh = absorb (started ()) ~old_:(Pgraph.create ~root:nbr) ~new_:g in
+          Node.selected_paths !node = Node.selected_paths fresh)
+        (List.init 16 Fun.id))
+
 let suite =
   [ Alcotest.test_case "node pump = solver (fig2)" `Quick
       test_converges_to_solver_fig2;
@@ -276,4 +352,5 @@ let suite =
     Alcotest.test_case "announce units" `Quick test_announce_units;
     Alcotest.test_case "announce import filter" `Quick
       test_announce_import_filter;
-    QCheck_alcotest.to_alcotest routes_equal_rebuild_after_loss ]
+    QCheck_alcotest.to_alcotest routes_equal_rebuild_after_loss;
+    QCheck_alcotest.to_alcotest delta_check_matches_rebuild ]

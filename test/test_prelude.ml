@@ -581,6 +581,71 @@ let test_dirty_range_fold () =
   Alcotest.(check int) "fold ascending sum" 22 sum;
   Alcotest.(check bool) "fold preserves" false (Dirty.is_empty d)
 
+(* Dirty against a sorted, duplicate-free key list: random marks (single,
+   list and range, with keys past the membership bytes it starts with),
+   takes, clears and drains, checking membership, cardinality and the
+   ascending fold after every op. *)
+type dirty_op =
+  | Mark of int
+  | Mark_range of int * int
+  | Take
+  | Clear
+  | Drain
+
+let dirty_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, map (fun k -> Mark k) (int_bound 300));
+        (1, map2 (fun lo len -> Mark_range (lo, lo + len)) (int_bound 300) (int_bound 6));
+        (1, return Take);
+        (1, return Clear);
+        (1, return Drain) ])
+
+let show_dirty_op = function
+  | Mark k -> Printf.sprintf "mark %d" k
+  | Mark_range (lo, hi) -> Printf.sprintf "range %d..%d" lo hi
+  | Take -> "take"
+  | Clear -> "clear"
+  | Drain -> "drain"
+
+let dirty_matches_model =
+  QCheck.Test.make ~name:"dirty = sorted-list model" ~count:(Helpers.qcheck_count 300)
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_dirty_op ops))
+       QCheck.Gen.(list_size (int_bound 60) dirty_op_gen))
+    (fun ops ->
+      let d = Dirty.create ~size:8 () in
+      let model = ref [] in
+      let add keys = model := List.sort_uniq Int.compare (keys @ !model) in
+      let step op =
+        (match op with
+        | Mark k -> Dirty.mark d k; add [ k ]
+        | Mark_range (lo, hi) ->
+          Dirty.mark_range d lo hi;
+          add (List.init (hi - lo + 1) (fun i -> lo + i))
+        | Take ->
+          if Dirty.take d <> !model then Alcotest.fail "take";
+          model := []
+        | Clear -> Dirty.clear d; model := []
+        | Drain ->
+          let seen = ref [] in
+          Dirty.drain d (fun k -> seen := k :: !seen);
+          if List.rev !seen <> !model then Alcotest.fail "drain";
+          model := []);
+        Dirty.cardinal d = List.length !model
+        && Dirty.is_empty d = (!model = [])
+        && Dirty.fold d ~init:[] ~f:(fun acc k -> k :: acc) = List.rev !model
+        && List.for_all (fun k -> Dirty.mem d k = List.mem k !model) [ 0; 7; 8; 150; 299; 306; 1000 ]
+      in
+      List.for_all step ops && Dirty.take d = !model)
+
+let test_dirty_negative_key () =
+  let d = Dirty.create () in
+  Alcotest.check_raises "negative key" (Invalid_argument "Dirty.mark: negative key")
+    (fun () -> Dirty.mark d (-1));
+  Alcotest.(check bool) "negative never a member" false (Dirty.mem d (-1));
+  Alcotest.(check bool) "still empty" true (Dirty.is_empty d)
+
 (* Bit rows against one sorted id list per row: random adds and removes
    over rows touched in any order, with the ids at both ends of the
    range drawn often. After each op the touched row must answer
@@ -708,4 +773,7 @@ let suite =
       test_dirty_drain_cascades;
     Alcotest.test_case "dirty range and fold" `Quick
       test_dirty_range_fold;
+    QCheck_alcotest.to_alcotest dirty_matches_model;
+    Alcotest.test_case "dirty rejects negative keys" `Quick
+      test_dirty_negative_key;
     QCheck_alcotest.to_alcotest bit_rows_model_qcheck ]

@@ -313,8 +313,11 @@ let test_centaur_flip_round_allocation () =
    arenas under hash indexes it held 3,014,060 words. One bit row per
    node over destinations, and node-indexed arrays for the derived
    cache and the export builders, bring it to 1,654,112; dropping the
-   session P-graphs' out-edge chains, to 1,572,738. The budget is 1.25x
-   the latter, so a reintroduced per-entry index fails it. *)
+   session P-graphs' out-edge chains, to 1,572,738. Node-indexed session
+   graphs, builders that find a link through its child's in-link chain
+   and byte-per-key dirty sets, with no hash table among them, bring it
+   to 1,134,768. The budget is 1.25x the latter, so a reintroduced hash
+   index or per-entry record fails it. *)
 let test_centaur_converged_state () =
   let topo =
     Experiments.Inputs.brite_sized Experiments.Config.default ~n:100
@@ -323,7 +326,7 @@ let test_centaur_converged_state () =
   ignore (runner.Sim.Runner.cold_start ());
   Gc.full_major ();
   let words = Obj.reachable_words (Obj.repr runner) in
-  let budget = 1.25 *. 1_572_738.0 in
+  let budget = 1.25 *. 1_134_768.0 in
   Alcotest.(check bool)
     (Printf.sprintf "%d words after cold start (budget %.0f)" words budget)
     true
