@@ -405,7 +405,7 @@ let flush_delta t =
   end
 
 let snapshot t =
-  let g = Pgraph.create ~root:t.root_node in
+  let g = Pgraph.create ~nodes:(nodes t) ~root:t.root_node in
   for l = 0 to t.l_hwm - 1 do
     if t.l_key.(l) <> nil && t.l_count.(l) > 0 then begin
       let key = t.l_key.(l) in

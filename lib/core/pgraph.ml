@@ -17,11 +17,9 @@ type link_data = {
    on extraction (adjacency lists are short).
 
    A link's slot is found by walking its child's in-chain. Chain heads
-   and destination marks have two layouts. A graph created with a node
-   bound (a session graph: ids are topology nodes) keeps them in
-   node-indexed arrays, so it holds no hash table. An unbounded graph
-   (BuildGraph's, over any id up to [max_node]) keeps them in flat
-   tables. *)
+   and destination marks are node-indexed arrays over the graph's node
+   bound: every graph's ids are a topology's nodes, so the graph holds
+   no hash table. *)
 
 let pack_shift = 31
 let pack_mask = (1 lsl pack_shift) - 1
@@ -37,19 +35,10 @@ let check_node what v =
 
 let nil = -1
 
-type index =
-  | Bounded of {
-      heads : int array; (* child -> first slot of its in-edge chain *)
-      marks : Bytes.t; (* node -> ['\001'] when a destination *)
-    }
-  | Packed of {
-      in_head : Flat_tbl.t; (* child -> first slot of its in-edge chain *)
-      dest_marks : Flat_tbl.t;
-    }
-
 type t = {
   root_node : int;
-  index : index;
+  heads : int array; (* child -> first slot of its in-edge chain *)
+  marks : Bytes.t; (* node -> ['\001'] when a destination *)
   (* Link arena, one slot per live link; [l_key.(s) = nil] on free slots
      (packed keys are non-negative). Freed slots are chained through
      [l_next_in] and reused before the arena grows. *)
@@ -66,16 +55,20 @@ type t = {
 let initial_cap = 8
 
 (* Every node id of [t] is below this. *)
-let bound t = match t.index with Bounded b -> Array.length b.heads | Packed _ -> max_node + 1
+let bound t = Array.length t.heads
+
+let in_bound t v = v >= 0 && v < bound t
 
 let check_id t what v =
-  check_node what v;
-  if v >= bound t then invalid_arg (what ^ ": node id out of bound")
+  if not (in_bound t v) then invalid_arg (what ^ ": node id out of bound")
 
-let with_index index ~root =
+let create ~nodes ~root =
+  if nodes < 1 || nodes > max_node + 1 then
+    invalid_arg "Pgraph.create: node bound out of range";
   let t =
     { root_node = root;
-      index;
+      heads = Array.make nodes nil;
+      marks = Bytes.make nodes '\000';
       l_key = Array.make initial_cap nil;
       l_counter = Array.make initial_cap 0;
       l_plist = Array.make initial_cap None;
@@ -88,32 +81,15 @@ let with_index index ~root =
   check_id t "Pgraph.create" root;
   t
 
-let create ~root =
-  with_index ~root
-    (Packed { in_head = Flat_tbl.create (); dest_marks = Flat_tbl.create () })
-
-let create_bounded ~nodes ~root =
-  if nodes < 1 || nodes > max_node + 1 then
-    invalid_arg "Pgraph.create_bounded: node bound out of range";
-  with_index ~root (Bounded { heads = Array.make nodes nil; marks = Bytes.make nodes '\000' })
-
 let root t = t.root_node
 
-let in_bound t v = v >= 0 && v < bound t
-
-let is_dest t d =
-  match t.index with
-  | Bounded b -> d >= 0 && d < Bytes.length b.marks && Bytes.unsafe_get b.marks d <> '\000'
-  | Packed p -> Flat_tbl.mem p.dest_marks d
+let is_dest t d = in_bound t d && Bytes.unsafe_get t.marks d <> '\000'
 
 (* [f] on every destination, ascending. *)
 let iter_dests t f =
-  match t.index with
-  | Bounded b ->
-    for d = 0 to Bytes.length b.marks - 1 do
-      if Bytes.unsafe_get b.marks d <> '\000' then f d
-    done
-  | Packed p -> Array.iter f (Flat_tbl.sorted_keys p.dest_marks)
+  for d = 0 to bound t - 1 do
+    if Bytes.unsafe_get t.marks d <> '\000' then f d
+  done
 
 (* The destinations that pass [keep], ascending. *)
 let dests_where t keep =
@@ -127,29 +103,17 @@ let mark_dest t d =
   check_id t "Pgraph.mark_dest" d;
   if not (is_dest t d) then begin
     t.dest_count <- t.dest_count + 1;
-    match t.index with
-    | Bounded b -> Bytes.unsafe_set b.marks d '\001'
-    | Packed p -> Flat_tbl.set p.dest_marks d 1
+    Bytes.unsafe_set t.marks d '\001'
   end
 
 let unmark_dest t d =
   if is_dest t d then begin
     t.dest_count <- t.dest_count - 1;
-    match t.index with
-    | Bounded b -> Bytes.unsafe_set b.marks d '\000'
-    | Packed p -> Flat_tbl.remove p.dest_marks d
+    Bytes.unsafe_set t.marks d '\000'
   end
 
 (* First slot of [node]'s in-edge chain, [nil] when it has none. *)
-let head t node =
-  match t.index with
-  | Bounded b -> if node >= 0 && node < Array.length b.heads then Array.unsafe_get b.heads node else nil
-  | Packed p -> Flat_tbl.find_default p.in_head node ~default:nil
-
-let set_head t node s =
-  match t.index with
-  | Bounded b -> b.heads.(node) <- s
-  | Packed p -> if s = nil then Flat_tbl.remove p.in_head node else Flat_tbl.set p.in_head node s
+let head t node = if in_bound t node then Array.unsafe_get t.heads node else nil
 
 (* The slot of [parent -> child], [nil] when absent: a walk down the
    child's in-chain, as long as its in-degree. *)
@@ -157,7 +121,7 @@ let slot t ~parent ~child =
   if not (in_bound t parent && in_bound t child) then nil
   else begin
     let key = pack ~parent ~child in
-    let s = ref (head t child) in
+    let s = ref t.heads.(child) in
     while !s <> nil && t.l_key.(!s) <> key do
       s := t.l_next_in.(!s)
     done;
@@ -202,8 +166,8 @@ let put_link t ~parent ~child ~counter ~plist =
     t.l_key.(s) <- pack ~parent ~child;
     t.l_counter.(s) <- counter;
     t.l_plist.(s) <- plist;
-    t.l_next_in.(s) <- head t child;
-    set_head t child s;
+    t.l_next_in.(s) <- t.heads.(child);
+    t.heads.(child) <- s;
     t.link_count <- t.link_count + 1
   | s ->
     t.l_counter.(s) <- counter;
@@ -216,8 +180,8 @@ let add_link t ~parent ~child ~data =
    the node's in-degree. *)
 let unchain t ~child s =
   let next = t.l_next_in in
-  let first = head t child in
-  if first = s then set_head t child next.(s)
+  let first = t.heads.(child) in
+  if first = s then t.heads.(child) <- next.(s)
   else begin
     let p = ref first in
     while next.(!p) <> s do
@@ -305,17 +269,13 @@ let nodes t =
   List.sort_uniq Int.compare !acc
 
 let copy t =
-  let fresh =
-    match t.index with
-    | Bounded b -> create_bounded ~nodes:(Array.length b.heads) ~root:t.root_node
-    | Packed _ -> create ~root:t.root_node
-  in
-  iter_slots t (fun s ->
-      let key = t.l_key.(s) in
-      add_link fresh ~parent:(key_parent key) ~child:(key_child key)
-        ~data:{ counter = t.l_counter.(s); plist = t.l_plist.(s) });
-  iter_dests t (mark_dest fresh);
-  fresh
+  { t with
+    heads = Array.copy t.heads;
+    marks = Bytes.copy t.marks;
+    l_key = Array.copy t.l_key;
+    l_counter = Array.copy t.l_counter;
+    l_plist = Array.copy t.l_plist;
+    l_next_in = Array.copy t.l_next_in }
 
 (* A step, signed-packed so a node id up to [max_node] fits either half
    and the next hop may be [nil]. *)
@@ -447,14 +407,15 @@ let build_graph ~what ~allow_multi ~root paths =
         end)
       paths
   in
-  let graph = create ~root in
   let r = Traversals.create ~hint:(List.length paths) in
   List.iter
-    (fun p ->
-      let d = Path.destination p in
-      mark_dest graph d;
-      Traversals.add_links ~what r d p)
+    (fun p -> Traversals.add_links ~what r (Path.destination p) p)
     paths;
+  (* Every id is now checked against [max_node]; the graph spans one
+     past the largest. *)
+  let top = List.fold_left (List.fold_left max) root paths in
+  let graph = create ~nodes:(top + 1) ~root in
+  List.iter (fun p -> mark_dest graph (Path.destination p)) paths;
   Traversals.iter r (Permission_list.Scratch.create ())
     (fun ~key ~count pl ->
       put_link graph ~parent:(key_parent key) ~child:(key_child key)
@@ -587,8 +548,8 @@ let plist_opt_equal a b =
   | Some x, Some y -> Permission_list.equal x y
   | None, Some _ | Some _, None -> false
 
-(* Either side may have either layout: links are matched through
-   [slot], destinations through [is_dest]. *)
+(* The two sides may have different node bounds: links are matched
+   through [slot], destinations through [is_dest]. *)
 let equal a b =
   a.root_node = b.root_node
   && a.link_count = b.link_count
@@ -619,9 +580,8 @@ let delta_is_empty d =
 let delta_units d = List.length d.add_links + List.length d.remove_links
 
 (* Both sides are iterated in place over their arenas — no intermediate
-   sorted link lists — and either may have either layout. Results are
-   sorted on the (small) delta, by immediate-int key, so the output
-   order is (parent, child) order. *)
+   sorted link lists. Results are sorted on the (small) delta, by
+   immediate-int key, so the output order is (parent, child) order. *)
 let diff ~old_ ~new_ =
   let added = ref [] in
   iter_slots new_ (fun s ->

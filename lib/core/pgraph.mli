@@ -27,17 +27,13 @@ type link_data = {
   plist : Permission_list.t option;
 }
 
-val create : root:int -> t
-(** A fresh graph with no links and no destination marks, over node ids
-    up to {!max_node}; its per-node state lives in hash tables. *)
-
-val create_bounded : nodes:int -> root:int -> t
-(** {!create} for node ids in [\[0, nodes)] (the root's included; any
-    other id raises [Invalid_argument]): the graph keeps its per-node
-    state in node-indexed arrays and holds no hash table. The layout of
-    a session graph, whose ids are a topology's nodes. Every operation
-    accepts graphs of either layout, {!equal} and {!diff} across the two
-    included. *)
+val create : nodes:int -> root:int -> t
+(** A fresh graph with no links and no destination marks, for node ids
+    in [\[0, nodes)] (the root's included; any other id raises
+    [Invalid_argument], as does a bound outside [\[1, max_node + 1\]]).
+    Its per-node state lives in node-indexed arrays of that length: a
+    graph's ids are a topology's nodes. {!equal} and {!diff} accept
+    graphs of different bounds. *)
 
 val pack : parent:int -> child:int -> int
 (** The packed link key [parent lsl 31 lor child], one immediate int
@@ -56,13 +52,15 @@ val root : t -> int
 val of_paths : root:int -> Path.t list -> t
 (** [BuildGraph] (paper Table 2). Every path must start at [root], be
     loop-free, and have length ≥ 1; at most one path per destination.
-    Raises [Invalid_argument] otherwise. Links into nodes that end up
-    multi-homed receive Permission Lists covering {e all} their
-    traversing paths, so late multi-homing retroactively protects links
-    added earlier. *)
+    Raises [Invalid_argument] otherwise, and on an id outside
+    [\[0, max_node\]]. The graph's node bound is one past the largest
+    id on the paths (the root's included), so ids should be a
+    topology's. Links into nodes that end up multi-homed receive
+    Permission Lists covering {e all} their traversing paths, so late
+    multi-homing retroactively protects links added earlier. *)
 
 val copy : t -> t
-(** Independent deep copy, with the same layout. *)
+(** Independent deep copy. *)
 
 val of_multipaths : root:int -> Path.t list -> t
 (** Multi-path [BuildGraph] (the paper's §7 extension): like

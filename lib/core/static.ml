@@ -387,13 +387,15 @@ let analyze_vf ?(plist_fp_rate = default_plist_fp_rate) topo ~sources =
   let src_arr = Array.of_list sources in
   let hint = Topology.num_nodes topo in
   let total = stats_zero () in
-  Pool.parallel_fold
+  Pool.parallel_fold_ranges
     ~create:(fun () -> (stats_zero (), Permission_list.Scratch.create ()))
     ~merge:(fun () (ws, _) -> stats_add_into ~into:total ws)
     ~init:() (Array.length src_arr)
-    (fun (ws, scratch) i ->
-      let r = Pgraph.Traversals.create ~hint in
-      List.iter (Pgraph.Traversals.add_path r)
-        (Vf_paths.path_set (Vf_paths.from_source topo ~src:src_arr.(i)));
-      record_stats ~fp_rate:plist_fp_rate ~scratch ws r);
+    (fun (ws, scratch) ~lo ~hi ->
+      for i = lo to hi - 1 do
+        let r = Pgraph.Traversals.create ~hint in
+        List.iter (Pgraph.Traversals.add_path r)
+          (Vf_paths.path_set (Vf_paths.from_source topo ~src:src_arr.(i)));
+        record_stats ~fp_rate:plist_fp_rate ~scratch ws r
+      done);
   stats_finalize ~num_sources:(Array.length src_arr) total

@@ -178,12 +178,3 @@ let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
   t.count <- 0;
   t.tombs <- 0
-
-let sorted_keys t =
-  let a = Array.make t.count 0 in
-  let j = ref 0 in
-  iter t (fun k _ ->
-      a.(!j) <- k;
-      incr j);
-  Array.sort Int.compare a;
-  a

@@ -47,7 +47,3 @@ val fold : t -> init:'acc -> f:('acc -> int -> int -> 'acc) -> 'acc
 
 val clear : t -> unit
 (** Drop every binding, keeping the capacity. *)
-
-val sorted_keys : t -> int array
-(** All live keys, ascending — the deterministic iteration the sorted
-    views are built from. *)

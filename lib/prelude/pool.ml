@@ -12,9 +12,10 @@
    amortize across the whole chunk.
 
    Every participant has a stable slot id: the caller is slot 0, the
-   i-th spawned worker is slot i. [parallel_fold] keys per-domain
-   scratch workspaces by slot, so state that would otherwise be
-   allocated per index is allocated once per participating domain.
+   i-th spawned worker is slot i. [parallel_fold_ranges] keys
+   per-domain scratch workspaces by slot, so state that would
+   otherwise be allocated per index is allocated once per
+   participating domain.
 
    Invariant kept by the entry points: [job.run] never raises (user
    exceptions are captured per index and re-raised by the caller after
@@ -224,67 +225,6 @@ let parallel_map_array f a =
     run_job ~total (fun ~slots:_ -> run);
     reraise_first failures;
     Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let parallel_for total f =
-  if total > 0 then
-    if use_sequential total then
-      for i = 0 to total - 1 do
-        f i
-      done
-    else begin
-      let failures = Array.make total None in
-      let run ~slot:_ ~lo ~hi =
-        for i = lo to hi - 1 do
-          try f i
-          with e -> failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
-        done
-      in
-      run_job ~total (fun ~slots:_ -> run);
-      reraise_first failures
-    end
-
-let parallel_fold ?chunk ~create ~merge ~init total body =
-  if total <= 0 then init
-  else if use_sequential total then begin
-    let ws = create () in
-    for i = 0 to total - 1 do
-      body ws i
-    done;
-    merge init ws
-  end
-  else begin
-    let failures = Array.make total None in
-    let slots_ref = ref [||] in
-    run_job ?chunk ~total (fun ~slots ->
-        let wss = Array.make slots None in
-        slots_ref := wss;
-        fun ~slot ~lo ~hi ->
-          (* Each slot id is owned by exactly one domain, so the lazy
-             per-slot workspace write below is unshared. *)
-          match
-            match wss.(slot) with
-            | Some ws -> ws
-            | None ->
-              let ws = create () in
-              wss.(slot) <- Some ws;
-              ws
-          with
-          | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            for i = lo to hi - 1 do
-              failures.(i) <- Some (e, bt)
-            done
-          | ws ->
-            for i = lo to hi - 1 do
-              try body ws i
-              with e ->
-                failures.(i) <- Some (e, Printexc.get_raw_backtrace ())
-            done);
-    reraise_first failures;
-    Array.fold_left
-      (fun acc ws -> match ws with None -> acc | Some ws -> merge acc ws)
-      init !slots_ref
   end
 
 let parallel_fold_ranges ?chunk ~create ~merge ~init total body =

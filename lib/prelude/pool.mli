@@ -46,43 +46,6 @@ val parallel_map_array : ('a -> 'b) -> 'a array -> 'b array
     backtrace) once all items have finished — the pool itself survives
     and stays usable. *)
 
-val parallel_for : int -> (int -> unit) -> unit
-(** [parallel_for n f] runs [f i] for [i = 0 .. n - 1] across the pool.
-    Same exception contract as {!parallel_map_array}. Effects of
-    distinct iterations must be independent (e.g. writes to distinct
-    indices of a pre-allocated array). *)
-
-val parallel_fold :
-  ?chunk:int ->
-  create:(unit -> 'ws) ->
-  merge:('acc -> 'ws -> 'acc) ->
-  init:'acc ->
-  int ->
-  ('ws -> int -> unit) ->
-  'acc
-(** [parallel_fold ~create ~merge ~init n body] runs [body ws i] for
-    [i = 0 .. n - 1] across the pool, handing each participating domain
-    one reusable workspace built by [create] — scratch state that would
-    otherwise be allocated per index is allocated once per domain and
-    reused across all the indices that domain claims. After the join the
-    caller folds [merge] over the workspaces (in stable slot order) to
-    produce the result.
-
-    Which indices land in which workspace depends on scheduling, so for
-    deterministic results [merge] must be insensitive to how the index
-    set was partitioned (e.g. each workspace accumulates tagged records
-    that the caller re-sorts, or the merge is commutative arithmetic).
-
-    [chunk] overrides the claim granularity: a participant grabs that
-    many consecutive indices per atomic claim (default: a heuristic
-    targeting ~8 claims per domain, capped at 128). Indices within a
-    chunk run in order.
-
-    Same exception contract as {!parallel_map_array}: the lowest failing
-    index's exception is re-raised after all items finish. On the
-    sequential path exactly one workspace is created and every index
-    runs in order. *)
-
 val parallel_fold_ranges :
   ?chunk:int ->
   create:(unit -> 'ws) ->
@@ -91,21 +54,29 @@ val parallel_fold_ranges :
   int ->
   ('ws -> lo:int -> hi:int -> unit) ->
   'acc
-(** Like {!parallel_fold}, but the body receives whole claimed ranges
-    ([body ws ~lo ~hi] covers indices [lo, hi)) instead of one index at
-    a time. This lets the hot path hoist per-batch work — workspace
-    dispatch, metrics handles, accumulator lookups — out of the
-    per-index loop: each domain amortizes that setup over a chunk-sized
-    tile of indices rather than paying it per index.
+(** [parallel_fold_ranges ~create ~merge ~init n body] covers the
+    indices [0 .. n - 1] across the pool in claimed ranges:
+    [body ws ~lo ~hi] processes [\[lo, hi)]. Each participating domain
+    gets one reusable workspace built by [create], so scratch state is
+    allocated once per participant, not per index, and per-range work
+    (workspace dispatch, metrics handles, accumulator lookups) is paid
+    once per chunk-sized tile. After the join the caller folds [merge]
+    over the workspaces (in stable slot order) to produce the result.
 
-    Range boundaries depend on scheduling (chunking and claim order),
-    so correctness requires what {!parallel_fold} already demands: the
-    merged result must be insensitive to how the index set was
-    partitioned. On the sequential path the body is called exactly once
-    with the full range [0, total).
+    Which indices land in which workspace, and where the ranges split,
+    depends on scheduling, so for deterministic results [merge] must
+    not depend on how the index set was partitioned (e.g. each
+    workspace accumulates tagged records that the caller re-sorts, or
+    the merge is commutative arithmetic).
 
-    Exception granularity is the range, not the index: if [body] raises
-    midway through a range, the remainder of that range is abandoned
-    and the exception is recorded at the range's first index (the
-    lowest-index rule of {!parallel_map_array} then picks the first
-    failing range). *)
+    [chunk] overrides the claim granularity: a participant grabs that
+    many consecutive indices per atomic claim (default: a heuristic
+    targeting ~8 claims per domain, capped at 128). On the sequential
+    path exactly one workspace is created and the body is called once
+    with the full range [\[0, n)].
+
+    Exceptions are recorded per range: if [body] raises midway through
+    a range, the rest of that range is abandoned and the exception is
+    recorded at the range's first index; once all ranges finish, the
+    lowest such index's exception is re-raised (the rule of
+    {!parallel_map_array}). *)

@@ -22,7 +22,7 @@ let test_flush_delta_roundtrip_sequence () =
   (* The oracle from the interface: apply every flushed delta in order to
      an empty graph; at each flush the replica equals the snapshot. *)
   let b = Builder.create ~root:0 ~nodes:10 in
-  let replica = Pgraph.create ~root:0 in
+  let replica = Pgraph.create ~nodes:10 ~root:0 in
   let check_replica step =
     Pgraph.apply replica (Builder.flush_delta b);
     if not (Pgraph.equal replica (Builder.snapshot b)) then
@@ -155,7 +155,7 @@ let builder_matches_of_paths =
       (* (0..8, shape): set dest 10+k to that shape or remove it;
          (9, _): flush; (10, _): invalidate the wire state. *)
       let b = Builder.create ~root:0 ~nodes:19 in
-      let replica = Pgraph.create ~root:0 in
+      let replica = Pgraph.create ~nodes:19 ~root:0 in
       let current = Hashtbl.create 8 in
       let flush_checked () =
         Pgraph.apply replica (Builder.flush_delta b);
