@@ -32,23 +32,6 @@ let wire_bytes ?(plist_fp_rate = 0.01) t =
   + (List.length d.Pgraph.add_dests + List.length d.Pgraph.remove_dests)
     * dest_bytes
 
-(* Split horizon at the sender makes a link into the receiver rare, so
-   the common case hands the announcement through unchanged. *)
-let import t ~receiver =
-  let d = t.delta in
-  let keeps_add (_p, c, _pl) = c <> receiver in
-  let keeps_remove (_p, c) = c <> receiver in
-  if
-    List.for_all keeps_add d.Pgraph.add_links
-    && List.for_all keeps_remove d.Pgraph.remove_links
-  then t
-  else
-    { t with
-      delta =
-        { d with
-          Pgraph.add_links = List.filter keeps_add d.Pgraph.add_links;
-          remove_links = List.filter keeps_remove d.Pgraph.remove_links } }
-
 let pp fmt t =
   let d = t.delta in
   Format.fprintf fmt

@@ -30,8 +30,4 @@ val wire_bytes : ?plist_fp_rate:float -> t -> int
     key, a presence flag plus the compressed list per inserted link, 4
     bytes per destination mark. *)
 
-val import : t -> receiver:int -> t
-(** The receiver-side import filter of §4.3 Step 2: drop links pointing
-    to the receiver itself ([X → A]) — loop elimination. *)
-
 val pp : Format.formatter -> t -> unit

@@ -520,30 +520,32 @@ let flush t =
   done;
   !out
 
-(* A delta that names a node outside [0, nodes), or a link from a node
-   to itself, cannot describe this topology; such links and marks are
-   dropped before they reach the session's node-indexed state. No peer
-   on the topology sends one, so the common case checks and hands the
-   delta through. *)
-let known n v = v >= 0 && v < n
-let link_known n (p, c, _) = p <> c && known n p && known n c
-let removal_known n (p, c) = known n p && known n c
+(* One pass over a received delta drops what [t] must not apply. A
+   delta that names a node outside [0, nodes), or a link from a node to
+   itself, cannot describe this topology. A link into the receiver
+   ([X -> t]) is §4.3 Step 2's import filter: it would close a loop
+   through [t]. No peer on the topology sends the former, and split
+   horizon at the sender makes the latter rare, so the common case
+   checks and hands the delta through. *)
+let known t v = v >= 0 && v < t.nodes
+let link_known t (p, c, _) = p <> c && c <> t.node_id && known t p && known t c
+let removal_known t (p, c) = c <> t.node_id && known t p && known t c
 
-let rec all_known f n = function [] -> true | x :: rest -> f n x && all_known f n rest
+let rec all_known f t = function [] -> true | x :: rest -> f t x && all_known f t rest
 
-let known_delta n d =
+let known_delta t d =
   let { Pgraph.add_links; remove_links; add_dests; remove_dests } = d in
   if
-    all_known link_known n add_links
-    && all_known removal_known n remove_links
-    && all_known known n add_dests
-    && all_known known n remove_dests
+    all_known link_known t add_links
+    && all_known removal_known t remove_links
+    && all_known known t add_dests
+    && all_known known t remove_dests
   then d
   else
-    { Pgraph.add_links = List.filter (link_known n) add_links;
-      remove_links = List.filter (removal_known n) remove_links;
-      add_dests = List.filter (known n) add_dests;
-      remove_dests = List.filter (known n) remove_dests }
+    { Pgraph.add_links = List.filter (link_known t) add_links;
+      remove_links = List.filter (removal_known t) remove_links;
+      add_dests = List.filter (known t) add_dests;
+      remove_dests = List.filter (known t) remove_dests }
 
 (* Absorb one announcement: apply the delta to the sender's P-graph,
    re-derive the destinations whose derivation it changed and mark them
@@ -555,8 +557,7 @@ let absorb t ann =
        flight, or raced the adjacency notification): drop silently. *)
     ()
   | Some s ->
-    let ann = Announce.import ann ~receiver:t.node_id in
-    let delta = known_delta t.nodes ann.Announce.delta in
+    let delta = known_delta t ann.Announce.delta in
     t.epoch <- t.epoch + 1;
     note_removed t s delta.Pgraph.remove_links;
     note_added t s 0 delta.Pgraph.add_links;

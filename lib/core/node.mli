@@ -49,12 +49,12 @@ val start : t -> t * output
 
 val handle : t -> Announce.t -> t * output
 (** Receive one announcement (§4.3.1 Step 2 / §4.3.2 Step 5): apply the
-    import filter (links into the receiver, and any link or destination
-    mark naming a node outside the topology, are dropped), merge the
-    delta into the sender's P-graph, re-derive and re-select the
-    affected destinations, update the local P-graph and emit
-    per-neighbor deltas. Equivalent to {!absorb} followed by
-    {!recompute}. *)
+    import filter (links into the receiver, self-loop links, and any
+    link or destination mark naming a node outside the topology, are
+    dropped in one pass), merge the delta into the sender's P-graph,
+    re-derive and re-select the affected destinations, update the local
+    P-graph and emit per-neighbor deltas. Equivalent to {!absorb}
+    followed by {!recompute}. *)
 
 val absorb : t -> Announce.t -> t
 (** The delta-first absorb stage of {!handle}: apply the delta and mark

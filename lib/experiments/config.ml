@@ -3,18 +3,14 @@ type t = {
   as_nodes : int;
   as_sources : int;
   brite_nodes : int;
-  brite_m : int;
   flips : int;
-  fig5_dests : int;
   fig8_sizes : int list;
   fig8_events : int;
   mrai : float;
-  plist_fp_rate : float;
   resilience_scenarios : int;
   resilience_pairs : int;
   resilience_flaps : int;
   resilience_horizon : float;
-  containment_scenarios : int;
   containment_pairs : int;
   containment_horizon : float;
   scale_sizes : int list;
@@ -29,23 +25,21 @@ type t = {
   trace_digest : string option;
 }
 
+let brite_m = 2
+
 let default =
   { seed = 42;
     as_nodes = 2000;
     as_sources = 60;
     brite_nodes = 500;
-    brite_m = 2;
     flips = 40;
-    fig5_dests = 0;
     fig8_sizes = [ 50; 100; 200; 400; 800 ];
     fig8_events = 12;
     mrai = 30.0;
-    plist_fp_rate = 0.01;
     resilience_scenarios = 8;
     resilience_pairs = 40;
     resilience_flaps = 6;
     resilience_horizon = 400.0;
-    containment_scenarios = 3;
     containment_pairs = 40;
     containment_horizon = 400.0;
     scale_sizes = [ 300; 1000; 5000; 26000 ];
@@ -64,18 +58,14 @@ let quick =
     as_nodes = 300;
     as_sources = 20;
     brite_nodes = 80;
-    brite_m = 2;
     flips = 10;
-    fig5_dests = 0;
     fig8_sizes = [ 30; 60; 120 ];
     fig8_events = 6;
     mrai = 30.0;
-    plist_fp_rate = 0.01;
     resilience_scenarios = 3;
     resilience_pairs = 12;
     resilience_flaps = 4;
     resilience_horizon = 250.0;
-    containment_scenarios = 3;
     containment_pairs = 12;
     containment_horizon = 250.0;
     scale_sizes = [ 300; 1000 ];
@@ -92,4 +82,4 @@ let quick =
 let pp fmt t =
   Format.fprintf fmt
     "seed=%d as_nodes=%d as_sources=%d brite=%d(m=%d) flips=%d mrai=%.1fms"
-    t.seed t.as_nodes t.as_sources t.brite_nodes t.brite_m t.flips t.mrai
+    t.seed t.as_nodes t.as_sources t.brite_nodes brite_m t.flips t.mrai

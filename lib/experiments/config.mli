@@ -10,24 +10,14 @@ type t = {
   as_nodes : int;       (** size of the synthetic AS topologies (T3–T5, F5) *)
   as_sources : int;     (** sampled P-graph roots for T4/T5 *)
   brite_nodes : int;    (** prototype topology size (F6/F7; paper: 500) *)
-  brite_m : int;        (** BRITE BA attachment degree *)
   flips : int;          (** links flipped for F6/F7 *)
-  fig5_dests : int;     (** sampled destinations for F5 (0 = all) *)
   fig8_sizes : int list;  (** topology sizes swept in F8 *)
   fig8_events : int;    (** link events measured per size in F8 *)
   mrai : float;         (** BGP MRAI in ms *)
-  plist_fp_rate : float;
-      (** Bloom false-positive rate the on-wire Permission Lists are
-          sized for (paper §4.1; default 0.01) — scales byte accounting
-          in the static analysis and the Centaur net *)
   resilience_scenarios : int;  (** churn scenarios swept by [exp resilience] *)
   resilience_pairs : int;      (** (src, dest) pairs probed per scenario *)
   resilience_flaps : int;      (** link flaps per churn scenario *)
   resilience_horizon : float;  (** observed window per scenario, ms *)
-  containment_scenarios : int;
-      (** adversarial scenarios run by [exp containment] (route leak,
-          prefix hijack, Permission-List misconfiguration — in that
-          order, capped at 3) *)
   containment_pairs : int;     (** (src, dest) pairs probed per scenario *)
   containment_horizon : float; (** observed window per scenario, ms *)
   scale_sizes : int list;
@@ -52,6 +42,9 @@ type t = {
           tracing enabled and write per-run normalized trace digests to
           this file — the CI determinism gate diffs two such files *)
 }
+
+val brite_m : int
+(** BRITE BA attachment degree of every generated BRITE topology (2). *)
 
 val default : t
 

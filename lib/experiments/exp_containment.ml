@@ -135,10 +135,7 @@ let run_one cfg ~pairs (kind, proto) =
   let policy = Policy.default () in
   let scenario, bad, victim = scenario_of cfg topo kind in
   let make = Option.get (Protocols.Proto_table.find proto) in
-  let runner =
-    make ~policy ~plist_fp_rate:cfg.Config.plist_fp_rate ~mrai:cfg.Config.mrai
-      topo
-  in
+  let runner = make ~policy ~mrai:cfg.Config.mrai topo in
   (* Hijack damage is entirely about the victim's prefix: probe the
      sampled sources toward the victim instead of the generic pairs. *)
   let probe_pairs =
@@ -260,9 +257,6 @@ let run_one cfg ~pairs (kind, proto) =
     unavailable_ms = report.Faults.Observer.unavailable_ms;
     messages = report.Faults.Observer.stats.Sim.Engine.messages }
 
-let kinds cfg =
-  List.filteri (fun i _ -> i < cfg.Config.containment_scenarios) all_kinds
-
 let run cfg =
   let cfg = { cfg with Config.as_nodes = min cfg.Config.as_nodes max_nodes } in
   let topo = Inputs.caida cfg in
@@ -273,7 +267,7 @@ let run cfg =
     Array.of_list
       (List.concat_map
          (fun k -> List.map (fun p -> (k, p)) protocols)
-         (kinds cfg))
+         all_kinds)
   in
   (* Each work item owns private topology + policy instances, so the
      domain-pool fan-out is race-free and index-ordered collection keeps

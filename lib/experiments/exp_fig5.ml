@@ -8,16 +8,8 @@ type series = {
 
 type result = series list
 
-let series_of cfg name topo ~prefixes =
-  let dests =
-    if cfg.Config.fig5_dests <= 0 then None
-    else begin
-      let rng = Rng.create (cfg.Config.seed + 77) in
-      let nodes = Array.init (Topology.num_nodes topo) (fun i -> i) in
-      Some (Array.to_list (Rng.sample rng cfg.Config.fig5_dests nodes))
-    end
-  in
-  let overheads = Centaur.Static.immediate_overhead ?dests ?prefixes topo in
+let series_of name topo ~prefixes =
+  let overheads = Centaur.Static.immediate_overhead ?prefixes topo in
   let bgp =
     Array.map
       (fun o -> float_of_int o.Centaur.Static.bgp_units)
@@ -46,8 +38,8 @@ let run cfg =
         (Rng.create (cfg.Config.seed + 99))
         ~n:(Topology.num_nodes topo) ~mean:10.0
     in
-    [ series_of cfg name topo ~prefixes:None;
-      series_of cfg name topo ~prefixes:(Some table) ]
+    [ series_of name topo ~prefixes:None;
+      series_of name topo ~prefixes:(Some table) ]
   in
   with_tables "caida-like" (Inputs.caida cfg)
   @ with_tables "hetop-like" (Inputs.hetop cfg)

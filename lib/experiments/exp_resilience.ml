@@ -39,8 +39,7 @@ let protocol_makers cfg =
       let make = Option.get (Protocols.Proto_table.find name) in
       ( name,
         fun ~trace topo ->
-          make ~trace ~plist_fp_rate:cfg.Config.plist_fp_rate
-            ~mrai:cfg.Config.mrai topo ))
+          make ~trace ~mrai:cfg.Config.mrai topo ))
     [ "centaur"; "bgp"; "ospf" ]
 
 (* Traced runs keep the last ~1M events; a truncated ring still digests

@@ -7,20 +7,18 @@ type row = {
 type result = row list
 
 let run cfg =
-  let fp = cfg.Config.plist_fp_rate in
   let both analyze =
     let run_on topo = analyze topo ~sources:(Inputs.sample_sources cfg topo) in
     (run_on (Inputs.caida cfg), run_on (Inputs.hetop cfg))
   in
   let discipline_row name discipline =
     let caida, hetop =
-      both (fun topo ->
-          Centaur.Static.analyze ~discipline ~plist_fp_rate:fp topo)
+      both (fun topo -> Centaur.Static.analyze ~discipline topo)
     in
     { discipline = name; caida; hetop }
   in
   let vf_row =
-    let caida, hetop = both (Centaur.Static.analyze_vf ~plist_fp_rate:fp) in
+    let caida, hetop = both (fun topo -> Centaur.Static.analyze_vf topo) in
     { discipline = "vf-shortest"; caida; hetop }
   in
   [ discipline_row "standard" Gao_rexford.Standard;

@@ -9,7 +9,7 @@ let hetop cfg =
   As_gen.generate (stream cfg 2) (As_gen.hetop_like ~n:cfg.Config.as_nodes)
 
 let brite_sized cfg ~n =
-  Brite.annotated (stream cfg (3 + n)) ~n ~m:cfg.Config.brite_m ~max_delay:5.0
+  Brite.annotated (stream cfg (3 + n)) ~n ~m:Config.brite_m ~max_delay:5.0
     ~num_tiers:4
 
 let brite cfg = brite_sized cfg ~n:cfg.Config.brite_nodes

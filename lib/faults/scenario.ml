@@ -162,11 +162,10 @@ let sample_times s =
 
 (* Seeded churn generator: [flaps] link flaps at uniform times with
    exponential outage durations, plus (on topologies large enough) one
-   node outage and one two-link SRLG cut, plus [lossy] lossy-link
-   windows. Times land in the first 60% of the horizon so convergence
-   tails remain observable. *)
-let random_churn ~seed ~horizon ~sample_every ?(flaps = 6) ?(lossy = 1)
-    ?(loss_rate = 0.3) topo =
+   node outage and one two-link SRLG cut, plus one lossy-link window.
+   Times land in the first 60% of the horizon so convergence tails
+   remain observable. *)
+let random_churn ~seed ~horizon ~sample_every ?(flaps = 6) topo =
   let rng = Rng.create seed in
   let num_links = Topology.num_links topo in
   let num_nodes = Topology.num_nodes topo in
@@ -195,17 +194,16 @@ let random_churn ~seed ~horizon ~sample_every ?(flaps = 6) ?(lossy = 1)
             duration = Float.max sample_every (horizon /. 12.0) } ]
     end
   in
-  let lossy_links =
-    List.init lossy (fun _ ->
-        let from_t = Rng.float rng window in
-        Lossy_link
-          { link_id = Rng.int rng num_links;
-            rate = loss_rate;
-            from_t;
-            until_t = from_t +. (horizon /. 6.0) })
+  let lossy =
+    let from_t = Rng.float rng window in
+    Lossy_link
+      { link_id = Rng.int rng num_links;
+        rate = 0.3;
+        from_t;
+        until_t = from_t +. (horizon /. 6.0) }
   in
   { name = Printf.sprintf "churn-%d" seed;
     seed;
     horizon;
     sample_every;
-    faults = flaps @ correlated @ lossy_links }
+    faults = flaps @ correlated @ [ lossy ] }

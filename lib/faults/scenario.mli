@@ -90,13 +90,11 @@ val random_churn :
   horizon:float ->
   sample_every:float ->
   ?flaps:int ->
-  ?lossy:int ->
-  ?loss_rate:float ->
   Topology.t ->
   t
 (** Seeded churn schedule: [flaps] link flaps (default 6) with
     exponential outage durations, one node outage and one two-link SRLG
-    cut (on topologies with at least 4 nodes and links), and [lossy]
-    (default 1) lossy-link windows at [loss_rate] (default 0.3). All
-    event times fall in the first 60% of the horizon so the tail of the
-    run observes convergence. Equal seeds yield equal scenarios. *)
+    cut (on topologies with at least 4 nodes and links), and one
+    lossy-link window at loss rate 0.3. All event times fall in the
+    first 60% of the horizon so the tail of the run observes
+    convergence. Equal seeds yield equal scenarios. *)

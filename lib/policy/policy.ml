@@ -1,6 +1,7 @@
-(* Policy DSL: AST, parser, validator, and a compiler lowering filter
-   chains to flat 4-word bytecode with jump-threaded short-circuit
-   evaluation. See policy.mli for the language definition. *)
+(* Policy DSL: AST, parser, validator, and a compiler that resolves
+   every filter chain once and lowers its guards to small test trees,
+   plus the one chain walk that evaluates them. See policy.mli for the
+   language definition. *)
 
 type pred =
   | Any
@@ -342,12 +343,16 @@ exception Invalid of string
 
 let inv fmt = Printf.ksprintf (fun m -> raise (Invalid ("policy: " ^ m))) fmt
 
+(* The compiled tables key a (node, id) pair as [node lsl 31 lor id]
+   ([pack_node_dest]), so every id must fit in 31 bits. *)
+let max_id = (1 lsl 31) - 1
+
 let check_node_id num_nodes what id =
   if id < 0 then inv "negative %s id %d" what id;
   match num_nodes with
   | Some n when id >= n ->
       inv "%s %d out of range (topology has %d nodes)" what id n
-  | _ -> ()
+  | _ -> if id > max_id then inv "%s %d out of range (0..%d)" what id max_id
 
 let check_tag t = if t < 0 || t > 62 then inv "tag %d out of range (0..62)" t
 
@@ -426,139 +431,36 @@ let validate ?num_nodes config =
 (* Compiler                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Instructions are 4 ints: [op; arg; x; y]. Tests jump to x on true, y
-   on false; JMP goes to x; action ops fall through to pc + 4; PERMIT /
-   DENY / DEFAULT halt. During emission x/y hold label ids, resolved to
-   word positions in one rewrite pass. *)
+(* A guard lowered for evaluation: [dest in] sets become bitsets over
+   destination ids, [class in] sets masks over
+   {!Gao_rexford.class_rank}. *)
+type test =
+  | True
+  | Dest_set of Bytes.t
+  | Class_mask of int
+  | Through of int
+  | Longer of int
+  | Tag of int
+  | Neg of test
+  | Both of test * test
+  | Either of test * test
 
-let op_jmp = 0
-let op_dest = 1
-let op_class = 2
-let op_through = 3
-let op_longer = 4
-let op_tag = 5
-let op_pref = 10
-let op_stag = 11
-let op_ctag = 12
-let op_permit = 13
-let op_deny = 14
-let op_default = 15
+(* One rule of a resolved chain; [src_line] is the rule's [line]. *)
+type step = { test : test; acts : action list; src_line : int }
 
-(* [exec] result meaning "fall back to the built-in default". Distinct
-   from any pref (0..65535) and from the -1 deny marker. *)
-let res_default = min_int
-
-type asm = {
-  mutable code : int array;
-  mutable len : int;
-  mutable labels : int array;
-  mutable nlabels : int;
-  mutable sets : Bytes.t list;   (* reversed *)
-  mutable nsets : int;
-}
-
-let asm_create () =
-  { code = Array.make 256 0; len = 0;
-    labels = Array.make 64 (-1); nlabels = 0;
-    sets = []; nsets = 0 }
-
-let new_label a =
-  if a.nlabels = Array.length a.labels then begin
-    let grown = Array.make (2 * a.nlabels) (-1) in
-    Array.blit a.labels 0 grown 0 a.nlabels;
-    a.labels <- grown
-  end;
-  let l = a.nlabels in
-  a.nlabels <- l + 1;
-  l
-
-let place a l = a.labels.(l) <- a.len
-
-let emit a op arg x y =
-  if a.len + 4 > Array.length a.code then begin
-    let grown = Array.make (2 * Array.length a.code) 0 in
-    Array.blit a.code 0 grown 0 a.len;
-    a.code <- grown
-  end;
-  a.code.(a.len) <- op;
-  a.code.(a.len + 1) <- arg;
-  a.code.(a.len + 2) <- x;
-  a.code.(a.len + 3) <- y;
-  a.len <- a.len + 4
-
-let intern_set a dests =
-  let max_d = List.fold_left max 0 dests in
-  let bs = Bytes.make ((max_d lsr 3) + 1) '\000' in
+let dest_bitset dests =
+  let bs = Bytes.make ((List.fold_left max 0 dests lsr 3) + 1) '\000' in
   List.iter
     (fun d ->
       Bytes.set bs (d lsr 3)
         (Char.chr (Char.code (Bytes.get bs (d lsr 3)) lor (1 lsl (d land 7)))))
     dests;
-  let idx = a.nsets in
-  a.sets <- bs :: a.sets;
-  a.nsets <- idx + 1;
-  idx
+  bs
 
 let class_mask classes =
   List.fold_left
     (fun m c -> m lor (1 lsl Gao_rexford.class_rank c))
     0 classes
-
-let rec compile_pred a p ~t ~f =
-  match p with
-  | Any -> emit a op_jmp 0 t t
-  | Dest_in ds -> emit a op_dest (intern_set a ds) t f
-  | Class_in cs -> emit a op_class (class_mask cs) t f
-  | Path_through x -> emit a op_through x t f
-  | Longer_than k -> emit a op_longer k t f
-  | Has_tag b -> emit a op_tag b t f
-  | Not p -> compile_pred a p ~t:f ~f:t
-  | And (p, q) ->
-      let mid = new_label a in
-      compile_pred a p ~t:mid ~f;
-      place a mid;
-      compile_pred a q ~t ~f
-  | Or (p, q) ->
-      let mid = new_label a in
-      compile_pred a p ~t ~f:mid;
-      place a mid;
-      compile_pred a q ~t ~f
-
-let compile_chain a rules =
-  let entry = a.len in
-  List.iter
-    (fun r ->
-      let body = new_label a and next = new_label a in
-      compile_pred a r.guard ~t:body ~f:next;
-      place a body;
-      List.iter
-        (fun act ->
-          match act with
-          | Pref v -> emit a op_pref v 0 0
-          | Set_tag b -> emit a op_stag b 0 0
-          | Clear_tag b -> emit a op_ctag b 0 0
-          | Permit -> emit a op_permit 0 0 0
-          | Deny -> emit a op_deny 0 0 0)
-        r.actions;
-      (match List.rev r.actions with
-       | last :: _ when is_terminal last -> ()
-       | _ -> emit a op_jmp 0 next next);
-      place a next)
-    rules;
-  emit a op_default 0 0 0;
-  entry
-
-let resolve a =
-  let code = Array.sub a.code 0 a.len in
-  let pc = ref 0 in
-  while !pc < a.len do
-    if code.(!pc) <= op_tag then begin
-      code.(!pc + 2) <- a.labels.(code.(!pc + 2));
-      code.(!pc + 3) <- a.labels.(code.(!pc + 3))
-    end;
-    pc := !pc + 4
-  done;
-  code
 
 let dir_code = function Import -> 0 | Export -> 1
 
@@ -568,18 +470,21 @@ let role_code = function
   | Relationship.Peer -> 2
   | Relationship.Sibling -> 3
 
+let role_key node dir role = (node lsl 3) lor (dir lsl 2) lor role_code role
+
 let pack_node_dest node dest = (node lsl 31) lor dest
 
 type compiled = {
   source : config;        (* the AST this was lowered from; [] for default *)
-  code : int array;
-  dest_sets : Bytes.t array;
-  by_role : Flat_tbl.t;   (* (node lsl 3) | (dir lsl 2) | role -> entry *)
-  by_peer : Flat_tbl.t;   (* ((node lsl 31 | peer) lsl 1) | dir -> entry *)
+  chains : step array array;
+  by_role : Flat_tbl.t;
+      (* [role_key] -> [chain lsl 1], plus 1 when the node has
+         [neighbor] chains in that direction *)
+  by_peer : Flat_tbl.t array;  (* per direction: (node, peer) packed -> chain *)
   origins_tbl : Flat_tbl.t;           (* packed (node, dest) -> 1 *)
   origins_by_node : (int, int list) Hashtbl.t;
   custom : bool;
-  num_chains : int;
+  num_sets : int;
   num_stanzas : int;
   (* scenario override state *)
   leak_tbl : Flat_tbl.t;
@@ -590,13 +495,39 @@ type compiled = {
   mutable rejected : int;
 }
 
+(* Each clause's rules are lowered once; a chain is the concatenation of
+   the clauses that select it, so chains share their steps. *)
 let lower config =
-  let a = asm_create () in
   let by_role = Flat_tbl.create () in
-  let by_peer = Flat_tbl.create () in
+  let by_peer = [| Flat_tbl.create (); Flat_tbl.create () |] in
   let origins_tbl = Flat_tbl.create () in
   let origins_by_node = Hashtbl.create 16 in
-  let num_chains = ref 0 in
+  let chains = ref [] and num_chains = ref 0 and num_sets = ref 0 in
+  let rec test = function
+    | Any -> True
+    | Dest_in ds -> incr num_sets; Dest_set (dest_bitset ds)
+    | Class_in cs -> Class_mask (class_mask cs)
+    | Path_through x -> Through x
+    | Longer_than k -> Longer k
+    | Has_tag b -> Tag b
+    | Not p -> Neg (test p)
+    | And (p, q) -> Both (test p, test q)
+    | Or (p, q) -> Either (test p, test q)
+  in
+  let step r = { test = test r.guard; acts = r.actions; src_line = r.line } in
+  (* The chain of every [any] clause plus the clauses [selects] picks,
+     in declaration order; returns its index. *)
+  let chain filters selects =
+    chains :=
+      Array.concat
+        (List.filter_map
+           (fun (sel, steps) ->
+             if sel = Any_peer || selects sel then Some steps else None)
+           filters)
+      :: !chains;
+    incr num_chains;
+    !num_chains - 1
+  in
   List.iter
     (fun np ->
       let origs =
@@ -615,30 +546,12 @@ let lower config =
           let filters =
             List.filter_map
               (function
-                | Filter f when f.dir = dir -> Some (f.sel, f.rules)
+                | Filter f when f.dir = dir ->
+                    Some (f.sel, Array.of_list (List.map step f.rules))
                 | _ -> None)
               np.clauses
           in
           if filters <> [] then begin
-            (* Role-keyed chains: every role clause for that role plus
-               the [any] clauses, in declaration order. *)
-            List.iter
-              (fun role ->
-                let rules =
-                  List.concat_map
-                    (fun (sel, rules) ->
-                      match sel with
-                      | Any_peer -> rules
-                      | With_role r when r = role -> rules
-                      | _ -> [])
-                    filters
-                in
-                let entry = compile_chain a rules in
-                incr num_chains;
-                Flat_tbl.set by_role
-                  ((np.node lsl 3) lor (dc lsl 2) lor role_code role)
-                  entry)
-              Relationship.all;
             (* Peer-keyed chains replace the role view for the peers
                explicitly named. *)
             let peers =
@@ -649,30 +562,25 @@ let lower config =
             in
             List.iter
               (fun p ->
-                let rules =
-                  List.concat_map
-                    (fun (sel, rules) ->
-                      match sel with
-                      | Any_peer -> rules
-                      | Peer q when q = p -> rules
-                      | _ -> [])
-                    filters
-                in
-                let entry = compile_chain a rules in
-                incr num_chains;
-                Flat_tbl.set by_peer
-                  (((pack_node_dest np.node p) lsl 1) lor dc)
-                  entry)
-              peers
+                Flat_tbl.set by_peer.(dc) (pack_node_dest np.node p)
+                  (chain filters (fun sel -> sel = Peer p)))
+              peers;
+            (* Role-keyed chains: every role clause for that role plus
+               the [any] clauses. *)
+            List.iter
+              (fun role ->
+                Flat_tbl.set by_role (role_key np.node dc role)
+                  ((chain filters (fun sel -> sel = With_role role) lsl 1)
+                   lor Bool.to_int (peers <> [])))
+              Relationship.all
           end)
         [ Import; Export ])
     config;
   { source = config;
-    code = resolve a;
-    dest_sets = Array.of_list (List.rev a.sets);
+    chains = Array.of_list (List.rev !chains);
     by_role; by_peer; origins_tbl; origins_by_node;
     custom = config <> [];
-    num_chains = !num_chains;
+    num_sets = !num_sets;
     num_stanzas = List.length config;
     leak_tbl = Flat_tbl.create ();
     corrupt_tbl = Flat_tbl.create ();
@@ -704,89 +612,122 @@ let source t = t.source
 let overrides_active t = t.overrides > 0
 
 let summary t =
-  Printf.sprintf
-    "policy: %d node stanza%s, %d compiled chain%s, %d code words, %d dest set%s"
+  let chains = Array.length t.chains in
+  Printf.sprintf "policy: %d node stanza%s, %d compiled chain%s, %d dest set%s"
     t.num_stanzas (if t.num_stanzas = 1 then "" else "s")
-    t.num_chains (if t.num_chains = 1 then "" else "s")
-    (Array.length t.code)
-    (Array.length t.dest_sets) (if Array.length t.dest_sets = 1 then "" else "s")
+    chains (if chains = 1 then "" else "s")
+    t.num_sets (if t.num_sets = 1 then "" else "s")
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* A walk's verdict, packed in one int so that evaluation allocates
+   nothing: the low 16 bits hold the preference, [denied] and
+   [fell_off] flag a deny and a walk off the chain's end, and the bits
+   from [line_shift] up hold the deciding rule's source line (0: none). *)
+let pref_mask = 0xFFFF
+let denied = 1 lsl 16
+let fell_off = 1 lsl 17
+let line_shift = 18
+
 let rec path_through path x =
   match path with [] -> false | y :: tl -> y = x || path_through tl x
 
-(* Returns -1 (deny), [res_default] (fall back), or the accumulated
-   preference (accept/permit). Tail-recursive over int state only. *)
-let exec t pc0 ~export ~dest ~cls_rank ~len ~path =
-  let code = t.code in
-  let rec step pc pref tags =
-    let op = Array.unsafe_get code pc in
-    if op = op_jmp then step (Array.unsafe_get code (pc + 2)) pref tags
-    else if op <= op_tag then begin
-      let arg = Array.unsafe_get code (pc + 1) in
-      let hit =
-        if op = op_dest then begin
-          let s = Array.unsafe_get t.dest_sets arg in
-          dest lsr 3 < Bytes.length s
-          && Char.code (Bytes.unsafe_get s (dest lsr 3)) land (1 lsl (dest land 7))
-             <> 0
-        end
-        else if op = op_class then arg land (1 lsl cls_rank) <> 0
-        else if op = op_through then path_through path arg
-        else if op = op_longer then len > arg
-        else (* op_tag *) tags land (1 lsl arg) <> 0
-      in
-      step (Array.unsafe_get code (pc + (if hit then 2 else 3))) pref tags
-    end
-    else if op = op_pref then step (pc + 4) (Array.unsafe_get code (pc + 1)) tags
-    else if op = op_stag then
-      step (pc + 4) pref (tags lor (1 lsl Array.unsafe_get code (pc + 1)))
-    else if op = op_ctag then
-      step (pc + 4) pref (tags land lnot (1 lsl Array.unsafe_get code (pc + 1)))
-    else if op = op_permit then pref
-    else if op = op_deny then -1
-    else (* op_default *) if export then res_default else pref
-  in
-  step pc0 0 0
+let rec holds test ~tags ~dest ~cls_rank ~len ~path =
+  match test with
+  | True -> true
+  | Dest_set s ->
+      dest lsr 3 < Bytes.length s
+      && Char.code (Bytes.unsafe_get s (dest lsr 3)) land (1 lsl (dest land 7))
+         <> 0
+  | Class_mask m -> m land (1 lsl cls_rank) <> 0
+  | Through x -> path_through path x
+  | Longer k -> len > k
+  | Tag b -> tags land (1 lsl b) <> 0
+  | Neg p -> not (holds p ~tags ~dest ~cls_rank ~len ~path)
+  | Both (p, q) ->
+      holds p ~tags ~dest ~cls_rank ~len ~path
+      && holds q ~tags ~dest ~cls_rank ~len ~path
+  | Either (p, q) ->
+      holds p ~tags ~dest ~cls_rank ~len ~path
+      || holds q ~tags ~dest ~cls_rank ~len ~path
 
-let chain_entry t ~dir ~node ~peer ~role =
-  match
-    Flat_tbl.find_opt t.by_peer (((pack_node_dest node peer) lsl 1) lor dir)
-  with
-  | Some e -> e
-  | None ->
-      Flat_tbl.find_default t.by_role
-        ((node lsl 3) lor (dir lsl 2) lor role_code role)
-        ~default:(-1)
+(* First match wins, but [pref]/[tag]/[untag] fall through to the next
+   rule. [line] is the source line of the rule that last set [pref]: a
+   permit cites it (else the permitting rule), a deny cites the denying
+   rule. *)
+let rec walk chain i ~dest ~cls_rank ~len ~path ~pref ~line ~tags =
+  if i = Array.length chain then (line lsl line_shift) lor fell_off lor pref
+  else
+    let s = Array.unsafe_get chain i in
+    if holds s.test ~tags ~dest ~cls_rank ~len ~path then
+      apply chain i s s.acts ~dest ~cls_rank ~len ~path ~pref ~line ~tags
+    else walk chain (i + 1) ~dest ~cls_rank ~len ~path ~pref ~line ~tags
+
+and apply chain i s acts ~dest ~cls_rank ~len ~path ~pref ~line ~tags =
+  match acts with
+  | [] -> walk chain (i + 1) ~dest ~cls_rank ~len ~path ~pref ~line ~tags
+  | Permit :: _ ->
+      ((if line > 0 then line else s.src_line) lsl line_shift) lor pref
+  | Deny :: _ -> (s.src_line lsl line_shift) lor denied
+  | Pref v :: rest ->
+      apply chain i s rest ~dest ~cls_rank ~len ~path ~pref:v
+        ~line:(if s.src_line > 0 then s.src_line else line) ~tags
+  | Set_tag b :: rest ->
+      apply chain i s rest ~dest ~cls_rank ~len ~path ~pref ~line
+        ~tags:(tags lor (1 lsl b))
+  | Clear_tag b :: rest ->
+      apply chain i s rest ~dest ~cls_rank ~len ~path ~pref ~line
+        ~tags:(tags land lnot (1 lsl b))
+
+(* The configured chain's verdict, overrides aside; a node with no
+   chain for this peer falls off at once. Only a node with [neighbor]
+   chains in this direction pays a second probe. *)
+let verdict t ~dir ~node ~peer ~role ~dest ~cls ~len ~path =
+  let r =
+    Flat_tbl.find_default t.by_role (role_key node dir role) ~default:(-1)
+  in
+  let c =
+    if r < 0 || r land 1 = 0 then r asr 1
+    else
+      Flat_tbl.find_default t.by_peer.(dir) (pack_node_dest node peer)
+        ~default:(r asr 1)
+  in
+  if c < 0 then fell_off
+  else
+    walk t.chains.(c) 0 ~dest ~cls_rank:(Gao_rexford.class_rank cls) ~len
+      ~path ~pref:0 ~line:0 ~tags:0
+
+(* An import walk that falls off accepts with the accumulated
+   preference; an export walk that falls off defers to Gao–Rexford. *)
+let import_pref v = if v land denied <> 0 then -1 else v land pref_mask
+
+let export_allowed v ~cls ~role =
+  if v land fell_off <> 0 then Gao_rexford.exportable ~cls ~to_role:role
+  else v land denied = 0
 
 let import_eval t ~node ~peer ~role ~dest ~cls ~len ~path =
   if not t.custom then 0
-  else
-    match chain_entry t ~dir:0 ~node ~peer ~role with
-    | -1 -> 0
-    | entry ->
-        let r =
-          exec t entry ~export:false ~dest
-            ~cls_rank:(Gao_rexford.class_rank cls) ~len ~path
-        in
-        if r = res_default then 0 else r
+  else import_pref (verdict t ~dir:0 ~node ~peer ~role ~dest ~cls ~len ~path)
 
 let export_ok t ~node ~peer ~role ~dest ~cls ~len ~path =
   if t.overrides > 0 && Flat_tbl.mem t.leak_tbl node then true
   else if not t.custom then Gao_rexford.exportable ~cls ~to_role:role
   else
-    match chain_entry t ~dir:1 ~node ~peer ~role with
-    | -1 -> Gao_rexford.exportable ~cls ~to_role:role
-    | entry ->
-        let r =
-          exec t entry ~export:true ~dest
-            ~cls_rank:(Gao_rexford.class_rank cls) ~len ~path
-        in
-        if r = res_default then Gao_rexford.exportable ~cls ~to_role:role
-        else r >= 0
+    export_allowed ~cls ~role
+      (verdict t ~dir:1 ~node ~peer ~role ~dest ~cls ~len ~path)
+
+let cited v = match v lsr line_shift with 0 -> None | l -> Some l
+
+let explain_import t ~node ~peer ~role ~dest ~cls ~len ~path =
+  let v = verdict t ~dir:0 ~node ~peer ~role ~dest ~cls ~len ~path in
+  (import_pref v, cited v)
+
+let explain_export t ~node ~peer ~role ~dest ~cls ~len ~path =
+  let v = verdict t ~dir:1 ~node ~peer ~role ~dest ~cls ~len ~path in
+  ( export_allowed v ~cls ~role,
+    if v land fell_off <> 0 then None else cited v )
 
 let origins t ~node =
   let static =
@@ -849,88 +790,3 @@ let set_claim t ~node ~dest on =
 let note_reject t = t.rejected <- t.rejected + 1
 let rejects t = t.rejected
 let reset_rejects t = t.rejected <- 0
-
-(* ------------------------------------------------------------------ *)
-(* Reference interpreter                                              *)
-(* ------------------------------------------------------------------ *)
-
-let rec eval_pred ~tags ~dest ~cls ~len ~path = function
-  | Any -> true
-  | Dest_in ds -> List.mem dest ds
-  | Class_in cs -> List.mem cls cs
-  | Path_through x -> path_through path x
-  | Longer_than k -> len > k
-  | Has_tag b -> tags land (1 lsl b) <> 0
-  | Not p -> not (eval_pred ~tags ~dest ~cls ~len ~path p)
-  | And (p, q) ->
-      eval_pred ~tags ~dest ~cls ~len ~path p
-      && eval_pred ~tags ~dest ~cls ~len ~path q
-  | Or (p, q) ->
-      eval_pred ~tags ~dest ~cls ~len ~path p
-      || eval_pred ~tags ~dest ~cls ~len ~path q
-
-(* Chain resolution by configuration scan, mirroring the compiler's
-   clause-selection rules. *)
-let chain_rules config ~node ~dir ~peer ~role =
-  match List.find_opt (fun np -> np.node = node) config with
-  | None -> []
-  | Some np ->
-      let filters =
-        List.filter_map
-          (function
-            | Filter f when f.dir = dir -> Some (f.sel, f.rules)
-            | _ -> None)
-          np.clauses
-      in
-      let explicit =
-        List.exists (fun (sel, _) -> sel = Peer peer) filters
-      in
-      List.concat_map
-        (fun (sel, rules) ->
-          match sel with
-          | Any_peer -> rules
-          | Peer p -> if explicit && p = peer then rules else []
-          | With_role r -> if (not explicit) && r = role then rules else [])
-        filters
-
-(* Runs one chain over the AST, returning what [exec] would (-1,
-   [res_default] or the accumulated preference) together with the
-   1-based source line of the deciding rule: for a terminating Deny, the
-   denying rule; for a Permit or an import fall-through, the rule that
-   last set the preference (falling back to the permitting rule itself).
-   Builder-made rules carry line 0 and report [None]. *)
-let eval_chain_explain rules ~export ~dest ~cls ~len ~path =
-  let opt_line l fallback = if l > 0 then Some l else fallback in
-  let rec rules_loop pref pline tags = function
-    | [] -> ((if export then res_default else pref), pline)
-    | r :: rest ->
-        if eval_pred ~tags ~dest ~cls ~len ~path r.guard then
-          let rec acts pref pline tags = function
-            | [] -> rules_loop pref pline tags rest
-            | Permit :: _ ->
-                (pref, (match pline with Some _ -> pline | None -> opt_line r.line None))
-            | Deny :: _ -> (-1, opt_line r.line None)
-            | Pref v :: tl -> acts v (opt_line r.line pline) tags tl
-            | Set_tag b :: tl -> acts pref pline (tags lor (1 lsl b)) tl
-            | Clear_tag b :: tl ->
-                acts pref pline (tags land lnot (1 lsl b)) tl
-          in
-          acts pref pline tags r.actions
-        else rules_loop pref pline tags rest
-  in
-  rules_loop 0 None 0 rules
-
-let explain_import config ~node ~peer ~role ~dest ~cls ~len ~path =
-  match chain_rules config ~node ~dir:Import ~peer ~role with
-  | [] -> (0, None)
-  | rules ->
-      let r, ln = eval_chain_explain rules ~export:false ~dest ~cls ~len ~path in
-      if r = res_default then (0, None) else (r, ln)
-
-let explain_export config ~node ~peer ~role ~dest ~cls ~len ~path =
-  match chain_rules config ~node ~dir:Export ~peer ~role with
-  | [] -> (Gao_rexford.exportable ~cls ~to_role:role, None)
-  | rules ->
-      let r, ln = eval_chain_explain rules ~export:true ~dest ~cls ~len ~path in
-      if r = res_default then (Gao_rexford.exportable ~cls ~to_role:role, None)
-      else (r >= 0, ln)

@@ -1,4 +1,4 @@
-(** A small policy language compiled to flat matchers.
+(** A small policy language compiled to resolved filter chains.
 
     The repo's other modules encode exactly one policy — the Gao–Rexford
     conditions of {!Gao_rexford} — as hard-coded calls. This module turns
@@ -7,12 +7,14 @@
     community-style tags, plus local-pref ranking overrides and static
     origination. A configuration can be written textually (see the
     grammar below), assembled programmatically with the builder
-    functions, validated, and {e compiled} to a flat decision procedure:
-    predicates lower to 4-word bytecode instructions with explicit
-    jump-on-true / jump-on-false targets (short-circuit [and]/[or]/[not]
-    become jump threading — no closures, no operand stack, no allocation
-    on the hot path), destination sets become packed bitsets, and chain
-    entry points live in int-keyed {!Flat_tbl}s.
+    functions, validated, and {e compiled}: every (node, direction,
+    role) and (node, direction, neighbor) chain is resolved once into an
+    array of rules, each guard lowers to a small test tree (destination
+    sets become packed bitsets, class sets bit masks), and chains are
+    found through int-keyed {!Flat_tbl}s. One chain walk evaluates them
+    all: it answers the protocol nets' {!import_eval}/{!export_ok} and the
+    analyzer's {!explain_import}/{!explain_export}, and it allocates
+    nothing.
 
     The {e empty} configuration compiles to the default policy, which is
     Gao–Rexford exactly: [import_eval] returns preference 0 for every
@@ -133,18 +135,18 @@ val parse : string -> (config, string) result
 val parse_file : string -> (config, string) result
 
 val validate : ?num_nodes:int -> config -> (unit, string) result
-(** Structural checks: node/destination ranges (against [num_nodes] when
-    given), duplicate stanzas, empty sets, pref/tag ranges, rules with
-    no actions, unreachable rules after a terminal catch-all. The first
-    violation in declaration order is reported. *)
+(** Structural checks: node/destination ranges (0..2{^31}-1, and against
+    [num_nodes] when given), duplicate stanzas, empty sets, pref/tag
+    ranges, rules with no actions, unreachable rules after a terminal
+    catch-all. The first violation in declaration order is reported. *)
 
 (** {1 Compilation} *)
 
 type compiled
-(** A validated configuration lowered to flat bytecode, plus the mutable
-    scenario-override state ({!set_leak} & co) and the rejected-
-    announcement counter. The compiled tables are read-only after
-    {!compile}; overrides and the counter are single-writer (the
+(** A validated configuration with its chains resolved and lowered,
+    plus the mutable scenario-override state ({!set_leak} & co) and the
+    rejected-announcement counter. The compiled tables are read-only
+    after {!compile}; overrides and the counter are single-writer (the
     simulation loop). *)
 
 val compile : ?num_nodes:int -> config -> (compiled, string) result
@@ -171,8 +173,8 @@ val configured : compiled option -> compiled option
 
 val source : compiled -> config
 (** The configuration AST this value was compiled from ([[]] for
-    {!default}) — static analyses (the convergence analyzer) walk it
-    for rule provenance instead of decompiling bytecode. *)
+    {!default}) — the convergence analyzer's structural scan reads its
+    clauses and selectors. *)
 
 val overrides_active : compiled -> bool
 (** Whether any scenario override (leak, corruption, claimed origin) is
@@ -181,12 +183,13 @@ val overrides_active : compiled -> bool
     not cover them. *)
 
 val summary : compiled -> string
-(** One line: stanza/chain/code-word/set counts, for [policy check]. *)
+(** One line: stanza/chain/destination-set counts, for [policy check]. *)
 
-(** {1 Hot-path evaluation}
+(** {1 Evaluation}
 
-    No allocation; safe to share one [compiled] across domains as long
-    as overrides are not concurrently mutated. *)
+    {!import_eval} and {!export_ok} allocate nothing (a test pins it);
+    safe to share one [compiled] across domains as long as overrides are
+    not concurrently mutated. *)
 
 val import_eval :
   compiled ->
@@ -246,31 +249,27 @@ val rejects : compiled -> int
 
 val reset_rejects : compiled -> unit
 
-(** {1 Reference interpreter}
+(** {1 Provenance}
 
-    Direct evaluation over the AST, resolving chains by scanning the
-    configuration on every call — the correctness oracle for the
-    compiler (QCheck: compiled == reference), the baseline for the
-    [policy-match] bench kernel, and the convergence analyzer's source
-    of rule provenance. Overrides and origination are not consulted:
-    this is the pure configured policy. *)
+    The same chain walk, also reporting the source line of the deciding
+    rule — the convergence analyzer cites it in a dispute wheel.
+    Overrides are not consulted: this is the pure configured policy. *)
 
 val explain_import :
-  config ->
+  compiled ->
   node:int -> peer:int -> role:Relationship.t ->
   dest:int -> cls:Gao_rexford.route_class -> len:int -> path:Path.t ->
   int * int option
-(** The local preference {!import_eval} grants under the configuration
-    ([-1] to reject), plus the source line of the deciding rule: the
-    rule that last set the returned preference, or the terminating
-    rule. [None] when the built-in default decided or the rule has no
-    source position. *)
+(** The local preference {!import_eval} grants ([-1] to reject), plus
+    the source line of the deciding rule: the rule that last set the
+    returned preference, or the terminating rule. [None] when the
+    built-in default decided or the rule has no source position. *)
 
 val explain_export :
-  config ->
+  compiled ->
   node:int -> peer:int -> role:Relationship.t ->
   dest:int -> cls:Gao_rexford.route_class -> len:int -> path:Path.t ->
   bool * int option
-(** The {!export_ok} verdict under the configuration, plus the source
-    line of the deciding rule (the permitting or denying rule; [None]
-    when the Gao–Rexford default export rule decided). *)
+(** The {!export_ok} verdict without overrides, plus the source line of
+    the deciding rule (the permitting or denying rule; [None] when the
+    Gao–Rexford default export rule decided). *)

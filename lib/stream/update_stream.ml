@@ -19,7 +19,7 @@ let num_events t = Array.length t.events
 let attempts = 8
 
 let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
-    ?(policy_share = 0.0) ?(loss_share = 0.0) ?(loss_rate = 0.2) topo =
+    ?(policy_share = 0.0) ?(loss_share = 0.0) topo =
   if rate <= 0.0 then invalid_arg "Update_stream.generate: rate must be > 0";
   if duration <= 0.0 then
     invalid_arg "Update_stream.generate: duration must be > 0";
@@ -85,7 +85,7 @@ let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
         | Some link_id ->
           let hold = Rng.exponential rng flap_hold in
           link_free.(link_id) <- t +. hold;
-          push t (Scenario.Set_loss [ (link_id, loss_rate) ]);
+          push t (Scenario.Set_loss [ (link_id, 0.2) ]);
           push (t +. hold) (Scenario.Set_loss [ (link_id, 0.0) ])
       end
       else begin

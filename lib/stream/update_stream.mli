@@ -32,17 +32,16 @@ val generate :
   ?flap_hold:float ->
   ?policy_share:float ->
   ?loss_share:float ->
-  ?loss_rate:float ->
   Topology.t ->
   t
 (** [flap_hold] (default 15 ms) is the mean outage/override/loss-window
     length — against a batching window [w], the probability that a flap
     cancels inside one wave scales with [w /. flap_hold].
     [policy_share]/[loss_share] (defaults 0) split arrivals between
-    policy flips and loss edges, the rest are link flaps; [loss_rate]
-    (default 0.2) is the delivery-loss probability a loss window
-    applies. Raises [Invalid_argument] on a non-positive rate or
-    duration, shares that exceed 1, or a linkless topology. *)
+    policy flips and loss edges, the rest are link flaps; a loss window
+    drops each delivery with probability 0.2. Raises [Invalid_argument]
+    on a non-positive rate or duration, shares that exceed 1, or a
+    linkless topology. *)
 
 val events : t -> event array
 

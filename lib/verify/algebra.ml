@@ -142,7 +142,6 @@ let enumerate ?(max_routes = 20_000) t ~dest =
 type counterexample = {
   base : route;
   ext : route;
-  other : route option;
 }
 
 type check = Holds | Fails of counterexample | Unknown of string
@@ -163,54 +162,13 @@ let strict_monotonicity t enum =
                 if !failure = None then
                   match extend t ~dest:enum.dest r ~via:u with
                   | Some ext when compare_rank t ext r <= 0 ->
-                    failure := Some { base = r; ext; other = None }
+                    failure := Some { base = r; ext }
                   | Some _ | None -> ()))
         rs)
     enum.routes;
   match !failure with
   | Some cex -> Fails cex
   | None -> if enum.complete then Holds else Unknown (truncated enum)
-
-let isotonicity ?(max_pairs = 200_000) t enum =
-  let failure = ref None in
-  let pairs = ref 0 in
-  let capped = ref false in
-  Array.iter
-    (fun rs ->
-      List.iter
-        (fun r1 ->
-          List.iter
-            (fun r2 ->
-              if !failure = None && r1 != r2 && compare_rank t r1 r2 <= 0
-              then begin
-                if !pairs >= max_pairs then capped := true
-                else begin
-                  incr pairs;
-                  Topology.iter_neighbors t.topo r1.node (fun u _ _ ->
-                      if !failure = None then
-                        match
-                          ( extend t ~dest:enum.dest r1 ~via:u,
-                            extend t ~dest:enum.dest r2 ~via:u )
-                        with
-                        | Some e1, Some e2 when compare_rank t e1 e2 > 0 ->
-                          failure :=
-                            Some { base = r1; ext = e1; other = Some r2 }
-                        | _ -> ())
-                end
-              end)
-            rs)
-        rs)
-    enum.routes;
-  match !failure with
-  | Some cex -> Fails cex
-  | None ->
-    if not enum.complete then Unknown (truncated enum)
-    else if !capped then
-      Unknown
-        (Printf.sprintf
-           "isotonicity sweep for destination %d capped at %d pairs"
-           enum.dest max_pairs)
-    else Holds
 
 let pp_route ppf r =
   Format.fprintf ppf "%s (pref %d, %s)"

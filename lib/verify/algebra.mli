@@ -87,8 +87,7 @@ val enumerate : ?max_routes:int -> t -> dest:int -> enumeration
 
 type counterexample = {
   base : route;
-  ext : route;           (** the offending extension of [base] *)
-  other : route option;  (** isotonicity only: the second base route *)
+  ext : route;  (** the offending extension of [base] *)
 }
 
 type check =
@@ -103,13 +102,6 @@ val strict_monotonicity : t -> enumeration -> check
     enumeration is a convergence certificate (see the module header);
     a [Fails] counterexample is a lead for the wheel search, not yet a
     divergence proof. *)
-
-val isotonicity : ?max_pairs:int -> t -> enumeration -> check
-(** Extension preserves the λ-order: for routes [r1 ⪯ r2] at one node
-    whose extensions across the same link are both permitted, the
-    extensions satisfy [ext(r1) ⪯ ext(r2)]. Informational — reported by
-    the analyzer but not required for either certificate. [max_pairs]
-    (default [200_000]) bounds the quadratic sweep. *)
 
 val pp_route : Format.formatter -> route -> unit
 (** [3>1>0 (pref 100, provider-route)] — hops most-recent first. *)

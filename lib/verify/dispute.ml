@@ -259,8 +259,7 @@ let annotate_lines ?policy topo w =
   match policy with
   | None -> w
   | Some pol ->
-    let config = Policy.source pol in
-    if config = [] then w
+    if Policy.source pol = [] then w
     else
       { w with
         hubs =
@@ -272,7 +271,7 @@ let annotate_lines ?policy topo w =
               | None -> h
               | Some role ->
                 let _, line =
-                  Policy.explain_import config ~node:r.node ~peer:c.next_hop
+                  Policy.explain_import pol ~node:r.node ~peer:c.next_hop
                     ~role ~dest:w.dest ~cls:c.cls ~len:c.len ~path:r.path
                 in
                 { h with rim_line = line })

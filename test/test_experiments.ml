@@ -7,18 +7,14 @@ let tiny =
     as_nodes = 80;
     as_sources = 6;
     brite_nodes = 30;
-    brite_m = 2;
     flips = 3;
-    fig5_dests = 0;
     fig8_sizes = [ 20; 40 ];
     fig8_events = 4;
     mrai = 10.0;
-    plist_fp_rate = 0.01;
     resilience_scenarios = 2;
     resilience_pairs = 6;
     resilience_flaps = 3;
     resilience_horizon = 150.0;
-    containment_scenarios = 3;
     containment_pairs = 6;
     containment_horizon = 150.0;
     scale_sizes = [ 60; 80 ];

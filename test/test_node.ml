@@ -206,19 +206,37 @@ let test_announce_units () =
   Alcotest.(check int) "mark-only message still costs one" 1
     (Announce.units empty_marks)
 
+(* §4.3 Step 2's import filter: [Node.absorb] drops a received delta's
+   links into the receiver (X -> A), which would close a loop through
+   it, and applies the rest. *)
 let test_announce_import_filter () =
-  let delta =
-    { Pgraph.add_links = [ (0, 9, None); (1, 2, None) ];
-      remove_links = [ (3, 9); (4, 5) ];
+  let nodes = converge (Fixtures.figure2a ()) in
+  let a = nodes.(Fixtures.a) in
+  let session () =
+    match Node.neighbor_pgraph a ~neighbor:Fixtures.b with
+    | Some g -> g
+    | None -> Alcotest.fail "no session with B"
+  in
+  let expected = Pgraph.copy (session ()) in
+  Pgraph.apply expected
+    { Pgraph.add_links = [ (Fixtures.d, Fixtures.c, None) ];
+      remove_links = [];
+      add_dests = [];
+      remove_dests = [] };
+  let into_a =
+    { Pgraph.add_links =
+        [ (Fixtures.b, Fixtures.a, None);
+          (Fixtures.d, Fixtures.c, None);
+          (Fixtures.d, Fixtures.a, None) ];
+      remove_links = [ (Fixtures.c, Fixtures.a) ];
       add_dests = [];
       remove_dests = [] }
   in
-  let ann = Announce.import (Announce.make ~sender:0 delta) ~receiver:9 in
-  let d = ann.Announce.delta in
-  Alcotest.(check int) "links to self dropped (adds)" 1
-    (List.length d.Pgraph.add_links);
-  Alcotest.(check int) "links to self dropped (removes)" 1
-    (List.length d.Pgraph.remove_links)
+  ignore (Node.handle a (Announce.make ~sender:Fixtures.b into_a));
+  Alcotest.(check bool) "other link applied" true
+    (Pgraph.mem_link (session ()) ~parent:Fixtures.d ~child:Fixtures.c);
+  Alcotest.(check bool) "links into the receiver dropped" true
+    (Pgraph.equal (session ()) expected)
 
 (* After lost deltas a node's session graphs are whatever arrived, but
    what it derives from them must still be exact: at quiescence, every

@@ -1,7 +1,9 @@
 (* The policy DSL: parser round-trips, the committed error-message
-   corpus, compiler-vs-reference-interpreter equivalence (QCheck), the
-   default-policy == Gao-Rexford guarantee, and an end-to-end check that
-   a non-default policy actually changes what the protocol nets route. *)
+   corpus, the chain walk against the reference interpreter of
+   [Policy_oracle] (QCheck, cited lines included), zero allocation on
+   the evaluation path, the default-policy == Gao-Rexford guarantee,
+   and an end-to-end check that a non-default policy actually changes
+   what the protocol nets route. *)
 
 let classes =
   [ Gao_rexford.Origin; Gao_rexford.Cust; Gao_rexford.Peer_r;
@@ -86,7 +88,21 @@ let test_parse_and_semantics () =
        ~cls:Gao_rexford.Peer_r ~len:2 ~path:[ 5; 6; 8 ]);
   Alcotest.(check int) "not/and negative case" 0
     (Policy.import_eval c ~node:5 ~peer:0 ~role:Relationship.Customer ~dest:8
-       ~cls:Gao_rexford.Cust ~len:3 ~path:[ 5; 0; 8 ])
+       ~cls:Gao_rexford.Cust ~len:3 ~path:[ 5; 0; 8 ]);
+  (* A rule's actions apply in order: the last tag action on a bit wins. *)
+  let tagging actions =
+    let conf =
+      Printf.sprintf
+        "node 0 { import from any { match any -> %s match tag 1 -> deny } }"
+        actions
+    in
+    Policy.import_eval
+      (Policy.compile_exn (Result.get_ok (Policy.parse conf)))
+      ~node:0 ~peer:1 ~role:Relationship.Peer ~dest:2 ~cls:Gao_rexford.Peer_r
+      ~len:2 ~path:[ 0; 1; 2 ]
+  in
+  Alcotest.(check int) "tag then untag" 0 (tagging "tag 1 untag 1");
+  Alcotest.(check int) "untag then tag" (-1) (tagging "untag 1 tag 1")
 
 (* The committed corpus: every config in test/policy-corpus must keep
    producing byte-identical output through parse+validate+compile — the
@@ -119,7 +135,7 @@ let test_corpus () =
       Alcotest.(check string) f expected actual)
     files
 
-(* --- QCheck: compiled bytecode == reference interpreter --------------- *)
+(* --- QCheck: compiled chain walk == reference interpreter ------------ *)
 
 let gen_pred =
   let open QCheck.Gen in
@@ -168,7 +184,9 @@ let gen_rules =
   list_size (1 -- 4)
     (let* guard = gen_pred in
      let* actions = gen_actions in
-     return (Policy.rule guard actions))
+     (* Line 0 is a builder rule, which cites nothing. *)
+     let* line = int_bound 40 in
+     return { Policy.guard; actions; line })
 
 let gen_sel =
   QCheck.Gen.(
@@ -211,9 +229,8 @@ let gen_query =
   let len = List.length path - 1 in
   return (node, peer, role, dest, cls, len, path)
 
-let compiled_matches_naive =
-  QCheck.Test.make ~name:"compiled matchers == reference interpreter"
-    ~count:300
+let evaluator_matches_oracle =
+  QCheck.Test.make ~name:"evaluator == oracle" ~count:300
     (QCheck.make QCheck.Gen.(pair gen_config (list_size (return 8) gen_query)))
     (fun (config, queries) ->
       match Policy.compile ~num_nodes:16 config with
@@ -221,15 +238,90 @@ let compiled_matches_naive =
       | Ok c ->
         List.for_all
           (fun (node, peer, role, dest, cls, len, path) ->
+            let import =
+              Policy_oracle.explain_import config ~node ~peer ~role ~dest ~cls
+                ~len ~path
+            and export =
+              Policy_oracle.explain_export config ~node ~peer ~role ~dest ~cls
+                ~len ~path
+            in
             Policy.import_eval c ~node ~peer ~role ~dest ~cls ~len ~path
-            = fst
-                (Policy.explain_import config ~node ~peer ~role ~dest ~cls
-                   ~len ~path)
+            = fst import
             && Policy.export_ok c ~node ~peer ~role ~dest ~cls ~len ~path
-               = fst
-                   (Policy.explain_export config ~node ~peer ~role ~dest ~cls
-                      ~len ~path))
+               = fst export
+            && Policy.explain_import c ~node ~peer ~role ~dest ~cls ~len ~path
+               = import
+            && Policy.explain_export c ~node ~peer ~role ~dest ~cls ~len ~path
+               = export)
           queries)
+
+(* --- evaluation allocates nothing ------------------------------------- *)
+
+(* Every predicate and action, role chains in both directions and a
+   [neighbor] chain in both directions. *)
+let alloc_config =
+  {|
+node 0 {
+  import from any {
+    match dest in { 1..5 } and not path through 3 -> pref 200 tag 1
+    match class in { peer provider } or longer than 3 -> untag 1 pref 50
+    match tag 1 -> permit
+    default -> tag 2
+  }
+  import from neighbor 7 {
+    match dest in { 9 } -> deny
+  }
+  export to customer {
+    match tag 2 or dest in { 4 } -> deny
+    default -> permit
+  }
+  export to neighbor 7 {
+    match longer than 2 -> deny
+  }
+}
+|}
+
+let test_evaluation_allocation_free () =
+  let c =
+    Policy.compile_exn ~num_nodes:16 (Result.get_ok (Policy.parse alloc_config))
+  in
+  let queries =
+    Array.init 400 (fun i ->
+        let peer = 1 + (i mod 8) and dest = i mod 11 in
+        ( peer,
+          List.nth roles (i mod 4),
+          dest,
+          List.nth classes (i / 4 mod 4),
+          [ 0; peer; i mod 5; dest ] ))
+  in
+  let per_call f =
+    let sweep () =
+      Array.iter
+        (fun (peer, role, dest, cls, path) ->
+          f ~peer ~role ~dest ~cls ~len:(List.length path - 1) ~path)
+        queries
+    in
+    (* Warm pass: faults in every code path. *)
+    sweep ();
+    let m0 = Gc.minor_words () in
+    sweep ();
+    (Gc.minor_words () -. m0) /. float_of_int (Array.length queries)
+  in
+  let import_words =
+    per_call (fun ~peer ~role ~dest ~cls ~len ~path ->
+        ignore (Policy.import_eval c ~node:0 ~peer ~role ~dest ~cls ~len ~path))
+  and export_words =
+    per_call (fun ~peer ~role ~dest ~cls ~len ~path ->
+        ignore (Policy.export_ok c ~node:0 ~peer ~role ~dest ~cls ~len ~path))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "import_eval: %.4f minor words per call (budget 1.0)"
+       import_words)
+    true (import_words < 1.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "export_ok: %.4f minor words per call (budget 1.0)"
+       export_words)
+    true (export_words < 1.0)
 
 (* --- QCheck: the default policy is Gao-Rexford exactly ---------------- *)
 
@@ -276,7 +368,9 @@ let test_policy_changes_routing () =
 let suite =
   [ Alcotest.test_case "parse + semantics" `Quick test_parse_and_semantics;
     Alcotest.test_case "error-message corpus" `Quick test_corpus;
-    QCheck_alcotest.to_alcotest compiled_matches_naive;
+    QCheck_alcotest.to_alcotest evaluator_matches_oracle;
+    Alcotest.test_case "evaluation allocates nothing" `Quick
+      test_evaluation_allocation_free;
     QCheck_alcotest.to_alcotest default_is_gao_rexford;
     Alcotest.test_case "policy changes routing" `Quick
       test_policy_changes_routing ]
