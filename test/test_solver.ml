@@ -332,6 +332,87 @@ let test_centaur_converged_state () =
     true
     (float_of_int words < budget)
 
+(* The same flip-round kernel for the baseline engines. A flip round
+   allocated 49,419 minor words on BGP (238.0 messages), 510,734 on
+   BGP-RCN (238.6) and 60,300 on OSPF (1,164), while BGP kept its RIBs in
+   hash tables and built lists for every candidate, export and MRAI
+   batch, BGP-RCN's purge built every RIB path's link list, and OSPF
+   built lists for every flood. Half-edge RIB rows, a decision that walks
+   the CSR slice and exports consed straight into the action list bring
+   BGP to 13,838 and BGP-RCN to 14,094 (58 and 59 words per message);
+   list-free floods bring OSPF to 24,796 (21 words per message), most of
+   it the messages and the engine's share. Each budget is 1.5x the new
+   figure, so a reintroduced per-candidate option, per-peer list or
+   per-flood list fails it. *)
+let flip_round_words make =
+  let topo =
+    Brite.annotated (Rng.create 8) ~n:60 ~m:2 ~max_delay:5.0 ~num_tiers:4
+  in
+  let runner : Sim.Runner.t = make topo in
+  ignore (runner.cold_start ());
+  let round () =
+    ignore (runner.flip ~link_id:3 ~up:false);
+    ignore (runner.flip ~link_id:3 ~up:true)
+  in
+  round ();
+  let rounds = 10 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  (Gc.minor_words () -. m0) /. float_of_int rounds
+
+let check_flip_round_budget make budget () =
+  let per_round = flip_round_words make in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per flip round (budget %.0f)" per_round
+       budget)
+    true (per_round < budget)
+
+let test_bgp_flip_round_allocation =
+  check_flip_round_budget
+    (fun topo -> Protocols.Bgp_net.network topo)
+    (1.5 *. 13_838.0)
+
+let test_bgp_rcn_flip_round_allocation =
+  check_flip_round_budget
+    (fun topo -> Protocols.Bgp_net.network ~rcn:true topo)
+    (1.5 *. 14_094.0)
+
+let test_ospf_flip_round_allocation =
+  check_flip_round_budget
+    (fun topo -> Protocols.Ospf_net.network topo)
+    (1.5 *. 24_796.0)
+
+(* And what the baselines keep after a cold start on the 100-node
+   default BRITE graph. Hash-table RIBs held 315,369 words on BGP; RIB
+   rows per half-edge and a Loc-RIB array per node, 188,419. OSPF held
+   413,733 words with a hash-table outbox per node, and 411,552 with one
+   flat outbox for the network (the LSDBs dominate). The budgets are
+   1.25x the new figures. *)
+let check_converged_budget make budget () =
+  let topo =
+    Experiments.Inputs.brite_sized Experiments.Config.default ~n:100
+  in
+  let runner : Sim.Runner.t = make topo in
+  ignore (runner.cold_start ());
+  Gc.full_major ();
+  let words = Obj.reachable_words (Obj.repr runner) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words after cold start (budget %.0f)" words budget)
+    true
+    (float_of_int words < budget)
+
+let test_bgp_converged_state =
+  check_converged_budget
+    (fun topo -> Protocols.Bgp_net.network topo)
+    (1.25 *. 188_419.0)
+
+let test_ospf_converged_state =
+  check_converged_budget
+    (fun topo -> Protocols.Ospf_net.network topo)
+    (1.25 *. 411_552.0)
+
 (* And for the engine's own share of an event: a warm 50-node ring in
    which each delivery forwards its message one hop on, until its hop
    count runs out. What a handler allocates (the message, the [Send] and
@@ -415,5 +496,15 @@ let suite =
       test_centaur_flip_round_allocation;
     Alcotest.test_case "centaur converged state budget" `Quick
       test_centaur_converged_state;
+    Alcotest.test_case "bgp flip round allocation budget" `Quick
+      test_bgp_flip_round_allocation;
+    Alcotest.test_case "bgp-rcn flip round allocation budget" `Quick
+      test_bgp_rcn_flip_round_allocation;
+    Alcotest.test_case "ospf flip round allocation budget" `Quick
+      test_ospf_flip_round_allocation;
+    Alcotest.test_case "bgp converged state budget" `Quick
+      test_bgp_converged_state;
+    Alcotest.test_case "ospf converged state budget" `Quick
+      test_ospf_converged_state;
     Alcotest.test_case "engine event allocation budget" `Quick
       test_engine_event_allocation ]
