@@ -365,6 +365,41 @@ let test_policy_changes_routing () =
         (runner.Sim.Runner.path ~src:2 ~dest:1 <> None))
     [ "bgp"; "centaur" ]
 
+(* --- dest sets are bounded by the set, not by its largest id ---------- *)
+
+(* Without [num_nodes] any id up to 2^31 - 1 compiles. A bitset sized by
+   the largest id took 256 MB for this set; what the stanza adds to a
+   compiled policy must stay in the hundreds of words, and evaluating
+   the sparse set must still allocate nothing. *)
+let test_sparse_dest_set () =
+  let big = 2147483647 in
+  let conf =
+    Printf.sprintf
+      "node 0 { import from any { match dest in { 0 %d } -> deny } }" big
+  in
+  let c = Policy.compile_exn (Result.get_ok (Policy.parse conf)) in
+  let words =
+    Obj.reachable_words (Obj.repr c)
+    - Obj.reachable_words (Obj.repr (Policy.default ()))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words over the default policy (budget 200)" words)
+    true (words < 200);
+  let pref dest =
+    Policy.import_eval c ~node:0 ~peer:1 ~role:Relationship.Customer ~dest
+      ~cls:Gao_rexford.Cust ~len:1 ~path:[ 0; 1 ]
+  in
+  List.iter
+    (fun (dest, expected) ->
+      Alcotest.(check int) (Printf.sprintf "dest %d" dest) expected (pref dest))
+    [ (0, -1); (big, -1); (1, 0); (big - 1, 0); (1 lsl 30, 0); (12345, 0) ];
+  let m0 = Gc.minor_words () in
+  for dest = big - 200 to big do
+    ignore (pref dest)
+  done;
+  Alcotest.(check bool) "sparse set evaluation allocates nothing" true
+    (Gc.minor_words () -. m0 < 1.0)
+
 let suite =
   [ Alcotest.test_case "parse + semantics" `Quick test_parse_and_semantics;
     Alcotest.test_case "error-message corpus" `Quick test_corpus;
@@ -373,4 +408,6 @@ let suite =
       test_evaluation_allocation_free;
     QCheck_alcotest.to_alcotest default_is_gao_rexford;
     Alcotest.test_case "policy changes routing" `Quick
-      test_policy_changes_routing ]
+      test_policy_changes_routing;
+    Alcotest.test_case "sparse dest set stays small" `Quick
+      test_sparse_dest_set ]
