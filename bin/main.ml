@@ -289,16 +289,7 @@ let pgraph_cmd =
 (* --- simulate --- *)
 
 (* Protocol constructors come from the shared {!Protocols.Proto_table};
-   the policy/fp-rate knobs below plumb through it once for every
-   protocol. *)
-
-let plist_fp_rate_t =
-  let doc =
-    "Bloom false-positive rate the on-wire Permission Lists are sized \
-     for (Centaur byte accounting)."
-  in
-  Arg.(
-    value & opt float 0.01 & info [ "plist-fp-rate" ] ~docv:"RATE" ~doc)
+   the policy knob below plumbs through it once for every protocol. *)
 
 let policy_file_t =
   let doc =
@@ -371,7 +362,7 @@ let simulate_cmd =
     in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  let run path proto link trace_out check metrics plist_fp_rate policy_file
+  let run path proto link trace_out check metrics policy_file
       stream_rate stream_duration window verify seed =
     let topo = read_topology path in
     match Protocols.Proto_table.find proto with
@@ -395,7 +386,7 @@ let simulate_cmd =
           Obs.Trace.create ~capacity:1_000_000 ()
         else Obs.Trace.none
       in
-      let runner = network ~trace ~policy ~plist_fp_rate topo in
+      let runner = network ~trace ~policy topo in
       let report label (s : Sim.Engine.run_stats) =
         Printf.printf
           "%-10s time=%8.2fms messages=%7d units=%8d bytes=%9d \
@@ -484,7 +475,7 @@ let simulate_cmd =
     Term.(
       ret
         (const run $ topo_pos_t $ proto_t $ link_t $ trace_out_t $ check_t
-        $ metrics_t $ plist_fp_rate_t $ policy_file_t $ stream_t
+        $ metrics_t $ policy_file_t $ stream_t
         $ stream_duration_t $ window_t $ verify_t $ seed_t))
 
 (* --- policy --- *)

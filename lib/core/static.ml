@@ -19,8 +19,6 @@ type pgraph_stats = {
   avg_plist_compressed_bytes : float;
 }
 
-let default_plist_fp_rate = 0.01
-
 (* Mutable Table 4/5 totals. Every field is a sum of per-source
    integers, so accumulation order never shows in the result. *)
 type stats_acc = {
@@ -82,9 +80,10 @@ let stats_finalize ~num_sources acc =
 
 (* Fold one source's record into the Table 4/5 totals: every link
    counts, and each link into a multi-homed child adds its Permission
-   List's entry count and priced size, read off the scratch BuildGraph's
-   second pass fills. *)
-let record_stats ~fp_rate ~scratch acc r =
+   List's entry count and its size Bloom-compressed at a 1%
+   false-positive rate, read off the scratch BuildGraph's second pass
+   fills. *)
+let record_stats ~scratch acc r =
   Pgraph.Traversals.iter r scratch (fun ~key:_ ~count:_ pl ->
       acc.a_links <- acc.a_links + 1;
       match pl with
@@ -92,7 +91,8 @@ let record_stats ~fp_rate ~scratch acc r =
       | Some s ->
         stats_add_plist acc
           ~entries:(Permission_list.Scratch.num_entries s)
-          ~bytes:(Permission_list.Scratch.compressed_size_bytes s ~fp_rate))
+          ~bytes:
+            (Permission_list.Scratch.compressed_size_bytes s ~fp_rate:0.01))
 
 (* Per-domain scratch for the per-destination sweep: reusable solver
    workspaces (three-phase and fixpoint) plus one traversal record per
@@ -133,8 +133,8 @@ let rec stream_route r acc d x hops =
     stream_route r acc d y (hops + 1)
   end
 
-let analyze ?(discipline = Gao_rexford.Standard) ?policy
-    ?(plist_fp_rate = default_plist_fp_rate) ?metrics topo ~sources =
+let analyze ?(discipline = Gao_rexford.Standard) ?policy ?metrics topo
+    ~sources =
   if sources = [] then invalid_arg "Static.analyze: empty source list";
   (* The default compiled policy is Gao–Rexford exactly — keep the
      three-phase fast path. A non-default policy routes every discipline
@@ -240,7 +240,7 @@ let analyze ?(discipline = Gao_rexford.Standard) ?policy
      fold: one scratch per call, never shared between concurrent
      analyses. *)
   let scratch = Permission_list.Scratch.create () in
-  Array.iter (record_stats ~fp_rate:plist_fp_rate ~scratch total) merged;
+  Array.iter (record_stats ~scratch total) merged;
   stats_finalize ~num_sources:k total
 
 type link_overhead = {
@@ -382,7 +382,7 @@ let immediate_overhead ?dests ?prefixes topo =
    reduces its sources straight into private totals (a record is dropped
    as soon as its statistics are read off), and the totals are summed —
    commutatively — on the way down. *)
-let analyze_vf ?(plist_fp_rate = default_plist_fp_rate) topo ~sources =
+let analyze_vf topo ~sources =
   if sources = [] then invalid_arg "Static.analyze_vf: empty source list";
   let src_arr = Array.of_list sources in
   let hint = Topology.num_nodes topo in
@@ -396,6 +396,6 @@ let analyze_vf ?(plist_fp_rate = default_plist_fp_rate) topo ~sources =
         let r = Pgraph.Traversals.create ~hint in
         List.iter (Pgraph.Traversals.add_path r)
           (Vf_paths.path_set (Vf_paths.from_source topo ~src:src_arr.(i)));
-        record_stats ~fp_rate:plist_fp_rate ~scratch ws r
+        record_stats ~scratch ws r
       done);
   stats_finalize ~num_sources:(Array.length src_arr) total

@@ -36,7 +36,6 @@ type pgraph_stats = {
 val analyze :
   ?discipline:Gao_rexford.discipline ->
   ?policy:Policy.compiled ->
-  ?plist_fp_rate:float ->
   ?metrics:Obs.Metrics.t ->
   Topology.t ->
   sources:int list ->
@@ -52,9 +51,9 @@ val analyze :
     [policy] routes selection through the compiled policy chains
     ({!Stable.to_dest}'s policy mode); the default compiled policy is
     recognized and keeps the three-phase fast path, so passing
-    [Policy.default ()] is byte-identical to passing nothing.
-    [plist_fp_rate] sets the Bloom false-positive rate used for the
-    compressed Permission-List size column (default 0.01).
+    [Policy.default ()] is byte-identical to passing nothing. The
+    compressed Permission-List size column assumes a 1% Bloom
+    false-positive rate.
 
     [metrics], when given, receives [static.dests] / [static.paths]
     counters and a [static.path_len] histogram. Each pool domain
@@ -64,8 +63,7 @@ val analyze :
     [test_obs.ml]. When absent, the sweep allocates and touches no
     metrics state at all. *)
 
-val analyze_vf :
-  ?plist_fp_rate:float -> Topology.t -> sources:int list -> pgraph_stats
+val analyze_vf : Topology.t -> sources:int list -> pgraph_stats
 (** Same aggregation over the {e per-pair shortest valley-free} path
     sets ({!Vf_paths}) instead of the BGP-stable selection. These path
     sets are not suffix-consistent, so their P-graphs are genuinely

@@ -6,7 +6,6 @@ type t = {
   flips : int;
   fig8_sizes : int list;
   fig8_events : int;
-  mrai : float;
   resilience_scenarios : int;
   resilience_pairs : int;
   resilience_flaps : int;
@@ -35,7 +34,6 @@ let default =
     flips = 40;
     fig8_sizes = [ 50; 100; 200; 400; 800 ];
     fig8_events = 12;
-    mrai = 30.0;
     resilience_scenarios = 8;
     resilience_pairs = 40;
     resilience_flaps = 6;
@@ -61,7 +59,6 @@ let quick =
     flips = 10;
     fig8_sizes = [ 30; 60; 120 ];
     fig8_events = 6;
-    mrai = 30.0;
     resilience_scenarios = 3;
     resilience_pairs = 12;
     resilience_flaps = 4;
@@ -81,5 +78,5 @@ let quick =
 
 let pp fmt t =
   Format.fprintf fmt
-    "seed=%d as_nodes=%d as_sources=%d brite=%d(m=%d) flips=%d mrai=%.1fms"
-    t.seed t.as_nodes t.as_sources t.brite_nodes brite_m t.flips t.mrai
+    "seed=%d as_nodes=%d as_sources=%d brite=%d(m=%d) flips=%d" t.seed
+    t.as_nodes t.as_sources t.brite_nodes brite_m t.flips

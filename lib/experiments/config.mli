@@ -13,7 +13,6 @@ type t = {
   flips : int;          (** links flipped for F6/F7 *)
   fig8_sizes : int list;  (** topology sizes swept in F8 *)
   fig8_events : int;    (** link events measured per size in F8 *)
-  mrai : float;         (** BGP MRAI in ms *)
   resilience_scenarios : int;  (** churn scenarios swept by [exp resilience] *)
   resilience_pairs : int;      (** (src, dest) pairs probed per scenario *)
   resilience_flaps : int;      (** link flaps per churn scenario *)

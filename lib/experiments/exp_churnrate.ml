@@ -46,7 +46,7 @@ let run_cell cfg ~rate_idx ~rate ~protocol ~batched =
   let topo = Inputs.brite cfg in
   let policy = Policy.default () in
   let make = Option.get (Protocols.Proto_table.find protocol) in
-  let runner = make ~policy ~mrai:cfg.Config.mrai topo in
+  let runner = make ~policy topo in
   let stream =
     Stream.Update_stream.generate
       ~seed:((cfg.Config.seed * 1_000_003) + 11_000 + rate_idx)

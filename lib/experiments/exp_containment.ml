@@ -135,7 +135,7 @@ let run_one cfg ~pairs (kind, proto) =
   let policy = Policy.default () in
   let scenario, bad, victim = scenario_of cfg topo kind in
   let make = Option.get (Protocols.Proto_table.find proto) in
-  let runner = make ~policy ~mrai:cfg.Config.mrai topo in
+  let runner = make ~policy topo in
   (* Hijack damage is entirely about the victim's prefix: probe the
      sampled sources toward the victim instead of the generic pairs. *)
   let probe_pairs =

@@ -15,12 +15,8 @@ let run cfg =
     Protocols.Convergence.flip_links runner ~links
   in
   { centaur = run_protocol (Protocols.Centaur_net.network (topo ()));
-    bgp =
-      run_protocol
-        (Protocols.Bgp_net.network ~mrai:cfg.Config.mrai (topo ()));
-    bgp_rcn =
-      run_protocol
-        (Protocols.Bgp_net.network ~mrai:cfg.Config.mrai ~rcn:true (topo ()));
+    bgp = run_protocol (Protocols.Bgp_net.network (topo ()));
+    bgp_rcn = run_protocol (Protocols.Bgp_net.network ~rcn:true (topo ()));
     ospf = run_protocol (Protocols.Ospf_net.network (topo ()));
     flipped_links = links }
 

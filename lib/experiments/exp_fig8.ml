@@ -23,9 +23,7 @@ let row_for cfg ~n =
       result.Protocols.Convergence.cold.Sim.Engine.messages )
   in
   let centaur_rate, centaur_cold = measure Protocols.Centaur_net.network in
-  let bgp_rate, bgp_cold =
-    measure (Protocols.Bgp_net.network ~mrai:cfg.Config.mrai)
-  in
+  let bgp_rate, bgp_cold = measure Protocols.Bgp_net.network in
   { nodes = n;
     links = links_count;
     centaur_msgs_per_event = centaur_rate;

@@ -9,8 +9,7 @@
     as its real Bloom-compressed encoding. *)
 
 val network :
-  ?trace:Obs.Trace.t -> ?policy:Policy.compiled -> ?plist_fp_rate:float ->
-  Topology.t -> Sim.Runner.t
+  ?trace:Obs.Trace.t -> ?policy:Policy.compiled -> Topology.t -> Sim.Runner.t
 (** The runner's [path] accessor reports each node's selected
     policy-compliant path from its local P-graph state.
 
@@ -26,9 +25,10 @@ val network :
     damage reaches — and, once the override clears, is repaired at —
     every receiver.
 
-    [plist_fp_rate] (default 0.01) sets the false-positive rate the
-    on-wire Permission List Bloom filters are sized for; it scales the
-    byte accounting (engine [bytes] counter), not the routing outcome.
+    The on-wire Permission List Bloom filters are priced at a 1%
+    false-positive rate ({!Centaur.Announce.wire_bytes}'s default),
+    which scales the byte accounting (engine [bytes] counter), not the
+    routing outcome.
 
     [trace] (default disabled) receives the engine events plus a bulk
     [Mark_dirty] whenever an absorb grows the node's dirty set, a

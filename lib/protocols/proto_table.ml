@@ -1,27 +1,15 @@
 type maker =
-  ?trace:Obs.Trace.t ->
-  ?policy:Policy.compiled ->
-  ?plist_fp_rate:float ->
-  ?mrai:float ->
-  Topology.t ->
-  Sim.Runner.t
+  ?trace:Obs.Trace.t -> ?policy:Policy.compiled -> Topology.t -> Sim.Runner.t
 
 (* Each net keeps its own constructor signature; the table normalizes
-   them to one shape, dropping the knobs a protocol has no use for
-   (Permission-List sizing outside Centaur, MRAI outside BGP). *)
+   them to one shape. *)
 let all : (string * maker) list =
-  [ ( "centaur",
-      fun ?trace ?policy ?plist_fp_rate ?mrai:_ topo ->
-        Centaur_net.network ?trace ?policy ?plist_fp_rate topo );
-    ( "bgp",
-      fun ?trace ?policy ?plist_fp_rate:_ ?mrai topo ->
-        Bgp_net.network ?mrai ?trace ?policy topo );
+  [ ("centaur", Centaur_net.network);
+    ("bgp", fun ?trace ?policy topo -> Bgp_net.network ?trace ?policy topo);
     ( "bgp-rcn",
-      fun ?trace ?policy ?plist_fp_rate:_ ?mrai topo ->
-        Bgp_net.network ~rcn:true ?mrai ?trace ?policy topo );
-    ( "ospf",
-      fun ?trace ?policy ?plist_fp_rate:_ ?mrai:_ topo ->
-        Ospf_net.network ?trace ?policy topo ) ]
+      fun ?trace ?policy topo ->
+        Bgp_net.network ~rcn:true ?trace ?policy topo );
+    ("ospf", fun ?trace ?policy topo -> Ospf_net.network ?trace ?policy topo) ]
 
 let names = List.map fst all
 

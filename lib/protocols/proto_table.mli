@@ -2,21 +2,14 @@
 
     Every harness that builds protocols by name — the [simulate] CLI,
     the resilience and containment experiments — goes through this
-    table, so a construction knob (compiled policy, Permission-List
-    sizing, MRAI) is plumbed once and every consumer picks it up. *)
+    table, so a construction knob (trace, compiled policy) is plumbed
+    once and every consumer picks it up. *)
 
 type maker =
-  ?trace:Obs.Trace.t ->
-  ?policy:Policy.compiled ->
-  ?plist_fp_rate:float ->
-  ?mrai:float ->
-  Topology.t ->
-  Sim.Runner.t
-(** Uniform constructor. Knobs a protocol has no use for are accepted
-    and ignored ([plist_fp_rate] outside Centaur, [mrai] outside BGP,
-    [policy] on OSPF); the per-net defaults apply when omitted
-    ([plist_fp_rate] 0.01, [mrai] 30.0, [policy] the default compiled
-    Gao–Rexford). *)
+  ?trace:Obs.Trace.t -> ?policy:Policy.compiled -> Topology.t -> Sim.Runner.t
+(** Uniform constructor: [trace] defaults to disabled and [policy] to
+    the default compiled Gao–Rexford, which OSPF ignores; every other
+    setting is the net's own default (BGP's MRAI is 30 ms). *)
 
 val all : (string * maker) list
 (** [centaur], [bgp], [bgp-rcn], [ospf] — in display order. *)

@@ -105,7 +105,10 @@ type enumeration = {
   total : int;
 }
 
-let enumerate ?(max_routes = 20_000) t ~dest =
+(* Carrier cap against pathological configurations. *)
+let max_routes = 20_000
+
+let enumerate t ~dest =
   let n = Topology.num_nodes t.topo in
   if dest < 0 || dest >= n then
     invalid_arg "Algebra.enumerate: destination out of range";

@@ -73,15 +73,15 @@ val compare_rank : t -> route -> route -> int
 type enumeration = {
   dest : int;
   routes : route list array;  (** permitted routes resident per node *)
-  complete : bool;  (** false when [max_routes] truncated the walk *)
+  complete : bool;  (** false when the route cap truncated the walk *)
   total : int;
 }
 
-val enumerate : ?max_routes:int -> t -> dest:int -> enumeration
+val enumerate : t -> dest:int -> enumeration
 (** All permitted routes toward [dest]: the origin route (plus claimed
     originations, when the policy has any), closed under {!extend}.
-    Paths are simple, so the walk terminates; [max_routes] (default
-    [20_000]) caps the carrier on pathological configurations, clearing
+    Paths are simple, so the walk terminates; a cap of 20,000 routes
+    bounds the carrier on pathological configurations, clearing
     [complete]. Deterministic: routes appear in breadth-first discovery
     order. *)
 

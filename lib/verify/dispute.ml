@@ -281,7 +281,7 @@ let annotate_lines ?policy topo w =
 (* Pipeline                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let analyze ?discipline ?policy ?dests ?(max_routes = 20_000) topo =
+let analyze ?discipline ?policy ?dests topo =
   let structural = structural_reasons ?policy topo in
   if structural = [] then Certified Gao_rexford_structure
   else begin
@@ -297,7 +297,7 @@ let analyze ?discipline ?policy ?dests ?(max_routes = 20_000) topo =
     let suspects = ref [] in
     List.iter
       (fun d ->
-        let enum = Algebra.enumerate ~max_routes alg ~dest:d in
+        let enum = Algebra.enumerate alg ~dest:d in
         total := !total + enum.Algebra.total;
         match Algebra.strict_monotonicity alg enum with
         | Algebra.Holds -> ()

@@ -65,16 +65,14 @@ val analyze :
   ?discipline:Gao_rexford.discipline ->
   ?policy:Policy.compiled ->
   ?dests:int list ->
-  ?max_routes:int ->
   Topology.t ->
   verdict
 (** Run the pipeline: structural certificate, then (per destination in
     [dests], default all nodes) enumeration + monotonicity certificate,
     then wheel search on the destinations where monotonicity failed.
-    [max_routes] is passed to {!Algebra.enumerate} (default [20_000]);
-    truncated enumerations forfeit the monotonicity certificate and
-    degrade to [Inconclusive] unless a wheel is found anyway. Output is
-    deterministic for a given input. *)
+    Enumerations truncated by {!Algebra.enumerate}'s route cap forfeit
+    the monotonicity certificate and degrade to [Inconclusive] unless a
+    wheel is found anyway. Output is deterministic for a given input. *)
 
 val is_certified : verdict -> bool
 

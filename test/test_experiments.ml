@@ -10,7 +10,6 @@ let tiny =
     flips = 3;
     fig8_sizes = [ 20; 40 ];
     fig8_events = 4;
-    mrai = 10.0;
     resilience_scenarios = 2;
     resilience_pairs = 6;
     resilience_flaps = 3;
