@@ -51,6 +51,9 @@ type t = {
   mutable visit : int -> unit;
   on_change : (int -> unit) option; (* selection-change tap *)
   policy : Policy.compiled;
+  (* Scratch: one re-selection's running best. Centaur selects like
+     BGP's decision process: the Standard discipline. *)
+  best : Gao_rexford.best;
 }
 
 type output = (int * Announce.t) list
@@ -78,7 +81,8 @@ let create ?on_change ?policy topo ~id =
       walk_len = 0;
       visit = ignore;
       on_change;
-      policy = (match policy with Some p -> p | None -> Policy.default ()) }
+      policy = (match policy with Some p -> p | None -> Policy.default ());
+      best = Gao_rexford.best Gao_rexford.Standard }
   in
   t.visit <-
     (fun v ->
@@ -145,8 +149,7 @@ let walk_path t =
 (* What selection reads off a cached path, packed in one int: whether
    it visits this node (bit 0), the neighbor's route class (bits 1-3:
    0 when the path crosses a pair of nodes with no link, else
-   [Gao_rexford.class_rank] + 1), and its hop count from this node (the
-   bits above). *)
+   [Gao_rexford.class_rank] + 1), and its hop count (the bits above). *)
 let attr_loop = 1
 let attr_len a = a lsr 4
 
@@ -171,7 +174,7 @@ let cache t s dest =
     Bit_rows.add s.usage t.walk.(i) dest
   done;
   s.c_attr.(dest) <-
-    (t.walk_len lsl 4)
+    ((t.walk_len - 1) lsl 4)
     lor (class_code (Path_class.class_of t.topo p) lsl 1)
     lor if Path.contains p t.node_id then attr_loop else 0
 
@@ -339,86 +342,42 @@ let rec check_added t s i = function
 
 (* --- selection --- *)
 
-(* The running best route of one re-selection: [best_path] is [] until
-   a candidate is offered. *)
-type choice = {
-  chooser : int;
-  dest : int;
-  mutable best_path : Path.t;
-  mutable best : Gao_rexford.candidate;
-}
+(* Offer [t.best] the neighbor's path [down] to [dest], cached in
+   session [s], with the attributes recorded when it was cached; true
+   when it takes the lead. *)
+let offer_path t ~neighbor ~role s ~dest down =
+  let a = s.c_attr.(dest) in
+  a land attr_loop = 0
+  &&
+  (* The verification check (was the neighbor allowed to offer this
+     under the baseline contract?) and our own class both derive from
+     the route's class at the neighbor. The contract check is always
+     Gao–Rexford, never the offering node's configured policy — a
+     leaker's permissive export chain doesn't make its announcements
+     acceptable here, which is exactly how Centaur contains leaked and
+     hijacked routes. *)
+  match attr_class a with
+  | Some neighbor_class
+    when Gao_rexford.exportable ~cls:neighbor_class
+           ~to_role:(Relationship.invert role) ->
+    Policy.learn t.policy t.best ~node:t.node_id ~peer:neighbor ~role ~dest
+      ~neighbor_class ~len:(attr_len a) ~tail:down
+  | Some _ | None ->
+    Policy.note_reject t.policy;
+    false
 
-(* Keep the current best unless [route] ranks strictly above it. Centaur
-   selects like BGP's decision process: the Standard discipline. *)
-let offer ch path route =
-  if
-    ch.best_path = []
-    || Gao_rexford.compare_routes Gao_rexford.Standard ~chooser:ch.chooser
-         ~dest:ch.dest route ch.best
-       < 0
-  then begin
-    ch.best_path <- path;
-    ch.best <- route
-  end
-
-(* Offer the path to [ch.dest] cached in session [s], with the
-   attributes recorded when it was cached. *)
-let offer_path t ch ~neighbor ~role s down_path =
-  let a = s.c_attr.(ch.dest) in
-  if a land attr_loop = 0 then
-    (* The verification check (was the neighbor allowed to offer this
-       under the baseline contract?) and our own class both derive from
-       the route's class at the neighbor. The contract check is always
-       Gao–Rexford, never the offering node's configured policy — a
-       leaker's permissive export chain doesn't make its announcements
-       acceptable here, which is exactly how Centaur contains leaked and
-       hijacked routes. *)
-    match attr_class a with
-    | None -> Policy.note_reject t.policy
-    | Some neighbor_class ->
-      if
-        not
-          (Gao_rexford.exportable ~cls:neighbor_class
-             ~to_role:(Relationship.invert role))
-      then Policy.note_reject t.policy
-      else
-        let cls =
-          Gao_rexford.class_of_learned ~neighbor_role:role ~neighbor_class
-        in
-        let path = t.node_id :: down_path in
-        let len = attr_len a in
-        let pref =
-          Policy.import_eval t.policy ~node:t.node_id ~peer:neighbor ~role
-            ~dest:ch.dest ~cls ~len ~path
-        in
-        if pref >= 0 then
-          offer ch path
-            { Gao_rexford.pref;
-              cls;
-              len;
-              next_hop = neighbor;
-              via_sibling = role = Relationship.Sibling }
-
-let no_route =
-  { Gao_rexford.pref = 0;
-    cls = Gao_rexford.Origin;
-    len = 0;
-    next_hop = -1;
-    via_sibling = false }
-
-(* The selected path toward [dest], [] when there is none. *)
+(* The selected path toward [dest], [] when there is none. A claimed
+   origination (static [originate] or an active hijack override) beats
+   everything: class Origin, length 1. *)
 let best_path t ~dest =
   let chooser = t.node_id in
-  let ch = { chooser; dest; best_path = []; best = no_route } in
-  (* A claimed origination (static [originate] or an active hijack
-     override) beats everything: class Origin, length 1. *)
-  if dest <> chooser && Policy.claims_origin t.policy ~node:chooser ~dest then
-    offer ch [ chooser; dest ]
-      { Gao_rexford.pref = 0;
-        cls = Gao_rexford.Origin;
-        len = 1;
-        next_hop = dest;
-        via_sibling = false };
+  Gao_rexford.start t.best ~chooser ~dest;
+  (* The leader's path beyond [chooser]. *)
+  let lead =
+    ref
+      (if Policy.offer_claim t.policy t.best ~node:chooser ~dest then [ dest ]
+       else [])
+  in
   let { Topology.adj_nbr; adj_rel; adj_link; adj_up; _ } = t.adj in
   for k = t.off to t.hi - 1 do
     if adj_up.(adj_link.(k)) then begin
@@ -428,28 +387,18 @@ let best_path t ~dest =
       | Some s -> (
         match cached s dest with
         | [] -> ()
-        | down_path -> offer_path t ch ~neighbor:n ~role s down_path));
+        | down ->
+          if offer_path t ~neighbor:n ~role s ~dest down then lead := down));
       if dest = n then begin
-        let cls =
-          Gao_rexford.class_of_learned ~neighbor_role:role
-            ~neighbor_class:Gao_rexford.Origin
-        in
-        let path = [ chooser; n ] in
-        let pref =
-          Policy.import_eval t.policy ~node:chooser ~peer:n ~role ~dest ~cls
-            ~len:1 ~path
-        in
-        if pref >= 0 then
-          offer ch path
-            { Gao_rexford.pref;
-              cls;
-              len = 1;
-              next_hop = n;
-              via_sibling = role = Relationship.Sibling }
+        let down = [ n ] in
+        if
+          Policy.learn t.policy t.best ~node:chooser ~peer:n ~role ~dest
+            ~neighbor_class:Gao_rexford.Origin ~len:0 ~tail:down
+        then lead := down
       end
     end
   done;
-  ch.best_path
+  match !lead with [] -> [] | down -> chooser :: down
 
 (* Class a selected path is exported with. Claimed originations have no
    topological class — they export as Origin, which is what a real

@@ -53,34 +53,98 @@ let local_pref ~chooser next_hop =
 let arbitrary_pref ~chooser ~dest next_hop =
   mix10 ((chooser * 0x2545F4) lxor (dest * 0x9E3779) lxor (next_hop * 0x85EBCA))
 
-let compare_routes discipline ~chooser ~dest a b =
-  if a.pref <> b.pref then compare b.pref a.pref
+(* The one order, over two routes' unboxed keys: [a]'s preference,
+   class, length, next hop and sibling flag (pa, ca, la, na, sa) against
+   [b]'s. [compare_routes] and the running best both call it. *)
+let compare_keys discipline ~chooser ~dest pa ca la na sa pb cb lb nb sb =
+  if pa <> pb then Int.compare pb pa
   else
-    let c = compare (class_rank a.cls) (class_rank b.cls) in
+    let c = Int.compare (class_rank ca) (class_rank cb) in
     if c <> 0 then c
     else
       match discipline with
       | Standard ->
-        let c = compare a.len b.len in
-        if c <> 0 then c else compare a.next_hop b.next_hop
-      | (Class_only | Diverse | Arbitrary) when a.via_sibling <> b.via_sibling
-        ->
-        if a.via_sibling then 1 else -1
-      | Class_only -> compare a.next_hop b.next_hop
+        let c = Int.compare la lb in
+        if c <> 0 then c else Int.compare na nb
+      | (Class_only | Diverse | Arbitrary) when sa <> sb -> if sa then 1 else -1
+      | Class_only -> Int.compare na nb
       | Diverse ->
         let c =
-          compare
-            (local_pref ~chooser a.next_hop)
-            (local_pref ~chooser b.next_hop)
+          Int.compare (local_pref ~chooser na) (local_pref ~chooser nb)
         in
         if c <> 0 then c
         else
-          let c = compare a.len b.len in
-          if c <> 0 then c else compare a.next_hop b.next_hop
+          let c = Int.compare la lb in
+          if c <> 0 then c else Int.compare na nb
       | Arbitrary ->
         let c =
-          compare
-            (arbitrary_pref ~chooser ~dest a.next_hop)
-            (arbitrary_pref ~chooser ~dest b.next_hop)
+          Int.compare
+            (arbitrary_pref ~chooser ~dest na)
+            (arbitrary_pref ~chooser ~dest nb)
         in
-        if c <> 0 then c else compare a.next_hop b.next_hop
+        if c <> 0 then c else Int.compare na nb
+
+let compare_routes discipline ~chooser ~dest a b =
+  compare_keys discipline ~chooser ~dest a.pref a.cls a.len a.next_hop
+    a.via_sibling b.pref b.cls b.len b.next_hop b.via_sibling
+
+let origin ~dest =
+  { pref = 0; cls = Origin; len = 0; next_hop = dest; via_sibling = false }
+
+(* The leader's keys live in the record itself, so an offer writes
+   immediates and allocates nothing. *)
+type best = {
+  discipline : discipline;
+  mutable chooser : int;
+  mutable dest : int;
+  mutable held : bool;  (* an offer has been taken since [start] *)
+  mutable l_pref : int;
+  mutable l_cls : route_class;
+  mutable l_len : int;
+  mutable l_next_hop : int;
+  mutable l_via_sibling : bool;
+}
+
+let best discipline =
+  { discipline;
+    chooser = 0;
+    dest = 0;
+    held = false;
+    l_pref = 0;
+    l_cls = Origin;
+    l_len = 0;
+    l_next_hop = 0;
+    l_via_sibling = false }
+
+let start b ~chooser ~dest =
+  b.chooser <- chooser;
+  b.dest <- dest;
+  b.held <- false
+
+let offer b ~pref ~cls ~len ~next_hop ~via_sibling =
+  let leads =
+    (not b.held)
+    || compare_keys b.discipline ~chooser:b.chooser ~dest:b.dest pref cls len
+         next_hop via_sibling b.l_pref b.l_cls b.l_len b.l_next_hop
+         b.l_via_sibling
+       < 0
+  in
+  if leads then begin
+    b.held <- true;
+    b.l_pref <- pref;
+    b.l_cls <- cls;
+    b.l_len <- len;
+    b.l_next_hop <- next_hop;
+    b.l_via_sibling <- via_sibling
+  end;
+  leads
+
+let leader b =
+  if b.held then
+    Some
+      { pref = b.l_pref;
+        cls = b.l_cls;
+        len = b.l_len;
+        next_hop = b.l_next_hop;
+        via_sibling = b.l_via_sibling }
+  else None

@@ -11,10 +11,12 @@
       from a peer or a provider may be exported only to customers.
       Siblings exchange all routes.
     - {b Preference (ranking)}: {!compare_routes} is the one preference
-      order. The stable solver, the Centaur node, the BGP decision
+      order, and the running {!best} keeps the leader by the same
+      comparison. The stable solver, the Centaur node, the BGP decision
       process, the multipath ranking and the convergence analyzer's
-      routing algebra all call it. Higher import preference first, then
-      customer over peer over provider routes, then the {!discipline}'s
+      routing algebra all rank through them, fed by
+      {!Policy.learn}. Higher import preference first, then customer
+      over peer over provider routes, then the {!discipline}'s
       tie-break: by default shorter paths, then the lowest next-hop
       id. *)
 
@@ -94,3 +96,35 @@ val compare_routes :
     tie-break: a DISAGREE gadget with no stable state. {!Standard}
     leaves the flag out: its length key matches the three-phase solver
     and cannot sustain the gadget. *)
+
+val origin : dest:int -> candidate
+(** The route a destination holds to itself: preference 0, class
+    [Origin], length 0, next hop [dest]. *)
+
+(** {1 Running best}
+
+    One selection's leader, kept as it is offered routes one at a time.
+    The leader's keys are stored unboxed, so an offer allocates
+    nothing. *)
+
+type best
+
+val best : discipline -> best
+(** A running best ranking by the given discipline, holding no leader. *)
+
+val start : best -> chooser:int -> dest:int -> unit
+(** Drop the leader and begin node [chooser]'s selection toward
+    [dest]. *)
+
+val offer :
+  best ->
+  pref:int -> cls:route_class -> len:int -> next_hop:int ->
+  via_sibling:bool ->
+  bool
+(** Offer one route. It becomes the leader, and the result is [true],
+    when there is no leader yet or {!compare_routes} ranks it strictly
+    before the leader: of equally ranked offers the first is kept. *)
+
+val leader : best -> candidate option
+(** The leader since the last {!start}; [None] when nothing was
+    offered. *)

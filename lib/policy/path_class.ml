@@ -20,8 +20,3 @@ let rec class_of topo = function
         some_class
           (Gao_rexford.class_of_learned ~neighbor_role:role_of_b
              ~neighbor_class)))
-
-let exportable_to topo p ~neighbor_role =
-  match class_of topo p with
-  | None -> false
-  | Some cls -> Gao_rexford.exportable ~cls ~to_role:neighbor_role

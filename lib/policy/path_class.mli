@@ -14,8 +14,3 @@ val class_of : Topology.t -> Path.t -> Gao_rexford.route_class option
     state is ignored — relationships are static contracts a node may
     consult without learning the remote link's liveness. The single-node
     path is [Origin]. *)
-
-val exportable_to :
-  Topology.t -> Path.t -> neighbor_role:Relationship.t -> bool
-(** May the source of the path announce it to a neighbor of the given
-    role? [false] when the class cannot be computed. *)

@@ -743,6 +743,18 @@ let export_ok t ~node ~peer ~role ~dest ~cls ~len ~path =
     export_allowed ~cls ~role
       (verdict t ~dir:1 ~node ~peer ~role ~dest ~cls ~len ~path)
 
+let learn t best ~node ~peer ~role ~dest ~neighbor_class ~len ~tail =
+  let cls = Gao_rexford.class_of_learned ~neighbor_role:role ~neighbor_class in
+  let len = len + 1 in
+  let pref =
+    if t.custom then
+      import_eval t ~node ~peer ~role ~dest ~cls ~len ~path:(node :: tail)
+    else 0
+  in
+  pref >= 0
+  && Gao_rexford.offer best ~pref ~cls ~len ~next_hop:peer
+       ~via_sibling:(role = Relationship.Sibling)
+
 let cited v = match v lsr line_shift with 0 -> None | l -> Some l
 
 let explain_import t ~node ~peer ~role ~dest ~cls ~len ~path =
@@ -768,6 +780,12 @@ let origins t ~node =
 let claims_origin t ~node ~dest =
   (t.overrides > 0 && Flat_tbl.mem t.claims_tbl (pack_node_dest node dest))
   || (t.custom && Flat_tbl.mem t.origins_tbl (pack_node_dest node dest))
+
+let offer_claim t best ~node ~dest =
+  node <> dest
+  && claims_origin t ~node ~dest
+  && Gao_rexford.offer best ~pref:0 ~cls:Gao_rexford.Origin ~len:1
+       ~next_hop:dest ~via_sibling:false
 
 let corrupted t ~node = t.overrides > 0 && Flat_tbl.mem t.corrupt_tbl node
 

@@ -167,9 +167,8 @@ val is_default : compiled -> bool
 
 val configured : compiled option -> compiled option
 (** [None] for an absent or {!is_default} policy, the policy otherwise:
-    the normalization the stable solver, static analysis and the
-    convergence analyzer share, so they take their policy-free paths on
-    exactly the same inputs. *)
+    the normalization the stable solver and static analysis share, so
+    they take their policy-free paths on exactly the same inputs. *)
 
 val source : compiled -> config
 (** The configuration AST this value was compiled from ([[]] for
@@ -210,6 +209,30 @@ val export_ok :
     [node] (head = [node]). Default policy:
     [Gao_rexford.exportable ~cls ~to_role:role]. A node under a
     {!set_leak} override exports everything. *)
+
+val learn :
+  compiled -> Gao_rexford.best ->
+  node:int -> peer:int -> role:Relationship.t -> dest:int ->
+  neighbor_class:Gao_rexford.route_class -> len:int -> tail:Path.t ->
+  bool
+(** The one route-learning step: [node] learns [peer]'s route [tail]
+    toward [dest] (head = [peer]), of class [neighbor_class] and [len]
+    hops at [peer], where [role] is [peer]'s relationship to [node]. The
+    route takes its class at [node] from
+    {!Gao_rexford.class_of_learned}, one more hop, and the preference
+    {!import_eval} grants; unless the import chain rejects it, it is
+    offered to [best] with next hop [peer]. [true] when it takes the
+    lead. The full path [node :: tail] is built only when a
+    configuration is compiled in, so the default policy allocates
+    nothing. The caller keeps what precedes import: loop detection and
+    the exporter's consent. *)
+
+val offer_claim :
+  compiled -> Gao_rexford.best -> node:int -> dest:int -> bool
+(** A claimed origination, when [node] claims [dest] ({!claims_origin},
+    [dest <> node]): the route [[node; dest]] offered to [best] as
+    preference 0, class [Origin], length 1, next hop [dest]. [true] when
+    it takes the lead. *)
 
 val origins : compiled -> node:int -> int list
 (** Destinations [node] claims to originate beyond its own id — static

@@ -21,7 +21,7 @@
    a route. The Loc-RIB is one destination-indexed array per node. The
    MRAI state (deadline, armed flag, pending queue) is per half-edge too,
    so the stages allocate little beyond the messages and timers they
-   return and one record per ranked candidate. *)
+   return. *)
 
 type msg = {
   dest : int;
@@ -98,6 +98,7 @@ type net = {
   changed_cause : int array;
   mutable nchanged : int;
   stage : stage;
+  top : Gao_rexford.best; (* one decision's running best *)
 }
 
 module Trace = Obs.Trace
@@ -387,70 +388,41 @@ let no_route = -1
 let claimed = -2 (* a claimed origination: [st.id; dest] *)
 let itself = -3 (* the node's own prefix: [st.id] *)
 
-let origin_claim dest =
-  { Gao_rexford.pref = 0;
-    cls = Gao_rexford.Origin;
-    len = 1;
-    next_hop = dest;
-    via_sibling = false }
-
-(* Stands in for the top candidate until there is one. *)
-let unranked = origin_claim (-1)
-
 (* Decision process for one destination: candidates are the Adj-RIB-In
-   entries of live sessions that pass loop detection, ranked by
-   [Gao_rexford.compare_routes] under the Standard discipline (import
-   preference, then the Gao–Rexford order); the first of equally ranked
-   candidates wins. A claimed origination (static [originate] or an
-   active hijack override) competes first as class Origin, length 1 — it
-   beats every learned route. The import policy reads the full path only
-   when one is configured, so only then is it built. *)
+   entries of live sessions that pass loop detection, learned through
+   [Policy.learn] and ranked by the Standard discipline; the first of
+   equally ranked candidates wins. A claimed origination (static
+   [originate] or an active hijack override) competes first. An
+   announcement whose tail cannot be verified against the topology is
+   learned credulously, as if the neighbor originated the prefix (see
+   [credulous_class]). *)
 let select net st ~policy dest =
   if dest = st.id then itself
   else begin
     let adj = net.adj in
-    let winner = ref no_route and top = ref unranked in
-    if Policy.claims_origin policy ~node:st.id ~dest then begin
-      winner := claimed;
-      top := origin_claim dest
-    end;
-    let configured = not (Policy.is_default policy) in
+    Gao_rexford.start net.top ~chooser:st.id ~dest;
+    let winner =
+      ref
+        (if Policy.offer_claim policy net.top ~node:st.id ~dest then claimed
+         else no_route)
+    in
     for k = st.lo to st.hi - 1 do
       let r = net.rib_in.(k) in
       if Array.length r > 0 && session_up net k then
         match r.(dest) with
         | [] -> ()
         | p ->
-          if not (Path.contains p st.id) then begin
-            let n = adj.adj_nbr.(k) in
-            let role = Topology.rel_of_code adj.adj_rel.(k) in
-            let cls = trusted_class net.topo st p in
-            let len = List.length p in
-            let pref =
-              if configured then
-                Policy.import_eval policy ~node:st.id ~peer:n ~role ~dest ~cls
-                  ~len ~path:(st.id :: p)
-              else 0
-            in
-            if pref >= 0 then begin
-              let cand =
-                { Gao_rexford.pref;
-                  cls;
-                  len;
-                  next_hop = n;
-                  via_sibling = role = Relationship.Sibling }
-              in
-              if
-                !winner = no_route
-                || Gao_rexford.compare_routes Gao_rexford.Standard
-                     ~chooser:st.id ~dest cand !top
-                   < 0
-              then begin
-                winner := k;
-                top := cand
-              end
-            end
-          end
+          if
+            (not (Path.contains p st.id))
+            && Policy.learn policy net.top ~node:st.id ~peer:adj.adj_nbr.(k)
+                 ~role:(Topology.rel_of_code adj.adj_rel.(k))
+                 ~dest
+                 ~neighbor_class:
+                   (match Path_class.class_of net.topo p with
+                   | Some cls -> cls
+                   | None -> Gao_rexford.Origin)
+                 ~len:(Path.length p) ~tail:p
+          then winner := k
     done;
     !winner
   end
@@ -642,7 +614,8 @@ let create_net topo ~tr =
         len = 0;
         last = Array.make half_edges (-1);
         peers = Array.make !max_degree 0;
-        npeers = 0 } }
+        npeers = 0 };
+    top = Gao_rexford.best Gao_rexford.Standard }
 
 let network ?(mrai = 30.0) ?(rcn = false) ?(incremental = true)
     ?(trace = Trace.none) ?policy topo =

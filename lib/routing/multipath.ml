@@ -2,6 +2,23 @@
    [r]: one per neighbor offering an importable route, best first in
    the Standard order of [Gao_rexford.compare_routes]. *)
 let ranked_candidates topo r ~src ~dest =
+  let policy = Policy.default ()
+  and best = Gao_rexford.best Gao_rexford.Standard in
+  (* The route [src] learns from neighbor [n] over [down], when [n] may
+     offer it. *)
+  let learned n role down =
+    match Path_class.class_of topo down with
+    | Some neighbor_class
+      when Gao_rexford.exportable ~cls:neighbor_class
+             ~to_role:(Relationship.invert role) ->
+      Gao_rexford.start best ~chooser:src ~dest;
+      if
+        Policy.learn policy best ~node:src ~peer:n ~role ~dest ~neighbor_class
+          ~len:(Path.length down) ~tail:down
+      then Option.map (fun c -> (src :: down, c)) (Gao_rexford.leader best)
+      else None
+    | Some _ | None -> None
+  in
   let candidates =
     Topology.fold_neighbors topo src ~init:[] ~f:(fun acc n role _ ->
         let down =
@@ -11,27 +28,9 @@ let ranked_candidates topo r ~src ~dest =
             | Some p when not (Path.contains p src) -> Some p
             | Some _ | None -> None
         in
-        match down with
-        | None -> acc
-        | Some down ->
-          (* The neighbor must be allowed to offer the route. *)
-          if
-            not
-              (Path_class.exportable_to topo down
-                 ~neighbor_role:(Relationship.invert role))
-          then acc
-          else
-            let path = src :: down in
-            match Path_class.class_of topo path with
-            | None -> acc
-            | Some cls ->
-              ( path,
-                { Gao_rexford.pref = 0;
-                  cls;
-                  len = Path.length path;
-                  next_hop = n;
-                  via_sibling = role = Relationship.Sibling } )
-              :: acc)
+        match Option.bind down (learned n role) with
+        | Some c -> c :: acc
+        | None -> acc)
   in
   List.map fst
     (List.sort

@@ -441,16 +441,8 @@ let iter_reachable t f =
     if reachable t v then f v
   done
 
-let path_set_from_dests topo ~src ~dests =
+let path_set_from topo ~src =
   let ws = create_workspace () in
   List.filter_map
-    (fun d ->
-      if d = src then None
-      else
-        let r = to_dest_with ws topo d in
-        path r src)
-    dests
-
-let path_set_from topo ~src =
-  let n = Topology.num_nodes topo in
-  path_set_from_dests topo ~src ~dests:(List.init n (fun i -> i))
+    (fun d -> if d = src then None else path (to_dest_with ws topo d) src)
+    (List.init (Topology.num_nodes topo) Fun.id)

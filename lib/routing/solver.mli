@@ -92,5 +92,3 @@ val path_set_from : Topology.t -> src:int -> Path.t list
     [BuildGraph]. Runs {!to_dest} for every destination; intended for
     small/medium topologies or sampled sources. *)
 
-val path_set_from_dests : Topology.t -> src:int -> dests:int list -> Path.t list
-(** Like {!path_set_from} but restricted to the given destinations. *)

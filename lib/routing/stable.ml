@@ -84,66 +84,39 @@ let path_of_cell ws c =
   let rec go c = if c < 0 then [] else ws.c_node.(c) :: go ws.c_tail.(c) in
   go c
 
-(* One best-response step for node [y]: choose the most preferred
-   candidate given the neighbors' current selections, returned as
-   [Some (cx, cls)] — the winning neighbor's cell plus the class the
-   route takes on at [y]. Candidates are ranked by
-   [Gao_rexford.compare_routes], the order every protocol engine runs;
-   with no policy every import preference is 0. *)
-let best_response ~discipline ~policy ws topo y d =
-  let best = ref None in
+(* The policy-free solve's policy: plain Gao–Rexford. It never leaves
+   this module, so no override is ever set on it, and evaluating it
+   writes nothing, so every domain may read it. *)
+let gao_rexford = Policy.default ()
+
+(* One best-response step for node [y]: the most preferred of the
+   neighbors' current selections that their export policies let them
+   offer, learned through [Policy.learn]. The policies read a path only
+   when configured, so only then is the neighbor's path
+   materialized. *)
+let best_response ~policy best ws topo y d =
+  Gao_rexford.start best ~chooser:y ~dest:d;
   Topology.iter_neighbors topo y (fun x role_of_x _ ->
       let cx = ws.sel.(x) in
       if cx >= 0 && not (chain_contains ws cx y) then begin
-        let x_class = ws.c_cls.(cx) in
-        let x_len = ws.c_len.(cx) in
-        (* x only offers the route if its export policy allows. *)
-        let offered =
-          match policy with
-          | None ->
-            Gao_rexford.exportable ~cls:x_class
-              ~to_role:(Relationship.invert role_of_x)
-          | Some pol ->
-            Policy.export_ok pol ~node:x ~peer:y
-              ~role:(Relationship.invert role_of_x) ~dest:d ~cls:x_class
-              ~len:x_len ~path:(path_of_cell ws cx)
+        let neighbor_class = ws.c_cls.(cx) and len = ws.c_len.(cx) in
+        let tail =
+          if Policy.is_default policy then [] else path_of_cell ws cx
         in
-        if offered then begin
-          let cls =
-            Gao_rexford.class_of_learned ~neighbor_role:role_of_x
-              ~neighbor_class:x_class
-          in
-          let len = x_len + 1 in
-          let pref =
-            match policy with
-            | None -> 0
-            | Some pol ->
-              Policy.import_eval pol ~node:y ~peer:x ~role:role_of_x ~dest:d
-                ~cls ~len ~path:(y :: path_of_cell ws cx)
-          in
-          if pref >= 0 then begin
-            let cand =
-              { pref;
-                cls;
-                len;
-                next_hop = x;
-                via_sibling = role_of_x = Relationship.Sibling }
-            in
-            match !best with
-            | Some (bc, _)
-              when compare_routes discipline ~chooser:y ~dest:d cand bc >= 0
-              ->
-              ()
-            | Some _ | None -> best := Some (cand, cx)
-          end
-        end
+        if
+          Policy.export_ok policy ~node:x ~peer:y
+            ~role:(Relationship.invert role_of_x) ~dest:d ~cls:neighbor_class
+            ~len ~path:tail
+        then
+          ignore
+            (Policy.learn policy best ~node:y ~peer:x ~role:role_of_x ~dest:d
+               ~neighbor_class ~len ~tail)
       end);
-  match !best with
-  | None -> None
-  | Some (cand, cx) -> Some (cx, cand.cls)
+  Gao_rexford.leader best
 
 let to_dest_with ws ?(discipline = Standard) ?policy ?max_rounds topo d =
-  let policy = Policy.configured policy in
+  let policy = Option.value (Policy.configured policy) ~default:gao_rexford in
+  let best = Gao_rexford.best discipline in
   let n = Topology.num_nodes topo in
   if d < 0 || d >= n then invalid_arg "Stable.to_dest: destination out of range";
   if ws.cap < n then begin
@@ -164,21 +137,21 @@ let to_dest_with ws ?(discipline = Standard) ?policy ?max_rounds topo d =
     let changed = ref false in
     for y = 0 to n - 1 do
       if y <> d then begin
-        let next = best_response ~discipline ~policy ws topo y d in
         let cur = ws.sel.(y) in
-        let same =
-          match next with
-          | None -> cur < 0
-          | Some (cx, _) -> cur >= 0 && chain_equal ws ws.c_tail.(cur) cx
-        in
-        if not same then begin
-          (match next with
-          | None -> ws.sel.(y) <- -1
-          | Some (cx, cls) ->
+        match best_response ~policy best ws topo y d with
+        | None ->
+          if cur >= 0 then begin
+            ws.sel.(y) <- -1;
+            changed := true
+          end
+        | Some c ->
+          (* The winning neighbor's cell, unchanged since the offer. *)
+          let cx = ws.sel.(c.next_hop) in
+          if not (cur >= 0 && chain_equal ws ws.c_tail.(cur) cx) then begin
             ws.sel.(y) <-
-              intern ws ~node:y ~tail:cx ~len:(ws.c_len.(cx) + 1) ~cls);
-          changed := true
-        end
+              intern ws ~node:y ~tail:cx ~len:(ws.c_len.(cx) + 1) ~cls:c.cls;
+            changed := true
+          end
       end
     done;
     if !changed then iterate (round + 1)

@@ -77,7 +77,8 @@ type t = {
 
 val sends_to_actions : (int * 'msg) list -> 'msg Engine.action list
 (** Lift a protocol transition's [(neighbor, message)] output into engine
-    actions — shared by every protocol net. *)
+    actions, for a net whose protocol returns its sends as a list (the
+    Centaur net). *)
 
 val cold_start_states :
   ?max_events:int ->

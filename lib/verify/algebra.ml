@@ -6,74 +6,45 @@ type route = { node : int; path : Path.t; cand : Gao_rexford.candidate }
 type t = {
   topo : Topology.t;
   discipline : Gao_rexford.discipline;
-  policy : Policy.compiled option;  (* None = pure Gao–Rexford *)
+  policy : Policy.compiled;
 }
 
 let create ?(discipline = Gao_rexford.Standard) ?policy topo =
-  { topo; discipline; policy = Policy.configured policy }
+  { topo;
+    discipline;
+    policy = (match policy with Some p -> p | None -> Policy.default ()) }
 
 let topology t = t.topo
 let discipline t = t.discipline
 
-let origin_route ~node =
-  { node;
-    path = [ node ];
-    cand =
-      { Gao_rexford.pref = 0;
-        cls = Gao_rexford.Origin;
-        len = 0;
-        next_hop = node;
-        via_sibling = false } }
+(* The route [path] at [node] toward [dest], if [offer] puts it in the
+   lead of a fresh running best. *)
+let resident t ~dest ~node path offer =
+  let best = Gao_rexford.best t.discipline in
+  Gao_rexford.start best ~chooser:node ~dest;
+  if offer best then
+    Option.map (fun cand -> { node; path; cand }) (Gao_rexford.leader best)
+  else None
 
 let extend t ~dest r ~via =
   let v = r.node in
-  let r_cls = r.cand.cls and r_len = r.cand.len in
   match Topology.rel t.topo v via with
   | None -> None
   | Some role_of_via ->
-    if Path.contains r.path via then None
-    else begin
-      (* Export check at the holder [v], keyed by the receiver's role
-         relative to the exporter — [via]'s role as seen from [v],
-         which is exactly what [Topology.rel topo v via] returns. *)
-      let exported =
-        match t.policy with
-        | None -> Gao_rexford.exportable ~cls:r_cls ~to_role:role_of_via
-        | Some pol ->
-          Policy.export_ok pol ~node:v ~peer:via ~role:role_of_via ~dest
-            ~cls:r_cls ~len:r_len ~path:r.path
-      in
-      if not exported then None
-      else begin
-        (* Import at [via]: the sender [v]'s role relative to the
-           importer. *)
-        let role_of_v = Relationship.invert role_of_via in
-        let cls =
-          Gao_rexford.class_of_learned ~neighbor_role:role_of_v
-            ~neighbor_class:r_cls
-        in
-        let len = r_len + 1 in
-        let path = via :: r.path in
-        let pref =
-          match t.policy with
-          | None -> 0
-          | Some pol ->
-            Policy.import_eval pol ~node:via ~peer:v ~role:role_of_v ~dest
-              ~cls ~len ~path
-        in
-        if pref < 0 then None
-        else
-          Some
-            { node = via;
-              path;
-              cand =
-                { Gao_rexford.pref;
-                  cls;
-                  len;
-                  next_hop = v;
-                  via_sibling = role_of_v = Relationship.Sibling } }
-      end
-    end
+    (* Export check at the holder [v], keyed by the receiver's role
+       relative to the exporter — [via]'s role as seen from [v], which
+       is exactly what [Topology.rel topo v via] returns. *)
+    if
+      Path.contains r.path via
+      || not
+           (Policy.export_ok t.policy ~node:v ~peer:via ~role:role_of_via
+              ~dest ~cls:r.cand.cls ~len:r.cand.len ~path:r.path)
+    then None
+    else
+      resident t ~dest ~node:via (via :: r.path) (fun best ->
+          Policy.learn t.policy best ~node:via ~peer:v
+            ~role:(Relationship.invert role_of_via) ~dest
+            ~neighbor_class:r.cand.cls ~len:r.cand.len ~tail:r.path)
 
 let prefer t ~dest r1 r2 =
   Gao_rexford.compare_routes t.discipline ~chooser:r1.node ~dest r1.cand
@@ -124,14 +95,12 @@ let enumerate t ~dest =
       Queue.push r q
     end
   in
-  push (origin_route ~node:dest);
-  (match t.policy with
-  | None -> ()
-  | Some pol ->
-    for node = 0 to n - 1 do
-      if node <> dest && Policy.claims_origin pol ~node ~dest then
-        push (origin_route ~node)
-    done);
+  push { node = dest; path = [ dest ]; cand = Gao_rexford.origin ~dest };
+  for node = 0 to n - 1 do
+    Option.iter push
+      (resident t ~dest ~node [ node; dest ] (fun best ->
+           Policy.offer_claim t.policy best ~node ~dest))
+  done;
   while not (Queue.is_empty q) do
     let r = Queue.pop q in
     Topology.iter_neighbors t.topo r.node (fun u _ _ ->

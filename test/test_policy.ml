@@ -76,6 +76,101 @@ let test_preference () =
   Alcotest.(check bool) "standard ignores the sibling flag" true
     (prefers sibling (c Cust 5 2))
 
+(* --- the running best ---------------------------------------------------- *)
+
+let disciplines = [ Standard; Class_only; Diverse; Arbitrary ]
+
+(* Candidates over small key ranges, so every key of the order ties
+   often enough to reach the next one. *)
+let gen_candidate =
+  let open QCheck.Gen in
+  let* pref = int_bound 2 in
+  let* cls = oneofl [ Origin; Cust; Peer_r; Prov ] in
+  let* len = 0 -- 4 in
+  let* next_hop = int_bound 5 in
+  let* via_sibling = bool in
+  return { pref; cls; len; next_hop; via_sibling }
+
+let offer_candidate b c =
+  offer b ~pref:c.pref ~cls:c.cls ~len:c.len ~next_hop:c.next_hop
+    ~via_sibling:c.via_sibling
+
+(* Model: the leader is the first candidate [compare_routes] ranks at or
+   before every other, and an offer takes the lead exactly when it ranks
+   strictly before every earlier one. *)
+let running_best_model =
+  QCheck.Test.make ~name:"running best keeps the first lowest-ranked offer"
+    ~count:(Helpers.qcheck_count 500)
+    (QCheck.make
+       QCheck.Gen.(
+         let* discipline = oneofl disciplines in
+         let* chooser = int_bound 7 in
+         let* dest = int_bound 7 in
+         let* cands = list_size (0 -- 12) gen_candidate in
+         return (discipline, chooser, dest, cands)))
+    (fun (discipline, chooser, dest, cands) ->
+      let cmp = compare_routes discipline ~chooser ~dest in
+      let b = best discipline in
+      (* A stale leader from another selection must not survive [start]. *)
+      start b ~chooser:(chooser + 1) ~dest;
+      ignore
+        (offer b ~pref:9 ~cls:Origin ~len:0 ~next_hop:0 ~via_sibling:false);
+      start b ~chooser ~dest;
+      let rec takes earlier = function
+        | [] -> true
+        | c :: rest ->
+          offer_candidate b c = List.for_all (fun e -> cmp c e < 0) earlier
+          && takes (c :: earlier) rest
+      in
+      takes [] cands
+      && leader b
+         = List.find_opt (fun c -> List.for_all (fun d -> cmp c d <= 0) cands)
+             cands)
+
+(* The offers write the leader's keys in place: like [Policy.import_eval],
+   they must allocate nothing, and so must [Policy.learn] under the
+   default policy, which builds no path. *)
+let test_running_best_allocation () =
+  let cands =
+    Array.of_list
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:4096
+         gen_candidate)
+  in
+  let policy = Policy.default () in
+  let tail = [ 1; 2 ] in
+  let per_offer f =
+    (* Warm pass: faults in every code path. *)
+    f ();
+    let m0 = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. m0) /. float_of_int (Array.length cands)
+  in
+  List.iter
+    (fun discipline ->
+      let b = best discipline in
+      let offers () =
+        start b ~chooser:3 ~dest:4;
+        Array.iter (fun c -> ignore (offer_candidate b c)) cands
+      and learns () =
+        start b ~chooser:0 ~dest:2;
+        Array.iter
+          (fun c ->
+            ignore
+              (Policy.learn policy b ~node:0 ~peer:(c.next_hop + 1)
+                 ~role:(List.nth Relationship.all (c.len mod 4))
+                 ~dest:2 ~neighbor_class:c.cls ~len:c.len ~tail))
+          cands
+      in
+      List.iter
+        (fun (what, f) ->
+          let words = per_offer f in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.4f minor words per offer (budget 1.0)" what
+               words)
+            true (words < 1.0))
+        [ ("offer", offers); ("learn", learns) ])
+    disciplines
+
 let test_path_class () =
   let topo = Fixtures.figure2a () in
   let check_cls name path expected =
@@ -96,15 +191,6 @@ let test_path_class_peer () =
   Alcotest.(check (option string))
     "across peering" (Some "peer-route")
     (Option.map class_to_string (Path_class.class_of topo [ 0; 1; 4 ]))
-
-let test_exportable_to () =
-  let topo = Fixtures.two_tier_peering () in
-  (* 0's route to 4 via peer 1: exportable to customers only. *)
-  let p = [ 0; 1; 4 ] in
-  Alcotest.(check bool) "to customer" true
-    (Path_class.exportable_to topo p ~neighbor_role:Relationship.Customer);
-  Alcotest.(check bool) "to peer" false
-    (Path_class.exportable_to topo p ~neighbor_role:Relationship.Peer)
 
 let test_valley_free_verdicts () =
   let topo = Fixtures.two_tier_peering () in
@@ -248,11 +334,13 @@ let suite =
     Alcotest.test_case "path class" `Quick test_path_class;
     Alcotest.test_case "path class across peering" `Quick
       test_path_class_peer;
-    Alcotest.test_case "exportable_to" `Quick test_exportable_to;
     Alcotest.test_case "valley-free verdicts" `Quick
       test_valley_free_verdicts;
     Alcotest.test_case "valley-free descent" `Quick test_valley_free_descent;
     Alcotest.test_case "sibling transparency" `Quick
       test_sibling_transparent_in_valley_check;
     QCheck_alcotest.to_alcotest class_implies_valley_free;
-    QCheck_alcotest.to_alcotest valley_checker_matches_oracle ]
+    QCheck_alcotest.to_alcotest valley_checker_matches_oracle;
+    QCheck_alcotest.to_alcotest running_best_model;
+    Alcotest.test_case "running best allocates nothing" `Quick
+      test_running_best_allocation ]

@@ -160,6 +160,61 @@ let test_default_policy_certificates () =
     Alcotest.failf "cycle: expected monotonicity certificate, got %s"
       (Verify.Dispute.render v)
 
+(* --- claimed originations ---------------------------------------------- *)
+
+(* The analyzer seeds a claim as the route the engines select: the
+   claimer's one-hop [claimer; dest], class Origin. Node 0 is node 1's
+   provider, node 2 node 1's customer, and node 2 claims node 0's
+   prefix: BGP selects 1>2>0 at node 1, which the enumeration must
+   hold, and no route may reach node 0 itself. *)
+let test_claimed_origination () =
+  let topo () =
+    Topology.create ~n:3
+      [ (1, 0, Relationship.Provider, 1.0);
+        (1, 2, Relationship.Customer, 1.0) ]
+  in
+  let policy =
+    match
+      Result.bind (Policy.parse "node 2 { originate 0 }")
+        (Policy.compile ~num_nodes:3)
+    with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "claim config: %s" msg
+  in
+  let enum =
+    Verify.Algebra.enumerate (Verify.Algebra.create ~policy (topo ())) ~dest:0
+  in
+  let show p = String.concat ">" (List.map string_of_int p) in
+  let paths node =
+    List.map
+      (fun (r : Verify.Algebra.route) -> show r.path)
+      enum.Verify.Algebra.routes.(node)
+  in
+  let holds node path =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s at node %d" path node)
+      true
+      (List.mem path (paths node))
+  in
+  holds 1 "1>2>0";
+  holds 2 "2>0";
+  Alcotest.(check (list string)) "node 0" [ "0" ] (paths 0);
+  List.iter
+    (fun name ->
+      match Protocols.Proto_table.find name with
+      | None -> Alcotest.failf "unknown protocol %s" name
+      | Some network ->
+        let runner = network ~policy (topo ()) in
+        ignore (runner.Sim.Runner.cold_start ());
+        let selected =
+          match runner.Sim.Runner.path ~src:1 ~dest:0 with
+          | Some p -> show p
+          | None -> "none"
+        in
+        Alcotest.(check string) (name ^ " selects") "1>2>0" selected;
+        holds 1 selected)
+    [ "bgp"; "bgp-rcn" ]
+
 (* --- committed corpus: .topo + .conf must keep rendering .expect ------ *)
 
 let read_file path =
@@ -335,4 +390,5 @@ let suite =
     Alcotest.test_case "workspace reusable after Diverged" `Quick
       test_workspace_reusable_after_diverged;
     Alcotest.test_case "Static.analyze skips diverging dests" `Quick
-      test_static_analyze_skips_diverging_dests ]
+      test_static_analyze_skips_diverging_dests;
+    Alcotest.test_case "claimed origination" `Quick test_claimed_origination ]
