@@ -30,7 +30,10 @@ type t = {
   (* Sessions indexed by half-edge ([k - off]), i.e. by ascending
      neighbor id. *)
   sessions : session option array;
-  mutable selected : Path.t array; (* dest -> my path ([] = none) *)
+  selected : Path.t array; (* dest -> my path ([] = none) *)
+  (* dest -> the rank of the class my path was selected with, which is
+     the class it is exported at (0 with no path) *)
+  selected_rank : Bytes.t;
   (* Destinations whose selection must be revisited: every absorbed
      delta and adjacency change marks here (across all sessions), and
      one [recompute] drains it — the cross-session invalidation shares
@@ -71,6 +74,7 @@ let create ?on_change ?policy topo ~id =
       hi;
       sessions = Array.make (hi - off) None;
       selected = Array.make (max n 1) [];
+      selected_rank = Bytes.make (max n 1) '\000';
       dirty = Dirty.create ();
       affected = Dirty.create ();
       child = Array.make n 0;
@@ -100,13 +104,12 @@ let id t = t.node_id
 let selected t dest =
   if dest < Array.length t.selected then t.selected.(dest) else []
 
-let set_selected t dest p =
-  if dest >= Array.length t.selected then begin
-    let a = Array.make (2 * (dest + 1)) [] in
-    Array.blit t.selected 0 a 0 (Array.length t.selected);
-    t.selected <- a
-  end;
-  t.selected.(dest) <- p
+let selected_class t dest =
+  Gao_rexford.class_of_rank (Char.code (Bytes.get t.selected_rank dest))
+
+let set_selected t dest p cls =
+  t.selected.(dest) <- p;
+  Bytes.set t.selected_rank dest (Char.chr (Gao_rexford.class_rank cls))
 
 let mark_dirty t dest = Dirty.mark t.dirty dest
 
@@ -147,22 +150,17 @@ let walk_path t =
   !p
 
 (* What selection reads off a cached path, packed in one int: whether
-   it visits this node (bit 0), the neighbor's route class (bits 1-3:
-   0 when the path crosses a pair of nodes with no link, else
-   [Gao_rexford.class_rank] + 1), and its hop count (the bits above). *)
+   it visits this node (bit 0), whether every pair of nodes it crosses
+   shares a link (bit 1), the neighbor's route class if so (bits 2-3,
+   [Gao_rexford.class_rank]), and its hop count (the bits above). *)
 let attr_loop = 1
+let attr_classed = 2
 let attr_len a = a lsr 4
+let attr_class a = Gao_rexford.class_of_rank ((a lsr 2) land 3)
 
-let class_code = function None -> 0 | Some cls -> Gao_rexford.class_rank cls + 1
-
-let class_of_code = function
-  | 1 -> Some Gao_rexford.Origin
-  | 2 -> Some Gao_rexford.Cust
-  | 3 -> Some Gao_rexford.Peer_r
-  | 4 -> Some Gao_rexford.Prov
-  | _ -> None
-
-let attr_class a = class_of_code ((a lsr 1) land 7)
+let class_bits = function
+  | None -> 0
+  | Some cls -> attr_classed lor (Gao_rexford.class_rank cls lsl 2)
 
 (* Cache the derivation in [t.walk] as [dest]'s path, setting [dest] in
    the row of every node on it but the root, and record its
@@ -175,7 +173,7 @@ let cache t s dest =
   done;
   s.c_attr.(dest) <-
     ((t.walk_len - 1) lsl 4)
-    lor (class_code (Path_class.class_of t.topo p) lsl 1)
+    lor class_bits (Path_class.class_of t.topo p)
     lor if Path.contains p t.node_id then attr_loop else 0
 
 (* Is the derivation in [t.walk] (destination first) the path [p]? *)
@@ -356,19 +354,23 @@ let offer_path t ~neighbor ~role s ~dest down =
      leaker's permissive export chain doesn't make its announcements
      acceptable here, which is exactly how Centaur contains leaked and
      hijacked routes. *)
-  match attr_class a with
-  | Some neighbor_class
-    when Gao_rexford.exportable ~cls:neighbor_class
-           ~to_role:(Relationship.invert role) ->
+  let neighbor_class = attr_class a in
+  if
+    a land attr_classed <> 0
+    && Gao_rexford.exportable ~cls:neighbor_class
+         ~to_role:(Relationship.invert role)
+  then
     Policy.learn t.policy t.best ~node:t.node_id ~peer:neighbor ~role ~dest
       ~neighbor_class ~len:(attr_len a) ~tail:down
-  | Some _ | None ->
+  else begin
     Policy.note_reject t.policy;
     false
+  end
 
-(* The selected path toward [dest], [] when there is none. A claimed
-   origination (static [originate] or an active hijack override) beats
-   everything: class Origin, length 1. *)
+(* The selected path toward [dest], [] when there is none; [t.best]'s
+   leader class is then the class it was selected with. A claimed
+   origination (static [originate] or an active hijack override) is
+   offered first: class Origin, length 1. *)
 let best_path t ~dest =
   let chooser = t.node_id in
   Gao_rexford.start t.best ~chooser ~dest;
@@ -400,29 +402,6 @@ let best_path t ~dest =
   done;
   match !lead with [] -> [] | down -> chooser :: down
 
-(* Class a selected path is exported with. Claimed originations have no
-   topological class — they export as Origin, which is what a real
-   hijacker's announcement looks like. *)
-let export_class t p =
-  match Path_class.class_of t.topo p with
-  | Some _ as cls -> cls
-  | None ->
-    if Policy.claims_origin t.policy ~node:t.node_id ~dest:(Path.destination p)
-    then Some Gao_rexford.Origin
-    else None
-
-(* Export decision for one selected path of class [cls] toward one
-   neighbor: split horizon, then the compiled export policy (which
-   defaults to the Gao–Rexford export rule). *)
-let exports t ~neighbor ~role p cls =
-  (not (Path.contains p neighbor))
-  &&
-  match cls with
-  | None -> false
-  | Some cls ->
-    Policy.export_ok t.policy ~node:t.node_id ~peer:neighbor ~role
-      ~dest:(Path.destination p) ~cls ~len:(Path.length p) ~path:p
-
 (* Run [f neighbor role session] over the live neighbors holding a
    session, ascending. *)
 let iter_live_sessions t f =
@@ -434,24 +413,36 @@ let iter_live_sessions t f =
       | Some s -> f adj_nbr.(k) (Topology.rel_of_code adj_rel.(k)) s
   done
 
-(* Re-select one destination; on change, update every export builder
-   (split horizon + compiled export policy). The selected path's class
-   is computed once, not per neighbor. *)
+(* The one export decision: [dest]'s selection toward session [s], whose
+   neighbor has relationship [role] to this node. Split horizon, then
+   the compiled export chain (by default the Gao–Rexford export rule)
+   at the class the route was selected with. *)
+let export_dest t ~neighbor ~role s ~dest =
+  Builder.set_path s.export ~dest
+    (match selected t dest with
+    | [] -> None
+    | p ->
+      if
+        (not (Path.contains p neighbor))
+        && Policy.export_ok t.policy ~node:t.node_id ~peer:neighbor ~role
+             ~dest ~cls:(selected_class t dest) ~len:(Path.length p) ~path:p
+      then Some p
+      else None)
+
+(* Re-select one destination. A new path, or the same path at another
+   class (a claim starting or ending beside a one-hop learned route),
+   is stored and exported to every live session; only a new path is a
+   route change. *)
 let reselect t ~dest =
   if dest <> t.node_id then begin
-    let old_path = selected t dest in
-    let new_path = best_path t ~dest in
-    if not (Path.equal old_path new_path) then begin
-      set_selected t dest new_path;
-      (match t.on_change with Some f -> f dest | None -> ());
-      match new_path with
-      | [] -> iter_live_sessions t (fun _ _ s -> Builder.set_path s.export ~dest None)
-      | p ->
-        let cls = export_class t p in
-        let some_p = Some p in
-        iter_live_sessions t (fun n role s ->
-            Builder.set_path s.export ~dest
-              (if exports t ~neighbor:n ~role p cls then some_p else None))
+    let p = best_path t ~dest in
+    let cls = Gao_rexford.leader_class t.best in
+    let moved = not (Path.equal (selected t dest) p) in
+    if moved || cls <> selected_class t dest then begin
+      set_selected t dest p cls;
+      if moved then (match t.on_change with Some f -> f dest | None -> ());
+      iter_live_sessions t (fun n role s ->
+          export_dest t ~neighbor:n ~role s ~dest)
     end
   end
 
@@ -535,11 +526,9 @@ let iter_selected t f =
   Array.iteri (fun dest p -> match p with [] -> () | p -> f dest p) t.selected
 
 (* Full export of the current table to a fresh session. *)
-let populate_export t builder ~neighbor ~role =
-  Builder.force_dest builder t.node_id;
-  iter_selected t (fun dest p ->
-      if exports t ~neighbor ~role p (export_class t p) then
-        Builder.set_path builder ~dest (Some p))
+let populate_export t s ~neighbor ~role =
+  Builder.force_dest s.export t.node_id;
+  iter_selected t (fun dest _ -> export_dest t ~neighbor ~role s ~dest)
 
 (* Absorb a local adjacency change: reconcile sessions with the live
    neighbor set and mark the affected destinations dirty. Like [absorb],
@@ -564,7 +553,7 @@ let absorb_adjacency t =
     else if t.sessions.(i) = None then begin
       (* New session: empty announced graph, full export. *)
       let s = new_session t ~neighbor:n in
-      populate_export t s.export ~neighbor:n
+      populate_export t s ~neighbor:n
         ~role:(Topology.rel_of_code adj_rel.(k));
       t.sessions.(i) <- Some s;
       mark_dirty t n
@@ -599,10 +588,7 @@ let refresh_policy ?(resend = false) t =
   (* Selections that stay put still need their export decisions redone:
      an export chain may have flipped while the best route didn't. *)
   iter_live_sessions t (fun n role s ->
-      iter_selected t (fun dest p ->
-          Builder.set_path s.export ~dest
-            (if exports t ~neighbor:n ~role p (export_class t p) then Some p
-             else None));
+      iter_selected t (fun dest _ -> export_dest t ~neighbor:n ~role s ~dest);
       if resend then Builder.invalidate_wire s.export);
   recompute t
 

@@ -2,6 +2,13 @@ type route_class = Origin | Cust | Peer_r | Prov
 
 let class_rank = function Origin -> 0 | Cust -> 1 | Peer_r -> 2 | Prov -> 3
 
+let class_of_rank = function
+  | 0 -> Origin
+  | 1 -> Cust
+  | 2 -> Peer_r
+  | 3 -> Prov
+  | _ -> invalid_arg "Gao_rexford.class_of_rank: rank outside 0..3"
+
 let class_to_string = function
   | Origin -> "origin"
   | Cust -> "customer-route"
@@ -138,6 +145,8 @@ let offer b ~pref ~cls ~len ~next_hop ~via_sibling =
     b.l_via_sibling <- via_sibling
   end;
   leads
+
+let leader_class b = if b.held then b.l_cls else Origin
 
 let leader b =
   if b.held then

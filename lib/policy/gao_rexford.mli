@@ -9,7 +9,8 @@
     - {b Export (filtering)}: a route learned from a customer (or
       originated locally) may be exported to everyone; a route learned
       from a peer or a provider may be exported only to customers.
-      Siblings exchange all routes.
+      Siblings exchange all routes. A route is exported at the class
+      it was selected with ({!leader_class}).
     - {b Preference (ranking)}: {!compare_routes} is the one preference
       order, and the running {!best} keeps the leader by the same
       comparison. The stable solver, the Centaur node, the BGP decision
@@ -29,6 +30,10 @@ type route_class =
 val class_rank : route_class -> int
 (** 0 for [Origin], then 1/2/3 for [Cust]/[Peer_r]/[Prov]; smaller is
     preferred. *)
+
+val class_of_rank : int -> route_class
+(** The inverse of {!class_rank}, for callers that store a class in a
+    byte or a bit field. Raises [Invalid_argument] outside [0..3]. *)
 
 val class_to_string : route_class -> string
 
@@ -124,6 +129,11 @@ val offer :
 (** Offer one route. It becomes the leader, and the result is [true],
     when there is no leader yet or {!compare_routes} ranks it strictly
     before the leader: of equally ranked offers the first is kept. *)
+
+val leader_class : best -> route_class
+(** The leader's class, without building the candidate: the class a
+    selection made through this running best exports its route with.
+    [Origin] when nothing leads since the last {!start}. *)
 
 val leader : best -> candidate option
 (** The leader since the last {!start}; [None] when nothing was

@@ -755,6 +755,11 @@ let learn t best ~node ~peer ~role ~dest ~neighbor_class ~len ~tail =
   && Gao_rexford.offer best ~pref ~cls ~len ~next_hop:peer
        ~via_sibling:(role = Relationship.Sibling)
 
+let extend t best ~node ~peer ~role ~dest ~neighbor_class ~len ~tail =
+  export_ok t ~node:peer ~peer:node ~role:(Relationship.invert role) ~dest
+    ~cls:neighbor_class ~len ~path:tail
+  && learn t best ~node ~peer ~role ~dest ~neighbor_class ~len ~tail
+
 let cited v = match v lsr line_shift with 0 -> None | l -> Some l
 
 let explain_import t ~node ~peer ~role ~dest ~cls ~len ~path =

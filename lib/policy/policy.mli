@@ -224,8 +224,21 @@ val learn :
     offered to [best] with next hop [peer]. [true] when it takes the
     lead. The full path [node :: tail] is built only when a
     configuration is compiled in, so the default policy allocates
-    nothing. The caller keeps what precedes import: loop detection and
-    the exporter's consent. *)
+    nothing. The caller keeps loop detection; the exporter's consent
+    comes first in {!extend}, and a protocol engine has had it at the
+    sending node. *)
+
+val extend :
+  compiled -> Gao_rexford.best ->
+  node:int -> peer:int -> role:Relationship.t -> dest:int ->
+  neighbor_class:Gao_rexford.route_class -> len:int -> tail:Path.t ->
+  bool
+(** The one link step: [peer] exports its selected route [tail] to
+    [node], then [node] learns it. The export is {!export_ok} at [peer]
+    toward [node], at [neighbor_class], the class [peer] selected the
+    route with; {!learn} follows with the same arguments. [true] when
+    the route takes the lead. Allocates nothing under the default
+    policy. The caller keeps loop detection. *)
 
 val offer_claim :
   compiled -> Gao_rexford.best -> node:int -> dest:int -> bool

@@ -4,10 +4,12 @@
      Adj-RIB-In   absorb updates / session events, mark affected
                   destinations dirty (with their root cause in RCN mode)
      Decision     drain the dirty set in deterministic order, re-select,
-                  keep only destinations whose best route changed
+                  keep only destinations whose best route or its class
+                  changed
      Adj-RIB-Out  diff the desired advertisement per (neighbor, changed
-                  destination) against what was last sent, and push the
-                  net updates through the MRAI gate
+                  destination), exported at the class the route was
+                  selected with, against what was last sent, and push
+                  the net updates through the MRAI gate
 
    The absorb stage runs per delivered event; the decision and export
    stages run once per same-timestamp burst (the engine's batch end), so
@@ -18,10 +20,10 @@
    Adj-RIB-Out hold one row per CSR half-edge ({!Topology.adj}: the slot
    of a neighbor in the node's adjacency slice), indexed by destination,
    [[]] for no route, each row allocated when the session first carries
-   a route. The Loc-RIB is one destination-indexed array per node. The
-   MRAI state (deadline, armed flag, pending queue) is per half-edge too,
-   so the stages allocate little beyond the messages and timers they
-   return. *)
+   a route. The Loc-RIB is one destination-indexed array per node, with
+   one byte per destination for the selected class. The MRAI state
+   (deadline, armed flag, pending queue) is per half-edge too, so the
+   stages allocate little beyond the messages and timers they return. *)
 
 type msg = {
   dest : int;
@@ -44,14 +46,16 @@ let cause_code = function Some (u, v) -> pack_cause u v | None -> no_cause
 (* Per-node state. [lo]..[hi - 1] is the node's CSR slice: the half-edges
    that index its rows in the network-wide tables below. [best] is the
    Loc-RIB: the selected path per destination, starting at the node
-   itself. [dirty]/[causes] carry the absorb stage's marks to the next
-   decision run; [nfresh] counts the node's half-edges flagged as owed a
-   full-table export. *)
+   itself, and [rank] the class rank it was selected with, which is the
+   class it is exported at. [dirty]/[causes] carry the absorb stage's
+   marks to the next decision run; [nfresh] counts the node's half-edges
+   flagged as owed a full-table export. *)
 type node_state = {
   id : int;
   lo : int;
   hi : int;
   best : Path.t array;
+  rank : Bytes.t;
   dirty : Dirty.t;
   causes : Flat_tbl.t; (* dest -> packed pending root cause *)
   mutable nfresh : int;
@@ -93,10 +97,12 @@ type net = {
   deadline : float array;
   armed : Bytes.t;
   fresh : Bytes.t;
-  (* One decision run's changed destinations and their root causes. *)
+  (* One decision run's changed destinations and their root causes;
+     [nmoved] of them changed route, the rest only class. *)
   changed : int array;
   changed_cause : int array;
   mutable nchanged : int;
+  mutable nmoved : int;
   stage : stage;
   top : Gao_rexford.best; (* one decision's running best *)
 }
@@ -354,34 +360,6 @@ let session_change net st ~rcn ~incremental ~other ~up =
 
 (* --- Decision stage --- *)
 
-(* Class of the route [st.id :: tail] at [st.id], without building it.
-   When the path's tail cannot be verified against the topology (a
-   prefix hijack fabricates its last hop), plain BGP has no Permission
-   Lists to check the announcement against: it trusts the sender and
-   classifies by the first hop's session role alone, as if the neighbor
-   originated the prefix. Unreachable under honest announcements — every
-   genuinely propagated path walks real links — so default runs never
-   take the fallback; it is exactly the credulity the containment
-   experiments measure Centaur against. *)
-let credulous_class topo st nbr =
-  match Topology.rel topo st.id nbr with
-  | Some role ->
-    Gao_rexford.class_of_learned ~neighbor_role:role
-      ~neighbor_class:Gao_rexford.Origin
-  | None -> Gao_rexford.Prov
-
-let trusted_class topo st tail =
-  match tail with
-  | [] -> Gao_rexford.Origin
-  | nbr :: _ -> (
-    match Topology.rel_any topo st.id nbr with
-    | None -> credulous_class topo st nbr
-    | Some role -> (
-      match Path_class.class_of topo tail with
-      | Some cls ->
-        Gao_rexford.class_of_learned ~neighbor_role:role ~neighbor_class:cls
-      | None -> credulous_class topo st nbr))
-
 (* What [select] chose for a destination: a half-edge (the route is the
    node prepended to that session's Adj-RIB-In entry), or one of: *)
 let no_route = -1
@@ -391,16 +369,14 @@ let itself = -3 (* the node's own prefix: [st.id] *)
 (* Decision process for one destination: candidates are the Adj-RIB-In
    entries of live sessions that pass loop detection, learned through
    [Policy.learn] and ranked by the Standard discipline; the first of
-   equally ranked candidates wins. A claimed origination (static
-   [originate] or an active hijack override) competes first. An
-   announcement whose tail cannot be verified against the topology is
-   learned credulously, as if the neighbor originated the prefix (see
-   [credulous_class]). *)
+   equally ranked candidates wins, and its class is [net.top]'s leader
+   class. A claimed origination (static [originate] or an active hijack
+   override) competes first. *)
 let select net st ~policy dest =
+  Gao_rexford.start net.top ~chooser:st.id ~dest;
   if dest = st.id then itself
   else begin
     let adj = net.adj in
-    Gao_rexford.start net.top ~chooser:st.id ~dest;
     let winner =
       ref
         (if Policy.offer_claim policy net.top ~node:st.id ~dest then claimed
@@ -412,6 +388,15 @@ let select net st ~policy dest =
         match r.(dest) with
         | [] -> ()
         | p ->
+          (* When the tail cannot be verified against the topology (a
+             prefix hijack fabricates its last hop), plain BGP has no
+             Permission Lists to check the announcement against: it
+             trusts the sender and learns the route as if the neighbor
+             originated the prefix, which also sets the class it is
+             exported at. Unreachable under honest announcements, since
+             every genuinely propagated path walks real links, so
+             default runs never take it; it is exactly the credulity
+             the containment experiments measure Centaur against. *)
           if
             (not (Path.contains p st.id))
             && Policy.learn policy net.top ~node:st.id ~peer:adj.adj_nbr.(k)
@@ -444,23 +429,33 @@ let route_of net st dest w =
   else if w = claimed then [ st.id; dest ]
   else st.id :: net.rib_in.(w).(dest)
 
-(* Drain the dirty set and re-select each marked destination; only those
-   whose best route changed flow on to the export stage, through
-   [net.changed]. [track] feeds the runner's uniform changed-destination
-   interface. Nothing marks during the drain, so it takes one round and
-   each destination changes at most once. *)
+(* Drain the dirty set and re-select each marked destination. Those
+   whose best route changed, or whose route stayed but was selected at
+   another class (a claim starting or ending beside a one-hop learned
+   route), store the class and flow on to the export stage through
+   [net.changed]. Only a changed route is a RIB change and reaches
+   [track], the runner's uniform changed-destination interface. Nothing
+   marks during the drain, so it takes one round and each destination
+   changes at most once. *)
 let decision_run net st ~policy ~track =
   net.nchanged <- 0;
+  net.nmoved <- 0;
   Dirty.drain st.dirty (fun dest ->
       let w = select net st ~policy dest in
-      if not (holds net st dest w st.best.(dest)) then begin
-        let p = route_of net st dest w in
-        st.best.(dest) <- p;
-        if Trace.enabled net.tr then
-          Trace.emit net.tr
-            (Trace.Rib_change
-               { node = st.id; dest; withdrawn = not (is_route p) });
-        track dest;
+      let moved = not (holds net st dest w st.best.(dest)) in
+      let rank = Gao_rexford.class_rank (Gao_rexford.leader_class net.top) in
+      if moved || rank <> Char.code (Bytes.get st.rank dest) then begin
+        if moved then begin
+          let p = route_of net st dest w in
+          st.best.(dest) <- p;
+          if Trace.enabled net.tr then
+            Trace.emit net.tr
+              (Trace.Rib_change
+                 { node = st.id; dest; withdrawn = not (is_route p) });
+          track dest;
+          net.nmoved <- net.nmoved + 1
+        end;
+        Bytes.set st.rank dest (Char.chr rank);
         net.changed.(net.nchanged) <- dest;
         net.changed_cause.(net.nchanged) <-
           Flat_tbl.find_default st.causes dest ~default:no_cause;
@@ -510,20 +505,11 @@ let adv_delta net st ~policy ~dest ~cause ~p ~cls ~len k =
   end
 
 (* Diff [dest]'s advertisement toward every live session among
-   half-edges [first]..[last], in ascending neighbor order. The selected
-   path's class is computed once: a claimed origination exports as class
-   Origin — that is what a real hijacker's announcement looks like on
-   the wire. *)
+   half-edges [first]..[last], in ascending neighbor order, at the class
+   the route was selected with. *)
 let export_dest net st ~policy ~dest ~cause first last =
   let p = st.best.(dest) in
-  let cls =
-    match p with
-    | [] -> Gao_rexford.Origin
-    | _ :: tail ->
-      if Policy.claims_origin policy ~node:st.id ~dest then
-        Gao_rexford.Origin
-      else trusted_class net.topo st tail
-  in
+  let cls = Gao_rexford.class_of_rank (Char.code (Bytes.get st.rank dest)) in
   let len = Path.length p in
   for k = first to last do
     if session_up net k then
@@ -569,7 +555,7 @@ let recompute net ~policy ~mrai ~now ~hist ~track ~node =
     decision_run net st ~policy ~track;
     if Trace.enabled net.tr then
       Trace.emit net.tr
-        (Trace.Recompute { node; dirty; changed = net.nchanged });
+        (Trace.Recompute { node; dirty; changed = net.nmoved });
     rib_out_updates net st ~policy;
     fresh_session_exports net st ~policy;
     emit net st ~mrai ~now
@@ -589,6 +575,7 @@ let create_net topo ~tr =
           lo;
           hi;
           best = Array.make n [];
+          rank = Bytes.make n '\000';
           dirty = Dirty.create ();
           causes = Flat_tbl.create ();
           nfresh = 0 })
@@ -608,6 +595,7 @@ let create_net topo ~tr =
     changed = Array.make n 0;
     changed_cause = Array.make n no_cause;
     nchanged = 0;
+    nmoved = 0;
     stage =
       { msgs = Array.make 64 no_msg;
         prev = Array.make 64 (-1);

@@ -4,20 +4,18 @@
 let ranked_candidates topo r ~src ~dest =
   let policy = Policy.default ()
   and best = Gao_rexford.best Gao_rexford.Standard in
-  (* The route [src] learns from neighbor [n] over [down], when [n] may
-     offer it. *)
+  (* The route [src] learns from neighbor [n] over [n]'s selection
+     [down], offered at the class [n] selected it with. *)
   let learned n role down =
-    match Path_class.class_of topo down with
-    | Some neighbor_class
-      when Gao_rexford.exportable ~cls:neighbor_class
-             ~to_role:(Relationship.invert role) ->
+    match Solver.class_of r n with
+    | Some neighbor_class ->
       Gao_rexford.start best ~chooser:src ~dest;
       if
-        Policy.learn policy best ~node:src ~peer:n ~role ~dest ~neighbor_class
-          ~len:(Path.length down) ~tail:down
+        Policy.extend policy best ~node:src ~peer:n ~role ~dest
+          ~neighbor_class ~len:(Path.length down) ~tail:down
       then Option.map (fun c -> (src :: down, c)) (Gao_rexford.leader best)
       else None
-    | Some _ | None -> None
+    | None -> None
   in
   let candidates =
     Topology.fold_neighbors topo src ~init:[] ~f:(fun acc n role _ ->

@@ -20,7 +20,7 @@ type routes = {
   mutable stamp : int array;
 }
 
-let cls_table = [| Origin; Cust; Peer_r; Prov |]
+let cls_table = Array.init 4 class_of_rank
 let ccode_origin = 0
 let ccode_cust = 1
 let ccode_peer = 2

@@ -90,28 +90,20 @@ let path_of_cell ws c =
 let gao_rexford = Policy.default ()
 
 (* One best-response step for node [y]: the most preferred of the
-   neighbors' current selections that their export policies let them
-   offer, learned through [Policy.learn]. The policies read a path only
-   when configured, so only then is the neighbor's path
+   neighbors' current selections, each crossing its link through
+   [Policy.extend] at the class it was selected with. The policies read
+   a path only when configured, so only then is the neighbor's path
    materialized. *)
 let best_response ~policy best ws topo y d =
   Gao_rexford.start best ~chooser:y ~dest:d;
   Topology.iter_neighbors topo y (fun x role_of_x _ ->
       let cx = ws.sel.(x) in
-      if cx >= 0 && not (chain_contains ws cx y) then begin
-        let neighbor_class = ws.c_cls.(cx) and len = ws.c_len.(cx) in
-        let tail =
-          if Policy.is_default policy then [] else path_of_cell ws cx
-        in
-        if
-          Policy.export_ok policy ~node:x ~peer:y
-            ~role:(Relationship.invert role_of_x) ~dest:d ~cls:neighbor_class
-            ~len ~path:tail
-        then
-          ignore
-            (Policy.learn policy best ~node:y ~peer:x ~role:role_of_x ~dest:d
-               ~neighbor_class ~len ~tail)
-      end);
+      if cx >= 0 && not (chain_contains ws cx y) then
+        ignore
+          (Policy.extend policy best ~node:y ~peer:x ~role:role_of_x ~dest:d
+             ~neighbor_class:ws.c_cls.(cx) ~len:ws.c_len.(cx)
+             ~tail:
+               (if Policy.is_default policy then [] else path_of_cell ws cx)));
   Gao_rexford.leader best
 
 let to_dest_with ws ?(discipline = Standard) ?policy ?max_rounds topo d =

@@ -29,22 +29,12 @@ let resident t ~dest ~node path offer =
 let extend t ~dest r ~via =
   let v = r.node in
   match Topology.rel t.topo v via with
-  | None -> None
-  | Some role_of_via ->
-    (* Export check at the holder [v], keyed by the receiver's role
-       relative to the exporter — [via]'s role as seen from [v], which
-       is exactly what [Topology.rel topo v via] returns. *)
-    if
-      Path.contains r.path via
-      || not
-           (Policy.export_ok t.policy ~node:v ~peer:via ~role:role_of_via
-              ~dest ~cls:r.cand.cls ~len:r.cand.len ~path:r.path)
-    then None
-    else
-      resident t ~dest ~node:via (via :: r.path) (fun best ->
-          Policy.learn t.policy best ~node:via ~peer:v
-            ~role:(Relationship.invert role_of_via) ~dest
-            ~neighbor_class:r.cand.cls ~len:r.cand.len ~tail:r.path)
+  | Some role_of_via when not (Path.contains r.path via) ->
+    resident t ~dest ~node:via (via :: r.path) (fun best ->
+        Policy.extend t.policy best ~node:via ~peer:v
+          ~role:(Relationship.invert role_of_via) ~dest
+          ~neighbor_class:r.cand.cls ~len:r.cand.len ~tail:r.path)
+  | Some _ | None -> None
 
 let prefer t ~dest r1 r2 =
   Gao_rexford.compare_routes t.discipline ~chooser:r1.node ~dest r1.cand

@@ -1,14 +1,16 @@
 (** Path selection as an explicit routing algebra.
 
-    The protocols and the stable-state solver all call one step to
-    learn a neighbor's route across a link: after the exporter's
-    consent, {!Policy.learn} relabels the class, adds the hop, runs the
-    receiver's import chain and offers the result to a running
-    {!Gao_rexford.best}. This module calls the same step to reify it as
-    an algebra over concrete routes — a carrier of [(path, preference,
-    class, length)] signatures, an {!extend} operation per link, and two
-    order relations — so convergence arguments can be checked against
-    the {e configuration} instead of observed on runs:
+    A route crosses a link in two halves: the exporter's consent, at the
+    class the exporter selected the route with, then {!Policy.learn},
+    which relabels the class, adds the hop, runs the receiver's import
+    chain and offers the result to a running {!Gao_rexford.best}. The
+    protocol engines run the halves at the two ends of a message; the
+    stable-state solver and this module run them as one step,
+    {!Policy.extend}. This module reifies it as an algebra over concrete
+    routes — a carrier of [(path, preference, class, length)]
+    signatures, an {!extend} operation per link, and two order
+    relations — so convergence arguments can be checked against the
+    {e configuration} instead of observed on runs:
 
     - {!prefer} is the per-node selection order: a direct call of
       {!Gao_rexford.compare_routes}, the order the stable solver and
@@ -55,7 +57,7 @@ val extend : t -> dest:int -> route -> via:int -> route option
 (** Extend a route resident at [route.node] across the (up) link to
     neighbor [via]: [None] if the link is absent/down, the extension
     loops, the exporter's policy withholds the route, or the importer's
-    policy denies it; otherwise the route {!Policy.learn} offers at
+    policy denies it; otherwise the route {!Policy.extend} offers at
     [via]. *)
 
 val prefer : t -> dest:int -> route -> route -> bool

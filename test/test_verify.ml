@@ -19,12 +19,13 @@ let analyze_gadget g =
    policy-free so there is nothing to verify there. *)
 let protocols = [ "centaur"; "bgp"; "bgp-rcn" ]
 
-let run_protocol ~max_events name topo policy =
+let cold_started ?max_events name ~policy topo =
   match Protocols.Proto_table.find name with
   | None -> Alcotest.failf "unknown protocol %s" name
   | Some network ->
     let runner = network ~policy topo in
-    runner.Sim.Runner.cold_start ~max_events ()
+    ignore (runner.Sim.Runner.cold_start ?max_events ());
+    runner
 
 (* --- golden analyzer output for the classic gadgets ------------------- *)
 
@@ -162,58 +163,85 @@ let test_default_policy_certificates () =
 
 (* --- claimed originations ---------------------------------------------- *)
 
+let compile_config ~n text =
+  match Result.bind (Policy.parse text) (Policy.compile ~num_nodes:n) with
+  | Ok p -> p
+  | Error msg -> Alcotest.failf "config %S: %s" text msg
+
+let show p = String.concat ">" (List.map string_of_int p)
+
+let selection (runner : Sim.Runner.t) ~src ~dest =
+  match runner.path ~src ~dest with Some p -> show p | None -> "none"
+
+let enumerated_paths ~policy topo ~dest =
+  let enum =
+    Verify.Algebra.enumerate (Verify.Algebra.create ~policy topo) ~dest
+  in
+  Array.map
+    (List.map (fun (r : Verify.Algebra.route) -> show r.path))
+    enum.Verify.Algebra.routes
+
 (* The analyzer seeds a claim as the route the engines select: the
-   claimer's one-hop [claimer; dest], class Origin. Node 0 is node 1's
-   provider, node 2 node 1's customer, and node 2 claims node 0's
-   prefix: BGP selects 1>2>0 at node 1, which the enumeration must
-   hold, and no route may reach node 0 itself. *)
+   claimer's one-hop [claimer; dest], class Origin, and every engine
+   exports a route at the class it selected it with.
+
+   First input: node 0 is node 1's provider, node 2 node 1's customer,
+   and node 2 claims node 0's prefix. BGP selects 1>2>0 at node 1,
+   which the enumeration must hold, and no route may reach node 0
+   itself.
+
+   Second input: 0 is 2's customer, 2 and 3 are 1's providers, and node
+   1 claims 0 but prefers the provider route 1>2>0 on import. That route
+   is a provider route, which 1 may not export to its provider 3: only
+   the claim, 3>1>0, is permitted there, and no engine selects it. *)
 let test_claimed_origination () =
   let topo () =
     Topology.create ~n:3
       [ (1, 0, Relationship.Provider, 1.0);
         (1, 2, Relationship.Customer, 1.0) ]
   in
-  let policy =
-    match
-      Result.bind (Policy.parse "node 2 { originate 0 }")
-        (Policy.compile ~num_nodes:3)
-    with
-    | Ok p -> p
-    | Error msg -> Alcotest.failf "claim config: %s" msg
-  in
-  let enum =
-    Verify.Algebra.enumerate (Verify.Algebra.create ~policy (topo ())) ~dest:0
-  in
-  let show p = String.concat ">" (List.map string_of_int p) in
-  let paths node =
-    List.map
-      (fun (r : Verify.Algebra.route) -> show r.path)
-      enum.Verify.Algebra.routes.(node)
-  in
+  let policy = compile_config ~n:3 "node 2 { originate 0 }" in
+  let paths = enumerated_paths ~policy (topo ()) ~dest:0 in
   let holds node path =
     Alcotest.(check bool)
       (Printf.sprintf "%s at node %d" path node)
       true
-      (List.mem path (paths node))
+      (List.mem path paths.(node))
   in
   holds 1 "1>2>0";
   holds 2 "2>0";
-  Alcotest.(check (list string)) "node 0" [ "0" ] (paths 0);
+  Alcotest.(check (list string)) "node 0" [ "0" ] paths.(0);
   List.iter
     (fun name ->
-      match Protocols.Proto_table.find name with
-      | None -> Alcotest.failf "unknown protocol %s" name
-      | Some network ->
-        let runner = network ~policy (topo ()) in
-        ignore (runner.Sim.Runner.cold_start ());
-        let selected =
-          match runner.Sim.Runner.path ~src:1 ~dest:0 with
-          | Some p -> show p
-          | None -> "none"
-        in
-        Alcotest.(check string) (name ^ " selects") "1>2>0" selected;
-        holds 1 selected)
-    [ "bgp"; "bgp-rcn" ]
+      let selected =
+        selection (cold_started name ~policy (topo ())) ~src:1 ~dest:0
+      in
+      Alcotest.(check string) (name ^ " selects") "1>2>0" selected;
+      holds 1 selected)
+    [ "bgp"; "bgp-rcn" ];
+  let topo () =
+    Topology.create ~n:4
+      [ (2, 0, Relationship.Customer, 1.0);
+        (1, 2, Relationship.Provider, 1.0);
+        (1, 3, Relationship.Provider, 1.0) ]
+  in
+  let policy =
+    compile_config ~n:4
+      "node 1 { originate 0  import from provider { match dest in { 0 } -> \
+       pref 6 } }"
+  in
+  let paths = enumerated_paths ~policy (topo ()) ~dest:0 in
+  Alcotest.(check (list string)) "node 3" [ "3>1>0" ] paths.(3);
+  List.iter
+    (fun name ->
+      let runner = cold_started name ~policy (topo ()) in
+      Alcotest.(check string)
+        (name ^ " at node 1") "1>2>0"
+        (selection runner ~src:1 ~dest:0);
+      Alcotest.(check string)
+        (name ^ " at node 3") "none"
+        (selection runner ~src:3 ~dest:0))
+    protocols
 
 (* --- committed corpus: .topo + .conf must keep rendering .expect ------ *)
 
@@ -285,8 +313,8 @@ let certified_implies_quiescent =
       else begin
         List.iter
           (fun proto ->
-            match run_protocol ~max_events:20_000 proto topo policy with
-            | (_ : Sim.Engine.run_stats) -> ()
+            match cold_started ~max_events:20_000 proto ~policy topo with
+            | (_ : Sim.Runner.t) -> ()
             | exception Sim.Engine.Diverged _ ->
               QCheck.Test.fail_reportf
                 "certified config diverged under %s (seed %d)" proto seed)
@@ -327,8 +355,8 @@ let flagged_family_oscillates =
           (Verify.Dispute.render v));
       List.iter
         (fun proto ->
-          match run_protocol ~max_events:30_000 proto g.topo policy with
-          | (_ : Sim.Engine.run_stats) ->
+          match cold_started ~max_events:30_000 proto ~policy g.topo with
+          | (_ : Sim.Runner.t) ->
             QCheck.Test.fail_reportf "%s: quiesced under %s" g.name proto
           | exception Sim.Engine.Diverged _ -> ())
         [ "centaur"; "bgp" ];
@@ -375,6 +403,150 @@ let test_static_analyze_skips_diverging_dests () =
   in
   Alcotest.(check int) "sources analyzed" 4 stats.Centaur.Static.num_sources
 
+(* --- a class change is exported ------------------------------------- *)
+
+(* 0 and 2 are 1's providers, and node 1 claims 0 but prefers the route
+   learned from 0 itself on import: the same path 1>0 as the claim, at
+   the provider-route class, which 1 may not export to 2. Once link 1-0
+   fails, the claim takes over the same path at class Origin, so the
+   route's export must be redone although the path did not change. BGP
+   then learns 2>1>0; Centaur's node 2 rejects it, since by the
+   topology 0 is 1's provider. Each engine must end where a cold start
+   on the final links ends. *)
+let test_class_change_exported () =
+  let topo ~up =
+    let t =
+      Topology.create ~n:3
+        [ (1, 0, Relationship.Provider, 1.0);
+          (1, 2, Relationship.Provider, 1.0) ]
+    in
+    Topology.set_up t 0 up;
+    t
+  in
+  let policy =
+    compile_config ~n:3
+      "node 1 { originate 0  import from provider { match dest in { 0 } -> \
+       pref 5 } }"
+  in
+  let selections runner =
+    List.init 9 (fun i -> selection runner ~src:(i / 3) ~dest:(i mod 3))
+  in
+  List.iter
+    (fun (name, expected) ->
+      let runner = cold_started name ~policy (topo ~up:true) in
+      Alcotest.(check string)
+        (name ^ " cold start") "none"
+        (selection runner ~src:2 ~dest:0);
+      ignore (runner.Sim.Runner.flip ~link_id:0 ~up:false);
+      Alcotest.(check string)
+        (name ^ " after the failure") expected
+        (selection runner ~src:2 ~dest:0);
+      Alcotest.(check (list string))
+        (name ^ " == cold start on the final links")
+        (selections (cold_started name ~policy (topo ~up:false)))
+        (selections runner))
+    [ ("centaur", "none"); ("bgp", "2>1>0"); ("bgp-rcn", "2>1>0") ]
+
+(* --- the engines select what the specification permits ----------------- *)
+
+(* The seeding of "analyzer-certified => engine quiesces", over a fixed
+   seed range. *)
+let sweep_config seed =
+  let topo = random_as_topology ~seed ~n:16 in
+  let config =
+    Verify.Gadgets.random_config (Rng.create (seed + 31)) topo
+      ~safe:(seed mod 2 = 0)
+  in
+  match Policy.compile ~num_nodes:16 config with
+  | Ok p -> (config, p)
+  | Error msg -> Alcotest.failf "seed %d: bad config: %s" seed msg
+
+(* BGP and BGP-RCN on every random config of seeds 0-999: each selection
+   is a route the specification permits, one of its node's routes in a
+   complete enumeration. On the certified configs of seeds 0-299 with no
+   claimed origination and a stable solution, their next hops are
+   [Stable]'s. Centaur is left out: it ignores its own export chain for
+   its own prefix (the ROADMAP item "Make every engine export what the
+   specification exports"). *)
+let test_engines_select_permitted () =
+  let missing = ref [] in
+  for seed = 0 to 999 do
+    let _, policy = sweep_config seed in
+    let topo = random_as_topology ~seed ~n:16 in
+    let enums =
+      Array.init 16 (fun dest ->
+          Verify.Algebra.enumerate (Verify.Algebra.create ~policy topo) ~dest)
+    in
+    List.iter
+      (fun name ->
+        match
+          cold_started ~max_events:200_000 name ~policy
+            (random_as_topology ~seed ~n:16)
+        with
+        | exception Sim.Engine.Diverged _ -> ()
+        | runner ->
+          Array.iteri
+            (fun dest (enum : Verify.Algebra.enumeration) ->
+              if enum.complete then
+                for src = 0 to 15 do
+                  match runner.Sim.Runner.path ~src ~dest with
+                  | None -> ()
+                  | Some p ->
+                    if
+                      not
+                        (List.exists
+                           (fun (r : Verify.Algebra.route) ->
+                             Path.equal r.path p)
+                           enum.routes.(src))
+                    then
+                      missing :=
+                        Printf.sprintf "seed %d %s %s" seed name (show p)
+                        :: !missing
+                done)
+            enums)
+      [ "bgp"; "bgp-rcn" ]
+  done;
+  Alcotest.(check (list string)) "selections the enumeration lacks" []
+    (List.rev !missing);
+  let compared = ref 0 in
+  for seed = 0 to 299 do
+    let config, policy = sweep_config seed in
+    let topo = random_as_topology ~seed ~n:16 in
+    let claims =
+      List.exists
+        (fun (np : Policy.node_policy) ->
+          List.exists
+            (function Policy.Originate _ -> true | Policy.Filter _ -> false)
+            np.clauses)
+        config
+    in
+    if
+      (not claims)
+      && Verify.Dispute.is_certified (Verify.Dispute.analyze ~policy topo)
+    then
+      match Array.init 16 (fun dest -> Stable.to_dest topo dest ~policy) with
+      | exception Stable.Diverged -> ()
+      | stable ->
+        incr compared;
+        List.iter
+          (fun name ->
+            let runner =
+              cold_started ~max_events:200_000 name ~policy
+                (random_as_topology ~seed ~n:16)
+            in
+            for dest = 0 to 15 do
+              for src = 0 to 15 do
+                Alcotest.(check (option int))
+                  (Printf.sprintf "seed %d %s next hop %d->%d" seed name src
+                     dest)
+                  (Stable.next_hop stable.(dest) src)
+                  (runner.Sim.Runner.next_hop ~src ~dest)
+              done
+            done)
+          [ "bgp"; "bgp-rcn" ]
+  done;
+  Alcotest.(check int) "certified claim-free configs" 162 !compared
+
 let suite =
   [ Alcotest.test_case "gadget golden renders" `Quick test_gadget_golden;
     Alcotest.test_case "gadget monotonicity fails" `Quick
@@ -391,4 +563,8 @@ let suite =
       test_workspace_reusable_after_diverged;
     Alcotest.test_case "Static.analyze skips diverging dests" `Quick
       test_static_analyze_skips_diverging_dests;
-    Alcotest.test_case "claimed origination" `Quick test_claimed_origination ]
+    Alcotest.test_case "claimed origination" `Quick test_claimed_origination;
+    Alcotest.test_case "a class change is exported" `Quick
+      test_class_change_exported;
+    Alcotest.test_case "engines select what the specification permits"
+      `Quick test_engines_select_permitted ]
