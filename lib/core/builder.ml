@@ -1,7 +1,8 @@
 (* Flat layout, indexed by node id wherever a node id is the key:
 
-   - destinations ([d_path], [d_flags]): the installed path and flag
-     bits (forced, marked on the wire, queued for the next flush);
+   - destinations ([d_path], [d_flags]): the installed path (the
+     root's own mark is its one-node path) and flag bits (marked on the
+     wire, queued for the next flush);
    - link slots (recycled through a free list): the §4.3 use counter,
      the child's chain of in-links (headed in [in_head]), through which
      a link's slot is found, and the state last put on the wire (bare,
@@ -22,9 +23,8 @@
 let nil = -1
 
 (* Destination flag bits. *)
-let forced_bit = 1
-let wire_bit = 2
-let queued_bit = 4
+let wire_bit = 1
+let queued_bit = 2
 
 (* Link flag bits. *)
 let queued_link = 1
@@ -100,8 +100,6 @@ let queue_dest t d =
     t.d_flags.(d) <- f lor queued_bit;
     t.n_queued_dests <- t.n_queued_dests + 1
   end
-
-let marked t d = t.d_path.(d) <> [] || t.d_flags.(d) land forced_bit <> 0
 
 (* --- link slots --- *)
 
@@ -263,7 +261,7 @@ let path_of t ~dest =
 let dests t =
   let acc = ref [] in
   for d = nodes t - 1 downto 0 do
-    if marked t d then acc := d :: !acc
+    if t.d_path.(d) <> [] then acc := d :: !acc
   done;
   !acc
 
@@ -277,7 +275,7 @@ let set_path t ~dest path =
   | None -> ()
   | Some p ->
     (match p with
-    | [] | [ _ ] -> invalid_arg "Builder.set_path: path too short"
+    | [] -> invalid_arg "Builder.set_path: path too short"
     | first :: _ when first <> t.root_node ->
       invalid_arg "Builder.set_path: path does not start at root"
     | _ -> ());
@@ -299,11 +297,6 @@ let set_path t ~dest path =
       replace_path t ~dest p;
       queue_dest t dest
     end
-
-let force_dest t d =
-  if not (in_range t d) then invalid_arg "Builder.force_dest: node id out of range";
-  t.d_flags.(d) <- t.d_flags.(d) lor forced_bit;
-  queue_dest t d
 
 let counter t ~parent ~child =
   if not (in_range t parent && in_range t child) then 0
@@ -378,7 +371,7 @@ let flush_dests t =
     if flags land queued_bit <> 0 then begin
       t.n_queued_dests <- t.n_queued_dests - 1;
       let flags = flags land lnot queued_bit in
-      let now = marked t !d and before = flags land wire_bit <> 0 in
+      let now = t.d_path.(!d) <> [] and before = flags land wire_bit <> 0 in
       if now && ((not before) || t.resend_all) then begin
         t.d_flags.(!d) <- flags lor wire_bit;
         add_dests := !d :: !add_dests
@@ -403,23 +396,3 @@ let flush_delta t =
     t.resend_all <- false;
     { Pgraph.add_links; remove_links; add_dests; remove_dests }
   end
-
-let snapshot t =
-  let g = Pgraph.create ~nodes:(nodes t) ~root:t.root_node in
-  for l = 0 to t.l_hwm - 1 do
-    if t.l_key.(l) <> nil && t.l_count.(l) > 0 then begin
-      let key = t.l_key.(l) in
-      let parent = Pgraph.key_parent key and child = Pgraph.key_child key in
-      let plist =
-        if multi_homed t child then begin
-          fill_plist t l;
-          Some (Permission_list.Scratch.freeze t.plist_scratch)
-        end
-        else None
-      in
-      Pgraph.add_link g ~parent ~child
-        ~data:{ Pgraph.counter = t.l_count.(l); plist }
-    end
-  done;
-  List.iter (Pgraph.mark_dest g) (dests t);
-  g

@@ -33,14 +33,12 @@ val dests : t -> int list
 
 val set_path : t -> dest:int -> Path.t option -> unit
 (** Install, replace or remove ([None]) the selected path for one
-    destination. Paths must start at the root, be loop-free and have
-    length ≥ 1, and every node id, the destination's included, must lie
-    in [\[0, nodes)] (raises [Invalid_argument] otherwise). *)
-
-val force_dest : t -> int -> unit
-(** Permanently mark a node as destination even without a path — the
-    exporter marks itself so neighbors learn its own prefix. Raises
-    [Invalid_argument] on an id outside [\[0, nodes)]. *)
+    destination, which is marked exactly while a path is installed.
+    Paths must start at the root, end at the destination and be
+    loop-free, and every node id, the destination's included, must lie
+    in [\[0, nodes)] (raises [Invalid_argument] otherwise). The root's
+    own mark is the one-node path [[root]]: it adds no link, and is how
+    the exporter announces its own prefix. *)
 
 val counter : t -> parent:int -> child:int -> int
 (** Current use counter of a link; 0 if absent. *)
@@ -57,10 +55,6 @@ val invalidate_wire : t -> unit
 val flush_delta : t -> Pgraph.delta
 (** Net changes since the last flush: link insertions (with their
     current Permission Lists), link withdrawals, destination marks.
-    Changes that cancelled out produce nothing. *)
-
-val snapshot : t -> Pgraph.t
-(** The current graph as an immutable {!Pgraph.t} (cost proportional to
-    the graph size; intended for inspection and tests). The test-suite
-    oracle: applying every flushed delta, in order, to an empty graph
-    reproduces the snapshot. *)
+    Changes that cancelled out produce nothing. Applying every flushed
+    delta, in order, to an empty graph yields {!Pgraph.of_paths} over
+    the installed paths but [[root]], marked at every one of {!dests}. *)

@@ -8,6 +8,12 @@
     driven by the discrete-event simulator, by the examples, or directly
     by tests.
 
+    The node's own prefix is its selection for itself: the one-node path
+    [[id]] at class Origin, set at {!create}. Each session's mark for it
+    comes from the same export decision as every other selection (split
+    horizon, then the export chain at class Origin, length 0), at session
+    start and on every {!refresh_policy}.
+
     Processing is incremental, as §4.3's steady phase prescribes: an
     incoming delta re-derives exactly the destinations whose derivation
     it changes — found by re-running one DerivePath step
@@ -31,10 +37,11 @@ type output = (int * Announce.t) list
 
 val create :
   ?on_change:(int -> unit) -> ?policy:Policy.compiled -> Topology.t -> id:int -> t
-(** A node with empty routing state. [on_change] is called with the
-    destination id every time the node's selected path for that
-    destination changes — the tap the simulator uses to feed the uniform
-    changed-destination interface. [policy] (default: the compiled
+(** A node with empty routing state but for its selection for itself,
+    [[id]]. [on_change] is called with the destination id every time the
+    node's selected path for that destination changes — the tap the
+    simulator uses to feed the uniform changed-destination interface (it
+    never fires for the node's own id). [policy] (default: the compiled
     Gao–Rexford default) drives import preference, export filtering and
     claimed originations; received announcements are additionally always
     verified against the baseline Gao–Rexford contract, with failures
@@ -44,23 +51,18 @@ val id : t -> int
 
 val start : t -> t * output
 (** Initialization (§4.3.1 Steps 1–4): discover adjacent links, select
-    direct routes, build the local P-graph and emit the first
-    downstream-link announcements. *)
-
-val handle : t -> Announce.t -> t * output
-(** Receive one announcement (§4.3.1 Step 2 / §4.3.2 Step 5): apply the
-    import filter (links into the receiver, self-loop links, and any
-    link or destination mark naming a node outside the topology, are
-    dropped in one pass), merge the delta into the sender's P-graph,
-    re-derive and re-select the affected destinations, update the local
-    P-graph and emit per-neighbor deltas. Equivalent to {!absorb}
-    followed by {!recompute}. *)
+    direct routes, build each session's exported view and emit the
+    first downstream-link announcements. {!absorb_adjacency} followed
+    by {!recompute}. *)
 
 val absorb : t -> Announce.t -> t
-(** The delta-first absorb stage of {!handle}: apply the delta and mark
-    the destinations whose derived path changed on the node's dirty set,
-    without re-selecting or emitting. The simulator absorbs every
-    announcement of a same-timestamp burst, then runs one
+(** Receive one announcement (§4.3.1 Step 2 / §4.3.2 Step 5) without
+    re-selecting or emitting: apply the import filter (links into the
+    receiver, self-loop links, and any link or destination mark naming
+    a node outside the topology, are dropped in one pass), merge the
+    delta into the sender's P-graph, and mark the destinations whose
+    derived path changed on the node's dirty set. The simulator absorbs
+    every announcement of a same-timestamp burst, then runs one
     {!recompute}. *)
 
 val recompute : t -> t * output
@@ -68,23 +70,18 @@ val recompute : t -> t * output
     re-select each marked destination and flush the per-neighbor deltas
     that follow. Idempotent when nothing is marked. *)
 
-val on_adjacency_change : t -> t * output
-(** React to a local link having gone down or come up: sessions over down
-    links are flushed (their P-graphs discarded), new sessions start from
-    an empty exported view (so the first delta is a full announcement),
-    and the affected destinations are re-selected. Equivalent to
-    {!absorb_adjacency} followed by {!recompute}. *)
-
 val absorb_adjacency : t -> t
-(** The absorb stage of {!on_adjacency_change}: reconcile sessions with
-    the live neighbor set and mark affected destinations dirty, deferring
-    re-selection and emission to {!recompute}. *)
+(** React to a local link having gone down or come up, without
+    re-selecting or emitting: sessions over down links are dropped
+    (their P-graphs discarded), new sessions start from an empty
+    exported view (so the first delta is a full announcement), and the
+    affected destinations are marked dirty for {!recompute}. *)
 
 val refresh_policy : ?resend:bool -> t -> t * output
 (** React to the node's compiled policy having been mutated in place
     (scenario overrides: leak / hijack / Permission-List corruption):
-    re-select every known destination, re-run every export decision, and
-    emit the resulting deltas. With [resend:true] the export builders
+    re-select every known destination, re-run every export decision
+    (the node's own mark included), and emit the resulting deltas. With [resend:true] the export builders
     also re-announce their current wire state verbatim
     ({!Builder.invalidate_wire}) — required when recovering receivers
     from corrupted announcements. *)
@@ -95,15 +92,10 @@ val dirty_size : t -> int
     recomputing to size the span. *)
 
 val selected_path : t -> dest:int -> Path.t option
-(** Currently selected path (starting at the node itself). *)
-
-val selected_paths : t -> (int * Path.t) list
+(** Currently selected path (starting at the node itself). At the
+    node's own id it is [Some [id]], as BGP's Loc-RIB answers. *)
 
 val next_hop : t -> dest:int -> int option
-
-val local_pgraph : t -> Pgraph.t
-(** The local P-graph: {!Pgraph.of_paths} over the selected path set,
-    built on demand (cost proportional to the selection). *)
 
 val neighbor_pgraph : t -> neighbor:int -> Pgraph.t option
 (** The P-graph assembled from a neighbor's announcements, if a session

@@ -111,11 +111,16 @@ let runs a len =
   done;
   !n
 
+let filter_bits ~expected ~fp_rate =
+  let n = float_of_int expected in
+  let m = -.n *. log fp_rate /. (log 2.0 *. log 2.0) in
+  max 8 (int_of_float (ceil m))
+
 let size_bytes a len ~fp_rate =
   let bytes = ref 0 and i = ref 0 in
   while !i < len do
     let j = run_end a len !i in
-    bytes := !bytes + 4 + ((Bloom.optimal_bits ~expected:(j - !i) ~fp_rate + 7) / 8);
+    bytes := !bytes + 4 + ((filter_bits ~expected:(j - !i) ~fp_rate + 7) / 8);
     i := j
   done;
   !bytes
@@ -291,29 +296,6 @@ let merge a b =
   Array.iter (Scratch.push_key s) b;
   Scratch.freeze s
 
-type compressed = {
-  c_entries : (int option * Bloom.t) list;
-  c_bytes : int;
-}
-
-let compress t ~fp_rate =
-  let es = ref [] and bytes = ref 0 in
-  iter_runs t (Array.length t) (fun next lo hi ->
-      let filter = Bloom.create ~expected:(hi - lo) ~fp_rate in
-      for i = lo to hi - 1 do
-        Bloom.add filter (key_dest t.(i))
-      done;
-      es := (next_opt next, filter) :: !es;
-      bytes := !bytes + 4 + Bloom.size_bytes filter);
-  { c_entries = !es; c_bytes = !bytes }
-
-let compressed_bytes c = c.c_bytes
-
-let compressed_permit c ~dest ~next =
-  List.exists
-    (fun (n, filter) -> n = next && Bloom.mem filter dest)
-    c.c_entries
-
 let pp fmt t =
   let pp_next fmt = function
     | None -> Format.pp_print_string fmt "self"
@@ -331,32 +313,3 @@ let pp fmt t =
        ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
        pp_entry)
     (entries t)
-
-module Exhaustive = struct
-  module Pset = Set.Make (struct
-    type t = Path.t
-
-    let compare = Path.compare
-  end)
-
-  type t = Pset.t
-
-  let empty = Pset.empty
-
-  let add_path t p = Pset.add p t
-
-  let permit_path t p = Pset.mem p t
-
-  let paths t = Pset.elements t
-
-  let to_per_dest_next t ~multi_homed =
-    let s = Scratch.create () in
-    Pset.iter
-      (fun p ->
-        if Path.contains p multi_homed then
-          Scratch.push s ~dest:(Path.destination p)
-            ~next:(next_id (Path.next_hop_of p multi_homed)))
-      t;
-    let compiled = Scratch.freeze s in
-    fun ~dest ~next -> permit compiled ~dest ~next
-end

@@ -17,9 +17,10 @@
     pricing a list walks the array once without allocating. Lists are
     built in bulk through a reusable {!scratch}.
 
-    {!Exhaustive} provides the theoretical {e per-path encoding} used by
-    the paper's expressiveness argument (Claim 1); the test suite checks
-    the two encodings equivalent on derivable path sets. *)
+    The paper's expressiveness argument (Claim 1) compares this encoding
+    with the theoretical {e per-path encoding}; the test suite keeps
+    that encoding as an oracle and checks the two equivalent on
+    derivable path sets. *)
 
 type t
 
@@ -80,12 +81,18 @@ val iter_diff : t -> t -> (dest:int -> next:int -> unit) -> unit
     hop as in {!permit_id}: the pairs whose [Permit] answer differs
     between them. One merge walk over both; allocates nothing. *)
 
+val filter_bits : expected:int -> fp_rate:float -> int
+(** The Bloom-filter sizing formula [m = -n ln p / (ln 2)^2] bits (at
+    least 8) for [expected] keys at false-positive rate [fp_rate]: the
+    size {!compressed_size_bytes} prices each entry's filter at. The
+    test suite sizes its real filters by it. *)
+
 val compressed_size_bytes : t -> fp_rate:float -> int
-(** Size estimate when each entry's destination list is Bloom-compressed
-    at the given false-positive rate (paper §4.1 suggests Bloom filters),
-    plus 4 bytes per entry for the next hop. Agrees exactly with
-    [compressed_bytes (compress t ~fp_rate)] (the formula the filters
-    are sized by) without building the filters. *)
+(** Wire size when each entry's destination list is Bloom-compressed at
+    the given false-positive rate (paper §4.1 suggests Bloom filters):
+    per entry, 4 bytes of next hop plus a bit array of {!filter_bits}
+    for its destination count, rounded up to whole bytes. Computed
+    without building the filters. *)
 
 type scratch
 (** A reusable buffer lists are built in: pairs are pushed in any order,
@@ -116,45 +123,4 @@ module Scratch : sig
   (** [compressed_size_bytes (freeze s) ~fp_rate]. *)
 end
 
-type compressed
-(** A Permission List as it travels: one Bloom filter per
-    ⟨DestList, NextHop⟩ entry, each sized by the standard formulae for
-    its destination count at the configured false-positive rate. *)
-
-val compress : t -> fp_rate:float -> compressed
-(** Build the real wire encoding: construct each entry's filter and
-    insert its destinations. *)
-
-val compressed_bytes : compressed -> int
-(** Serialized size: per entry, 4 bytes of next hop plus the filter's
-    bit array. *)
-
-val compressed_permit : compressed -> dest:int -> next:int option -> bool
-(** The [Permit] predicate evaluated against the compressed encoding. No
-    false negatives — anything {!permit}ted by the source list is
-    permitted here; false positives occur at the filters' configured
-    rate (the receiver may derive a path the sender did not export,
-    which Centaur tolerates by design, §4.1). *)
-
 val pp : Format.formatter -> t -> unit
-
-module Exhaustive : sig
-  (** Per-path encoding: one entry per policy-compliant path through the
-      link. "Theoretically useful in demonstrating the expressiveness of
-      Permission Lists" (§4.1). *)
-
-  type t
-
-  val empty : t
-
-  val add_path : t -> Path.t -> t
-
-  val permit_path : t -> Path.t -> bool
-
-  val paths : t -> Path.t list
-
-  val to_per_dest_next : t -> multi_homed:int -> (dest:int -> next:int option -> bool)
-  (** Compile to a per-dest-next [permit] predicate for the given
-      multi-homed node [B]: each path [p] maps to
-      ⟨destination of [p], next hop of [B] in [p]⟩. *)
-end

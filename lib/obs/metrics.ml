@@ -1,7 +1,5 @@
 type counter = { c_name : string; mutable count : int }
 
-type gauge = { g_name : string; mutable gval : float }
-
 type histogram = {
   h_name : string;
   bounds : float array;   (* strictly increasing upper bounds *)
@@ -12,7 +10,6 @@ type histogram = {
 
 type instrument =
   | Counter of counter
-  | Gauge of gauge
   | Histogram of histogram
 
 type t = (string, instrument) Hashtbl.t
@@ -21,7 +18,6 @@ let create () : t = Hashtbl.create 16
 
 let kind_name = function
   | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
   | Histogram _ -> "histogram"
 
 let conflict name want got =
@@ -43,19 +39,6 @@ let incr c = c.count <- c.count + 1
 let add c n = c.count <- c.count + n
 
 let value c = c.count
-
-let gauge t name =
-  match Hashtbl.find_opt t name with
-  | Some (Gauge g) -> g
-  | Some other -> conflict name "gauge" other
-  | None ->
-    let g = { g_name = name; gval = 0.0 } in
-    Hashtbl.replace t name (Gauge g);
-    g
-
-let set g v = g.gval <- v
-
-let gauge_value g = g.gval
 
 let default_buckets =
   [| 0.5; 1.0; 2.0; 5.0; 10.0; 20.0; 50.0; 100.0; 200.0; 500.0; 1000.0 |]
@@ -110,9 +93,6 @@ let merge_into ~(dst : t) (src : t) =
     (fun name inst ->
       match inst with
       | Counter c -> add (counter dst name) c.count
-      | Gauge g ->
-        let d = gauge dst name in
-        if g.gval > d.gval then d.gval <- g.gval
       | Histogram h ->
         let d = histogram dst ~buckets:h.bounds name in
         Array.iteri (fun i n -> d.buckets.(i) <- d.buckets.(i) + n) h.buckets;
@@ -140,7 +120,6 @@ let render t =
     (fun name ->
       match Hashtbl.find t name with
       | Counter c -> Buffer.add_string buf (Printf.sprintf "%s %d\n" name c.count)
-      | Gauge g -> Buffer.add_string buf (Printf.sprintf "%s %s\n" name (num g.gval))
       | Histogram h ->
         Buffer.add_string buf
           (Printf.sprintf "%s count=%d sum=%s buckets=[%s]\n" name h.h_count
@@ -167,8 +146,6 @@ let to_json t =
   section
     (function Counter c -> Some (string_of_int c.count) | _ -> None)
     "counters";
-  Buffer.add_char buf ',';
-  section (function Gauge g -> Some (num g.gval) | _ -> None) "gauges";
   Buffer.add_char buf ',';
   section
     (function

@@ -1,15 +1,15 @@
-(** Metrics registry: counters, gauges and fixed-bucket histograms with
-    a deterministic merge.
+(** Metrics registry: counters and fixed-bucket histograms with a
+    deterministic merge.
 
     A registry is a name-keyed bag of instruments. Instruments are
     mutable and unsynchronized — a registry belongs to one domain.
     Pool-parallel sweeps give every domain (or every work item) its own
     registry and {!merge_into} them afterwards: counter merge is
-    addition, histogram merge is bucket-wise addition, gauge merge keeps
-    the maximum — all commutative and associative with the empty
-    registry as the zero element, so the merged result is independent of
-    how the work was partitioned and byte-identical to a sequential run
-    (the QCheck laws in [test_obs.ml] pin this down).
+    addition and histogram merge is bucket-wise addition — both
+    commutative and associative with the empty registry as the zero
+    element, so the merged result is independent of how the work was
+    partitioned and byte-identical to a sequential run (the QCheck laws
+    in [test_obs.ml] pin this down).
 
     Rendering ({!render}, {!to_json}) iterates names in sorted order and
     formats deterministically, so equal registries produce equal text. *)
@@ -17,8 +17,6 @@
 type t
 
 type counter
-
-type gauge
 
 type histogram
 
@@ -34,13 +32,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val value : counter -> int
-
-val gauge : t -> string -> gauge
-(** Get or register the named gauge (starts at 0). *)
-
-val set : gauge -> float -> unit
-
-val gauge_value : gauge -> float
 
 val default_buckets : float array
 (** Roughly-logarithmic millisecond buckets:
@@ -61,8 +52,7 @@ val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
 
 val merge_into : dst:t -> t -> unit
-(** Fold [src] into [dst]: counters add, gauges take the max, histograms
-    add bucket-wise (instruments missing from [dst] are registered).
+(** Fold [src] into [dst]: counters add, histograms add bucket-wise (instruments missing from [dst] are registered).
     Raises [Invalid_argument] on a kind or bucket-layout conflict. *)
 
 val merge : t -> t -> t
@@ -77,5 +67,5 @@ val render : t -> string
 
 val to_json : t -> string
 (** Deterministic JSON object
-    [{"counters":{…},"gauges":{…},"histograms":{…}}] with names sorted
+    [{"counters":{…},"histograms":{…}}] with names sorted
     within each section. *)

@@ -16,10 +16,6 @@ let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
-let split t =
-  let seed = bits64 t in
-  { state = seed }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Top 62 bits modulo bound (62 so the value stays positive in OCaml's
@@ -74,23 +70,3 @@ let sample t k arr =
     copy.(j) <- tmp
   done;
   Array.sub copy 0 k
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
-
-let weighted_index t w =
-  let total = Array.fold_left (fun acc x ->
-      if x < 0.0 then invalid_arg "Rng.weighted_index: negative weight";
-      acc +. x) 0.0 w
-  in
-  if total <= 0.0 then invalid_arg "Rng.weighted_index: zero total weight";
-  let target = float t total in
-  let n = Array.length w in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if target < acc then i else go (i + 1) acc
-  in
-  go 0 0.0

@@ -15,11 +15,6 @@ val create : int -> t
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
 
-val split : t -> t
-(** [split t] derives a new generator from [t] and advances [t]; the two
-    streams are statistically independent. Useful to give sub-components
-    their own stream without sharing state. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -56,12 +51,3 @@ val shuffle_list : t -> 'a list -> 'a list
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [k] distinct elements uniformly without
     replacement ([k] is clamped to [Array.length arr]). *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. Raises [Invalid_argument] on an
-    empty array. *)
-
-val weighted_index : t -> float array -> int
-(** [weighted_index t w] samples index [i] with probability proportional to
-    [w.(i)]. Raises [Invalid_argument] if all weights are zero or any is
-    negative. *)

@@ -54,54 +54,6 @@ let barabasi_albert rng ~n ~m ~max_delay =
   done;
   List.rev !edges
 
-let waxman rng ~n ~alpha ~beta ~max_delay =
-  if n < 2 then invalid_arg "Brite.waxman: n < 2";
-  let xs = Array.init n (fun _ -> Rng.float rng 1.0) in
-  let ys = Array.init n (fun _ -> Rng.float rng 1.0) in
-  let dist a b = sqrt (((xs.(a) -. xs.(b)) ** 2.0) +. ((ys.(a) -. ys.(b)) ** 2.0)) in
-  let max_dist = sqrt 2.0 in
-  let edges = ref [] in
-  let present = Flat_tbl.create ~initial:(4 * n) () in
-  let add a b =
-    let key = (min a b lsl 31) lor max a b in
-    if not (Flat_tbl.mem present key) then begin
-      Flat_tbl.set present key 1;
-      let delay = max_delay *. dist a b /. max_dist in
-      edges := (a, b, delay) :: !edges
-    end
-  in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      let p = alpha *. exp (-.dist a b /. beta) in
-      if Rng.chance rng p then add a b
-    done
-  done;
-  (* Connect leftover components through their closest cross pairs. *)
-  let uf = Union_find.create n in
-  Flat_tbl.iter present (fun key _ ->
-      ignore (Union_find.union uf (key lsr 31) (key land ((1 lsl 31) - 1))));
-  while Union_find.count uf > 1 do
-    let root0 = Union_find.find uf 0 in
-    (* Find the closest pair joining component-of-0 with the rest. *)
-    let best = ref None in
-    for a = 0 to n - 1 do
-      if Union_find.find uf a = root0 then
-        for b = 0 to n - 1 do
-          if Union_find.find uf b <> root0 then
-            let d = dist a b in
-            match !best with
-            | Some (_, _, bd) when bd <= d -> ()
-            | _ -> best := Some (a, b, d)
-        done
-    done;
-    match !best with
-    | None -> assert false
-    | Some (a, b, _) ->
-      add a b;
-      ignore (Union_find.union uf a b)
-  done;
-  List.rev !edges
-
 let annotated rng ~n ~m ~max_delay ~num_tiers =
   let edges = barabasi_albert rng ~n ~m ~max_delay in
   Tier.annotate ~n ~edges ~num_tiers

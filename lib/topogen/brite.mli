@@ -3,8 +3,8 @@
     The paper uses BRITE to generate the topologies its prototype runs on
     (§5.1, §5.3): Barabási–Albert-style graphs with link delays drawn
     uniformly from \[0, 5\] ms, business relationships inferred from node
-    degree afterwards. This module reproduces the two BRITE models the
-    evaluation needs. *)
+    degree afterwards. This module reproduces that pipeline: the
+    Barabási–Albert model and the degree-based annotation. *)
 
 type edge = int * int * float
 (** [(a, b, delay_ms)] *)
@@ -15,13 +15,6 @@ val barabasi_albert : Rng.t -> n:int -> m:int -> max_delay:float -> edge list
     probability proportional to degree. Delays uniform in
     \[0, max_delay\]. Raises [Invalid_argument] if [n < m + 1] or
     [m < 1]. The result is connected. *)
-
-val waxman :
-  Rng.t -> n:int -> alpha:float -> beta:float -> max_delay:float -> edge list
-(** Waxman random graph on a unit square:
-    [P(u,v) = alpha * exp (-d(u,v) / beta)]. Extra minimum-distance edges
-    are added afterwards if needed to connect the graph. Delays scale
-    with Euclidean distance up to [max_delay]. *)
 
 val annotated :
   Rng.t -> n:int -> m:int -> max_delay:float -> num_tiers:int -> Topology.t

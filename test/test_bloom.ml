@@ -56,7 +56,7 @@ let test_false_positive_rate_100k () =
 
 let test_sizing_formulae () =
   (* m = -n ln p / (ln 2)^2: for n=1000, p=0.01 -> ~9585 bits, k ~ 7. *)
-  let bits = Bloom.optimal_bits ~expected:1000 ~fp_rate:0.01 in
+  let bits = Centaur.Permission_list.filter_bits ~expected:1000 ~fp_rate:0.01 in
   Alcotest.(check bool) "bits in band" true (bits > 9000 && bits < 10100);
   let k = Bloom.optimal_hashes ~bits ~expected:1000 in
   Alcotest.(check bool) "hashes in band" true (k >= 6 && k <= 8)

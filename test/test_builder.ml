@@ -1,9 +1,26 @@
 (* Incremental P-graph builder (the §4.3 steady-phase bookkeeping):
    counters, Permission List appearance/disappearance, delta coalescing,
    and the flush oracle — replaying every flushed delta onto an empty
-   P-graph must reproduce the snapshot. *)
+   P-graph must reproduce BuildGraph of the installed paths. *)
 
 open Centaur
+
+(* The graph the builder's flushes must add up to: [Pgraph.of_paths]
+   over its installed paths, the root's one-node path aside, marked at
+   every destination it holds (the root's own mark included). *)
+let snapshot b =
+  let dests = Builder.dests b in
+  let g =
+    Pgraph.of_paths ~root:(Builder.root b)
+      (List.filter_map
+         (fun dest ->
+           match Builder.path_of b ~dest with
+           | Some (_ :: _ :: _ as p) -> Some p
+           | Some _ | None -> None)
+         dests)
+  in
+  List.iter (Pgraph.mark_dest g) dests;
+  g
 
 let test_counters_track_use () =
   let b = Builder.create ~root:0 ~nodes:10 in
@@ -20,15 +37,17 @@ let test_counters_track_use () =
 
 let test_flush_delta_roundtrip_sequence () =
   (* The oracle from the interface: apply every flushed delta in order to
-     an empty graph; at each flush the replica equals the snapshot. *)
+     an empty graph; at each flush the replica equals the snapshot. The
+     root's own mark comes and goes like any other destination. *)
   let b = Builder.create ~root:0 ~nodes:10 in
   let replica = Pgraph.create ~nodes:10 ~root:0 in
   let check_replica step =
     Pgraph.apply replica (Builder.flush_delta b);
-    if not (Pgraph.equal replica (Builder.snapshot b)) then
+    if not (Pgraph.equal replica (snapshot b)) then
       Alcotest.failf "replica diverged at step %s" step
   in
   Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
+  Builder.set_path b ~dest:0 (Some [ 0 ]);
   check_replica "first path";
   Builder.set_path b ~dest:3 (Some [ 0; 2; 3 ]);
   Builder.set_path b ~dest:4 (Some [ 0; 1; 4 ]);
@@ -40,8 +59,10 @@ let test_flush_delta_roundtrip_sequence () =
   Builder.set_path b ~dest:2 None;
   Builder.set_path b ~dest:3 None;
   Builder.set_path b ~dest:4 None;
+  Builder.set_path b ~dest:0 None;
   check_replica "teardown";
-  Alcotest.(check int) "empty at end" 0 (Pgraph.num_links (Builder.snapshot b))
+  Alcotest.(check int) "empty at end" 0 (Pgraph.num_links replica);
+  Alcotest.(check (list int)) "no mark left" [] (Pgraph.dests replica)
 
 let test_plist_appears_on_multihoming () =
   let b = Builder.create ~root:0 ~nodes:10 in
@@ -87,12 +108,18 @@ let test_cancelling_changes_coalesce () =
   let delta = Builder.flush_delta b in
   Alcotest.(check bool) "cancelled out" true (Pgraph.delta_is_empty delta)
 
+(* The exporter forces its own prefix onto the wire as the root's
+   one-node path: a mark and no link. *)
 let test_force_dest () =
   let b = Builder.create ~root:7 ~nodes:8 in
-  Builder.force_dest b 7;
+  Builder.set_path b ~dest:7 (Some [ 7 ]);
   let delta = Builder.flush_delta b in
   Alcotest.(check (list int)) "self marked" [ 7 ] delta.Pgraph.add_dests;
-  Alcotest.(check (list int)) "dests include forced" [ 7 ] (Builder.dests b)
+  Alcotest.(check int) "no link" 0 (List.length delta.Pgraph.add_links);
+  Alcotest.(check (list int)) "dests include forced" [ 7 ] (Builder.dests b);
+  Builder.set_path b ~dest:7 None;
+  Alcotest.(check (list int)) "withdrawn" [ 7 ]
+    (Builder.flush_delta b).Pgraph.remove_dests
 
 let test_set_path_validation () =
   let b = Builder.create ~root:0 ~nodes:10 in
@@ -105,6 +132,16 @@ let test_set_path_validation () =
   Alcotest.check_raises "loop"
     (Invalid_argument "Builder.set_path: path has a loop") (fun () ->
       Builder.set_path b ~dest:2 (Some [ 0; 1; 0; 2 ]));
+  Alcotest.check_raises "empty path"
+    (Invalid_argument "Builder.set_path: path too short") (fun () ->
+      Builder.set_path b ~dest:2 (Some []));
+  (* A one-node path is the root's own mark, and only that. *)
+  Alcotest.check_raises "one-node path elsewhere"
+    (Invalid_argument "Builder.set_path: path destination mismatch")
+    (fun () -> Builder.set_path b ~dest:2 (Some [ 0 ]));
+  Alcotest.check_raises "other node's one-node path"
+    (Invalid_argument "Builder.set_path: path does not start at root")
+    (fun () -> Builder.set_path b ~dest:2 (Some [ 2 ]));
   (* Ids index the builder's per-node state: [0, nodes) only. *)
   let out_of_range = Invalid_argument "Builder.set_path: node id out of range" in
   Alcotest.check_raises "dest = nodes" out_of_range (fun () ->
@@ -115,11 +152,6 @@ let test_set_path_validation () =
       Builder.set_path b ~dest:2 (Some [ 0; 10; 2 ]));
   Alcotest.check_raises "negative path node" out_of_range (fun () ->
       Builder.set_path b ~dest:2 (Some [ 0; -1; 2 ]));
-  let out_of_range = Invalid_argument "Builder.force_dest: node id out of range" in
-  Alcotest.check_raises "force_dest = nodes" out_of_range (fun () ->
-      Builder.force_dest b 10);
-  Alcotest.check_raises "negative force_dest" out_of_range (fun () ->
-      Builder.force_dest b (-1));
   Alcotest.(check (list int)) "rejected calls leave nothing" [] (Builder.dests b);
   Alcotest.(check bool) "and queue nothing" true
     (Pgraph.delta_is_empty (Builder.flush_delta b))
@@ -159,7 +191,7 @@ let builder_matches_of_paths =
       let current = Hashtbl.create 8 in
       let flush_checked () =
         Pgraph.apply replica (Builder.flush_delta b);
-        Pgraph.equal replica (Builder.snapshot b)
+        Pgraph.equal replica (snapshot b)
         && Pgraph.delta_is_empty (Builder.flush_delta b)
       in
       List.for_all
@@ -182,7 +214,7 @@ let builder_matches_of_paths =
       && flush_checked ()
       &&
       let final_paths = Hashtbl.fold (fun _ p acc -> p :: acc) current [] in
-      Pgraph.equal (Builder.snapshot b) (Pgraph.of_paths ~root:0 final_paths))
+      Pgraph.equal (snapshot b) (Pgraph.of_paths ~root:0 final_paths))
 
 let suite =
   [ Alcotest.test_case "counters track use" `Quick test_counters_track_use;

@@ -5,6 +5,31 @@
 open Helpers
 open Centaur
 
+(* Receive one announcement and emit what follows. *)
+let handle node ann = Node.recompute (Node.absorb node ann)
+
+(* React to a local link change and emit what follows. *)
+let on_adjacency_change node = Node.recompute (Node.absorb_adjacency node)
+
+(* Every (destination, selected path), destinations ascending, the
+   node's own [[id]] included. *)
+let selected_paths topo node =
+  List.filter_map
+    (fun dest -> Option.map (fun p -> (dest, p)) (Node.selected_path node ~dest))
+    (List.init (Topology.num_nodes topo) Fun.id)
+
+(* The local P-graph: BuildGraph over the selected paths, marked at the
+   node's own prefix. *)
+let local_pgraph topo node =
+  let g =
+    Pgraph.of_paths ~root:(Node.id node)
+      (List.filter_map
+         (fun (_, p) -> if Path.length p > 0 then Some p else None)
+         (selected_paths topo node))
+  in
+  Pgraph.mark_dest g (Node.id node);
+  g
+
 (* Deliver queued messages synchronously until quiescence, discarding
    those [drop] picks (a lossy link: nothing resends them). *)
 let pump ?(drop = fun () -> false) nodes queue =
@@ -14,7 +39,7 @@ let pump ?(drop = fun () -> false) nodes queue =
     if !guard > 1_000_000 then failwith "node pump diverged";
     let dst, ann = Queue.pop queue in
     if not (drop ()) then begin
-      let st, out = Node.handle nodes.(dst) ann in
+      let st, out = handle nodes.(dst) ann in
       nodes.(dst) <- st;
       List.iter (fun m -> Queue.push m queue) out
     end
@@ -22,7 +47,7 @@ let pump ?(drop = fun () -> false) nodes queue =
 
 (* Tell node [i] its adjacency changed and queue what it sends. *)
 let bump nodes queue i =
-  let st, out = Node.on_adjacency_change nodes.(i) in
+  let st, out = on_adjacency_change nodes.(i) in
   nodes.(i) <- st;
   List.iter (fun m -> Queue.push m queue) out
 
@@ -89,19 +114,19 @@ let test_local_pgraph_matches_selection () =
   let nodes = converge topo in
   Array.iter
     (fun node ->
-      let g = Node.local_pgraph node in
+      let g = local_pgraph topo node in
       List.iter
         (fun (dest, p) ->
           check_path_opt
             (Printf.sprintf "derive %d from local graph" dest)
             (Some p) (Pgraph.derive_path g ~dest))
-        (Node.selected_paths node))
+        (selected_paths topo node))
     nodes
 
 let test_selected_paths_sorted_and_consistent () =
   let topo = Fixtures.two_tier_peering () in
   let nodes = converge topo in
-  let paths = Node.selected_paths nodes.(2) in
+  let paths = selected_paths topo nodes.(2) in
   let dests = List.map fst paths in
   Alcotest.(check (list int)) "sorted dests" (List.sort compare dests) dests;
   List.iter
@@ -110,7 +135,11 @@ let test_selected_paths_sorted_and_consistent () =
       Alcotest.(check int) "path starts at self" 2 (Path.source p))
     paths;
   Alcotest.(check (option int)) "next hop accessor" (Some 0)
-    (Node.next_hop nodes.(2) ~dest:4)
+    (Node.next_hop nodes.(2) ~dest:4);
+  (* The node's selection for itself: its own prefix, no next hop. *)
+  check_path_opt "own prefix" (Some [ 2 ]) (Node.selected_path nodes.(2) ~dest:2);
+  Alcotest.(check (option int)) "no next hop to itself" None
+    (Node.next_hop nodes.(2) ~dest:2)
 
 let test_announcements_are_incremental () =
   (* After convergence, re-delivering a node's flushed state must not
@@ -119,7 +148,7 @@ let test_announcements_are_incremental () =
   let topo = Fixtures.figure2a () in
   let nodes = converge topo in
   (* A second adjacency scan with no actual change produces no output. *)
-  let _, out = Node.on_adjacency_change nodes.(Fixtures.a) in
+  let _, out = on_adjacency_change nodes.(Fixtures.a) in
   Alcotest.(check int) "no spurious announcements" 0 (List.length out)
 
 let test_message_from_unknown_sender_dropped () =
@@ -134,7 +163,7 @@ let test_message_from_unknown_sender_dropped () =
         add_dests = [ Fixtures.d ];
         remove_dests = [] }
   in
-  let _, out = Node.handle node stray in
+  let _, out = handle node stray in
   Alcotest.(check int) "dropped" 0 (List.length out);
   Alcotest.(check bool) "no session created" true
     (Node.neighbor_pgraph node ~neighbor:Fixtures.d = None)
@@ -148,7 +177,7 @@ let test_out_of_range_ids_dropped () =
   let n = Topology.num_nodes topo in
   let nodes = converge topo in
   let a = nodes.(Fixtures.a) in
-  let routes = Node.selected_paths a in
+  let routes = selected_paths topo a in
   let graph =
     match Node.neighbor_pgraph a ~neighbor:Fixtures.b with
     | Some g -> Pgraph.copy g
@@ -164,13 +193,13 @@ let test_out_of_range_ids_dropped () =
         add_dests = [ n; n + 3; -1 ];
         remove_dests = [ n ] }
   in
-  let a, out = Node.handle a bogus in
+  let a, out = handle a bogus in
   Alcotest.(check int) "nothing sent" 0 (List.length out);
   Alcotest.(check bool) "sender's graph unchanged" true
     (match Node.neighbor_pgraph a ~neighbor:Fixtures.b with
     | Some g -> Pgraph.equal g graph
     | None -> false);
-  Alcotest.(check bool) "routes unchanged" true (Node.selected_paths a = routes)
+  Alcotest.(check bool) "routes unchanged" true (selected_paths topo a = routes)
 
 let test_adjacency_loss_reroutes () =
   let topo = Fixtures.figure2a () in
@@ -232,7 +261,7 @@ let test_announce_import_filter () =
       add_dests = [];
       remove_dests = [] }
   in
-  ignore (Node.handle a (Announce.make ~sender:Fixtures.b into_a));
+  ignore (handle a (Announce.make ~sender:Fixtures.b into_a));
   Alcotest.(check bool) "other link applied" true
     (Pgraph.mem_link (session ()) ~parent:Fixtures.d ~child:Fixtures.c);
   Alcotest.(check bool) "links into the receiver dropped" true
@@ -273,7 +302,7 @@ let routes_equal_rebuild_after_loss =
                 let delta = Pgraph.diff ~old_:empty ~new_:pg in
                 fresh := Node.absorb !fresh (Announce.make ~sender:nbr delta));
           let fresh = fst (Node.recompute !fresh) in
-          Node.selected_paths node = Node.selected_paths fresh)
+          selected_paths topo node = selected_paths topo fresh)
         nodes)
 
 (* A valley-free walk of up to [hops] links from [src], never visiting
@@ -350,7 +379,7 @@ let delta_check_matches_rebuild =
           node := absorb !node ~old_:!graph ~new_:g;
           graph := g;
           let fresh = absorb (started ()) ~old_:(empty ()) ~new_:g in
-          Node.selected_paths !node = Node.selected_paths fresh)
+          selected_paths topo !node = selected_paths topo fresh)
         (List.init 16 Fun.id))
 
 let suite =

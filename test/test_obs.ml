@@ -161,15 +161,12 @@ let test_instruments () =
   M.add c 4;
   Alcotest.(check int) "counter accumulates" 5 (M.value c);
   Alcotest.(check int) "counter is shared by name" 5 (M.value (M.counter m "c"));
-  let g = M.gauge m "g" in
-  M.set g 2.5;
-  Alcotest.(check (float 0.0)) "gauge holds" 2.5 (M.gauge_value g);
   let h = M.histogram m "h" in
   M.observe h 0.3;
   M.observe h 7.0;
   Alcotest.(check int) "histogram counts" 2 (M.histogram_count h);
   Alcotest.(check (float 1e-9)) "histogram sums" 7.3 (M.histogram_sum h);
-  (match M.counter m "g" with
+  (match M.counter m "h" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind conflict must raise");
   (match M.histogram m ~buckets:[| 1.0; 2.0 |] "h" with
@@ -182,7 +179,7 @@ let test_instruments () =
    (a name never changes kind, matching real usage — a cross-kind merge
    is a programming error that raises). Values are quarter-integers so
    float addition is exact and the laws hold to equality. *)
-type op = C of int * int | G of int * float | H of int * float
+type op = C of int * int | H of int * float
 
 let reg ops =
   let m = M.create () in
@@ -190,7 +187,6 @@ let reg ops =
     (fun op ->
       match op with
       | C (i, k) -> M.add (M.counter m (Printf.sprintf "c%d" i)) k
-      | G (i, v) -> M.set (M.gauge m (Printf.sprintf "g%d" i)) v
       | H (i, v) -> M.observe (M.histogram m (Printf.sprintf "h%d" i)) v)
     ops;
   m
@@ -200,7 +196,6 @@ let op_gen =
     let quarter = map (fun n -> float_of_int n /. 4.0) (int_bound 400) in
     oneof
       [ map2 (fun i k -> C (i, k)) (int_bound 2) (int_bound 100);
-        map2 (fun i v -> G (i, v)) (int_bound 2) quarter;
         map2 (fun i v -> H (i, v)) (int_bound 1) quarter ])
 
 let ops_arb =

@@ -146,10 +146,26 @@ let test_compressed_size () =
      far below the ~200 bytes of a naive int list. *)
   Alcotest.(check bool) "within expected band" true (bytes > 20 && bytes < 100)
 
-(* The real wire encoding: per-entry Bloom filters. Membership may gain
-   false positives but never loses a permitted pair, and the serialized
-   size must agree exactly with the closed-form estimate the static
-   analysis reports. *)
+(* The real wire encoding, built over the public API: one Bloom filter
+   per ⟨DestList, NextHop⟩ entry, holding the entry's destinations. *)
+let compress pl ~fp_rate =
+  List.map
+    (fun (next, dests) ->
+      let filter = Bloom.create ~expected:(List.length dests) ~fp_rate in
+      List.iter (Bloom.add filter) dests;
+      (next, filter))
+    (Permission_list.entries pl)
+
+(* Serialized size: per entry, 4 bytes of next hop plus the filter. *)
+let compressed_bytes c =
+  List.fold_left (fun acc (_, filter) -> acc + 4 + Bloom.size_bytes filter) 0 c
+
+let compressed_permit c ~dest ~next =
+  List.exists (fun (n, filter) -> n = next && Bloom.mem filter dest) c
+
+(* Membership in the real encoding may gain false positives but never
+   loses a permitted pair, and the serialized size must agree exactly
+   with the closed-form price the static analysis reports. *)
 let compressed_roundtrip =
   QCheck.Test.make ~name:"compressed wire encoding: no false negatives"
     ~count:200
@@ -163,22 +179,55 @@ let compressed_roundtrip =
              specs)
       in
       let fp_rate = 0.01 in
-      let c = Permission_list.compress pl ~fp_rate in
-      Permission_list.compressed_bytes c
-      = Permission_list.compressed_size_bytes pl ~fp_rate
+      let c = compress pl ~fp_rate in
+      compressed_bytes c = Permission_list.compressed_size_bytes pl ~fp_rate
       && List.for_all
            (fun (dest, nxt) ->
              let next = if nxt = 0 then None else Some (300 + nxt) in
-             Permission_list.compressed_permit c ~dest ~next)
+             compressed_permit c ~dest ~next)
            specs)
 
 let test_compressed_rejects_unknown_next () =
   (* False positives only confuse destinations within an entry's filter;
      a next hop no entry carries can never be permitted. *)
   let pl = pl_of (List.init 50 (fun i -> (i, Some 99))) in
-  let c = Permission_list.compress pl ~fp_rate:0.01 in
+  let c = compress pl ~fp_rate:0.01 in
   Alcotest.(check bool) "unknown next hop rejected" false
-    (Permission_list.compressed_permit c ~dest:5 ~next:(Some 7))
+    (compressed_permit c ~dest:5 ~next:(Some 7))
+
+(* The per-path encoding: one entry per policy-compliant path through
+   the link, "theoretically useful in demonstrating the expressiveness
+   of Permission Lists" (§4.1). *)
+module Exhaustive = struct
+  module Pset = Set.Make (struct
+    type t = Path.t
+
+    let compare = Path.compare
+  end)
+
+  let empty = Pset.empty
+
+  let add_path t p = Pset.add p t
+
+  let permit_path t p = Pset.mem p t
+
+  let paths t = Pset.elements t
+
+  (* Compile to a per-dest-next [permit] predicate for multi-homed node
+     [B]: each path through [B] maps to ⟨its destination, [B]'s next
+     hop on it⟩. *)
+  let to_per_dest_next t ~multi_homed =
+    let compiled =
+      Pset.fold
+        (fun p pl ->
+          if Path.contains p multi_homed then
+            Permission_list.add pl ~dest:(Path.destination p)
+              ~next:(Path.next_hop_of p multi_homed)
+          else pl)
+        t Permission_list.empty
+    in
+    fun ~dest ~next -> Permission_list.permit compiled ~dest ~next
+end
 
 (* Claim 1: per-dest-next encoding has the same descriptiveness as
    exhaustive per-path encoding, over the paths through one link. *)
@@ -210,11 +259,10 @@ let exhaustive_equivalence =
           specs
       in
       let exhaustive =
-        List.fold_left Permission_list.Exhaustive.add_path
-          Permission_list.Exhaustive.empty paths
+        List.fold_left Exhaustive.add_path Exhaustive.empty paths
       in
       let permit_compiled =
-        Permission_list.Exhaustive.to_per_dest_next exhaustive ~multi_homed:b
+        Exhaustive.to_per_dest_next exhaustive ~multi_homed:b
       in
       (* Every path's (dest, next-of-B) must be permitted, and a fresh
          (dest, next) pair not in the set must not. *)
@@ -228,16 +276,13 @@ let exhaustive_equivalence =
 
 let test_exhaustive_paths () =
   let e =
-    List.fold_left Permission_list.Exhaustive.add_path
-      Permission_list.Exhaustive.empty
+    List.fold_left Exhaustive.add_path Exhaustive.empty
       [ [ 1; 2; 3 ]; [ 1; 4 ] ]
   in
-  Alcotest.(check int) "stored" 2
-    (List.length (Permission_list.Exhaustive.paths e));
+  Alcotest.(check int) "stored" 2 (List.length (Exhaustive.paths e));
   Alcotest.(check bool) "member" true
-    (Permission_list.Exhaustive.permit_path e [ 1; 2; 3 ]);
-  Alcotest.(check bool) "non-member" false
-    (Permission_list.Exhaustive.permit_path e [ 1; 2 ])
+    (Exhaustive.permit_path e [ 1; 2; 3 ]);
+  Alcotest.(check bool) "non-member" false (Exhaustive.permit_path e [ 1; 2 ])
 
 let suite =
   [ Alcotest.test_case "empty" `Quick test_empty;

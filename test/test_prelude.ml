@@ -7,12 +7,6 @@ let test_rng_determinism () =
     Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
   done
 
-let test_rng_split_independence () =
-  let a = Rng.create 1 in
-  let b = Rng.split a in
-  let x = Rng.bits64 a and y = Rng.bits64 b in
-  Alcotest.(check bool) "different streams" true (x <> y)
-
 let test_rng_copy () =
   let a = Rng.create 9 in
   ignore (Rng.bits64 a);
@@ -70,16 +64,6 @@ let test_rng_sample_clamps () =
   let rng = Rng.create 11 in
   let s = Rng.sample rng 99 [| 1; 2; 3 |] in
   Alcotest.(check int) "clamped to population" 3 (Array.length s)
-
-let test_rng_weighted_index () =
-  let rng = Rng.create 13 in
-  let hits = Array.make 3 0 in
-  for _ = 1 to 30_000 do
-    let i = Rng.weighted_index rng [| 1.0; 2.0; 7.0 |] in
-    hits.(i) <- hits.(i) + 1
-  done;
-  Alcotest.(check bool) "heaviest weight dominates" true
-    (hits.(2) > hits.(1) && hits.(1) > hits.(0))
 
 (* Pop every entry as (key, tie, payload), smallest first. *)
 let drain h =
@@ -239,32 +223,14 @@ let test_stats_basics () =
   Alcotest.(check (float 1e-9)) "median" 2.5 (Stats.median xs);
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.percentile xs 0.0);
   Alcotest.(check (float 1e-9)) "p100" 4.0 (Stats.percentile xs 100.0);
-  Alcotest.(check (float 1e-9)) "variance" 1.25 (Stats.variance xs);
   let lo, hi = Stats.min_max xs in
   Alcotest.(check (float 1e-9)) "min" 1.0 lo;
   Alcotest.(check (float 1e-9)) "max" 4.0 hi
-
-let test_stats_geometric_mean () =
-  Alcotest.(check (float 1e-9)) "gm" 2.0 (Stats.geometric_mean [| 1.0; 4.0 |]);
-  Alcotest.check_raises "non-positive"
-    (Invalid_argument "Stats.geometric_mean: non-positive sample") (fun () ->
-      ignore (Stats.geometric_mean [| 1.0; 0.0 |]))
-
-let test_stats_cdf () =
-  let c = Stats.cdf [| 3.0; 1.0; 2.0 |] in
-  Alcotest.(check (float 1e-9)) "below all" 0.0 (Stats.cdf_at c 0.5);
-  Alcotest.(check (float 1e-9)) "at median" (2.0 /. 3.0) (Stats.cdf_at c 2.0);
-  Alcotest.(check (float 1e-9)) "above all" 1.0 (Stats.cdf_at c 10.0)
 
 let test_stats_fraction_below () =
   Alcotest.(check (float 1e-9))
     "two of four" 0.5
     (Stats.fraction_below [| 1.0; 5.0; 2.0; 9.0 |] [| 2.0; 4.0; 3.0; 8.0 |])
-
-let test_stats_histogram () =
-  let h = Stats.histogram ~bins:2 [| 0.0; 1.0; 9.0; 10.0 |] in
-  Alcotest.(check int) "low bucket" 2 h.Stats.counts.(0);
-  Alcotest.(check int) "high bucket" 2 h.Stats.counts.(1)
 
 let stats_percentile_qcheck =
   QCheck.Test.make ~name:"percentile within min/max" ~count:200
@@ -301,20 +267,7 @@ let test_rng_misc () =
   Array.sort compare copy;
   Alcotest.(check bool) "shuffle permutes" true (copy = arr);
   Alcotest.(check (list int)) "shuffle_list permutes" (List.init 9 Fun.id)
-    (List.sort compare (Rng.shuffle_list rng (List.init 9 Fun.id)));
-  (* Pick stays in the population. *)
-  for _ = 1 to 100 do
-    let v = Rng.pick rng [| 4; 8; 15 |] in
-    if not (List.mem v [ 4; 8; 15 ]) then Alcotest.fail "pick out of population"
-  done;
-  Alcotest.check_raises "pick empty" (Invalid_argument "Rng.pick: empty array")
-    (fun () -> ignore (Rng.pick rng [||]))
-
-let test_stats_summary_line () =
-  let line = Stats.summary_line "lbl" [| 1.0; 2.0 |] in
-  Alcotest.(check bool) "has label and count" true
-    (String.length line > 10 && String.sub line 0 3 = "lbl");
-  Alcotest.(check string) "empty input" "x: n=0" (Stats.summary_line "x" [||])
+    (List.sort compare (Rng.shuffle_list rng (List.init 9 Fun.id)))
 
 let test_pool_map_ordering () =
   (* Results land by index regardless of which domain computed them. *)
@@ -738,8 +691,6 @@ let flat_tbl_model_qcheck =
 
 let suite =
   [ Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
-    Alcotest.test_case "rng split independence" `Quick
-      test_rng_split_independence;
     Alcotest.test_case "rng copy" `Quick test_rng_copy;
     Alcotest.test_case "rng int bounds" `Quick test_rng_int_bounds;
     Alcotest.test_case "rng rejects bad bound" `Quick
@@ -748,7 +699,6 @@ let suite =
     Alcotest.test_case "rng float range" `Quick test_rng_float_range;
     Alcotest.test_case "rng sample distinct" `Quick test_rng_sample_distinct;
     Alcotest.test_case "rng sample clamps" `Quick test_rng_sample_clamps;
-    Alcotest.test_case "rng weighted index" `Quick test_rng_weighted_index;
     Alcotest.test_case "heap pop order" `Quick test_heap_pop_order;
     Alcotest.test_case "heap tie order" `Quick test_heap_tie_order;
     Alcotest.test_case "heap empty" `Quick test_heap_empty;
@@ -758,15 +708,10 @@ let suite =
     QCheck_alcotest.to_alcotest heap_qcheck;
     QCheck_alcotest.to_alcotest heap_model_qcheck;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
-    Alcotest.test_case "stats geometric mean" `Quick
-      test_stats_geometric_mean;
-    Alcotest.test_case "stats cdf" `Quick test_stats_cdf;
     Alcotest.test_case "stats fraction below" `Quick
       test_stats_fraction_below;
-    Alcotest.test_case "stats histogram" `Quick test_stats_histogram;
     QCheck_alcotest.to_alcotest stats_percentile_qcheck;
     Alcotest.test_case "rng misc" `Quick test_rng_misc;
-    Alcotest.test_case "stats summary line" `Quick test_stats_summary_line;
     Alcotest.test_case "pool map ordering" `Quick test_pool_map_ordering;
     Alcotest.test_case "pool exception propagation" `Quick
       test_pool_exception_propagation;

@@ -47,26 +47,6 @@ let test_ba_determinism () =
   let gen () = Brite.barabasi_albert (Rng.create 42) ~n:50 ~m:2 ~max_delay:5.0 in
   Alcotest.(check bool) "same seed, same graph" true (gen () = gen ())
 
-let test_waxman_connected () =
-  let rng = Rng.create 4 in
-  let edges = Brite.waxman rng ~n:80 ~alpha:0.4 ~beta:0.15 ~max_delay:5.0 in
-  let topo =
-    Topology.create ~n:80
-      (List.map (fun (a, b, d) -> (a, b, Relationship.Peer, d)) edges)
-  in
-  Alcotest.(check bool) "connected" true (Topology.is_connected topo)
-
-let test_waxman_distance_bias () =
-  (* With a small beta, long edges should be rare relative to short
-     ones; delays are proportional to distance so compare delays. *)
-  let rng = Rng.create 5 in
-  let edges = Brite.waxman rng ~n:120 ~alpha:0.6 ~beta:0.08 ~max_delay:5.0 in
-  let delays = List.map (fun (_, _, d) -> d) edges in
-  let mean = List.fold_left ( +. ) 0.0 delays /. float_of_int (List.length delays) in
-  (* Uniform pairs on the unit square average ~0.52 distance = ~1.85ms;
-     Waxman with beta=0.08 must be well below. *)
-  Alcotest.(check bool) "short edges favoured" true (mean < 1.2)
-
 let test_annotated_has_three_roles () =
   let topo =
     Brite.annotated (Rng.create 6) ~n:300 ~m:2 ~max_delay:5.0 ~num_tiers:4
@@ -134,9 +114,6 @@ let suite =
     Alcotest.test_case "BA power-law-ish" `Quick test_ba_power_law_ish;
     Alcotest.test_case "BA validation" `Quick test_ba_validation;
     Alcotest.test_case "BA determinism" `Quick test_ba_determinism;
-    Alcotest.test_case "Waxman connected" `Quick test_waxman_connected;
-    Alcotest.test_case "Waxman distance bias" `Quick
-      test_waxman_distance_bias;
     Alcotest.test_case "annotated roles" `Quick test_annotated_has_three_roles;
     Alcotest.test_case "As_gen caida mix" `Quick test_as_gen_caida_mix;
     Alcotest.test_case "As_gen hetop mix" `Quick test_as_gen_hetop_mix;

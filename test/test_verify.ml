@@ -461,13 +461,11 @@ let sweep_config seed =
   | Ok p -> (config, p)
   | Error msg -> Alcotest.failf "seed %d: bad config: %s" seed msg
 
-(* BGP and BGP-RCN on every random config of seeds 0-999: each selection
-   is a route the specification permits, one of its node's routes in a
-   complete enumeration. On the certified configs of seeds 0-299 with no
-   claimed origination and a stable solution, their next hops are
-   [Stable]'s. Centaur is left out: it ignores its own export chain for
-   its own prefix (the ROADMAP item "Make every engine export what the
-   specification exports"). *)
+(* Every engine on every random config of seeds 0-999: each selection
+   (a node's own [[dest]] included) is a route the specification
+   permits, one of its node's routes in a complete enumeration. On the
+   certified configs of seeds 0-299 with no claimed origination and a
+   stable solution, their next hops are [Stable]'s. *)
 let test_engines_select_permitted () =
   let missing = ref [] in
   for seed = 0 to 999 do
@@ -504,7 +502,7 @@ let test_engines_select_permitted () =
                         :: !missing
                 done)
             enums)
-      [ "bgp"; "bgp-rcn" ]
+      protocols
   done;
   Alcotest.(check (list string)) "selections the enumeration lacks" []
     (List.rev !missing);
@@ -543,9 +541,55 @@ let test_engines_select_permitted () =
                   (runner.Sim.Runner.next_hop ~src ~dest)
               done
             done)
-          [ "bgp"; "bgp-rcn" ]
+          protocols
   done;
   Alcotest.(check int) "certified claim-free configs" 162 !compared
+
+(* --- a node's own prefix leaves through its export chain --------------- *)
+
+(* Node 0's provider is 1, 1's provider is 2, and node 0's export chain
+   withholds its own prefix from its provider: the specification gives
+   1 and 2 no route to 0. While node 0 leaks (its chain overridden to
+   export everything) they hold 1>0 and 2>1>0, and once the leak clears
+   no route again. In each phase every engine holds [Stable]'s routes. *)
+let test_own_prefix_exported () =
+  let topo () =
+    Topology.create ~n:3
+      [ (0, 1, Relationship.Provider, 1.0);
+        (1, 2, Relationship.Provider, 1.0) ]
+  in
+  let routes select = List.init 9 (fun i -> select ~src:(i / 3) ~dest:(i mod 3)) in
+  let stable ~policy =
+    let topo = topo () in
+    routes (fun ~src ~dest ->
+        match Stable.path (Stable.to_dest topo dest ~policy) src with
+        | Some p -> show p
+        | None -> "none")
+  in
+  List.iter
+    (fun name ->
+      let policy =
+        compile_config ~n:3
+          "node 0 { export to provider { match dest in { 0 } -> deny } }"
+      in
+      let runner = cold_started name ~policy (topo ()) in
+      let phase what route_2 =
+        let expected = stable ~policy in
+        Alcotest.(check string) ("specification 2->0 " ^ what) route_2
+          (List.nth expected 6);
+        Alcotest.(check (list string)) (name ^ " " ^ what) expected
+          (routes (selection runner))
+      in
+      phase "after cold start" "none";
+      Policy.set_leak policy ~node:0 true;
+      runner.Sim.Runner.on_policy_change [ 0 ];
+      ignore (runner.Sim.Runner.run_to_quiescence ());
+      phase "during the leak" "2>1>0";
+      Policy.set_leak policy ~node:0 false;
+      runner.Sim.Runner.on_policy_change [ 0 ];
+      ignore (runner.Sim.Runner.run_to_quiescence ());
+      phase "after the leak" "none")
+    protocols
 
 let suite =
   [ Alcotest.test_case "gadget golden renders" `Quick test_gadget_golden;
@@ -567,4 +611,6 @@ let suite =
     Alcotest.test_case "a class change is exported" `Quick
       test_class_change_exported;
     Alcotest.test_case "engines select what the specification permits"
-      `Quick test_engines_select_permitted ]
+      `Quick test_engines_select_permitted;
+    Alcotest.test_case "a node's own prefix leaves through its export chain"
+      `Quick test_own_prefix_exported ]
