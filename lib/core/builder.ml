@@ -1,57 +1,35 @@
-(* Flat layout, indexed by node id wherever a node id is the key:
+(* Two P-graphs rooted at the exporter:
 
-   - destinations ([d_path], [d_flags]): the installed path (the
-     root's own mark is its one-node path) and flag bits (marked on the
-     wire, queued for the next flush);
-   - link slots (recycled through a free list): the §4.3 use counter,
-     the child's chain of in-links (headed in [in_head]), through which
-     a link's slot is found, and the state last put on the wire (bare,
-     or the Permission List announced); [in_live] counts the links of a
-     child's chain that are in the current graph;
-   - one bit row per child ([enters]): the destinations whose installed
-     path enters it. A link's Permission List is read back off its
-     child's row: the destinations whose path enters the child from the
-     link's parent, each with the child's next hop on it. So [set_path]
-     keeps no list: the flush fills a scratch for each queued link into a
-     multi-homed child, compares it with the list on the wire and
-     allocates a list only when it changed.
+   - [view], the current view: the links the installed paths use, each
+     link's counter its §4.3 use count. It carries no Permission List
+     and no mark.
+   - [wire], the receiver's copy: every link, Permission List and mark
+     the flushes announced. A flush compares the queued links and
+     destinations with it and writes what it announces into it.
 
-   A link slot lives, and stays on its child's chain, while the link is
-   in the current graph or on the wire (or queued to leave it); the
-   flush that finds it in neither frees it. *)
+   Beside them, indexed by node id: each destination's installed path
+   (the root's own mark is its one-node path) and queued byte, and one
+   bit row per child ([enters]) of the destinations whose installed path
+   enters it. A link's Permission List is read back off its child's row:
+   the destinations whose path enters the child from the link's parent,
+   each with the child's next hop on it. So [set_path] keeps no list:
+   the flush fills a scratch for each queued link into a multi-homed
+   child, compares it with the list on the wire and allocates a list
+   only when it changed.
 
-let nil = -1
-
-(* Destination flag bits. *)
-let wire_bit = 1
-let queued_bit = 2
-
-(* Link flag bits. *)
-let queued_link = 1
-
-(* Link wire states. *)
-let wire_none = 0
-let wire_bare = 1
-let wire_plist = 2
+   A link is queued as its packed key when it enters or leaves the view,
+   or when its use count changes while its child is multi-homed; every
+   in-link of a child is queued when the child's in-degree crosses
+   between 1 and 2. *)
 
 type t = {
-  root_node : int;
   d_path : Path.t array; (* [] when no path is installed *)
-  d_flags : int array;
+  d_queued : Bytes.t;
   mutable n_queued_dests : int;
-  mutable l_key : int array;
-  mutable l_count : int array;
-  mutable l_next_in : int array; (* next in-link of the child *)
-  mutable l_wire : int array;
-  mutable l_wire_plist : Permission_list.t array;
-  mutable l_flags : int array;
-  mutable l_hwm : int;
-  mutable l_free : int; (* runs through [l_next_in] *)
-  in_head : int array; (* child -> first in-link slot, or [nil] *)
-  in_live : int array; (* child -> its in-links with a use count *)
+  view : Pgraph.t;
+  wire : Pgraph.t;
   enters : Bit_rows.t; (* child -> destinations whose path enters it *)
   plist_scratch : Permission_list.scratch;
-  (* Link slots touched since the last flush. *)
   mutable queued_links : int array;
   mutable n_queued_links : int;
   (* When set, the next flush re-announces current links and marks even
@@ -60,146 +38,53 @@ type t = {
   mutable resend_all : bool;
 }
 
-let initial_cap = 16
-
 let create ~root ~nodes =
-  { root_node = root;
-    d_path = Array.make nodes [];
-    d_flags = Array.make nodes 0;
+  { d_path = Array.make nodes [];
+    d_queued = Bytes.make nodes '\000';
     n_queued_dests = 0;
-    l_key = Array.make initial_cap nil;
-    l_count = Array.make initial_cap 0;
-    l_next_in = Array.make initial_cap nil;
-    l_wire = Array.make initial_cap wire_none;
-    l_wire_plist = Array.make initial_cap Permission_list.empty;
-    l_flags = Array.make initial_cap 0;
-    l_hwm = 0;
-    l_free = nil;
-    in_head = Array.make nodes nil;
-    in_live = Array.make nodes 0;
+    view = Pgraph.create ~nodes ~root;
+    wire = Pgraph.create ~nodes ~root;
     enters = Bit_rows.create nodes;
     plist_scratch = Permission_list.Scratch.create ();
-    queued_links = Array.make initial_cap nil;
+    queued_links = Array.make 16 0;
     n_queued_links = 0;
     resend_all = false }
 
-let root t = t.root_node
+let root t = Pgraph.root t.view
 
 let nodes t = Array.length t.d_path
 
-let grow a fill =
-  let a' = Array.make (2 * Array.length a) fill in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
-
-(* --- destinations --- *)
-
 let queue_dest t d =
-  let f = t.d_flags.(d) in
-  if f land queued_bit = 0 then begin
-    t.d_flags.(d) <- f lor queued_bit;
+  if Bytes.get t.d_queued d = '\000' then begin
+    Bytes.set t.d_queued d '\001';
     t.n_queued_dests <- t.n_queued_dests + 1
   end
 
-(* --- link slots --- *)
-
-(* The slot of [parent -> child], [nil] when it has none: a walk down
-   the child's chain, as long as its in-degree plus the links into it
-   that await the flush that frees them. *)
-let find_link t ~parent ~child =
-  let key = Pgraph.pack ~parent ~child in
-  let l = ref t.in_head.(child) in
-  while !l <> nil && t.l_key.(!l) <> key do
-    l := t.l_next_in.(!l)
-  done;
-  !l
-
-let link_alloc t ~parent ~child =
-  let s =
-    if t.l_free <> nil then begin
-      let s = t.l_free in
-      t.l_free <- t.l_next_in.(s);
-      s
-    end
-    else begin
-      if t.l_hwm = Array.length t.l_key then begin
-        t.l_key <- grow t.l_key nil;
-        t.l_count <- grow t.l_count 0;
-        t.l_next_in <- grow t.l_next_in nil;
-        t.l_wire <- grow t.l_wire wire_none;
-        t.l_wire_plist <- grow t.l_wire_plist Permission_list.empty;
-        t.l_flags <- grow t.l_flags 0
-      end;
-      let s = t.l_hwm in
-      t.l_hwm <- s + 1;
-      s
-    end
-  in
-  t.l_key.(s) <- Pgraph.pack ~parent ~child;
-  t.l_count.(s) <- 0;
-  t.l_next_in.(s) <- t.in_head.(child);
-  t.in_head.(child) <- s;
-  t.l_wire.(s) <- wire_none;
-  t.l_wire_plist.(s) <- Permission_list.empty;
-  t.l_flags.(s) <- 0;
-  s
-
-(* Unlink [l] from its child's chain. *)
-let unchain_in t child l =
-  let head = t.in_head.(child) in
-  if head = l then t.in_head.(child) <- t.l_next_in.(l)
-  else begin
-    let p = ref head in
-    while t.l_next_in.(!p) <> l do
-      p := t.l_next_in.(!p)
-    done;
-    t.l_next_in.(!p) <- t.l_next_in.(l)
+(* A repeat of the last queued key is dropped here; the flush drops the
+   others after sorting. *)
+let queue_link t ~parent ~child =
+  let key = Pgraph.pack ~parent ~child and n = t.n_queued_links in
+  if n = 0 || t.queued_links.(n - 1) <> key then begin
+    if n = Array.length t.queued_links then
+      t.queued_links <- Array.append t.queued_links t.queued_links;
+    t.queued_links.(n) <- key;
+    t.n_queued_links <- n + 1
   end
 
-let link_free t s =
-  unchain_in t (Pgraph.key_child t.l_key.(s)) s;
-  t.l_key.(s) <- nil;
-  t.l_flags.(s) <- 0;
-  t.l_wire_plist.(s) <- Permission_list.empty;
-  t.l_next_in.(s) <- t.l_free;
-  t.l_free <- s
-
-let link_flag t l bit = t.l_flags.(l) land bit <> 0
-
-let set_link_flag t l bit on =
-  let f = t.l_flags.(l) in
-  t.l_flags.(l) <- (if on then f lor bit else f land lnot bit)
-
-let queue_link t s =
-  if not (link_flag t s queued_link) then begin
-    set_link_flag t s queued_link true;
-    if t.n_queued_links = Array.length t.queued_links then
-      t.queued_links <- grow t.queued_links nil;
-    t.queued_links.(t.n_queued_links) <- s;
-    t.n_queued_links <- t.n_queued_links + 1
-  end
+let queue_in_links t child =
+  Pgraph.iter_parents t.view child (fun parent -> queue_link t ~parent ~child)
 
 (* A child is multi-homed when two or more of its in-links are in the
-   current graph; exactly then its in-links carry Permission Lists
+   current view; exactly then its in-links carry Permission Lists
    (paper §4.1/§4.3). *)
-let multi_homed t child = t.in_live.(child) > 1
-
-(* The one in-link of [child] in the current graph other than [l]
-   (called when the child has two, or has one and [l] just left). *)
-let other_live t child l =
-  let o = ref t.in_head.(child) in
-  while !o = l || t.l_count.(!o) = 0 do
-    o := t.l_next_in.(!o)
-  done;
-  !o
+let multi_homed t child = Pgraph.in_degree t.view child > 1
 
 (* Fill the scratch with a link's Permission List: every installed path
    that enters the child from the link's parent, as (destination, next
    hop of the child). *)
-let fill_plist t l =
+let fill_plist t ~parent ~child =
   let sc = t.plist_scratch in
   Permission_list.Scratch.clear sc;
-  let parent = Pgraph.key_parent t.l_key.(l) and child = Pgraph.key_child t.l_key.(l) in
   let d = ref (Bit_rows.next t.enters child 0) in
   while !d >= 0 do
     let h = Pgraph.path_step t.d_path.(!d) ~node:child in
@@ -208,36 +93,26 @@ let fill_plist t l =
     d := Bit_rows.next t.enters child (!d + 1)
   done
 
-(* One more installed path, toward [dest], uses [parent -> child]. *)
+(* One more installed path, toward [dest], uses [parent -> child]. A
+   second in-link makes the child multi-homed: its first one starts
+   announcing a Permission List. *)
 let add_use t ~dest ~parent ~child =
-  let l =
-    match find_link t ~parent ~child with
-    | -1 -> link_alloc t ~parent ~child
-    | l -> l
-  in
-  if t.l_count.(l) = 0 then begin
-    (* The link enters the graph. A second in-link makes the child
-       multi-homed: the first one starts announcing its Permission
-       List. *)
-    t.in_live.(child) <- t.in_live.(child) + 1;
-    if t.in_live.(child) = 2 then queue_link t (other_live t child l)
-  end;
-  t.l_count.(l) <- t.l_count.(l) + 1;
-  queue_link t l;
+  if Pgraph.add_use t.view ~parent ~child = 1 then begin
+    if Pgraph.in_degree t.view child = 2 then queue_in_links t child
+    else queue_link t ~parent ~child
+  end
+  else if multi_homed t child then queue_link t ~parent ~child;
   Bit_rows.add t.enters child dest
 
-(* One installed path fewer, toward [dest], uses [parent -> child]. *)
+(* One installed path fewer, toward [dest], uses [parent -> child]. A
+   child left with one in-link is no longer multi-homed, so that link
+   goes back to announcing no Permission List. *)
 let drop_use t ~dest ~parent ~child =
-  let l = find_link t ~parent ~child in
-  t.l_count.(l) <- t.l_count.(l) - 1;
-  queue_link t l;
-  if t.l_count.(l) = 0 then begin
-    (* The link leaves the graph (its slot stays chained until the
-       flush); a child left with one in-link is no longer multi-homed,
-       so that link goes back to announcing no Permission List. *)
-    t.in_live.(child) <- t.in_live.(child) - 1;
-    if t.in_live.(child) = 1 then queue_link t (other_live t child l)
-  end;
+  if Pgraph.drop_use t.view ~parent ~child = 0 then begin
+    queue_link t ~parent ~child;
+    if Pgraph.in_degree t.view child = 1 then queue_in_links t child
+  end
+  else if multi_homed t child then queue_link t ~parent ~child;
   Bit_rows.remove t.enters child dest
 
 let rec iter_links f t ~dest = function
@@ -276,7 +151,7 @@ let set_path t ~dest path =
   | Some p ->
     (match p with
     | [] -> invalid_arg "Builder.set_path: path too short"
-    | first :: _ when first <> t.root_node ->
+    | first :: _ when first <> root t ->
       invalid_arg "Builder.set_path: path does not start at root"
     | _ -> ());
     if not (all_in_range t p) then
@@ -299,88 +174,92 @@ let set_path t ~dest path =
     end
 
 let counter t ~parent ~child =
-  if not (in_range t parent && in_range t child) then 0
-  else
-    match find_link t ~parent ~child with
-    | -1 -> 0
-    | l -> t.l_count.(l)
+  match Pgraph.link_data t.view ~parent ~child with
+  | Some { Pgraph.counter; _ } -> counter
+  | None -> 0
 
+(* The links on the wire but out of the view are queued already: each
+   left the view since the last flush. *)
 let invalidate_wire t =
   t.resend_all <- true;
-  for l = 0 to t.l_hwm - 1 do
-    if t.l_key.(l) <> nil then queue_link t l
-  done;
-  for d = 0 to nodes t - 1 do
-    if t.d_path.(d) <> [] || t.d_flags.(d) <> 0 then queue_dest t d
+  for v = 0 to nodes t - 1 do
+    queue_in_links t v;
+    if t.d_path.(v) <> [] then queue_dest t v
   done
 
 let empty_delta =
   { Pgraph.add_links = []; remove_links = []; add_dests = []; remove_dests = [] }
 
-(* Compare each queued link with its wire state, in descending key
-   order so the consed lists come out ascending. *)
+(* Put [parent -> child] on the wire with list [pl]. A link enters the
+   receiver's copy bare and counted once, by the announcement that puts
+   it there. *)
+let announce t ~on_wire ~parent ~child pl acc =
+  if not on_wire then ignore (Pgraph.add_use t.wire ~parent ~child);
+  if on_wire || pl <> None then Pgraph.set_plist t.wire ~parent ~child pl;
+  (parent, child, pl) :: acc
+
+(* Compare each queued link with the wire, in descending key order so
+   the consed lists come out ascending. *)
 let flush_links t =
   let queued = Array.sub t.queued_links 0 t.n_queued_links in
   t.n_queued_links <- 0;
-  Array.stable_sort (fun a b -> Int.compare t.l_key.(b) t.l_key.(a)) queued;
+  Array.stable_sort (fun a b -> Int.compare b a) queued;
   let add_links = ref [] and remove_links = ref [] in
-  Array.iter
-    (fun l ->
-      set_link_flag t l queued_link false;
-      let key = t.l_key.(l) in
+  for i = 0 to Array.length queued - 1 do
+    let key = queued.(i) in
+    if i = 0 || queued.(i - 1) <> key then begin
       let parent = Pgraph.key_parent key and child = Pgraph.key_child key in
-      if t.l_count.(l) = 0 then begin
-        if t.l_wire.(l) <> wire_none then
-          remove_links := (parent, child) :: !remove_links;
-        link_free t l
-      end
-      else if not (multi_homed t child) then begin
-        if t.l_wire.(l) <> wire_bare || t.resend_all then begin
-          t.l_wire.(l) <- wire_bare;
-          t.l_wire_plist.(l) <- Permission_list.empty;
-          add_links := (parent, child, None) :: !add_links
+      let wire_pl = Pgraph.plist t.wire ~parent ~child in
+      let on_wire = wire_pl <> None || Pgraph.mem_link t.wire ~parent ~child in
+      let deg = Pgraph.in_degree t.view child in
+      if deg = 0 || not (Pgraph.mem_link t.view ~parent ~child) then begin
+        if on_wire then begin
+          Pgraph.remove_link t.wire ~parent ~child;
+          remove_links := (parent, child) :: !remove_links
         end
       end
+      else if deg = 1 then begin
+        if (not on_wire) || wire_pl <> None || t.resend_all then
+          add_links := announce t ~on_wire ~parent ~child None !add_links
+      end
       else begin
-        fill_plist t l;
+        fill_plist t ~parent ~child;
         let same =
-          t.l_wire.(l) = wire_plist
-          && Permission_list.Scratch.equal t.plist_scratch t.l_wire_plist.(l)
+          match wire_pl with
+          | Some pl -> Permission_list.Scratch.equal t.plist_scratch pl
+          | None -> false
         in
         if (not same) || t.resend_all then begin
           let pl =
-            if same then t.l_wire_plist.(l)
-            else Permission_list.Scratch.freeze t.plist_scratch
+            if same then wire_pl
+            else Some (Permission_list.Scratch.freeze t.plist_scratch)
           in
-          t.l_wire.(l) <- wire_plist;
-          t.l_wire_plist.(l) <- pl;
-          add_links := (parent, child, Some pl) :: !add_links
+          add_links := announce t ~on_wire ~parent ~child pl !add_links
         end
-      end)
-    queued;
+      end
+    end
+  done;
   (!add_links, !remove_links)
 
-(* Compare each queued destination with its wire state, scanning down
-   (so the consed lists come out ascending) until the last queued one. *)
+(* Compare each queued destination with the wire, scanning down (so the
+   consed lists come out ascending) until the last queued one. *)
 let flush_dests t =
   let add_dests = ref [] and remove_dests = ref [] in
   let d = ref (nodes t) in
   while t.n_queued_dests > 0 do
     decr d;
-    let flags = t.d_flags.(!d) in
-    if flags land queued_bit <> 0 then begin
+    if Bytes.get t.d_queued !d <> '\000' then begin
+      Bytes.set t.d_queued !d '\000';
       t.n_queued_dests <- t.n_queued_dests - 1;
-      let flags = flags land lnot queued_bit in
-      let now = t.d_path.(!d) <> [] and before = flags land wire_bit <> 0 in
+      let now = t.d_path.(!d) <> [] and before = Pgraph.is_dest t.wire !d in
       if now && ((not before) || t.resend_all) then begin
-        t.d_flags.(!d) <- flags lor wire_bit;
+        Pgraph.mark_dest t.wire !d;
         add_dests := !d :: !add_dests
       end
       else if before && not now then begin
-        t.d_flags.(!d) <- flags land lnot wire_bit;
+        Pgraph.unmark_dest t.wire !d;
         remove_dests := !d :: !remove_dests
       end
-      else t.d_flags.(!d) <- flags
     end
   done;
   (!add_dests, !remove_dests)

@@ -7,22 +7,30 @@
     Permission Lists appear on the in-links of a node the moment it
     becomes multi-homed and disappear when it stops being multi-homed.
 
+    It keeps two {!Pgraph.t}s. The current view holds the links the
+    installed paths use, each link's counter its use count
+    ({!Pgraph.add_use}, {!Pgraph.drop_use}). The wire state is the
+    receiver's copy: every link, Permission List and destination mark
+    the flushes announced.
+
     {!flush_delta} returns the net wire-level change (the Δ of §4.3)
     since the previous flush, already coalesced — the exact payload of an
     incremental downstream-link announcement. A flush visits only the
-    links touched since the last one; for each link into a multi-homed
-    node it builds the Permission List from the paths through the link
-    and compares it with what it last put on the wire. Cost of
-    [set_path] and [flush_delta] is proportional to the paths and links
-    touched (plus, when a destination mark is queued, one scan of a flag
-    per node), not to the graph's link count, which is what makes large
-    simulations tractable. *)
+    links and destinations touched since the last one, compares each
+    with the wire state and writes what it announces into it; for each
+    link into a multi-homed node it builds the Permission List from the
+    paths through the link. Cost of [set_path] and [flush_delta] is
+    proportional to the paths and links touched (plus, when a
+    destination mark is queued, one scan of a byte per node), not to the
+    graph's link count, which is what makes large simulations
+    tractable. *)
 
 type t
 
 val create : root:int -> nodes:int -> t
 (** An empty view rooted at [root], over node ids in [\[0, nodes)]: its
-    per-destination and per-node state is sized to [nodes] up front. *)
+    per-destination and per-node state is sized to [nodes] up front.
+    Raises [Invalid_argument] unless [root] lies in that range. *)
 
 val root : t -> int
 

@@ -156,19 +156,28 @@ let alloc_slot t =
     s
   end
 
+(* The slot of [parent -> child] once both ids are checked, [nil] when
+   absent. *)
+let checked_slot t what ~parent ~child =
+  if parent = child then invalid_arg (what ^ ": self-loop");
+  check_id t what parent;
+  check_id t what child;
+  slot t ~parent ~child
+
+(* The one way a link enters the graph: a fresh slot at the head of its
+   child's in-chain. *)
+let insert t ~parent ~child ~counter ~plist =
+  let s = alloc_slot t in
+  t.l_key.(s) <- pack ~parent ~child;
+  t.l_counter.(s) <- counter;
+  t.l_plist.(s) <- plist;
+  t.l_next_in.(s) <- t.heads.(child);
+  t.heads.(child) <- s;
+  t.link_count <- t.link_count + 1
+
 let put_link t ~parent ~child ~counter ~plist =
-  if parent = child then invalid_arg "Pgraph.add_link: self-loop";
-  check_id t "Pgraph.add_link" parent;
-  check_id t "Pgraph.add_link" child;
-  match slot t ~parent ~child with
-  | -1 ->
-    let s = alloc_slot t in
-    t.l_key.(s) <- pack ~parent ~child;
-    t.l_counter.(s) <- counter;
-    t.l_plist.(s) <- plist;
-    t.l_next_in.(s) <- t.heads.(child);
-    t.heads.(child) <- s;
-    t.link_count <- t.link_count + 1
+  match checked_slot t "Pgraph.add_link" ~parent ~child with
+  | -1 -> insert t ~parent ~child ~counter ~plist
   | s ->
     t.l_counter.(s) <- counter;
     t.l_plist.(s) <- plist
@@ -176,9 +185,9 @@ let put_link t ~parent ~child ~counter ~plist =
 let add_link t ~parent ~child ~data =
   put_link t ~parent ~child ~counter:data.counter ~plist:data.plist
 
-(* Unlink slot [s] from [child]'s in-edge chain. Chains are as short as
-   the node's in-degree. *)
-let unchain t ~child s =
+(* Unlink slot [s] from [child]'s in-edge chain and free it. Chains are
+   as short as the node's in-degree. *)
+let release t ~child s =
   let next = t.l_next_in in
   let first = t.heads.(child) in
   if first = s then t.heads.(child) <- next.(s)
@@ -188,18 +197,39 @@ let unchain t ~child s =
       p := next.(!p)
     done;
     next.(!p) <- next.(s)
-  end
+  end;
+  t.l_key.(s) <- nil;
+  t.l_plist.(s) <- None;
+  next.(s) <- t.free_head;
+  t.free_head <- s;
+  t.link_count <- t.link_count - 1
 
 let remove_link t ~parent ~child =
   let s = slot t ~parent ~child in
-  if s <> nil then begin
-    unchain t ~child s;
-    t.l_key.(s) <- nil;
-    t.l_plist.(s) <- None;
-    t.l_next_in.(s) <- t.free_head;
-    t.free_head <- s;
-    t.link_count <- t.link_count - 1
-  end
+  if s <> nil then release t ~child s
+
+let add_use t ~parent ~child =
+  match checked_slot t "Pgraph.add_use" ~parent ~child with
+  | -1 ->
+    insert t ~parent ~child ~counter:1 ~plist:None;
+    1
+  | s ->
+    let c = t.l_counter.(s) + 1 in
+    t.l_counter.(s) <- c;
+    c
+
+let drop_use t ~parent ~child =
+  let s = slot t ~parent ~child in
+  if s = nil || t.l_counter.(s) < 1 then
+    invalid_arg "Pgraph.drop_use: link not in use";
+  let c = t.l_counter.(s) - 1 in
+  if c = 0 then release t ~child s else t.l_counter.(s) <- c;
+  c
+
+let set_plist t ~parent ~child plist =
+  match slot t ~parent ~child with
+  | -1 -> invalid_arg "Pgraph.set_plist: link absent"
+  | s -> t.l_plist.(s) <- plist
 
 let mem_link t ~parent ~child = slot t ~parent ~child <> nil
 
@@ -220,6 +250,13 @@ let in_degree t node =
     s := t.l_next_in.(!s)
   done;
   !deg
+
+let iter_parents t node f =
+  let s = ref (head t node) in
+  while !s <> nil do
+    f (key_parent t.l_key.(!s));
+    s := t.l_next_in.(!s)
+  done
 
 let parents_of t node =
   let acc = ref [] in

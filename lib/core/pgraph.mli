@@ -15,10 +15,11 @@
 
     The structure is mutable — the simulator applies thousands of deltas
     per run ({!apply} is in-place and proportional to the delta, not the
-    graph). Link use-counters (how many selected paths traverse each
-    link) are carried for the §4.3 accounting but are local bookkeeping:
-    they do not travel in deltas and do not affect {!equal} or
-    {!diff}. *)
+    graph). Each link carries a counter. In a [Builder]'s current view
+    it is the §4.3 use count, the number of selected paths through the
+    link, kept by {!add_use} and {!drop_use}: a link enters at its first
+    use and leaves at zero. Counters are local bookkeeping: they do not
+    travel in deltas and do not affect {!equal} or {!diff}. *)
 
 type t
 
@@ -171,6 +172,24 @@ val add_link : t -> parent:int -> child:int -> data:link_data -> unit
 
 val remove_link : t -> parent:int -> child:int -> unit
 
+val add_use : t -> parent:int -> child:int -> int
+(** Count one more selected path through [parent -> child] and return
+    the new counter. An absent link enters with counter 1 and no
+    Permission List. Raises [Invalid_argument] on a self-loop or an id
+    outside the graph's bound. Allocates nothing unless the arena
+    grows. *)
+
+val drop_use : t -> parent:int -> child:int -> int
+(** Count one selected path fewer through [parent -> child] and return
+    the new counter; at 0 the link leaves the graph. Raises
+    [Invalid_argument] when the link is absent or its counter is
+    already 0. *)
+
+val set_plist :
+  t -> parent:int -> child:int -> Permission_list.t option -> unit
+(** Replace a link's Permission List, keeping its counter. Raises
+    [Invalid_argument] when the link is absent. *)
+
 val link_data : t -> parent:int -> child:int -> link_data option
 
 val mem_link : t -> parent:int -> child:int -> bool
@@ -180,6 +199,11 @@ val plist : t -> parent:int -> child:int -> Permission_list.t option
     absent. Allocates nothing. *)
 
 val in_degree : t -> int -> int
+
+val iter_parents : t -> int -> (int -> unit) -> unit
+(** [iter_parents t node f] calls [f parent] once per in-link of
+    [node], in unspecified order; [f] must not change the graph.
+    Allocates nothing. *)
 
 val parents_of : t -> int -> (int * link_data) list
 (** Ascending parent id. *)

@@ -7,11 +7,9 @@ type t = {
   fig8_sizes : int list;
   fig8_events : int;
   resilience_scenarios : int;
-  resilience_pairs : int;
   resilience_flaps : int;
-  resilience_horizon : float;
-  containment_pairs : int;
-  containment_horizon : float;
+  probe_pairs : int;
+  probe_horizon : float;
   scale_sizes : int list;
   scale_sources : int;
   scale_dests : int;
@@ -35,11 +33,9 @@ let default =
     fig8_sizes = [ 50; 100; 200; 400; 800 ];
     fig8_events = 12;
     resilience_scenarios = 8;
-    resilience_pairs = 40;
     resilience_flaps = 6;
-    resilience_horizon = 400.0;
-    containment_pairs = 40;
-    containment_horizon = 400.0;
+    probe_pairs = 40;
+    probe_horizon = 400.0;
     scale_sizes = [ 300; 1000; 5000; 26000 ];
     scale_sources = 40;
     scale_dests = 300;
@@ -60,11 +56,9 @@ let quick =
     fig8_sizes = [ 30; 60; 120 ];
     fig8_events = 6;
     resilience_scenarios = 3;
-    resilience_pairs = 12;
     resilience_flaps = 4;
-    resilience_horizon = 250.0;
-    containment_pairs = 12;
-    containment_horizon = 250.0;
+    probe_pairs = 12;
+    probe_horizon = 250.0;
     scale_sizes = [ 300; 1000 ];
     scale_sources = 20;
     scale_dests = 100;

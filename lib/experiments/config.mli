@@ -14,11 +14,11 @@ type t = {
   fig8_sizes : int list;  (** topology sizes swept in F8 *)
   fig8_events : int;    (** link events measured per size in F8 *)
   resilience_scenarios : int;  (** churn scenarios swept by [exp resilience] *)
-  resilience_pairs : int;      (** (src, dest) pairs probed per scenario *)
   resilience_flaps : int;      (** link flaps per churn scenario *)
-  resilience_horizon : float;  (** observed window per scenario, ms *)
-  containment_pairs : int;     (** (src, dest) pairs probed per scenario *)
-  containment_horizon : float; (** observed window per scenario, ms *)
+  probe_pairs : int;
+      (** (src, dest) pairs probed per scenario by [exp resilience] and
+          [exp containment] *)
+  probe_horizon : float;  (** their observed window per scenario, ms *)
   scale_sizes : int list;
       (** topology sizes swept by [exp scale] (default runs to the
           paper's 26k-node CAIDA scale) *)

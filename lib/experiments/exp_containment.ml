@@ -99,7 +99,7 @@ let farthest_from topo v =
 (* Returns the scenario, the misbehaving node and (for hijacks) the
    victim whose prefix is claimed. *)
 let scenario_of cfg topo kind =
-  let horizon = cfg.Config.containment_horizon in
+  let horizon = cfg.Config.probe_horizon in
   (* Fault on at 12 ms (off the 5 ms sample grid, after a converged
      baseline sample), healed at 60% of the window so the tail observes
      recovery. *)
@@ -261,7 +261,7 @@ let run cfg =
   let cfg = { cfg with Config.as_nodes = min cfg.Config.as_nodes max_nodes } in
   let topo = Inputs.caida cfg in
   let pairs =
-    Inputs.sample_pairs cfg topo ~count:cfg.Config.containment_pairs
+    Inputs.sample_pairs cfg topo ~count:cfg.Config.probe_pairs
   in
   let work =
     Array.of_list
@@ -275,7 +275,7 @@ let run cfg =
   let rows = Pool.parallel_map_array (run_one cfg ~pairs) work in
   { nodes = Topology.num_nodes topo;
     pairs = List.length pairs;
-    horizon = cfg.Config.containment_horizon;
+    horizon = cfg.Config.probe_horizon;
     rows = Array.to_list rows }
 
 let find_row r kind proto =

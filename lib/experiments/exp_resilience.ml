@@ -42,7 +42,7 @@ let trace_capacity = 1 lsl 20
 let scenario_for cfg i topo =
   Faults.Scenario.random_churn
     ~seed:((cfg.Config.seed * 1_000_003) + 7_000 + i)
-    ~horizon:cfg.Config.resilience_horizon ~sample_every
+    ~horizon:cfg.Config.probe_horizon ~sample_every
     ~flaps:cfg.Config.resilience_flaps topo
 
 (* One work item: a full scenario against every protocol, on private
@@ -101,7 +101,7 @@ let aggregate name (reports : Faults.Observer.report list) =
 let run cfg =
   let pairs =
     Inputs.sample_pairs cfg (Inputs.brite cfg)
-      ~count:cfg.Config.resilience_pairs
+      ~count:cfg.Config.probe_pairs
   in
   let per_scenario =
     Pool.parallel_map_array
@@ -156,7 +156,7 @@ let run cfg =
     close_out oc);
   { scenarios = cfg.Config.resilience_scenarios;
     pairs = List.length pairs;
-    horizon = cfg.Config.resilience_horizon;
+    horizon = cfg.Config.probe_horizon;
     rows;
     registries }
 

@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator. Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator with the same current state. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -42,11 +39,8 @@ val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential distribution with the given
     mean. *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. *)
-
 val shuffle_list : t -> 'a list -> 'a list
-(** Shuffled copy of a list. *)
+(** Shuffled copy of a list (Fisher–Yates). *)
 
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [k] distinct elements uniformly without

@@ -1,11 +1,9 @@
 type t = {
   parent : int array;
   rank : int array;
-  mutable sets : int;
 }
 
-let create n =
-  { parent = Array.init n (fun i -> i); rank = Array.make n 0; sets = n }
+let create n = { parent = Array.init n (fun i -> i); rank = Array.make n 0 }
 
 let rec find t x =
   let p = t.parent.(x) in
@@ -27,10 +25,5 @@ let union t a b =
       link rb ra;
       t.rank.(ra) <- t.rank.(ra) + 1
     end;
-    t.sets <- t.sets - 1;
     true
   end
-
-let same t a b = find t a = find t b
-
-let count t = t.sets

@@ -1,6 +1,6 @@
 (** Disjoint-set forest with union by rank and path compression.
 
-    Used by the topology generators to guarantee connectivity. *)
+    Used by the dispute analyzer to contract sibling links. *)
 
 type t
 
@@ -12,8 +12,3 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> bool
 (** Merge the two sets; [true] if they were previously distinct. *)
-
-val same : t -> int -> int -> bool
-
-val count : t -> int
-(** Number of disjoint sets remaining. *)

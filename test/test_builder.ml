@@ -164,10 +164,10 @@ let test_path_of () =
 
 (* Randomized oracle: arbitrary set_path sequences, interleaved with
    flushes and wire invalidations, against the replay oracle and
-   of_paths. The path shapes make 3 and 4 reachable from two or three
-   parents, so random input builds, changes and withdraws Permission
-   Lists, and reroutes share prefixes and suffixes with the path they
-   replace. *)
+   of_paths, the use counters included. The path shapes make 3 and 4
+   reachable from two or three parents, so random input builds, changes
+   and withdraws Permission Lists, and reroutes share prefixes and
+   suffixes with the path they replace. *)
 let shapes dest =
   [| None;
      Some [ 0; 1; dest ];
@@ -177,6 +177,16 @@ let shapes dest =
      Some [ 0; 1; 3; 4; dest ];
      Some [ 0; 2; 4; dest ];
      Some [ 0; 3; 4; dest ] |]
+
+(* Every link a shape can use. *)
+let all_links =
+  List.sort_uniq compare
+    (List.concat_map
+       (fun k ->
+         List.concat_map
+           (function Some p -> Path.links p | None -> [])
+           (Array.to_list (shapes (10 + k))))
+       (List.init 9 Fun.id))
 
 let builder_matches_of_paths =
   QCheck.Test.make
@@ -189,10 +199,25 @@ let builder_matches_of_paths =
       let b = Builder.create ~root:0 ~nodes:19 in
       let replica = Pgraph.create ~nodes:19 ~root:0 in
       let current = Hashtbl.create 8 in
+      (* The use counters are the snapshot's traversal counters, link by
+         link; a link out of the snapshot reads 0. *)
+      let counters_match () =
+        let g = snapshot b in
+        List.for_all
+          (fun (parent, child, d) ->
+            Builder.counter b ~parent ~child = d.Pgraph.counter)
+          (Pgraph.links g)
+        && List.for_all
+             (fun (parent, child) ->
+               Pgraph.mem_link g ~parent ~child
+               || Builder.counter b ~parent ~child = 0)
+             all_links
+      in
       let flush_checked () =
         Pgraph.apply replica (Builder.flush_delta b);
         Pgraph.equal replica (snapshot b)
         && Pgraph.delta_is_empty (Builder.flush_delta b)
+        && counters_match ()
       in
       List.for_all
         (fun (op, choice) ->

@@ -207,8 +207,8 @@ let test_experiment_end_to_end () =
   let cfg =
     { Experiments.Config.quick with
       Experiments.Config.as_nodes = 80;
-      containment_pairs = 6;
-      containment_horizon = 120.0 }
+      probe_pairs = 6;
+      probe_horizon = 120.0 }
   in
   let r = Experiments.Exp_containment.run cfg in
   let open Experiments.Exp_containment in

@@ -11,11 +11,9 @@ let tiny =
     fig8_sizes = [ 20; 40 ];
     fig8_events = 4;
     resilience_scenarios = 2;
-    resilience_pairs = 6;
     resilience_flaps = 3;
-    resilience_horizon = 150.0;
-    containment_pairs = 6;
-    containment_horizon = 150.0;
+    probe_pairs = 6;
+    probe_horizon = 150.0;
     scale_sizes = [ 60; 80 ];
     scale_sources = 5;
     scale_dests = 20;

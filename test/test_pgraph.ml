@@ -191,6 +191,51 @@ let test_in_degree_and_parents () =
        (Pgraph.links g));
   Alcotest.(check (list int)) "nodes" [ 0; 1; 2; 3; 4 ] (Pgraph.nodes g)
 
+(* The §4.3 use counters a builder keeps: a link enters the graph at
+   its first use and leaves it when its counter reaches zero, keeping
+   its Permission List in between. *)
+let test_use_counts () =
+  let g = Pgraph.create ~nodes:4 ~root:0 in
+  Alcotest.(check int) "first use" 1 (Pgraph.add_use g ~parent:0 ~child:1);
+  Alcotest.(check bool) "entered" true (Pgraph.mem_link g ~parent:0 ~child:1);
+  let pl = Permission_list.add Permission_list.empty ~dest:1 ~next:None in
+  Pgraph.set_plist g ~parent:0 ~child:1 (Some pl);
+  Alcotest.(check int) "second use" 2 (Pgraph.add_use g ~parent:0 ~child:1);
+  Alcotest.(check int) "one link" 1 (Pgraph.num_links g);
+  Alcotest.(check int) "one use dropped" 1 (Pgraph.drop_use g ~parent:0 ~child:1);
+  Alcotest.(check bool) "list kept" true
+    (Pgraph.plist g ~parent:0 ~child:1 = Some pl);
+  Alcotest.(check int) "last use dropped" 0 (Pgraph.drop_use g ~parent:0 ~child:1);
+  Alcotest.(check bool) "left at zero" false (Pgraph.mem_link g ~parent:0 ~child:1);
+  Alcotest.(check int) "no link" 0 (Pgraph.num_links g);
+  Alcotest.(check int) "enters again, bare" 1 (Pgraph.add_use g ~parent:0 ~child:1);
+  Alcotest.(check bool) "no list" true (Pgraph.plist g ~parent:0 ~child:1 = None)
+
+let test_drop_absent_use () =
+  let g = Pgraph.create ~nodes:4 ~root:0 in
+  let not_in_use = Invalid_argument "Pgraph.drop_use: link not in use" in
+  Alcotest.check_raises "absent link" not_in_use (fun () ->
+      ignore (Pgraph.drop_use g ~parent:0 ~child:1));
+  ignore (Pgraph.add_use g ~parent:0 ~child:1);
+  ignore (Pgraph.drop_use g ~parent:0 ~child:1);
+  Alcotest.check_raises "link that left" not_in_use (fun () ->
+      ignore (Pgraph.drop_use g ~parent:0 ~child:1));
+  Alcotest.check_raises "set_plist on an absent link"
+    (Invalid_argument "Pgraph.set_plist: link absent") (fun () ->
+      Pgraph.set_plist g ~parent:2 ~child:1 None)
+
+let test_iter_parents () =
+  let g = Pgraph.of_paths ~root:0 [ [ 0; 1; 3 ]; [ 0; 2; 3; 4 ] ] in
+  ignore (Pgraph.add_use g ~parent:4 ~child:3);
+  let seen node =
+    let acc = ref [] in
+    Pgraph.iter_parents g node (fun p -> acc := p :: !acc);
+    List.sort compare !acc
+  in
+  Alcotest.(check (list int)) "parents of 3, once each" [ 1; 2; 4 ] (seen 3);
+  Alcotest.(check (list int)) "parents of 4" [ 3 ] (seen 4);
+  Alcotest.(check (list int)) "the root has none" [] (seen 0)
+
 let test_derive_fails_on_unprotected_multihoming () =
   (* A multi-homed child whose in-links lack Permission Lists is not
      derivable — Observation 1 would be breached, so DerivePath refuses
@@ -227,4 +272,8 @@ let suite =
     Alcotest.test_case "in-degree and parents" `Quick
       test_in_degree_and_parents;
     Alcotest.test_case "derive fails on unprotected multi-homing" `Quick
-      test_derive_fails_on_unprotected_multihoming ]
+      test_derive_fails_on_unprotected_multihoming;
+    Alcotest.test_case "use counts enter and leave" `Quick test_use_counts;
+    Alcotest.test_case "dropping an absent use raises" `Quick
+      test_drop_absent_use;
+    Alcotest.test_case "parents visitor" `Quick test_iter_parents ]

@@ -284,9 +284,11 @@ let test_warm_workspace_allocation_free () =
    offer through a running best that keeps the leader's keys unboxed,
    and building only the winner's path, brings it to 30,547; exporting
    each route at the class stored beside it, instead of classifying its
-   path again, to 30,465. The budget is 1.5x the latter, so a
+   path again, to 30,465. The budget is 1.5x that figure, so a
    reintroduced per-destination table, per-flush rebuild, per-change
-   list update, per-hop option or per-offer record fails it. *)
+   list update, per-hop option or per-offer record fails it. Export
+   builders that keep their links in two P-graphs (the current view and
+   the wire copy) measure 29,300. *)
 let test_centaur_flip_round_allocation () =
   let topo =
     Brite.annotated (Rng.create 8) ~n:60 ~m:2 ~max_delay:5.0 ~num_tiers:4
@@ -320,8 +322,10 @@ let test_centaur_flip_round_allocation () =
    session P-graphs' out-edge chains, to 1,572,738. Node-indexed session
    graphs, builders that find a link through its child's in-link chain
    and byte-per-key dirty sets, with no hash table among them, bring it
-   to 1,134,768. The budget is 1.25x the latter, so a reintroduced hash
-   index or per-entry record fails it. *)
+   to 1,134,768. The budget is 1.25x that figure, so a reintroduced hash
+   index or per-entry record fails it. Export builders that keep their
+   links in two P-graphs (the current view and the wire copy) instead of
+   one arena of their own hold 1,167,537. *)
 let test_centaur_converged_state () =
   let topo =
     Experiments.Inputs.brite_sized Experiments.Config.default ~n:100
