@@ -28,9 +28,10 @@ let () =
   Printf.printf "C's local P-graph (root C):\n";
   List.iter
     (fun (p, ch, data) ->
-      match data.Centaur.Pgraph.plist with
-      | None -> Printf.printf "  %s -> %s\n" (name p) (name ch)
-      | Some pl ->
+      let pl = data.Centaur.Pgraph.plist in
+      if Centaur.Permission_list.is_empty pl then
+        Printf.printf "  %s -> %s\n" (name p) (name ch)
+      else
         Printf.printf "  %s -> %s with Permission List %s\n" (name p) (name ch)
           (Format.asprintf "%a" Centaur.Permission_list.pp pl))
     (Centaur.Pgraph.links g);
@@ -50,14 +51,12 @@ let () =
 
   (* The policy-violating path <C, D> is gone: the Permission List on
      C->D permits only traffic destined to D' continuing via D'. *)
-  (match Centaur.Pgraph.link_data g ~parent:c ~child:d with
-  | Some { Centaur.Pgraph.plist = Some pl; _ } ->
-    Printf.printf
-      "\nPermission List on C->D: permits (dest=D', next=D') = %b,\n\
-      \                         permits (dest=D,  next=self) = %b\n"
-      (Centaur.Permission_list.permit pl ~dest:d' ~next:(Some d'))
-      (Centaur.Permission_list.permit pl ~dest:d ~next:None)
-  | _ -> assert false);
+  let pl = Centaur.Pgraph.plist g ~parent:c ~child:d in
+  Printf.printf
+    "\nPermission List on C->D: permits (dest=D', next=D') = %b,\n\
+    \                         permits (dest=D,  next=self) = %b\n"
+    (Centaur.Permission_list.permit pl ~dest:d' ~next:d')
+    (Centaur.Permission_list.permit pl ~dest:d ~next:(-1));
 
   (* Upstream, A assembles G_{C->A} from C's announcements and can only
      reconstruct C's actual routes - Observation 1 holds. *)

@@ -5,15 +5,14 @@ type t = {
 
 let make ~sender delta = { sender; delta }
 
-let is_empty t = Pgraph.delta_is_empty t.delta
-
 let units t = max 1 (Pgraph.delta_units t.delta)
 
 (* Wire encoding the byte accounting charges for: an 8-byte message
    header (sender, section counts); 8 bytes per link key (two node ids);
    1 presence flag plus the Bloom-compressed Permission List on each
    inserted link, priced in closed form (equal to the size of the
-   encoded filters); 4 bytes per destination mark. *)
+   encoded filters; an empty list has none); 4 bytes per destination
+   mark. *)
 let header_bytes = 8
 let link_key_bytes = 8
 let dest_bytes = 4
@@ -23,20 +22,8 @@ let wire_bytes ?(plist_fp_rate = 0.01) t =
   List.fold_left
     (fun acc (_parent, _child, pl) ->
       acc + link_key_bytes + 1
-      +
-      match pl with
-      | None -> 0
-      | Some pl -> Permission_list.compressed_size_bytes pl ~fp_rate:plist_fp_rate)
+      + Permission_list.compressed_size_bytes pl ~fp_rate:plist_fp_rate)
     header_bytes d.Pgraph.add_links
   + (List.length d.Pgraph.remove_links * link_key_bytes)
   + (List.length d.Pgraph.add_dests + List.length d.Pgraph.remove_dests)
     * dest_bytes
-
-let pp fmt t =
-  let d = t.delta in
-  Format.fprintf fmt
-    "update from %d: +%d links, -%d links, +%d dests, -%d dests" t.sender
-    (List.length d.Pgraph.add_links)
-    (List.length d.Pgraph.remove_links)
-    (List.length d.Pgraph.add_dests)
-    (List.length d.Pgraph.remove_dests)

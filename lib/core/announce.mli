@@ -17,8 +17,6 @@ type t = {
 
 val make : sender:int -> Pgraph.delta -> t
 
-val is_empty : t -> bool
-
 val units : t -> int
 (** Link-level changes carried; destination-mark-only updates count 1. *)
 
@@ -27,7 +25,5 @@ val wire_bytes : ?plist_fp_rate:float -> t -> int
     its Bloom-compressed encoding at the given false-positive rate
     (default 1%), priced by {!Permission_list.compressed_size_bytes}
     without building the filters: an 8-byte header, 8 bytes per link
-    key, a presence flag plus the compressed list per inserted link, 4
-    bytes per destination mark. *)
-
-val pp : Format.formatter -> t -> unit
+    key, a presence flag plus the compressed list per inserted link (0
+    bytes for an empty list), 4 bytes per destination mark. *)

@@ -129,9 +129,7 @@ let replace_path t ~dest p =
 
 let in_range t d = d >= 0 && d < nodes t
 
-let path_of t ~dest =
-  if not (in_range t dest) then None
-  else match t.d_path.(dest) with [] -> None | p -> Some p
+let path_of t ~dest = if in_range t dest then t.d_path.(dest) else []
 
 let dests t =
   let acc = ref [] in
@@ -144,34 +142,23 @@ let rec all_in_range t = function
   | [] -> true
   | v :: rest -> in_range t v && all_in_range t rest
 
-let set_path t ~dest path =
+let set_path t ~dest p =
   if not (in_range t dest) then invalid_arg "Builder.set_path: node id out of range";
-  (match path with
-  | None -> ()
-  | Some p ->
-    (match p with
-    | [] -> invalid_arg "Builder.set_path: path too short"
-    | first :: _ when first <> root t ->
-      invalid_arg "Builder.set_path: path does not start at root"
-    | _ -> ());
+  (match p with
+  | [] -> ()
+  | first :: _ ->
+    if first <> root t then
+      invalid_arg "Builder.set_path: path does not start at root";
     if not (all_in_range t p) then
       invalid_arg "Builder.set_path: node id out of range";
     if not (Path.is_loop_free p) then
       invalid_arg "Builder.set_path: path has a loop";
     if Path.destination p <> dest then
       invalid_arg "Builder.set_path: path destination mismatch");
-  let old_path = t.d_path.(dest) in
-  match path with
-  | None ->
-    if old_path <> [] then begin
-      replace_path t ~dest [];
-      queue_dest t dest
-    end
-  | Some p ->
-    if not (Path.equal old_path p) then begin
-      replace_path t ~dest p;
-      queue_dest t dest
-    end
+  if not (Path.equal t.d_path.(dest) p) then begin
+    replace_path t ~dest p;
+    queue_dest t dest
+  end
 
 let counter t ~parent ~child =
   match Pgraph.link_data t.view ~parent ~child with
@@ -195,7 +182,8 @@ let empty_delta =
    it there. *)
 let announce t ~on_wire ~parent ~child pl acc =
   if not on_wire then ignore (Pgraph.add_use t.wire ~parent ~child);
-  if on_wire || pl <> None then Pgraph.set_plist t.wire ~parent ~child pl;
+  if on_wire || not (Permission_list.is_empty pl) then
+    Pgraph.set_plist t.wire ~parent ~child pl;
   (parent, child, pl) :: acc
 
 (* Compare each queued link with the wire, in descending key order so
@@ -210,7 +198,11 @@ let flush_links t =
     if i = 0 || queued.(i - 1) <> key then begin
       let parent = Pgraph.key_parent key and child = Pgraph.key_child key in
       let wire_pl = Pgraph.plist t.wire ~parent ~child in
-      let on_wire = wire_pl <> None || Pgraph.mem_link t.wire ~parent ~child in
+      (* A list on the wire answers without a second chain walk. *)
+      let on_wire =
+        (not (Permission_list.is_empty wire_pl))
+        || Pgraph.mem_link t.wire ~parent ~child
+      in
       let deg = Pgraph.in_degree t.view child in
       if deg = 0 || not (Pgraph.mem_link t.view ~parent ~child) then begin
         if on_wire then begin
@@ -219,20 +211,22 @@ let flush_links t =
         end
       end
       else if deg = 1 then begin
-        if (not on_wire) || wire_pl <> None || t.resend_all then
-          add_links := announce t ~on_wire ~parent ~child None !add_links
+        if
+          (not on_wire)
+          || (not (Permission_list.is_empty wire_pl))
+          || t.resend_all
+        then
+          add_links :=
+            announce t ~on_wire ~parent ~child Permission_list.empty !add_links
       end
       else begin
+        (* The filled list is never empty: the link's own path is in it. *)
         fill_plist t ~parent ~child;
-        let same =
-          match wire_pl with
-          | Some pl -> Permission_list.Scratch.equal t.plist_scratch pl
-          | None -> false
-        in
+        let same = Permission_list.Scratch.equal t.plist_scratch wire_pl in
         if (not same) || t.resend_all then begin
           let pl =
             if same then wire_pl
-            else Some (Permission_list.Scratch.freeze t.plist_scratch)
+            else Permission_list.Scratch.freeze t.plist_scratch
           in
           add_links := announce t ~on_wire ~parent ~child pl !add_links
         end

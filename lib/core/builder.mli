@@ -34,13 +34,13 @@ val create : root:int -> nodes:int -> t
 
 val root : t -> int
 
-val path_of : t -> dest:int -> Path.t option
-(** The path currently installed for a destination. *)
+val path_of : t -> dest:int -> Path.t
+(** The path currently installed for a destination, [[]] when none. *)
 
 val dests : t -> int list
 
-val set_path : t -> dest:int -> Path.t option -> unit
-(** Install, replace or remove ([None]) the selected path for one
+val set_path : t -> dest:int -> Path.t -> unit
+(** Install, replace or remove ([[]]) the selected path for one
     destination, which is marked exactly while a path is installed.
     Paths must start at the root, end at the destination and be
     loop-free, and every node id, the destination's included, must lie
@@ -62,7 +62,8 @@ val invalidate_wire : t -> unit
 
 val flush_delta : t -> Pgraph.delta
 (** Net changes since the last flush: link insertions (with their
-    current Permission Lists), link withdrawals, destination marks.
+    current Permission Lists, {!Permission_list.empty} on a link into a
+    single-homed child), link withdrawals, destination marks.
     Changes that cancelled out produce nothing. Applying every flushed
     delta, in order, to an empty graph yields {!Pgraph.of_paths} over
     the installed paths but [[root]], marked at every one of {!dests}. *)

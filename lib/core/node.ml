@@ -47,7 +47,7 @@ type t = {
   affected : Dirty.t;
   child : int array;
   mutable epoch : int;
-  mutable old_plists : Permission_list.t option array;
+  mutable old_plists : Permission_list.t array;
   mutable walk : int array;
   mutable walk_len : int;
   mutable steps : int array; (* [scan_child]: (destination, step) pairs *)
@@ -83,7 +83,7 @@ let create ?on_change ?policy topo ~id =
       affected = Dirty.create ();
       child = Array.make n 0;
       epoch = 0;
-      old_plists = Array.make 8 None;
+      old_plists = Array.make 8 Permission_list.empty;
       walk = Array.make 16 0;
       steps = Array.make 32 0;
       walk_len = 0;
@@ -301,8 +301,6 @@ let recheck t s c ~dest ~next =
     then Dirty.mark t.affected dest
   end
 
-let or_empty = function None -> Permission_list.empty | Some pl -> pl
-
 (* Before the delta: which children's in-link sets it changes, and the
    list each re-announced link had ([t.old_plists], by position in
    [add_links]). *)
@@ -316,7 +314,7 @@ let rec note_added t s i = function
   | [] -> ()
   | (parent, c, _) :: rest ->
     if i = Array.length t.old_plists then begin
-      let a = Array.make (2 * i) None in
+      let a = Array.make (2 * i) Permission_list.empty in
       Array.blit t.old_plists 0 a 0 i;
       t.old_plists <- a
     end;
@@ -337,9 +335,8 @@ let rec check_added t s i = function
   | (_, c, pl) :: rest ->
     if child_flags t c land changed_bit <> 0 then check_changed t s c
     else if Pgraph.in_degree s.pg c > 1 then
-      Permission_list.iter_diff (or_empty t.old_plists.(i)) (or_empty pl)
-        (recheck t s c);
-    t.old_plists.(i) <- None;
+      Permission_list.iter_diff t.old_plists.(i) pl (recheck t s c);
+    t.old_plists.(i) <- Permission_list.empty;
     check_added t s (i + 1) rest
 
 (* --- selection --- *)
@@ -433,14 +430,14 @@ let iter_live_sessions t f =
 let export_dest t ~neighbor ~role s ~dest =
   Builder.set_path s.export ~dest
     (match selected t dest with
-    | [] -> None
+    | [] -> []
     | p ->
       if
         (not (Path.contains p neighbor))
         && Policy.export_ok t.policy ~node:t.node_id ~peer:neighbor ~role
              ~dest ~cls:(selected_class t dest) ~len:(Path.length p) ~path:p
-      then Some p
-      else None)
+      then p
+      else [])
 
 (* Re-select one destination other than the node itself. A new path,
    or the same path at another class (a claim starting or ending beside

@@ -1,7 +1,7 @@
 (* Flat layout: a list is an immutable int array of packed
    (next hop, destination) keys, sorted ascending with no duplicates.
    The next hop sits in the high bits as a signed id, [-1] for none, so
-   Int.compare orders keys by next hop ([None] first) and then by
+   Int.compare orders keys by next hop ([-1] first) and then by
    destination — the {!entries} order — and the pairs of one entry form
    a contiguous run. Signed packing keeps the top pair
    (max_id, max_id) at [max_int]: an unsigned [next + 1] would need a
@@ -22,14 +22,6 @@ let check ~dest ~next =
   if not (valid ~dest ~next) then
     invalid_arg "Permission_list: node id out of packed range"
 
-let next_id = function
-  | None -> -1
-  | Some n ->
-    if n < 0 then invalid_arg "Permission_list: negative next hop";
-    n
-
-let next_opt n = if n < 0 then None else Some n
-
 let empty = [||]
 
 let is_empty t = Array.length t = 0
@@ -47,15 +39,9 @@ let mem t k =
   let i = lower_bound t k in
   i < Array.length t && t.(i) = k
 
-let permit_id t ~dest ~next = valid ~dest ~next && mem t (pack ~dest ~next)
-
-let permit t ~dest ~next =
-  match next with
-  | None -> permit_id t ~dest ~next:(-1)
-  | Some n -> n >= 0 && permit_id t ~dest ~next:n
+let permit t ~dest ~next = valid ~dest ~next && mem t (pack ~dest ~next)
 
 let add t ~dest ~next =
-  let next = next_id next in
   check ~dest ~next;
   let k = pack ~dest ~next in
   let len = Array.length t in
@@ -134,14 +120,14 @@ let dests t = List.sort_uniq Int.compare (Array.to_list (Array.map key_dest t))
 let entries t =
   let acc = ref [] in
   iter_runs t (Array.length t) (fun next lo hi ->
-      acc := (next_opt next, List.init (hi - lo) (fun i -> key_dest t.(lo + i))) :: !acc);
+      acc := (next, List.init (hi - lo) (fun i -> key_dest t.(lo + i))) :: !acc);
   List.rev !acc
 
 let next_for t ~dest =
   (* Keys ascend by next hop, so the first match is the smallest. *)
   let rec go i =
     if i = Array.length t then None
-    else if key_dest t.(i) = dest then Some (next_opt (key_next t.(i)))
+    else if key_dest t.(i) = dest then Some (key_next t.(i))
     else go (i + 1)
   in
   go 0
@@ -297,9 +283,9 @@ let merge a b =
   Scratch.freeze s
 
 let pp fmt t =
-  let pp_next fmt = function
-    | None -> Format.pp_print_string fmt "self"
-    | Some n -> Format.pp_print_int fmt n
+  let pp_next fmt n =
+    if n < 0 then Format.pp_print_string fmt "self"
+    else Format.pp_print_int fmt n
   in
   let pp_entry fmt (next, ds) =
     Format.fprintf fmt "{dests=[%a]; next=%a}"

@@ -8,7 +8,8 @@
     The practical representation is the {e per-dest-next encoding}: a set
     of ⟨DestList, NextHop⟩ entries, where a policy-compliant path [p]
     through the link is identified by [p]'s destination and the next hop
-    of [B] in [p] ([None] when [B] is itself the destination).
+    of [B] in [p], a node id, or [-1] when [B] is itself the
+    destination.
     Destinations sharing a next hop are grouped into one entry.
 
     A list is stored flat: an immutable sorted array of (next hop,
@@ -28,21 +29,18 @@ val empty : t
 
 val is_empty : t -> bool
 
-val add : t -> dest:int -> next:int option -> t
+val add : t -> dest:int -> next:int -> t
 (** Record that the path to [dest] continues from the multi-homed node
-    through [next] ([None] when the multi-homed node is the
-    destination). Idempotent. Node ids must lie in [0, 2^31 - 1], the
-    range of a P-graph's packed link keys ([Invalid_argument]
-    otherwise). Copies the list: build lists of more than a few pairs
-    through a {!scratch}. *)
+    through [next] ([-1] when the multi-homed node is the destination).
+    Idempotent. Node ids must lie in [0, 2^31 - 1], the range of a
+    P-graph's packed link keys ([Invalid_argument] otherwise). Copies
+    the list: build lists of more than a few pairs through a
+    {!scratch}. *)
 
-val permit : t -> dest:int -> next:int option -> bool
-(** The [Permit] predicate of the paper's [DerivePath] (Table 1). Ids
-    outside the packed range are never permitted. *)
-
-val permit_id : t -> dest:int -> next:int -> bool
-(** {!permit} with the next hop as a node id, [-1] when the multi-homed
-    node is the destination. Allocates nothing. *)
+val permit : t -> dest:int -> next:int -> bool
+(** The [Permit] predicate of the paper's [DerivePath] (Table 1), with
+    the next hop as in {!add}. Ids outside the packed range are never
+    permitted. Allocates nothing. *)
 
 val remove_dest : t -> dest:int -> t
 (** Drop the destination from every entry (steady-phase updates, §4.3);
@@ -59,11 +57,11 @@ val num_entries : t -> int
 val dests : t -> int list
 (** All destinations mentioned, ascending. *)
 
-val entries : t -> (int option * int list) list
-(** [(next_hop, destinations)] pairs; next hops ascending ([None]
-    first), destinations ascending. *)
+val entries : t -> (int * int list) list
+(** [(next_hop, destinations)] pairs, next hops as in {!add}; next hops
+    ascending ([-1] first), destinations ascending. *)
 
-val next_for : t -> dest:int -> int option option
+val next_for : t -> dest:int -> int option
 (** The unique next hop recorded for a destination: [None] when the
     destination is absent, [Some next] otherwise. In a well-formed
     P-graph each (link, destination) has at most one next hop; if
@@ -78,7 +76,7 @@ val equal : t -> t -> bool
 val iter_diff : t -> t -> (dest:int -> next:int -> unit) -> unit
 (** [iter_diff a b f] calls [f] on every (destination, next hop) pair
     that is in exactly one of the two lists, in key order, with the next
-    hop as in {!permit_id}: the pairs whose [Permit] answer differs
+    hop as in {!add}: the pairs whose [Permit] answer differs
     between them. One merge walk over both; allocates nothing. *)
 
 val filter_bits : expected:int -> fp_rate:float -> int
@@ -106,9 +104,8 @@ module Scratch : sig
   val clear : scratch -> unit
 
   val push : scratch -> dest:int -> next:int -> unit
-  (** Add one pair; [next] is a node id, [-1] for none (as in
-      {!permit_id}). Ids outside the packed range raise
-      [Invalid_argument], as in {!add}. *)
+  (** Add one pair, the next hop as in {!add}. Ids outside the packed
+      range raise [Invalid_argument], as in {!add}. *)
 
   val freeze : scratch -> t
   (** The list of the pairs pushed since the last {!clear}. *)

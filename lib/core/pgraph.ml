@@ -1,6 +1,6 @@
 type link_data = {
   counter : int;
-  plist : Permission_list.t option;
+  plist : Permission_list.t;
 }
 
 (* Arena / struct-of-arrays layout: a link (parent, child) lives in a
@@ -44,7 +44,7 @@ type t = {
      [l_next_in] and reused before the arena grows. *)
   mutable l_key : int array;
   mutable l_counter : int array;
-  mutable l_plist : Permission_list.t option array;
+  mutable l_plist : Permission_list.t array;
   mutable l_next_in : int array;
   mutable slot_hwm : int; (* arena high-water mark *)
   mutable free_head : int;
@@ -71,7 +71,7 @@ let create ~nodes ~root =
       marks = Bytes.make nodes '\000';
       l_key = Array.make initial_cap nil;
       l_counter = Array.make initial_cap 0;
-      l_plist = Array.make initial_cap None;
+      l_plist = Array.make initial_cap Permission_list.empty;
       l_next_in = Array.make initial_cap nil;
       slot_hwm = 0;
       free_head = nil;
@@ -139,7 +139,7 @@ let grow_arena t =
   t.l_key <- grow_int t.l_key nil;
   t.l_counter <- grow_int t.l_counter 0;
   t.l_next_in <- grow_int t.l_next_in nil;
-  let pl = Array.make cap' None in
+  let pl = Array.make cap' Permission_list.empty in
   Array.blit t.l_plist 0 pl 0 cap;
   t.l_plist <- pl
 
@@ -199,7 +199,7 @@ let release t ~child s =
     next.(!p) <- next.(s)
   end;
   t.l_key.(s) <- nil;
-  t.l_plist.(s) <- None;
+  t.l_plist.(s) <- Permission_list.empty;
   next.(s) <- t.free_head;
   t.free_head <- s;
   t.link_count <- t.link_count - 1
@@ -211,7 +211,7 @@ let remove_link t ~parent ~child =
 let add_use t ~parent ~child =
   match checked_slot t "Pgraph.add_use" ~parent ~child with
   | -1 ->
-    insert t ~parent ~child ~counter:1 ~plist:None;
+    insert t ~parent ~child ~counter:1 ~plist:Permission_list.empty;
     1
   | s ->
     let c = t.l_counter.(s) + 1 in
@@ -235,7 +235,7 @@ let mem_link t ~parent ~child = slot t ~parent ~child <> nil
 
 let plist t ~parent ~child =
   let s = slot t ~parent ~child in
-  if s = nil then None else t.l_plist.(s)
+  if s = nil then Permission_list.empty else t.l_plist.(s)
 
 let link_data t ~parent ~child =
   let s = slot t ~parent ~child in
@@ -289,13 +289,15 @@ let num_links t = t.link_count
 
 let num_permission_lists t =
   let n = ref 0 in
-  iter_slots t (fun s -> if t.l_plist.(s) <> None then incr n);
+  iter_slots t (fun s ->
+      if not (Permission_list.is_empty t.l_plist.(s)) then incr n);
   !n
 
 let permission_lists t =
   let acc = ref [] in
   iter_slots t (fun s ->
-      match t.l_plist.(s) with None -> () | Some pl -> acc := pl :: !acc);
+      let pl = t.l_plist.(s) in
+      if not (Permission_list.is_empty pl) then acc := pl :: !acc);
   !acc
 
 let nodes t =
@@ -457,7 +459,10 @@ let build_graph ~what ~allow_multi ~root paths =
     (fun ~key ~count pl ->
       put_link graph ~parent:(key_parent key) ~child:(key_child key)
         ~counter:count
-        ~plist:(Option.map Permission_list.Scratch.freeze pl));
+        ~plist:
+          (match pl with
+          | Some sc -> Permission_list.Scratch.freeze sc
+          | None -> Permission_list.empty));
   graph
 
 let of_paths ~root paths =
@@ -482,13 +487,10 @@ let derive_step t ~dest ~node ~next =
     let permitted = ref nil in
     let s = ref first in
     while !s <> nil do
-      (match t.l_plist.(!s) with
-      | None -> ()
-      | Some pl ->
-        if Permission_list.permit_id pl ~dest ~next then begin
-          let parent = key_parent t.l_key.(!s) in
-          if !permitted = nil || parent < !permitted then permitted := parent
-        end);
+      if Permission_list.permit t.l_plist.(!s) ~dest ~next then begin
+        let parent = key_parent t.l_key.(!s) in
+        if !permitted = nil || parent < !permitted then permitted := parent
+      end;
       s := t.l_next_in.(!s)
     done;
     !permitted
@@ -552,8 +554,7 @@ let derive_paths ?(limit = 64) t ~dest =
         end
         else begin
           let follow parent =
-            if not (List.mem parent acc) then
-              go parent (Some current) (parent :: acc)
+            if not (List.mem parent acc) then go parent current (parent :: acc)
           in
           let first = head t current in
           if first <> nil then
@@ -564,26 +565,17 @@ let derive_paths ?(limit = 64) t ~dest =
               let parents = ref [] in
               let s = ref first in
               while !s <> nil do
-                (match t.l_plist.(!s) with
-                | None -> ()
-                | Some pl ->
-                  if Permission_list.permit pl ~dest ~next:prev then
-                    parents := key_parent t.l_key.(!s) :: !parents);
+                if Permission_list.permit t.l_plist.(!s) ~dest ~next:prev then
+                  parents := key_parent t.l_key.(!s) :: !parents;
                 s := t.l_next_in.(!s)
               done;
               List.iter follow (List.sort Int.compare !parents)
             end
         end
     in
-    go dest None [ dest ];
+    go dest nil [ dest ];
     List.sort_uniq Path.compare !results
   end
-
-let plist_opt_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some x, Some y -> Permission_list.equal x y
-  | None, Some _ | Some _, None -> false
 
 (* The two sides may have different node bounds: links are matched
    through [slot], destinations through [is_dest]. *)
@@ -599,12 +591,14 @@ let equal a b =
         let key = a.l_key.(s) in
         match slot b ~parent:(key_parent key) ~child:(key_child key) with
         | -1 -> ok := false
-        | s' -> if not (plist_opt_equal a.l_plist.(s) b.l_plist.(s')) then ok := false
+        | s' ->
+          if not (Permission_list.equal a.l_plist.(s) b.l_plist.(s')) then
+            ok := false
       end);
   !ok
 
 type delta = {
-  add_links : (int * int * Permission_list.t option) list;
+  add_links : (int * int * Permission_list.t) list;
   remove_links : (int * int) list;
   add_dests : int list;
   remove_dests : int list;
@@ -626,7 +620,9 @@ let diff ~old_ ~new_ =
       let pl = new_.l_plist.(s) in
       match slot old_ ~parent:(key_parent key) ~child:(key_child key) with
       | -1 -> added := (key, pl) :: !added
-      | os -> if not (plist_opt_equal old_.l_plist.(os) pl) then added := (key, pl) :: !added);
+      | os ->
+        if not (Permission_list.equal old_.l_plist.(os) pl) then
+          added := (key, pl) :: !added);
   let add_links =
     List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) !added
     |> List.map (fun (k, pl) -> (key_parent k, key_child k, pl))
@@ -663,10 +659,10 @@ let pp fmt t =
     (dests t);
   List.iter
     (fun (p, c, d) ->
-      match d.plist with
-      | None -> Format.fprintf fmt "  %d -> %d (x%d)@," p c d.counter
-      | Some pl ->
+      if Permission_list.is_empty d.plist then
+        Format.fprintf fmt "  %d -> %d (x%d)@," p c d.counter
+      else
         Format.fprintf fmt "  %d -> %d (x%d) PL=%a@," p c d.counter
-          Permission_list.pp pl)
+          Permission_list.pp d.plist)
     (links t);
   Format.fprintf fmt "@]"

@@ -5,7 +5,9 @@
     nodes are explicitly marked, and links into multi-homed nodes carry
     {!Permission_list}s. A node stores one P-graph per neighbor (built
     from that neighbor's downstream-link announcements) plus its own
-    local P-graph built from its selected path set.
+    local P-graph built from its selected path set. A link without a
+    Permission List carries {!Permission_list.empty}, which permits
+    nothing, so the two are one link state.
 
     Two invariants make the structure work (paper §4.2): a P-graph built
     from a single-path selection admits {e exactly one} derivable
@@ -25,7 +27,7 @@ type t
 
 type link_data = {
   counter : int;  (** number of selected paths using the link *)
-  plist : Permission_list.t option;
+  plist : Permission_list.t;  (** {!Permission_list.empty} when none *)
 }
 
 val create : nodes:int -> root:int -> t
@@ -185,18 +187,18 @@ val drop_use : t -> parent:int -> child:int -> int
     [Invalid_argument] when the link is absent or its counter is
     already 0. *)
 
-val set_plist :
-  t -> parent:int -> child:int -> Permission_list.t option -> unit
-(** Replace a link's Permission List, keeping its counter. Raises
-    [Invalid_argument] when the link is absent. *)
+val set_plist : t -> parent:int -> child:int -> Permission_list.t -> unit
+(** Replace a link's Permission List ({!Permission_list.empty} for
+    none), keeping its counter. Raises [Invalid_argument] when the link
+    is absent. *)
 
 val link_data : t -> parent:int -> child:int -> link_data option
 
 val mem_link : t -> parent:int -> child:int -> bool
 
-val plist : t -> parent:int -> child:int -> Permission_list.t option
-(** The link's Permission List; [None] when it carries none or is
-    absent. Allocates nothing. *)
+val plist : t -> parent:int -> child:int -> Permission_list.t
+(** The link's Permission List; {!Permission_list.empty} when it
+    carries none or is absent. Allocates nothing. *)
 
 val in_degree : t -> int -> int
 
@@ -214,20 +216,24 @@ val links : t -> (int * int * link_data) list
 val num_links : t -> int
 
 val num_permission_lists : t -> int
-(** Links carrying a Permission List — the Table 4 quantity. *)
+(** Links carrying a non-empty Permission List — the Table 4
+    quantity. *)
 
 val permission_lists : t -> Permission_list.t list
+(** The non-empty Permission Lists, in unspecified order. *)
 
 val nodes : t -> int list
 (** Every node appearing as endpoint of a link, plus the root. *)
 
 val equal : t -> t -> bool
 (** Structural equality on links (ignoring counters), Permission Lists
-    and destination marks. *)
+    and destination marks. A bare link and one carrying an empty list
+    are the same link. *)
 
 type delta = {
-  add_links : (int * int * Permission_list.t option) list;
-      (** links to insert or whose Permission List changed *)
+  add_links : (int * int * Permission_list.t) list;
+      (** links to insert or whose Permission List changed, each with
+          its list ({!Permission_list.empty} for none) *)
   remove_links : (int * int) list;
   add_dests : int list;
   remove_dests : int list;

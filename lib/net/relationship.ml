@@ -20,8 +20,6 @@ let of_string s =
   | "sibling" | "sib" | "s" -> Some Sibling
   | _ -> None
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let equal (a : t) (b : t) = a = b
 
 let all = [ Customer; Provider; Peer; Sibling ]

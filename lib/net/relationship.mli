@@ -23,8 +23,6 @@ val of_string : string -> t option
 (** Case-insensitive; accepts the full names and the short forms
     [c2p]-style used in topology files ([cust], [prov], [peer], [sib]). *)
 
-val pp : Format.formatter -> t -> unit
-
 val equal : t -> t -> bool
 
 val all : t list

@@ -41,8 +41,6 @@ let[@inline] enabled t = t.on
 
 let[@inline] set_now t now = if t.on then t.clock <- now
 
-let now t = t.clock
-
 let emit t ev =
   if t.on then begin
     let cap = Array.length t.buf in

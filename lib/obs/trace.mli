@@ -67,10 +67,9 @@ val set_now : t -> float -> unit
     this in sync with its clock so protocol code can emit without
     threading [now]. *)
 
-val now : t -> float
-
 val emit : t -> event -> unit
-(** Append the event stamped with {!now}. No-op on a disabled trace —
+(** Append the event stamped with the time last given to {!set_now}.
+    No-op on a disabled trace —
     but call sites on hot paths should still guard with {!enabled} so
     the event payload itself is never allocated. *)
 
@@ -81,7 +80,8 @@ val dropped : t -> int
 (** Events evicted because the buffer was full. *)
 
 val clear : t -> unit
-(** Forget all buffered events and the dropped count (keeps [now]). *)
+(** Forget all buffered events and the dropped count (keeps the time
+    last given to {!set_now}). *)
 
 val events : t -> (float * event) array
 (** Buffered events, oldest first. *)

@@ -25,23 +25,21 @@
    (deadline, armed flag, pending queue) is per half-edge too, so the
    stages allocate little beyond the messages and timers they return. *)
 
+(* One update: [path] is the announced path starting at the sender,
+   [[]] to withdraw; [cause] is the BGP-RCN root-cause annotation, the
+   failed link whose loss triggered the update, packed ([no_cause] on
+   plain BGP and on updates not caused by a failure). *)
 type msg = {
   dest : int;
-  path : Path.t option;
-  cause : (int * int) option;
-      (* BGP-RCN root-cause annotation: the failed link (normalized
-         endpoints) whose loss triggered this update; None on plain BGP
-         and on updates not caused by a failure *)
+  path : Path.t;
+  cause : int;
 }
 
 (* A normalized failed link (u < v) packed into one immediate int;
    [no_cause] marks an update with none. *)
 let cause_shift = 31
 let pack_cause u v = (u lsl cause_shift) lor v
-let unpack_cause c = (c lsr cause_shift, c land ((1 lsl cause_shift) - 1))
 let no_cause = -1
-
-let cause_code = function Some (u, v) -> pack_cause u v | None -> no_cause
 
 (* Per-node state. [lo]..[hi - 1] is the node's CSR slice: the half-edges
    that index its rows in the network-wide tables below. [best] is the
@@ -114,7 +112,7 @@ module Trace = Obs.Trace
 let path_sig p =
   List.fold_left (fun h x -> ((h * 1000003) + x + 1) land max_int) 17 p
 
-let no_msg = { dest = -1; path = None; cause = None }
+let no_msg = { dest = -1; path = []; cause = no_cause }
 
 let is_route = function [] -> false | _ :: _ -> true
 
@@ -308,15 +306,12 @@ let mark_all_known net st =
     Trace.emit net.tr (Trace.Mark_dirty { node = st.id; dest = -1 })
 
 let rib_in_update net st ~rcn ~incremental ~src (m : msg) =
-  (match (rcn, m.cause) with
-  | true, Some (u, v) -> purge_cause net st (pack_cause u v)
-  | _ -> ());
+  if rcn && m.cause <> no_cause then purge_cause net st m.cause;
   let k = Topology.half_edge net.topo st.id src in
-  (match m.path with
-  | Some p -> (row net net.rib_in ~empty:[] k).(m.dest) <- p
-  | None ->
-    if is_route (entry net.rib_in k m.dest) then net.rib_in.(k).(m.dest) <- []);
-  if m.dest <> st.id then mark net st ~cause:(cause_code m.cause) m.dest;
+  (* A withdrawal of what was never learned allocates no row. *)
+  if is_route m.path || is_route (entry net.rib_in k m.dest) then
+    (row net net.rib_in ~empty:[] k).(m.dest) <- m.path;
+  if m.dest <> st.id then mark net st ~cause:m.cause m.dest;
   if not incremental then mark_all_known net st
 
 let owe_full_table net st k =
@@ -492,7 +487,7 @@ let adv_delta net st ~policy ~dest ~cause ~p ~cls ~len k =
                dest;
                withdraw = false;
                path_sig = path_sig p });
-      stage_push net.stage k { dest; path = Some p; cause }
+      stage_push net.stage k { dest; path = p; cause }
     end
   end
   else if is_route current then begin
@@ -501,7 +496,7 @@ let adv_delta net st ~policy ~dest ~cause ~p ~cls ~len k =
       Trace.emit net.tr
         (Trace.Rib_out
            { node = st.id; peer = n; dest; withdraw = true; path_sig = 0 });
-    stage_push net.stage k { dest; path = None; cause }
+    stage_push net.stage k { dest; path = []; cause }
   end
 
 (* Diff [dest]'s advertisement toward every live session among
@@ -518,9 +513,8 @@ let export_dest net st ~policy ~dest ~cause first last =
 
 let rib_out_updates net st ~policy =
   for i = 0 to net.nchanged - 1 do
-    let c = net.changed_cause.(i) in
-    let cause = if c = no_cause then None else Some (unpack_cause c) in
-    export_dest net st ~policy ~dest:net.changed.(i) ~cause st.lo (st.hi - 1)
+    export_dest net st ~policy ~dest:net.changed.(i)
+      ~cause:net.changed_cause.(i) st.lo (st.hi - 1)
   done
 
 (* Full-table export to each freshly established session, in ascending
@@ -537,7 +531,7 @@ let fresh_session_exports net st ~policy =
         if session_up net k then
           for dest = 0 to net.n - 1 do
             if is_route st.best.(dest) then
-              export_dest net st ~policy ~dest ~cause:None k k
+              export_dest net st ~policy ~dest ~cause:no_cause k k
           done
       end
     done
@@ -647,8 +641,8 @@ let network ?(mrai = 30.0) ?(rcn = false) ?(incremental = true)
     Sim.Engine.create ~trace ~metrics topo ~units:(fun _ -> 1)
       ~bytes:(fun m ->
         19 + 4
-        + (match m.path with None -> 0 | Some p -> 4 * List.length p)
-        + (match m.cause with None -> 0 | Some _ -> 8))
+        + (4 * List.length m.path)
+        + (if m.cause = no_cause then 0 else 8))
       ~handlers
   in
   let cold_start ?max_events () =

@@ -19,14 +19,10 @@
     within the interval are held and coalesced per prefix. The interval
     is jittered ±25% per session, as deployed implementations do. *)
 
-type msg = {
-  dest : int;
-  path : Path.t option;  (** announced path starting at the sender;
-                             [None] withdraws *)
-  cause : (int * int) option;
-      (** BGP-RCN root-cause annotation: the failed link whose loss
-          triggered this update; [None] on plain BGP *)
-}
+type msg
+(** One per-prefix update: the announced path starting at the sender
+    ([[]] withdraws) and, under BGP-RCN, the failed link whose loss
+    triggered it. *)
 
 val network :
   ?mrai:float -> ?rcn:bool -> ?incremental:bool -> ?trace:Obs.Trace.t ->

@@ -27,7 +27,7 @@ let corrupt_announce ann =
     { delta with
       Centaur.Pgraph.add_links =
         List.map
-          (fun (p, c, pl) -> (p, c, Option.map corrupt_plist pl))
+          (fun (p, c, pl) -> (p, c, corrupt_plist pl))
           delta.Centaur.Pgraph.add_links;
       add_dests = List.filter corrupt_keeps delta.Centaur.Pgraph.add_dests;
       remove_dests =

@@ -10,43 +10,13 @@ type result = {
   flips : flip_sample list;
 }
 
-(* Per-run accumulation into a caller-supplied registry: counters sum
-   the control-plane cost across runs, the histogram shapes the
-   convergence-time distribution. Deterministic: driven only by run
-   results, in run order. *)
-let record metrics (stats : Sim.Engine.run_stats) ~changed =
-  let open Obs.Metrics in
-  incr (counter metrics "convergence.runs");
-  add (counter metrics "convergence.messages") stats.Sim.Engine.messages;
-  add (counter metrics "convergence.units") stats.Sim.Engine.units;
-  add (counter metrics "convergence.changed_dests") changed;
-  observe
-    (histogram metrics "convergence.duration_ms")
-    stats.Sim.Engine.duration
-
-(* Run one convergence and read how many destinations actually
-   re-routed, off the runner's uniform changed-destination feed. The
-   feed drains on read, so each count covers exactly one run. *)
-let converge_counting ?metrics (runner : Sim.Runner.t) run =
-  ignore (runner.Sim.Runner.changed_dests ());
-  let stats = run () in
-  let changed = List.length (runner.Sim.Runner.changed_dests ()) in
-  (match metrics with Some m -> record m stats ~changed | None -> ());
-  stats
-
-let flip_links ?metrics (runner : Sim.Runner.t) ~links =
+let flip_links (runner : Sim.Runner.t) ~links =
   let cold = runner.Sim.Runner.cold_start () in
   let flips =
     List.map
       (fun link_id ->
-        let down =
-          converge_counting ?metrics runner (fun () ->
-              runner.Sim.Runner.flip ~link_id ~up:false)
-        in
-        let up =
-          converge_counting ?metrics runner (fun () ->
-              runner.Sim.Runner.flip ~link_id ~up:true)
-        in
+        let down = runner.Sim.Runner.flip ~link_id ~up:false in
+        let up = runner.Sim.Runner.flip ~link_id ~up:true in
         { link_id; down; up })
       links
   in

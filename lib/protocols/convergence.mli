@@ -18,16 +18,9 @@ type result = {
   flips : flip_sample list;
 }
 
-val flip_links :
-  ?metrics:Obs.Metrics.t -> Sim.Runner.t -> links:int list -> result
+val flip_links : Sim.Runner.t -> links:int list -> result
 (** Cold-start the protocol, then flip each listed link down and back
-    up, recording the two convergence runs per link.
-
-    [metrics], when given, accumulates per-run instruments:
-    [convergence.runs], [convergence.messages], [convergence.units],
-    [convergence.changed_dests] counters and a
-    [convergence.duration_ms] histogram. The returned result is
-    unaffected. *)
+    up, recording the two convergence runs per link. *)
 
 val times : result -> float array
 (** Convergence durations of all runs (down and up interleaved), for CDF

@@ -14,9 +14,6 @@ let create ?(discipline = Gao_rexford.Standard) ?policy topo =
     discipline;
     policy = (match policy with Some p -> p | None -> Policy.default ()) }
 
-let topology t = t.topo
-let discipline t = t.discipline
-
 (* The route [path] at [node] toward [dest], if [offer] puts it in the
    lead of a fresh running best. *)
 let resident t ~dest ~node path offer =

@@ -50,9 +50,6 @@ val create :
 (** Defaults: [Standard] discipline, the default (pure Gao–Rexford)
     policy. *)
 
-val topology : t -> Topology.t
-val discipline : t -> Gao_rexford.discipline
-
 val extend : t -> dest:int -> route -> via:int -> route option
 (** Extend a route resident at [route.node] across the (up) link to
     neighbor [via]: [None] if the link is absent/down, the extension
@@ -63,8 +60,8 @@ val extend : t -> dest:int -> route -> via:int -> route option
 val prefer : t -> dest:int -> route -> route -> bool
 (** [prefer t ~dest r1 r2]: does the resident node strictly prefer [r1]
     over [r2]? Both routes must live at the same node.
-    [Gao_rexford.compare_routes (discipline t) ~chooser:r1.node ~dest]
-    decides. *)
+    [Gao_rexford.compare_routes] under the context's discipline, with
+    [~chooser:r1.node ~dest], decides. *)
 
 val compare_rank : t -> route -> route -> int
 (** The global order λ: negative when the first route is strictly more

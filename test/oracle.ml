@@ -13,7 +13,7 @@ open Centaur
 module Reference = struct
   type data = Pgraph.link_data = {
     counter : int;
-    plist : Permission_list.t option;
+    plist : Permission_list.t;
   }
 
   type t = {
@@ -142,7 +142,7 @@ module Reference = struct
         paths
     in
     let counters : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-    let traversals : (int * int, (int * int option) list) Hashtbl.t =
+    let traversals : (int * int, (int * int) list) Hashtbl.t =
       Hashtbl.create 64
     in
     let graph = create ~root in
@@ -155,7 +155,7 @@ module Reference = struct
             let key = (a, b) in
             Hashtbl.replace counters key
               (1 + Option.value (Hashtbl.find_opt counters key) ~default:0);
-            let next = Path.next_hop_of p b in
+            let next = Option.value (Path.next_hop_of p b) ~default:(-1) in
             let prev =
               Option.value (Hashtbl.find_opt traversals key) ~default:[]
             in
@@ -172,12 +172,11 @@ module Reference = struct
       (fun (a, b) count ->
         let plist =
           if Option.value (Hashtbl.find_opt indeg b) ~default:0 > 1 then
-            Some
-              (List.fold_left
-                 (fun pl (dest, next) -> Permission_list.add pl ~dest ~next)
-                 Permission_list.empty
-                 (Hashtbl.find traversals (a, b)))
-          else None
+            List.fold_left
+              (fun pl (dest, next) -> Permission_list.add pl ~dest ~next)
+              Permission_list.empty
+              (Hashtbl.find traversals (a, b))
+          else Permission_list.empty
         in
         add_link graph ~parent:a ~child:b ~data:{ counter = count; plist })
       counters;
@@ -198,17 +197,13 @@ module Reference = struct
           | None -> None
           | Some m when Hashtbl.length m = 1 ->
             let parent = Hashtbl.fold (fun p _ _ -> p) m (-1) in
-            go parent (Some current) (parent :: acc) (fuel - 1)
+            go parent current (parent :: acc) (fuel - 1)
           | Some m ->
             let permitted =
               Hashtbl.fold
                 (fun parent data best ->
-                  let ok =
-                    match data.plist with
-                    | None -> false
-                    | Some pl -> Permission_list.permit pl ~dest ~next:prev
-                  in
-                  if not ok then best
+                  if not (Permission_list.permit data.plist ~dest ~next:prev)
+                  then best
                   else
                     match best with
                     | Some p when p <= parent -> best
@@ -217,16 +212,10 @@ module Reference = struct
             in
             (match permitted with
             | None -> None
-            | Some parent -> go parent (Some current) (parent :: acc) (fuel - 1))
+            | Some parent -> go parent current (parent :: acc) (fuel - 1))
       in
-      go dest None [ dest ] fuel
+      go dest (-1) [ dest ] fuel
     end
-
-  let plist_opt_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> Permission_list.equal x y
-    | None, Some _ | Some _, None -> false
 
   let diff ~old_ ~new_ =
     let old_links = links old_ and new_links = links new_ in
@@ -236,7 +225,7 @@ module Reference = struct
       List.filter_map
         (fun (p, c, d) ->
           match Hashtbl.find_opt tbl (p, c) with
-          | Some old_pl when plist_opt_equal old_pl d.plist -> None
+          | Some old_pl when Permission_list.equal old_pl d.plist -> None
           | Some _ | None -> Some (p, c, d.plist))
         new_links
     in
@@ -282,16 +271,16 @@ let stats_of_graphs graphs : Static.pgraph_stats =
       List.iter
         (fun (_, _, (d : Reference.data)) ->
           incr links;
-          match d.plist with
-          | None -> ()
-          | Some pl ->
+          let pl = d.plist in
+          if not (Permission_list.is_empty pl) then begin
             incr plists;
             (match Permission_list.num_entries pl with
             | 1 -> incr one
             | 2 -> incr two
             | 3 -> incr three
             | _ -> incr more);
-            bytes := !bytes + Permission_list.compressed_size_bytes pl ~fp_rate)
+            bytes := !bytes + Permission_list.compressed_size_bytes pl ~fp_rate
+          end)
         (Reference.links g))
     graphs;
   let k = List.length graphs in

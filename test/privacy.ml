@@ -14,9 +14,8 @@ let equivalent g =
   announced = readback
 
 let possible_policy_authors g ~parent ~child =
-  match Pgraph.link_data g ~parent ~child with
-  | None | Some { Pgraph.plist = None; _ } -> []
-  | Some { Pgraph.plist = Some _; _ } ->
+  if Permission_list.is_empty (Pgraph.plist g ~parent ~child) then []
+  else
     (* Paths through the link, truncated at the link: any node on every
        such upstream segment could have imposed the restriction. *)
     let upstream_segments =

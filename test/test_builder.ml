@@ -15,8 +15,8 @@ let snapshot b =
       (List.filter_map
          (fun dest ->
            match Builder.path_of b ~dest with
-           | Some (_ :: _ :: _ as p) -> Some p
-           | Some _ | None -> None)
+           | _ :: _ :: _ as p -> Some p
+           | [ _ ] | [] -> None)
          dests)
   in
   List.iter (Pgraph.mark_dest g) dests;
@@ -24,14 +24,14 @@ let snapshot b =
 
 let test_counters_track_use () =
   let b = Builder.create ~root:0 ~nodes:10 in
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
-  Builder.set_path b ~dest:3 (Some [ 0; 1; 3 ]);
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
+  Builder.set_path b ~dest:3 [ 0; 1; 3 ];
   Alcotest.(check int) "shared link counted twice" 2
     (Builder.counter b ~parent:0 ~child:1);
-  Builder.set_path b ~dest:3 None;
+  Builder.set_path b ~dest:3 [];
   Alcotest.(check int) "counter decremented" 1
     (Builder.counter b ~parent:0 ~child:1);
-  Builder.set_path b ~dest:2 None;
+  Builder.set_path b ~dest:2 [];
   Alcotest.(check int) "link gone at zero (§4.3)" 0
     (Builder.counter b ~parent:0 ~child:1)
 
@@ -46,44 +46,46 @@ let test_flush_delta_roundtrip_sequence () =
     if not (Pgraph.equal replica (snapshot b)) then
       Alcotest.failf "replica diverged at step %s" step
   in
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
-  Builder.set_path b ~dest:0 (Some [ 0 ]);
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
+  Builder.set_path b ~dest:0 [ 0 ];
   check_replica "first path";
-  Builder.set_path b ~dest:3 (Some [ 0; 2; 3 ]);
-  Builder.set_path b ~dest:4 (Some [ 0; 1; 4 ]);
+  Builder.set_path b ~dest:3 [ 0; 2; 3 ];
+  Builder.set_path b ~dest:4 [ 0; 1; 4 ];
   check_replica "two more paths";
   (* Create multi-homing: 4 reached via 2 now. *)
-  Builder.set_path b ~dest:4 (Some [ 0; 2; 4 ]);
+  Builder.set_path b ~dest:4 [ 0; 2; 4 ];
   check_replica "reroute";
   (* And collapse everything. *)
-  Builder.set_path b ~dest:2 None;
-  Builder.set_path b ~dest:3 None;
-  Builder.set_path b ~dest:4 None;
-  Builder.set_path b ~dest:0 None;
+  Builder.set_path b ~dest:2 [];
+  Builder.set_path b ~dest:3 [];
+  Builder.set_path b ~dest:4 [];
+  Builder.set_path b ~dest:0 [];
   check_replica "teardown";
   Alcotest.(check int) "empty at end" 0 (Pgraph.num_links replica);
   Alcotest.(check (list int)) "no mark left" [] (Pgraph.dests replica)
 
 let test_plist_appears_on_multihoming () =
   let b = Builder.create ~root:0 ~nodes:10 in
-  Builder.set_path b ~dest:3 (Some [ 0; 1; 3 ]);
+  Builder.set_path b ~dest:3 [ 0; 1; 3 ];
   ignore (Builder.flush_delta b);
   (* Second parent for node 3 appears: both in-links must be
      re-announced with Permission Lists. *)
-  Builder.set_path b ~dest:4 (Some [ 0; 2; 3; 4 ]);
+  Builder.set_path b ~dest:4 [ 0; 2; 3; 4 ];
   let delta = Builder.flush_delta b in
   let with_pl =
-    List.filter (fun (_, _, pl) -> pl <> None) delta.Pgraph.add_links
+    List.filter
+      (fun (_, _, pl) -> not (Permission_list.is_empty pl))
+      delta.Pgraph.add_links
   in
   Alcotest.(check int) "both in-links of 3 carry PLs" 2
     (List.length with_pl);
   (* Multi-homing ends: the PL must be withdrawn (link re-announced
      bare). *)
-  Builder.set_path b ~dest:4 None;
+  Builder.set_path b ~dest:4 [];
   let delta = Builder.flush_delta b in
   let bare_reannounce =
     List.filter
-      (fun (p, c, pl) -> p = 1 && c = 3 && pl = None)
+      (fun (p, c, pl) -> p = 1 && c = 3 && Permission_list.is_empty pl)
       delta.Pgraph.add_links
   in
   Alcotest.(check int) "PL dropped when single-homed again" 1
@@ -91,20 +93,20 @@ let test_plist_appears_on_multihoming () =
 
 let test_no_delta_when_nothing_changes () =
   let b = Builder.create ~root:0 ~nodes:10 in
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
   ignore (Builder.flush_delta b);
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
   let delta = Builder.flush_delta b in
   Alcotest.(check bool) "idempotent set_path" true
     (Pgraph.delta_is_empty delta)
 
 let test_cancelling_changes_coalesce () =
   let b = Builder.create ~root:0 ~nodes:10 in
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
   ignore (Builder.flush_delta b);
   (* Change and change back between flushes: nothing on the wire. *)
-  Builder.set_path b ~dest:2 (Some [ 0; 3; 2 ]);
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
+  Builder.set_path b ~dest:2 [ 0; 3; 2 ];
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
   let delta = Builder.flush_delta b in
   Alcotest.(check bool) "cancelled out" true (Pgraph.delta_is_empty delta)
 
@@ -112,12 +114,12 @@ let test_cancelling_changes_coalesce () =
    one-node path: a mark and no link. *)
 let test_force_dest () =
   let b = Builder.create ~root:7 ~nodes:8 in
-  Builder.set_path b ~dest:7 (Some [ 7 ]);
+  Builder.set_path b ~dest:7 [ 7 ];
   let delta = Builder.flush_delta b in
   Alcotest.(check (list int)) "self marked" [ 7 ] delta.Pgraph.add_dests;
   Alcotest.(check int) "no link" 0 (List.length delta.Pgraph.add_links);
   Alcotest.(check (list int)) "dests include forced" [ 7 ] (Builder.dests b);
-  Builder.set_path b ~dest:7 None;
+  Builder.set_path b ~dest:7 [];
   Alcotest.(check (list int)) "withdrawn" [ 7 ]
     (Builder.flush_delta b).Pgraph.remove_dests
 
@@ -125,42 +127,39 @@ let test_set_path_validation () =
   let b = Builder.create ~root:0 ~nodes:10 in
   Alcotest.check_raises "wrong root"
     (Invalid_argument "Builder.set_path: path does not start at root")
-    (fun () -> Builder.set_path b ~dest:2 (Some [ 1; 2 ]));
+    (fun () -> Builder.set_path b ~dest:2 [ 1; 2 ]);
   Alcotest.check_raises "dest mismatch"
     (Invalid_argument "Builder.set_path: path destination mismatch")
-    (fun () -> Builder.set_path b ~dest:9 (Some [ 0; 2 ]));
+    (fun () -> Builder.set_path b ~dest:9 [ 0; 2 ]);
   Alcotest.check_raises "loop"
     (Invalid_argument "Builder.set_path: path has a loop") (fun () ->
-      Builder.set_path b ~dest:2 (Some [ 0; 1; 0; 2 ]));
-  Alcotest.check_raises "empty path"
-    (Invalid_argument "Builder.set_path: path too short") (fun () ->
-      Builder.set_path b ~dest:2 (Some []));
+      Builder.set_path b ~dest:2 [ 0; 1; 0; 2 ]);
   (* A one-node path is the root's own mark, and only that. *)
   Alcotest.check_raises "one-node path elsewhere"
     (Invalid_argument "Builder.set_path: path destination mismatch")
-    (fun () -> Builder.set_path b ~dest:2 (Some [ 0 ]));
+    (fun () -> Builder.set_path b ~dest:2 [ 0 ]);
   Alcotest.check_raises "other node's one-node path"
     (Invalid_argument "Builder.set_path: path does not start at root")
-    (fun () -> Builder.set_path b ~dest:2 (Some [ 2 ]));
+    (fun () -> Builder.set_path b ~dest:2 [ 2 ]);
   (* Ids index the builder's per-node state: [0, nodes) only. *)
   let out_of_range = Invalid_argument "Builder.set_path: node id out of range" in
   Alcotest.check_raises "dest = nodes" out_of_range (fun () ->
-      Builder.set_path b ~dest:10 None);
+      Builder.set_path b ~dest:10 []);
   Alcotest.check_raises "negative dest" out_of_range (fun () ->
-      Builder.set_path b ~dest:(-1) None);
+      Builder.set_path b ~dest:(-1) []);
   Alcotest.check_raises "path node = nodes" out_of_range (fun () ->
-      Builder.set_path b ~dest:2 (Some [ 0; 10; 2 ]));
+      Builder.set_path b ~dest:2 [ 0; 10; 2 ]);
   Alcotest.check_raises "negative path node" out_of_range (fun () ->
-      Builder.set_path b ~dest:2 (Some [ 0; -1; 2 ]));
+      Builder.set_path b ~dest:2 [ 0; -1; 2 ]);
   Alcotest.(check (list int)) "rejected calls leave nothing" [] (Builder.dests b);
   Alcotest.(check bool) "and queue nothing" true
     (Pgraph.delta_is_empty (Builder.flush_delta b))
 
 let test_path_of () =
   let b = Builder.create ~root:0 ~nodes:10 in
-  Builder.set_path b ~dest:2 (Some [ 0; 1; 2 ]);
-  Helpers.check_path_opt "stored" (Some [ 0; 1; 2 ]) (Builder.path_of b ~dest:2);
-  Helpers.check_path_opt "absent" None (Builder.path_of b ~dest:9)
+  Builder.set_path b ~dest:2 [ 0; 1; 2 ];
+  Alcotest.(check (list int)) "stored" [ 0; 1; 2 ] (Builder.path_of b ~dest:2);
+  Alcotest.(check (list int)) "absent" [] (Builder.path_of b ~dest:9)
 
 (* Randomized oracle: arbitrary set_path sequences, interleaved with
    flushes and wire invalidations, against the replay oracle and
@@ -169,23 +168,21 @@ let test_path_of () =
    and withdraws Permission Lists, and reroutes share prefixes and
    suffixes with the path they replace. *)
 let shapes dest =
-  [| None;
-     Some [ 0; 1; dest ];
-     Some [ 0; 2; dest ];
-     Some [ 0; 1; 3; dest ];
-     Some [ 0; 2; 3; dest ];
-     Some [ 0; 1; 3; 4; dest ];
-     Some [ 0; 2; 4; dest ];
-     Some [ 0; 3; 4; dest ] |]
+  [| [];
+     [ 0; 1; dest ];
+     [ 0; 2; dest ];
+     [ 0; 1; 3; dest ];
+     [ 0; 2; 3; dest ];
+     [ 0; 1; 3; 4; dest ];
+     [ 0; 2; 4; dest ];
+     [ 0; 3; 4; dest ] |]
 
 (* Every link a shape can use. *)
 let all_links =
   List.sort_uniq compare
     (List.concat_map
        (fun k ->
-         List.concat_map
-           (function Some p -> Path.links p | None -> [])
-           (Array.to_list (shapes (10 + k))))
+         List.concat_map Path.links (Array.to_list (shapes (10 + k))))
        (List.init 9 Fun.id))
 
 let builder_matches_of_paths =
@@ -230,8 +227,8 @@ let builder_matches_of_paths =
             let dest = 10 + op in
             let path = (shapes dest).(choice) in
             (match path with
-            | None -> Hashtbl.remove current dest
-            | Some p -> Hashtbl.replace current dest p);
+            | [] -> Hashtbl.remove current dest
+            | p -> Hashtbl.replace current dest p);
             Builder.set_path b ~dest path;
             true
           end)

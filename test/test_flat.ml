@@ -10,15 +10,13 @@ open Centaur
 
 module Reference = Oracle.Reference
 
-let plist_opt_equal = Reference.plist_opt_equal
-
 let links_equal a b =
   List.length a = List.length b
   && List.for_all2
        (fun (p1, c1, (d1 : Pgraph.link_data)) (p2, c2, d2) ->
          p1 = p2 && c1 = c2
          && d1.Pgraph.counter = d2.Pgraph.counter
-         && plist_opt_equal d1.Pgraph.plist d2.Pgraph.plist)
+         && Permission_list.equal d1.Pgraph.plist d2.Pgraph.plist)
        a b
 
 let same_graph ~what (g : Pgraph.t) (r : Reference.t) =
@@ -49,7 +47,7 @@ let same_graph ~what (g : Pgraph.t) (r : Reference.t) =
                (fun (p1, (d1 : Pgraph.link_data)) (p2, d2) ->
                  p1 = p2
                  && d1.Pgraph.counter = d2.Pgraph.counter
-                 && plist_opt_equal d1.Pgraph.plist d2.Pgraph.plist)
+                 && Permission_list.equal d1.Pgraph.plist d2.Pgraph.plist)
                pg pr)
       then Alcotest.failf "%s: parents_of %d differs" what node)
     (Reference.nodes r);
@@ -100,19 +98,16 @@ let packed_matches_reference =
       (* Random mutation burst applied to [gb] and the reference. *)
       let rng = Random.State.make [| seed; 77 |] in
       let rand_plist () =
-        if Random.State.bool rng then None
-        else begin
-          let pl = ref Permission_list.empty in
+        let pl = ref Permission_list.empty in
+        if not (Random.State.bool rng) then
           for _ = 0 to Random.State.int rng 3 do
             let dest = Random.State.int rng 40 in
             let next =
-              if Random.State.bool rng then None
-              else Some (Random.State.int rng 40)
+              if Random.State.bool rng then -1 else Random.State.int rng 40
             in
             pl := Permission_list.add !pl ~dest ~next
           done;
-          Some !pl
-        end
+        !pl
       in
       for _ = 1 to 40 do
         let a = Random.State.int rng 40 and b = Random.State.int rng 40 in
@@ -153,11 +148,19 @@ let test_build_graph_at_id_limit () =
   let links = ref [] in
   Pgraph.Traversals.iter r (Permission_list.Scratch.create ())
     (fun ~key ~count pl ->
-      let data = { Pgraph.counter = count; plist = Option.map Permission_list.Scratch.freeze pl } in
+      let plist =
+        match pl with
+        | Some sc -> Permission_list.Scratch.freeze sc
+        | None -> Permission_list.empty
+      in
+      let data = { Pgraph.counter = count; plist } in
       links := (Pgraph.key_parent key, Pgraph.key_child key, data) :: !links);
   let links = List.sort (fun (p, c, _) (p', c', _) -> compare (p, c) (p', c')) !links in
   Alcotest.(check int) "both in-links of max_node carry lists" 2
-    (List.length (List.filter (fun (_, _, d) -> d.Pgraph.plist <> None) links));
+    (List.length
+       (List.filter
+          (fun (_, _, d) -> not (Permission_list.is_empty d.Pgraph.plist))
+          links));
   if not (links_equal links (Reference.links (Reference.of_paths ~root paths))) then
     Alcotest.fail "id limit: traversals differ from the reference graph"
 
@@ -178,7 +181,7 @@ let diff_apply_matches_reference =
           (List.length delta.Pgraph.add_links = List.length ra
           && List.for_all2
                (fun (p1, c1, pl1) (p2, c2, pl2) ->
-                 p1 = p2 && c1 = c2 && plist_opt_equal pl1 pl2)
+                 p1 = p2 && c1 = c2 && Permission_list.equal pl1 pl2)
                delta.Pgraph.add_links ra)
       then Alcotest.fail "diff add_links differ";
       if delta.Pgraph.remove_links <> rr then
@@ -206,7 +209,7 @@ let diff_apply_matches_reference =
           (List.length la = List.length lr
           && List.for_all2
                (fun (p1, c1, pl1) (p2, c2, pl2) ->
-                 p1 = p2 && c1 = c2 && plist_opt_equal pl1 pl2)
+                 p1 = p2 && c1 = c2 && Permission_list.equal pl1 pl2)
                la lr)
       then Alcotest.fail "applied graphs differ";
       true)

@@ -158,7 +158,7 @@ let test_message_from_unknown_sender_dropped () =
   (* D is not A's neighbor; a stray message must be ignored. *)
   let stray =
     Announce.make ~sender:Fixtures.d
-      { Pgraph.add_links = [ (Fixtures.d, Fixtures.b, None) ];
+      { Pgraph.add_links = [ (Fixtures.d, Fixtures.b, Permission_list.empty) ];
         remove_links = [];
         add_dests = [ Fixtures.d ];
         remove_dests = [] }
@@ -186,9 +186,9 @@ let test_out_of_range_ids_dropped () =
   let bogus =
     Announce.make ~sender:Fixtures.b
       { Pgraph.add_links =
-          [ (Fixtures.b, n, None);
-            (n + 5, Fixtures.b, None);
-            (Fixtures.c, Fixtures.c, None) ];
+          [ (Fixtures.b, n, Permission_list.empty);
+            (n + 5, Fixtures.b, Permission_list.empty);
+            (Fixtures.c, Fixtures.c, Permission_list.empty) ];
         remove_links = [ (Fixtures.b, n) ];
         add_dests = [ n; n + 3; -1 ];
         remove_dests = [ n ] }
@@ -220,7 +220,7 @@ let test_adjacency_loss_reroutes () =
 
 let test_announce_units () =
   let delta =
-    { Pgraph.add_links = [ (0, 1, None); (1, 2, None) ];
+    { Pgraph.add_links = [ (0, 1, Permission_list.empty); (1, 2, Permission_list.empty) ];
       remove_links = [ (3, 4) ];
       add_dests = [ 2 ];
       remove_dests = [] }
@@ -235,6 +235,46 @@ let test_announce_units () =
   Alcotest.(check int) "mark-only message still costs one" 1
     (Announce.units empty_marks)
 
+(* The byte price of a hand-built update: an 8-byte header, 8 + 1 per
+   added link plus its list's compressed size (an emptied list, as the
+   corruption fault sends, costs what a bare link costs), 8 per removed
+   link and 4 per destination mark. *)
+let test_announce_wire_bytes () =
+  let pl =
+    List.fold_left
+      (fun pl (dest, next) -> Permission_list.add pl ~dest ~next)
+      Permission_list.empty
+      [ (5, 2); (6, 2); (7, -1) ]
+  in
+  (* Two entries: one destination (a 10-bit filter, 2 bytes) and two
+     (20 bits, 3 bytes), each with a 4-byte next hop. *)
+  Alcotest.(check int) "list price" 13
+    (Permission_list.compressed_size_bytes pl ~fp_rate:0.01);
+  let emptied = Permission_list.filter_dests pl (fun _ -> false) in
+  let ann =
+    Announce.make ~sender:0
+      { Pgraph.add_links =
+          [ (0, 1, Permission_list.empty); (1, 2, pl); (1, 3, emptied) ];
+        remove_links = [ (3, 4); (4, 5) ];
+        add_dests = [ 2; 3 ];
+        remove_dests = [ 9 ] }
+  in
+  Alcotest.(check int) "priced update" (8 + (3 * 9) + 13 + (2 * 8) + (3 * 4))
+    (Announce.wire_bytes ann);
+  Alcotest.(check int) "rate reaches the lists"
+    (8 + (3 * 9)
+    + Permission_list.compressed_size_bytes pl ~fp_rate:0.001
+    + (2 * 8) + (3 * 4))
+    (Announce.wire_bytes ~plist_fp_rate:0.001 ann);
+  Alcotest.(check int) "five link changes" 5 (Announce.units ann);
+  let marks_only =
+    Announce.make ~sender:0
+      { Pgraph.add_links = []; remove_links = []; add_dests = [ 5 ];
+        remove_dests = [] }
+  in
+  Alcotest.(check int) "marks-only price" (8 + 4) (Announce.wire_bytes marks_only);
+  Alcotest.(check int) "marks-only unit" 1 (Announce.units marks_only)
+
 (* §4.3 Step 2's import filter: [Node.absorb] drops a received delta's
    links into the receiver (X -> A), which would close a loop through
    it, and applies the rest. *)
@@ -248,15 +288,15 @@ let test_announce_import_filter () =
   in
   let expected = Pgraph.copy (session ()) in
   Pgraph.apply expected
-    { Pgraph.add_links = [ (Fixtures.d, Fixtures.c, None) ];
+    { Pgraph.add_links = [ (Fixtures.d, Fixtures.c, Permission_list.empty) ];
       remove_links = [];
       add_dests = [];
       remove_dests = [] };
   let into_a =
     { Pgraph.add_links =
-        [ (Fixtures.b, Fixtures.a, None);
-          (Fixtures.d, Fixtures.c, None);
-          (Fixtures.d, Fixtures.a, None) ];
+        [ (Fixtures.b, Fixtures.a, Permission_list.empty);
+          (Fixtures.d, Fixtures.c, Permission_list.empty);
+          (Fixtures.d, Fixtures.a, Permission_list.empty) ];
       remove_links = [ (Fixtures.c, Fixtures.a) ];
       add_dests = [];
       remove_dests = [] }
@@ -374,7 +414,7 @@ let delta_check_matches_rebuild =
               List.nth links (Random.State.int rng (List.length links))
             in
             Pgraph.add_link g ~parent ~child
-              ~data:{ Pgraph.counter = 0; plist = None }
+              ~data:{ Pgraph.counter = 0; plist = Permission_list.empty }
           | _ -> ());
           node := absorb !node ~old_:!graph ~new_:g;
           graph := g;
@@ -402,6 +442,7 @@ let suite =
     Alcotest.test_case "adjacency loss reroutes" `Quick
       test_adjacency_loss_reroutes;
     Alcotest.test_case "announce units" `Quick test_announce_units;
+    Alcotest.test_case "announce wire bytes" `Quick test_announce_wire_bytes;
     Alcotest.test_case "announce import filter" `Quick
       test_announce_import_filter;
     QCheck_alcotest.to_alcotest routes_equal_rebuild_after_loss;

@@ -34,7 +34,10 @@ let test_ring_eviction () =
   T.clear tr;
   Alcotest.(check int) "clear empties" 0 (T.length tr);
   Alcotest.(check int) "clear resets dropped" 0 (T.dropped tr);
-  Alcotest.(check (float 0.0)) "clear keeps now" 5.0 (T.now tr)
+  T.emit tr (T.Mark_dirty { node = 0; dest = -1 });
+  match T.events tr with
+  | [| (t, _) |] -> Alcotest.(check (float 0.0)) "clear keeps now" 5.0 t
+  | _ -> Alcotest.fail "expected the one mark emitted after clear"
 
 (* One event per variant, with assorted field values. *)
 let specimen_events =

@@ -13,70 +13,70 @@ let test_empty () =
   Alcotest.(check bool) "empty" true
     (Permission_list.is_empty Permission_list.empty);
   Alcotest.(check bool) "permits nothing" false
-    (Permission_list.permit Permission_list.empty ~dest:1 ~next:None);
+    (Permission_list.permit Permission_list.empty ~dest:1 ~next:(-1));
   Alcotest.(check int) "no entries" 0
     (Permission_list.num_entries Permission_list.empty)
 
 let test_add_permit () =
-  let pl = pl_of [ (5, Some 2); (6, Some 2); (7, None) ] in
+  let pl = pl_of [ (5, 2); (6, 2); (7, -1) ] in
   Alcotest.(check bool) "permits 5 via 2" true
-    (Permission_list.permit pl ~dest:5 ~next:(Some 2));
+    (Permission_list.permit pl ~dest:5 ~next:2);
   Alcotest.(check bool) "permits 7 terminal" true
-    (Permission_list.permit pl ~dest:7 ~next:None);
+    (Permission_list.permit pl ~dest:7 ~next:(-1));
   Alcotest.(check bool) "wrong next" false
-    (Permission_list.permit pl ~dest:5 ~next:(Some 3));
+    (Permission_list.permit pl ~dest:5 ~next:3);
   Alcotest.(check bool) "wrong dest" false
-    (Permission_list.permit pl ~dest:9 ~next:(Some 2));
+    (Permission_list.permit pl ~dest:9 ~next:2);
   Alcotest.(check bool) "dest with terminal next mismatch" false
-    (Permission_list.permit pl ~dest:5 ~next:None)
+    (Permission_list.permit pl ~dest:5 ~next:(-1))
 
 let test_grouping () =
   (* Destinations sharing a next hop collapse into one entry — the
      paper's DestList grouping. *)
-  let pl = pl_of [ (5, Some 2); (6, Some 2); (7, Some 3) ] in
+  let pl = pl_of [ (5, 2); (6, 2); (7, 3) ] in
   Alcotest.(check int) "two entries" 2 (Permission_list.num_entries pl);
   Alcotest.(check (list int)) "all dests" [ 5; 6; 7 ] (Permission_list.dests pl);
   match Permission_list.entries pl with
-  | [ (Some 2, [ 5; 6 ]); (Some 3, [ 7 ]) ] -> ()
+  | [ (2, [ 5; 6 ]); (3, [ 7 ]) ] -> ()
   | _ -> Alcotest.fail "unexpected entry structure"
 
 let test_idempotent_add () =
-  let pl = pl_of [ (5, Some 2); (5, Some 2) ] in
+  let pl = pl_of [ (5, 2); (5, 2) ] in
   Alcotest.(check int) "one entry" 1 (Permission_list.num_entries pl);
   Alcotest.(check (list int)) "one dest" [ 5 ] (Permission_list.dests pl)
 
 let test_remove_dest () =
-  let pl = pl_of [ (5, Some 2); (6, Some 2); (7, Some 3) ] in
+  let pl = pl_of [ (5, 2); (6, 2); (7, 3) ] in
   let pl = Permission_list.remove_dest pl ~dest:7 in
   Alcotest.(check int) "entry vanished with its last dest" 1
     (Permission_list.num_entries pl);
   let pl = Permission_list.remove_dest pl ~dest:5 in
   Alcotest.(check bool) "6 survives" true
-    (Permission_list.permit pl ~dest:6 ~next:(Some 2));
+    (Permission_list.permit pl ~dest:6 ~next:2);
   Alcotest.(check bool) "5 gone" false
-    (Permission_list.permit pl ~dest:5 ~next:(Some 2))
+    (Permission_list.permit pl ~dest:5 ~next:2)
 
 let test_next_for () =
-  let pl = pl_of [ (5, Some 2); (7, None) ] in
+  let pl = pl_of [ (5, 2); (7, -1) ] in
   Alcotest.(check bool) "next of 5" true
-    (Permission_list.next_for pl ~dest:5 = Some (Some 2));
+    (Permission_list.next_for pl ~dest:5 = Some 2);
   Alcotest.(check bool) "next of 7" true
-    (Permission_list.next_for pl ~dest:7 = Some None);
+    (Permission_list.next_for pl ~dest:7 = Some (-1));
   Alcotest.(check bool) "absent" true
     (Permission_list.next_for pl ~dest:9 = None)
 
 let test_merge () =
-  let a = pl_of [ (5, Some 2) ] and b = pl_of [ (6, Some 3) ] in
+  let a = pl_of [ (5, 2) ] and b = pl_of [ (6, 3) ] in
   let m = Permission_list.merge a b in
   Alcotest.(check bool) "both permitted" true
-    (Permission_list.permit m ~dest:5 ~next:(Some 2)
-    && Permission_list.permit m ~dest:6 ~next:(Some 3))
+    (Permission_list.permit m ~dest:5 ~next:2
+    && Permission_list.permit m ~dest:6 ~next:3)
 
 let test_equal () =
-  let a = pl_of [ (5, Some 2); (6, Some 3) ] in
-  let b = pl_of [ (6, Some 3); (5, Some 2) ] in
+  let a = pl_of [ (5, 2); (6, 3) ] in
+  let b = pl_of [ (6, 3); (5, 2) ] in
   Alcotest.(check bool) "order independent" true (Permission_list.equal a b);
-  let c = pl_of [ (5, Some 2) ] in
+  let c = pl_of [ (5, 2) ] in
   Alcotest.(check bool) "different" false (Permission_list.equal a c)
 
 (* Lists built in bulk: pairs pushed into a scratch in any order, with
@@ -92,7 +92,7 @@ let scratch_equals_add_fold =
     (fun (specs, seed) ->
       let pairs =
         List.map
-          (fun (dest, nxt) -> (dest, if nxt = 0 then None else Some (100 + nxt)))
+          (fun (dest, nxt) -> (dest, if nxt = 0 then -1 else 100 + nxt))
           specs
       in
       (* Shuffle a duplicated copy of the pairs. *)
@@ -106,9 +106,7 @@ let scratch_equals_add_fold =
       Permission_list.Scratch.push s ~dest:0 ~next:(-1);
       Permission_list.Scratch.clear s;
       List.iter
-        (fun (dest, next) ->
-          Permission_list.Scratch.push s ~dest
-            ~next:(match next with None -> -1 | Some n -> n))
+        (fun (dest, next) -> Permission_list.Scratch.push s ~dest ~next)
         shuffled;
       let folded = pl_of pairs in
       let fp_rate = 0.01 in
@@ -121,26 +119,25 @@ let scratch_equals_add_fold =
       && Permission_list.entries (Permission_list.Scratch.freeze s)
          = Permission_list.entries folded)
 
-(* The packing covers every id a P-graph accepts, and the int-coded
-   permit agrees with the option one. *)
+(* The packing covers every id a P-graph accepts. *)
 let test_extreme_ids () =
   let top = Pgraph.max_node in
-  let pl = pl_of [ (top, Some top); (top, None); (0, Some 0) ] in
+  let pl = pl_of [ (top, top); (top, -1); (0, 0) ] in
   Alcotest.(check bool) "top pair" true
-    (Permission_list.permit pl ~dest:top ~next:(Some top));
+    (Permission_list.permit pl ~dest:top ~next:top);
   Alcotest.(check bool) "top dest, terminal" true
-    (Permission_list.permit_id pl ~dest:top ~next:(-1));
+    (Permission_list.permit pl ~dest:top ~next:(-1));
   Alcotest.(check bool) "zero pair" true
-    (Permission_list.permit_id pl ~dest:0 ~next:0);
+    (Permission_list.permit pl ~dest:0 ~next:0);
   Alcotest.(check bool) "out of range never permitted" false
-    (Permission_list.permit_id pl ~dest:(top + 1) ~next:(-1));
+    (Permission_list.permit pl ~dest:(top + 1) ~next:(-1));
   match Permission_list.entries pl with
-  | [ (None, [ d1 ]); (Some 0, [ 0 ]); (Some n, [ d2 ]) ]
+  | [ (-1, [ d1 ]); (0, [ 0 ]); (n, [ d2 ]) ]
     when d1 = top && n = top && d2 = top -> ()
   | _ -> Alcotest.fail "unexpected entry order at the id limits"
 
 let test_compressed_size () =
-  let pl = pl_of (List.init 50 (fun i -> (i, Some 99))) in
+  let pl = pl_of (List.init 50 (fun i -> (i, 99))) in
   let bytes = Permission_list.compressed_size_bytes pl ~fp_rate:0.01 in
   (* 50 dests at 1% fp ~ 60 bytes of Bloom bits + 4 bytes next hop;
      far below the ~200 bytes of a naive int list. *)
@@ -175,7 +172,7 @@ let compressed_roundtrip =
         pl_of
           (List.map
              (fun (dest, nxt) ->
-               (dest, if nxt = 0 then None else Some (300 + nxt)))
+               (dest, if nxt = 0 then -1 else 300 + nxt))
              specs)
       in
       let fp_rate = 0.01 in
@@ -183,17 +180,17 @@ let compressed_roundtrip =
       compressed_bytes c = Permission_list.compressed_size_bytes pl ~fp_rate
       && List.for_all
            (fun (dest, nxt) ->
-             let next = if nxt = 0 then None else Some (300 + nxt) in
+             let next = if nxt = 0 then -1 else 300 + nxt in
              compressed_permit c ~dest ~next)
            specs)
 
 let test_compressed_rejects_unknown_next () =
   (* False positives only confuse destinations within an entry's filter;
      a next hop no entry carries can never be permitted. *)
-  let pl = pl_of (List.init 50 (fun i -> (i, Some 99))) in
+  let pl = pl_of (List.init 50 (fun i -> (i, 99))) in
   let c = compress pl ~fp_rate:0.01 in
   Alcotest.(check bool) "unknown next hop rejected" false
-    (compressed_permit c ~dest:5 ~next:(Some 7))
+    (compressed_permit c ~dest:5 ~next:7)
 
 (* The per-path encoding: one entry per policy-compliant path through
    the link, "theoretically useful in demonstrating the expressiveness
@@ -222,7 +219,7 @@ module Exhaustive = struct
         (fun p pl ->
           if Path.contains p multi_homed then
             Permission_list.add pl ~dest:(Path.destination p)
-              ~next:(Path.next_hop_of p multi_homed)
+              ~next:(Option.value (Path.next_hop_of p multi_homed) ~default:(-1))
           else pl)
         t Permission_list.empty
     in
@@ -269,10 +266,10 @@ let exhaustive_equivalence =
       List.for_all
         (fun p ->
           let dest = Path.destination p in
-          let next = Path.next_hop_of p b in
+          let next = Option.value (Path.next_hop_of p b) ~default:(-1) in
           permit_compiled ~dest ~next)
         paths
-      && not (permit_compiled ~dest:999 ~next:(Some 888)))
+      && not (permit_compiled ~dest:999 ~next:888))
 
 let test_exhaustive_paths () =
   let e =

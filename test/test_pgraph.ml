@@ -5,7 +5,7 @@
 open Helpers
 open Centaur
 
-let data ?plist counter = { Pgraph.counter; plist }
+let data ?(plist = Permission_list.empty) counter = { Pgraph.counter; plist }
 
 let test_empty_graph () =
   let g = Pgraph.create ~nodes:8 ~root:7 in
@@ -60,12 +60,12 @@ let test_figure4_scenario () =
   (* Inspect the Permission List of C->D like the paper's Figure 4(c). *)
   match Pgraph.link_data g ~parent:c ~child:d with
   | None -> Alcotest.fail "missing link C->D"
-  | Some { Pgraph.plist = None; _ } -> Alcotest.fail "C->D lacks a PL"
-  | Some { Pgraph.plist = Some pl; _ } ->
+  | Some { Pgraph.plist = pl; _ } ->
+    if Permission_list.is_empty pl then Alcotest.fail "C->D lacks a PL";
     Alcotest.(check bool) "permits (D', next=D')" true
-      (Permission_list.permit pl ~dest:d' ~next:(Some d'));
-    Alcotest.(check bool) "forbids (D, next=None)" false
-      (Permission_list.permit pl ~dest:d ~next:None)
+      (Permission_list.permit pl ~dest:d' ~next:d');
+    Alcotest.(check bool) "forbids (D, next=self)" false
+      (Permission_list.permit pl ~dest:d ~next:(-1))
 
 let test_figure3_announcements () =
   (* Figure 3 walk-through: B's local P-graph on the Figure 2(a) diamond
@@ -159,8 +159,8 @@ let test_diff_empty_on_equal () =
 
 let test_diff_detects_plist_change () =
   (* Same link set, different Permission List: must be re-announced. *)
-  let pl1 = Permission_list.add Permission_list.empty ~dest:5 ~next:None in
-  let pl2 = Permission_list.add pl1 ~dest:6 ~next:(Some 7) in
+  let pl1 = Permission_list.add Permission_list.empty ~dest:5 ~next:(-1) in
+  let pl2 = Permission_list.add pl1 ~dest:6 ~next:7 in
   let g1 = Pgraph.create ~nodes:2 ~root:0 in
   Pgraph.add_link g1 ~parent:0 ~child:1 ~data:(data ~plist:pl1 1);
   let g2 = Pgraph.create ~nodes:2 ~root:0 in
@@ -198,18 +198,19 @@ let test_use_counts () =
   let g = Pgraph.create ~nodes:4 ~root:0 in
   Alcotest.(check int) "first use" 1 (Pgraph.add_use g ~parent:0 ~child:1);
   Alcotest.(check bool) "entered" true (Pgraph.mem_link g ~parent:0 ~child:1);
-  let pl = Permission_list.add Permission_list.empty ~dest:1 ~next:None in
-  Pgraph.set_plist g ~parent:0 ~child:1 (Some pl);
+  let pl = Permission_list.add Permission_list.empty ~dest:1 ~next:(-1) in
+  Pgraph.set_plist g ~parent:0 ~child:1 pl;
   Alcotest.(check int) "second use" 2 (Pgraph.add_use g ~parent:0 ~child:1);
   Alcotest.(check int) "one link" 1 (Pgraph.num_links g);
   Alcotest.(check int) "one use dropped" 1 (Pgraph.drop_use g ~parent:0 ~child:1);
   Alcotest.(check bool) "list kept" true
-    (Pgraph.plist g ~parent:0 ~child:1 = Some pl);
+    (Permission_list.equal (Pgraph.plist g ~parent:0 ~child:1) pl);
   Alcotest.(check int) "last use dropped" 0 (Pgraph.drop_use g ~parent:0 ~child:1);
   Alcotest.(check bool) "left at zero" false (Pgraph.mem_link g ~parent:0 ~child:1);
   Alcotest.(check int) "no link" 0 (Pgraph.num_links g);
   Alcotest.(check int) "enters again, bare" 1 (Pgraph.add_use g ~parent:0 ~child:1);
-  Alcotest.(check bool) "no list" true (Pgraph.plist g ~parent:0 ~child:1 = None)
+  Alcotest.(check bool) "no list" true
+    (Permission_list.is_empty (Pgraph.plist g ~parent:0 ~child:1))
 
 let test_drop_absent_use () =
   let g = Pgraph.create ~nodes:4 ~root:0 in
@@ -222,7 +223,7 @@ let test_drop_absent_use () =
       ignore (Pgraph.drop_use g ~parent:0 ~child:1));
   Alcotest.check_raises "set_plist on an absent link"
     (Invalid_argument "Pgraph.set_plist: link absent") (fun () ->
-      Pgraph.set_plist g ~parent:2 ~child:1 None)
+      Pgraph.set_plist g ~parent:2 ~child:1 Permission_list.empty)
 
 let test_iter_parents () =
   let g = Pgraph.of_paths ~root:0 [ [ 0; 1; 3 ]; [ 0; 2; 3; 4 ] ] in
