@@ -416,24 +416,25 @@ let simulate_cmd =
       in
       match stream_rate with
       | Some rate ->
-        if rate <= 0.0 || stream_duration <= 0.0 then
-          `Error (false, "stream rate and duration must be > 0")
-        else
-          or_diverged ~verdict (fun () ->
+        or_diverged ~verdict (fun () ->
+            let mode =
+              if window <= 0.0 then Stream.Replay.Event_at_a_time
+              else Stream.Replay.Waves window
+            in
+            let reg = Obs.Metrics.create () in
+            (* The generator rejects a rate or duration it cannot run,
+               and the replay a window, before the runner starts. *)
+            match
               let stream =
                 Stream.Update_stream.generate ~seed ~rate
                   ~duration:stream_duration ~policy_share:0.15
                   ~loss_share:0.1 topo
               in
-              let mode =
-                if window <= 0.0 then Stream.Replay.Event_at_a_time
-                else Stream.Replay.Waves window
-              in
-              let reg = Obs.Metrics.create () in
-              let o =
-                Stream.Replay.replay ~metrics:reg ~policy ~topo ~stream
-                  ~mode runner
-              in
+              Stream.Replay.replay ~metrics:reg ~policy ~topo ~stream ~mode
+                runner
+            with
+            | exception Invalid_argument msg -> `Error (false, msg)
+            | o ->
               Printf.printf "stream     seed=%d rate=%.2f/ms duration=%.0fms %s\n"
                 seed rate stream_duration
                 (match mode with

@@ -40,13 +40,14 @@ let () =
           (name node) (name hop)
       | None -> Printf.printf "  naive link-state: %s has no route\n" (name node))
     [ a; b ];
-  (match Naive_link_state.trace ~max_hops:8 forwarding ~src:a ~dest:c with
-  | Ok p ->
-    Printf.printf "  packet path: %s (delivered)\n"
-      (String.concat " -> " (List.map name p))
-  | Error visited ->
-    Printf.printf "  packet path: %s ... LOOP - never delivered\n\n"
-      (String.concat " -> " (List.map name visited)));
+  let show p = String.concat " -> " (List.map name p) in
+  (match Path.follow forwarding ~src:a ~dest:c with
+  | Path.Reached p -> Printf.printf "  packet path: %s (delivered)\n" (show p)
+  | Path.Looped p ->
+    Printf.printf "  packet path: %s ... LOOP - never delivered\n\n" (show p)
+  | Path.Stuck p ->
+    Printf.printf "  packet path: %s ... no route - never delivered\n\n"
+      (show p));
 
   (* The same network under Centaur. *)
   Printf.printf
@@ -59,14 +60,14 @@ let () =
     (fun node ->
       match runner.Sim.Runner.path ~src:node ~dest:c with
       | Some p ->
-        Printf.printf "  centaur: %s routes to C via %s\n" (name node)
-          (String.concat " -> " (List.map name p))
+        Printf.printf "  centaur: %s routes to C via %s\n" (name node) (show p)
       | None -> Printf.printf "  centaur: %s has no route to C\n" (name node))
     [ a; b ];
   match
-    Sim.Runner.forwarding_path runner ~src:a ~dest:c ~max_hops:8
+    Path.follow
+      (fun v -> runner.Sim.Runner.next_hop ~src:v ~dest:c)
+      ~src:a ~dest:c
   with
-  | Some p ->
-    Printf.printf "  packet path: %s (delivered)\n"
-      (String.concat " -> " (List.map name p))
-  | None -> Printf.printf "  packet path: LOOP?!\n"
+  | Path.Reached p -> Printf.printf "  packet path: %s (delivered)\n" (show p)
+  | Path.Looped _ -> Printf.printf "  packet path: LOOP?!\n"
+  | Path.Stuck _ -> Printf.printf "  packet path: no route?!\n"

@@ -10,37 +10,40 @@ type report = {
   excess : float;
 }
 
-let measure_paths ~k ~src paths =
-  let graph = Pgraph.of_multipaths ~root:src paths in
-  let pl_entries =
-    List.fold_left
-      (fun acc pl -> acc + Permission_list.num_entries pl)
-      0
-      (Pgraph.permission_lists graph)
-  in
-  let pv_hops = Multipath.path_vector_cost paths in
-  let centaur_links = Pgraph.num_links graph in
-  let derived =
-    List.fold_left
-      (fun acc d -> acc + List.length (Pgraph.derive_paths ~limit:256 graph ~dest:d))
-      0 (Pgraph.dests graph)
-  in
-  let announced = List.length paths in
+let of_ranked ranked ~k =
+  let dests = ref 0 and paths = ref 0 and pv_hops = ref 0 in
+  let links = ref 0 and entries = ref 0 and derived = ref 0 in
+  Hashtbl.iter
+    (fun src per_dest ->
+      let announced =
+        List.concat_map (List.filteri (fun i _ -> i < k)) per_dest
+      in
+      let graph = Pgraph.of_multipaths ~root:src announced in
+      dests := !dests + List.length (Pgraph.dests graph);
+      paths := !paths + List.length announced;
+      pv_hops := !pv_hops + Multipath.path_vector_cost announced;
+      links := !links + Pgraph.num_links graph;
+      List.iter
+        (fun pl -> entries := !entries + Permission_list.num_entries pl)
+        (Pgraph.permission_lists graph);
+      List.iter
+        (fun d ->
+          derived :=
+            !derived + List.length (Pgraph.derive_paths ~limit:256 graph ~dest:d))
+        (Pgraph.dests graph))
+    ranked;
   { k;
-    dests = List.length (Pgraph.dests graph);
-    paths = announced;
-    pv_hops;
-    centaur_links;
-    pl_entries;
+    dests = !dests;
+    paths = !paths;
+    pv_hops = !pv_hops;
+    centaur_links = !links;
+    pl_entries = !entries;
     compaction =
-      float_of_int pv_hops /. float_of_int (max 1 (centaur_links + pl_entries));
-    derived_paths = derived;
+      float_of_int !pv_hops /. float_of_int (max 1 (!links + !entries));
+    derived_paths = !derived;
     excess =
-      (if announced = 0 then 0.0
-       else float_of_int (derived - announced) /. float_of_int announced) }
-
-let measure topo ~k ~src =
-  measure_paths ~k ~src (Multipath.path_set topo ~k ~src)
+      (if !paths = 0 then 0.0
+       else float_of_int (!derived - !paths) /. float_of_int !paths) }
 
 let render reports =
   let buf = Buffer.create 512 in

@@ -7,7 +7,7 @@
     path-vector (which repeats every path in full), and measure how
     faithfully the per-dest-next Permission-List encoding captures the
     path set (the encoding may close the set under prefix recombination;
-    {!measure} reports the excess). *)
+    the report's [excess]). *)
 
 type report = {
   k : int;
@@ -21,11 +21,12 @@ type report = {
   excess : float;         (** (derived - announced) / announced *)
 }
 
-val measure : Topology.t -> k:int -> src:int -> report
-(** Build the k-best path set of one source and measure it. *)
-
-val measure_paths : k:int -> src:int -> Path.t list -> report
-(** Measure a pre-computed path set (e.g. from
-    {!Multipath.ranked_sets}); [k] is recorded verbatim. *)
+val of_ranked : (int, Path.t list list) Hashtbl.t -> k:int -> report
+(** [of_ranked ranked ~k] measures the k-best path sets of every source
+    in [ranked] (as {!Multipath.ranked_sets} returns them, with
+    [kmax >= k]): each source announces the first [k] routes of each
+    destination's list, in the multi-path P-graph rooted at the source.
+    The counts are summed over the sources, and [compaction] and
+    [excess] are the ratios of the sums. *)
 
 val render : report list -> string

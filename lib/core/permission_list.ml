@@ -66,8 +66,6 @@ let filter_dests t keep =
     t;
   if !n = Array.length t then t else Array.sub out 0 !n
 
-let remove_dest t ~dest = filter_dests t (fun d -> d <> dest)
-
 (* The pairs of one entry form a run of equal next hops: the end of the
    run starting at [i]. *)
 let run_end (a : int array) len i =
@@ -115,22 +113,11 @@ let num_entries t = runs t (Array.length t)
 
 let compressed_size_bytes t ~fp_rate = size_bytes t (Array.length t) ~fp_rate
 
-let dests t = List.sort_uniq Int.compare (Array.to_list (Array.map key_dest t))
-
 let entries t =
   let acc = ref [] in
   iter_runs t (Array.length t) (fun next lo hi ->
       acc := (next, List.init (hi - lo) (fun i -> key_dest t.(lo + i))) :: !acc);
   List.rev !acc
-
-let next_for t ~dest =
-  (* Keys ascend by next hop, so the first match is the smallest. *)
-  let rec go i =
-    if i = Array.length t then None
-    else if key_dest t.(i) = dest then Some (key_next t.(i))
-    else go (i + 1)
-  in
-  go 0
 
 let prefix_equal (a : int array) len (b : int array) =
   len = Array.length b
@@ -245,19 +232,16 @@ module Scratch = struct
     s.len <- 0;
     s.sorted <- true
 
-  let push_key s k =
+  let push s ~dest ~next =
+    check ~dest ~next;
     if s.len = Array.length s.buf then begin
       let buf = Array.make (2 * s.len) 0 in
       Array.blit s.buf 0 buf 0 s.len;
       s.buf <- buf
     end;
-    s.buf.(s.len) <- k;
+    s.buf.(s.len) <- pack ~dest ~next;
     s.len <- s.len + 1;
     s.sorted <- false
-
-  let push s ~dest ~next =
-    check ~dest ~next;
-    push_key s (pack ~dest ~next)
 
   let freeze s =
     normalize s;
@@ -275,12 +259,6 @@ module Scratch = struct
     normalize s;
     size_bytes s.buf s.len ~fp_rate
 end
-
-let merge a b =
-  let s = Scratch.create () in
-  Array.iter (Scratch.push_key s) a;
-  Array.iter (Scratch.push_key s) b;
-  Scratch.freeze s
 
 let pp fmt t =
   let pp_next fmt n =

@@ -42,34 +42,18 @@ val permit : t -> dest:int -> next:int -> bool
     the next hop as in {!add}. Ids outside the packed range are never
     permitted. Allocates nothing. *)
 
-val remove_dest : t -> dest:int -> t
-(** Drop the destination from every entry (steady-phase updates, §4.3);
-    entries left empty disappear. *)
-
 val filter_dests : t -> (int -> bool) -> t
 (** Keep the pairs whose destination satisfies the predicate, in one
-    pass. *)
+    pass; entries left empty disappear. Dropping a destination from every
+    entry (steady-phase updates, §4.3) is [filter_dests t ((<>) dest)]. *)
 
 val num_entries : t -> int
 (** Number of ⟨DestList, NextHop⟩ pairs — the quantity whose distribution
     the paper reports in Table 5. *)
 
-val dests : t -> int list
-(** All destinations mentioned, ascending. *)
-
 val entries : t -> (int * int list) list
 (** [(next_hop, destinations)] pairs, next hops as in {!add}; next hops
     ascending ([-1] first), destinations ascending. *)
-
-val next_for : t -> dest:int -> int option
-(** The unique next hop recorded for a destination: [None] when the
-    destination is absent, [Some next] otherwise. In a well-formed
-    P-graph each (link, destination) has at most one next hop; if
-    multiple entries mention the destination the smallest next hop is
-    returned. *)
-
-val merge : t -> t -> t
-(** Union of the permitted sets. *)
 
 val equal : t -> t -> bool
 

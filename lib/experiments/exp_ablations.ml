@@ -51,42 +51,11 @@ let render_mrai rows =
 
 let run_multipath cfg =
   let topo = Inputs.caida cfg in
-  let sources = Inputs.sample_sources cfg topo in
   (* One solver sweep covers every source and every k (the k-best lists
-     are nested prefixes). Aggregate per-source reports into one row
-     per k. *)
-  let ranked = Multipath.ranked_sets topo ~kmax:3 ~sources in
-  List.map
-    (fun k ->
-      let reports =
-        List.map
-          (fun src ->
-            let paths =
-              List.concat_map
-                (fun per_dest -> List.filteri (fun i _ -> i < k) per_dest)
-                (Hashtbl.find ranked src)
-            in
-            Centaur.Multipath_eval.measure_paths ~k ~src paths)
-          sources
-      in
-      let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-      let paths = sum (fun r -> r.Centaur.Multipath_eval.paths) in
-      let pv_hops = sum (fun r -> r.Centaur.Multipath_eval.pv_hops) in
-      let links = sum (fun r -> r.Centaur.Multipath_eval.centaur_links) in
-      let entries = sum (fun r -> r.Centaur.Multipath_eval.pl_entries) in
-      let derived = sum (fun r -> r.Centaur.Multipath_eval.derived_paths) in
-      { Centaur.Multipath_eval.k;
-        dests = sum (fun r -> r.Centaur.Multipath_eval.dests);
-        paths;
-        pv_hops;
-        centaur_links = links;
-        pl_entries = entries;
-        compaction =
-          float_of_int pv_hops /. float_of_int (max 1 (links + entries));
-        derived_paths = derived;
-        excess =
-          (if paths = 0 then 0.0
-           else float_of_int (derived - paths) /. float_of_int paths) })
-    [ 1; 2; 3 ]
+     are nested prefixes). *)
+  let ranked =
+    Multipath.ranked_sets topo ~kmax:3 ~sources:(Inputs.sample_sources cfg topo)
+  in
+  List.map (fun k -> Centaur.Multipath_eval.of_ranked ranked ~k) [ 1; 2; 3 ]
 
 let render_multipath = Centaur.Multipath_eval.render

@@ -24,6 +24,7 @@ val render_mrai : mrai_row list -> string
 
 val run_multipath : Config.t -> Centaur.Multipath_eval.report list
 (** §7 multi-path compactness: k ∈ {1, 2, 3} on the caida-like
-    topology, averaged over the sampled sources (reports summed). *)
+    topology, summed over the sampled sources
+    ({!Centaur.Multipath_eval.of_ranked}). *)
 
 val render_multipath : Centaur.Multipath_eval.report list -> string

@@ -2,7 +2,7 @@
     Permission-List-misconfiguration scenarios, Centaur vs BGP.
 
     Both protocols run the same compiled default Gao–Rexford policy on
-    the same caida-like topology (capped at {!max_nodes} — Centaur's
+    the same caida-like topology (capped at 300 nodes — Centaur's
     Permission-List cold start grows superlinearly, and the containment
     story is about propagation radius, not absolute scale). Mid-run, one
     node's policy overrides flip on ({!Faults.Scenario} adversarial
@@ -13,11 +13,6 @@
     the repair. *)
 
 type kind = Route_leak | Prefix_hijack | Plist_misconfig
-
-val kind_name : kind -> string
-
-val max_nodes : int
-(** Topology cap applied to [as_nodes] for this experiment. *)
 
 type row = {
   kind : kind;
@@ -44,7 +39,5 @@ val run : Config.t -> result
 (** Deterministic: equal configs give equal results; the work items fan
     out over the domain pool with index-ordered collection, so the
     result is independent of [CENTAUR_DOMAINS]. *)
-
-val find_row : result -> kind -> string -> row option
 
 val render : result -> string

@@ -41,7 +41,4 @@ val run : Config.t -> result
     aggregate rows, and {!render}, are unaffected by either
     observability option. *)
 
-val find_row : result -> string -> agg
-(** Raises [Not_found] on an unknown protocol name. *)
-
 val render : result -> string

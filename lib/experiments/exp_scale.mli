@@ -27,11 +27,8 @@ type point = {
 
 type result = point list
 
-val xl_size : int
-(** The opt-in extra-large point: 100_000 nodes. *)
-
 val effective_scale_sizes : Config.t -> int list
-(** [Config.scale_sizes], with {!xl_size} appended when the
+(** [Config.scale_sizes], with a 100_000-node point appended when the
     [CENTAUR_SCALE_XL=1] environment variable opts into the 100k-node
     point (minutes of wall time and gigabytes of RSS — never implicit). *)
 

@@ -18,8 +18,6 @@ type result = row list
 
 val run : Config.t -> result
 
-val row_of_topology : string -> Topology.t -> row
-
 val render : result -> string
 (** Text table in the paper's column layout, with the relationship
     fractions appended for shape comparison. *)

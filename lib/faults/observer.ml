@@ -5,7 +5,6 @@ type t = {
   pairs : (int * int) array;
   dests : int array;               (* distinct destinations of [pairs] *)
   sample_every : float;
-  max_hops : int;
   reachable : (int, bool array) Hashtbl.t;  (* dest -> per-src truth *)
   (* accumulation *)
   mutable samples : int;
@@ -49,7 +48,6 @@ let create ?metrics topo ~pairs ~sample_every =
     pairs;
     dests;
     sample_every;
-    max_hops = 2 * Topology.num_nodes topo;
     reachable = Hashtbl.create 16;
     samples = 0;
     delivered_samples = 0;
@@ -90,22 +88,18 @@ let truth_reachable t ~src ~dest =
 
 (* Data-plane walk: follow next hops, requiring each hop's link to be
    up right now — a stale next hop over a dead link is a blackhole, a
-   revisited node (or an endless walk) is a transient loop. *)
+   revisited node is a transient loop. *)
 let classify t (runner : Sim.Runner.t) ~src ~dest =
-  let rec go current seen hops =
-    if current = dest then Delivered
-    else if hops > t.max_hops then Looped
-    else
-      match runner.Sim.Runner.next_hop ~src:current ~dest with
-      | None -> Blackholed
-      | Some hop -> (
-        match Topology.link_between t.topo current hop with
-        | Some link_id when Topology.is_up t.topo link_id ->
-          if List.mem hop seen then Looped
-          else go hop (hop :: seen) (hops + 1)
-        | Some _ | None -> Blackholed)
+  let next v =
+    Option.bind (runner.Sim.Runner.next_hop ~src:v ~dest) (fun hop ->
+        match Topology.link_between t.topo v hop with
+        | Some link_id when Topology.is_up t.topo link_id -> Some hop
+        | Some _ | None -> None)
   in
-  go src [ src ] 0
+  match Path.follow next ~src ~dest with
+  | Path.Reached _ -> Delivered
+  | Path.Stuck _ -> Blackholed
+  | Path.Looped _ -> Looped
 
 let probe t runner ~src ~dest =
   if truth_reachable t ~src ~dest then classify t runner ~src ~dest

@@ -9,13 +9,13 @@
     cost says nothing about what packets experience {e during}
     convergence.
 
-    A probe follows next hops from the source, requiring every traversed
-    link to be up at probe time: reaching the destination is
-    [Delivered]; a missing next hop or a next hop over a dead link is
-    [Blackholed]; revisiting a node (or walking further than
-    [2 * num_nodes] hops) is [Looped]. Pairs with no policy-compliant
-    route under the current link state (static solver ground truth) are
-    [Unroutable] and excused from availability. *)
+    A probe follows next hops from the source with {!Path.follow},
+    requiring every traversed link to be up at probe time: reaching the
+    destination is [Delivered]; a missing next hop or a next hop over a
+    dead link is [Blackholed] (the walk is [Stuck]); revisiting a node
+    is [Looped]. Pairs with no policy-compliant route under the current
+    link state (static solver ground truth) are [Unroutable] and excused
+    from availability. *)
 
 type verdict = Delivered | Blackholed | Looped | Unroutable
 

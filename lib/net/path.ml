@@ -1,9 +1,5 @@
 type t = int list
 
-let source = function
-  | [] -> invalid_arg "Path.source: empty path"
-  | n :: _ -> n
-
 let rec destination = function
   | [] -> invalid_arg "Path.destination: empty path"
   | [ n ] -> n
@@ -22,28 +18,6 @@ let rec is_loop_free = function
   | [] -> true
   | a :: rest -> (not (contains rest a)) && is_loop_free rest
 
-let next_hop = function
-  | _ :: n :: _ -> Some n
-  | _ -> None
-
-let rec next_hop_of p n =
-  match p with
-  | [] | [ _ ] -> None
-  | a :: (b :: _ as rest) -> if a = n then Some b else next_hop_of rest n
-
-let rec suffix_from p n =
-  match p with
-  | [] -> None
-  | a :: _ when a = n -> Some p
-  | _ :: rest -> suffix_from rest n
-
-let links p =
-  let rec go acc = function
-    | [] | [ _ ] -> List.rev acc
-    | a :: (b :: _ as rest) -> go ((a, b) :: acc) rest
-  in
-  go [] p
-
 let rec equal (a : t) (b : t) =
   a == b
   ||
@@ -54,11 +28,20 @@ let rec equal (a : t) (b : t) =
 
 let compare (a : t) (b : t) = Stdlib.compare a b
 
-let pp fmt p =
-  Format.fprintf fmt "<%a>"
-    (Format.pp_print_list
-       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
-       Format.pp_print_int)
-    p
+let to_string p = "<" ^ String.concat ", " (List.map string_of_int p) ^ ">"
 
-let to_string p = Format.asprintf "%a" pp p
+type walk = Reached of t | Stuck of t | Looped of t
+
+(* [visited] is the walk so far, newest first. A node is checked
+   against the destination before the repeat test, so a walk stops at
+   its destination even if the next-hop function would loop past it. *)
+let follow next ~src ~dest =
+  let rec go v visited =
+    if v = dest then Reached (List.rev (v :: visited))
+    else if contains visited v then Looped (List.rev (v :: visited))
+    else
+      match next v with
+      | None -> Stuck (List.rev (v :: visited))
+      | Some hop -> go hop (v :: visited)
+  in
+  go src []

@@ -6,9 +6,6 @@
 
 type t = int list
 
-val source : t -> int
-(** Raises [Invalid_argument] on the empty path. *)
-
 val destination : t -> int
 (** Raises [Invalid_argument] on the empty path. *)
 
@@ -20,26 +17,24 @@ val contains : t -> int -> bool
 val is_loop_free : t -> bool
 (** No node appears twice. *)
 
-val next_hop : t -> int option
-(** The second node, if any: where the source forwards to. *)
-
-val next_hop_of : t -> int -> int option
-(** [next_hop_of p n] is the node following [n] in [p], or [None] if [n]
-    is the destination or absent. *)
-
-val suffix_from : t -> int -> t option
-(** [suffix_from p n] is the sub-path of [p] from [n] to the destination,
-    or [None] if [n] is not on [p]. Observation 1 of the paper is about
-    exactly these downstream suffixes. *)
-
-val links : t -> (int * int) list
-(** Directed (upstream, downstream) pairs along the path, in order. *)
-
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Renders ⟨A, C, D⟩-style: [<0, 2, 3>]. *)
 
-val to_string : t -> string
+(** Where a data-plane walk ends. Each result carries the nodes visited,
+    in order, from the source. *)
+type walk =
+  | Reached of t  (** the path from the source to the destination;
+                      [[src]] when [src = dest] *)
+  | Stuck of t    (** ends at a node whose next hop is [None] *)
+  | Looped of t   (** ends at the first node visited twice *)
+
+val follow : (int -> int option) -> src:int -> dest:int -> walk
+(** [follow next ~src ~dest] follows per-node forwarding decisions
+    [next] from [src] toward [dest]: the packet's trajectory, which may
+    loop when the nodes' decisions disagree (the paper's Figures 1 and
+    2). There is no hop limit: a walk over [n] nodes repeats a node
+    within [n] steps, so it visits at most [n + 1]. *)

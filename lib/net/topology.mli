@@ -40,7 +40,7 @@ val links : t -> link array
 type adj = {
   adj_off : int array;   (** [num_nodes + 1] offsets into the half-edge arrays *)
   adj_nbr : int array;   (** neighbor id per half-edge *)
-  adj_rel : int array;   (** role-of-neighbor code per half-edge, see {!rel_code} *)
+  adj_rel : int array;   (** role-of-neighbor code per half-edge, see {!rel_of_code} *)
   adj_link : int array;  (** link id per half-edge *)
   adj_up : bool array;   (** live link state, indexed by link id *)
 }
@@ -55,13 +55,10 @@ val adj : t -> adj
 (** Zero-copy CSR view for allocation-free solver loops that cannot
     afford a closure per {!iter_neighbors} call. *)
 
-val rel_code : Relationship.t -> int
-(** Stable small-int encoding used by {!adj}: [Customer = 0],
-    [Provider = 1], [Peer = 2], [Sibling = 3] (see the [code_*]
-    constants). *)
-
 val rel_of_code : int -> Relationship.t
-(** Inverse of {!rel_code}. Raises on out-of-range codes. *)
+(** Decodes the stable small-int role encoding {!adj} uses:
+    [Customer = 0], [Provider = 1], [Peer = 2], [Sibling = 3] (see the
+    [code_*] constants). Raises on out-of-range codes. *)
 
 val code_customer : int
 val code_provider : int

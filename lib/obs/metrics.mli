@@ -33,13 +33,10 @@ val add : counter -> int -> unit
 
 val value : counter -> int
 
-val default_buckets : float array
-(** Roughly-logarithmic millisecond buckets:
-    0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000. *)
-
 val histogram : t -> ?buckets:float array -> string -> histogram
 (** Get or register the named histogram with the given upper bounds
-    (strictly increasing; default {!default_buckets}); one overflow
+    (strictly increasing; default: the roughly-logarithmic millisecond
+    bounds 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000); one overflow
     bucket is added past the last bound. Re-registering with different
     bounds raises [Invalid_argument]. *)
 

@@ -134,12 +134,6 @@ val parse : string -> (config, string) result
 
 val parse_file : string -> (config, string) result
 
-val validate : ?num_nodes:int -> config -> (unit, string) result
-(** Structural checks: node/destination ranges (0..2{^31}-1, and against
-    [num_nodes] when given), duplicate stanzas, empty sets, pref/tag
-    ranges, rules with no actions, unreachable rules after a terminal
-    catch-all. The first violation in declaration order is reported. *)
-
 (** {1 Compilation} *)
 
 type compiled
@@ -150,8 +144,12 @@ type compiled
     simulation loop). *)
 
 val compile : ?num_nodes:int -> config -> (compiled, string) result
-(** Validate, then lower. The empty configuration yields the default
-    (pure Gao–Rexford) policy. *)
+(** Validate, then lower. Validation checks node/destination ranges
+    (0..2{^31}-1, and against [num_nodes] when given), duplicate
+    stanzas, empty sets, pref/tag ranges, rules with no actions and
+    unreachable rules after a terminal catch-all; the first violation in
+    declaration order is reported. The empty configuration yields the
+    default (pure Gao–Rexford) policy. *)
 
 val compile_exn : ?num_nodes:int -> config -> compiled
 (** Raises [Invalid_argument] with the validation message. *)

@@ -153,14 +153,14 @@ let ensure_workers target =
 (* Chunk heuristic: aim for ~8 claims per participant so dynamic load
    balancing survives skewed per-index costs, capped so one claim never
    monopolizes a large job. *)
-let default_chunk ~total =
+let chunk_size ~total =
   max 1 (min 128 (total / (size () * 8)))
 
 (* [make_run] is applied once the worker set for this job is final;
    [slots] is an exclusive upper bound on the slot ids that can
    participate, letting callers pre-size per-slot state. The returned
    [run] must not raise; see the invariant at the top of the file. *)
-let run_job ?chunk ~total make_run =
+let run_job ~total make_run =
   Mutex.lock call_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock call_lock)
@@ -168,16 +168,10 @@ let run_job ?chunk ~total make_run =
       ensure_workers (min (size () - 1) (total - 1));
       let slots = 1 + !num_workers in
       let run = make_run ~slots in
-      let chunk =
-        match chunk with
-        | Some c when c >= 1 -> c
-        | Some _ -> invalid_arg "Pool: chunk must be >= 1"
-        | None -> default_chunk ~total
-      in
       let j =
         { run;
           total;
-          chunk;
+          chunk = chunk_size ~total;
           next = Atomic.make 0;
           completed = Atomic.make 0 }
       in
@@ -227,7 +221,7 @@ let parallel_map_array f a =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let parallel_fold_ranges ?chunk ~create ~merge ~init total body =
+let parallel_fold_ranges ~create ~merge ~init total body =
   if total <= 0 then init
   else if use_sequential total then begin
     let ws = create () in
@@ -237,7 +231,7 @@ let parallel_fold_ranges ?chunk ~create ~merge ~init total body =
   else begin
     let failures = Array.make total None in
     let slots_ref = ref [||] in
-    run_job ?chunk ~total (fun ~slots ->
+    run_job ~total (fun ~slots ->
         let wss = Array.make slots None in
         slots_ref := wss;
         fun ~slot ~lo ~hi ->

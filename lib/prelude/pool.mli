@@ -47,7 +47,6 @@ val parallel_map_array : ('a -> 'b) -> 'a array -> 'b array
     and stays usable. *)
 
 val parallel_fold_ranges :
-  ?chunk:int ->
   create:(unit -> 'ws) ->
   merge:('acc -> 'ws -> 'acc) ->
   init:'acc ->
@@ -69,11 +68,10 @@ val parallel_fold_ranges :
     workspace accumulates tagged records that the caller re-sorts, or
     the merge is commutative arithmetic).
 
-    [chunk] overrides the claim granularity: a participant grabs that
-    many consecutive indices per atomic claim (default: a heuristic
-    targeting ~8 claims per domain, capped at 128). On the sequential
-    path exactly one workspace is created and the body is called once
-    with the full range [\[0, n)].
+    A participant grabs a chunk of consecutive indices per atomic claim:
+    [n / (8 * size ())], between 1 and 128, so about 8 claims per
+    domain. On the sequential path exactly one workspace is created and
+    the body is called once with the full range [\[0, n)].
 
     Exceptions are recorded per range: if [body] raises midway through
     a range, the rest of that range is abandoned and the exception is

@@ -4,8 +4,6 @@ type tree = {
   pred : int array;    (* -1 at root / unreachable *)
 }
 
-let src t = t.src
-
 let node_mask = (1 lsl 31) - 1
 
 let from_filtered topo ~src ~link_ok =

@@ -17,8 +17,6 @@ val from_filtered : Topology.t -> src:int -> link_ok:(int -> bool) -> tree
     {e believed} topology (a link-state database may disagree with the
     ground truth mid-convergence) without mutating the shared topology. *)
 
-val src : tree -> int
-
 val dist : tree -> int -> float option
 (** Distance from the root; [None] if unreachable. *)
 

@@ -1,7 +1,8 @@
-(* Ranked candidate paths of [src] toward the destination solved in
-   [r]: one per neighbor offering an importable route, best first in
-   the Standard order of [Gao_rexford.compare_routes]. *)
-let ranked_candidates topo r ~src ~dest =
+(* Candidates are ranked in the Standard order of
+   [Gao_rexford.compare_routes]; the sort is stable, so equal offers
+   keep ascending neighbor order. *)
+let ranked_candidates topo r ~src =
+  let dest = Solver.dest r in
   let policy = Policy.default ()
   and best = Gao_rexford.best Gao_rexford.Standard in
   (* The route [src] learns from neighbor [n] over [n]'s selection
@@ -37,14 +38,6 @@ let ranked_candidates topo r ~src ~dest =
            c1 c2)
        (List.rev candidates))
 
-let k_best topo ~k ~src ~dest =
-  if k < 1 then invalid_arg "Multipath.k_best: k < 1";
-  if src = dest then [ [ src ] ]
-  else begin
-    let r = Solver.to_dest topo dest in
-    List.filteri (fun i _ -> i < k) (ranked_candidates topo r ~src ~dest)
-  end
-
 let ranked_sets topo ~kmax ~sources =
   if kmax < 1 then invalid_arg "Multipath.ranked_sets: kmax < 1";
   let n = Topology.num_nodes topo in
@@ -56,9 +49,7 @@ let ranked_sets topo ~kmax ~sources =
       (fun src ->
         if src <> dest then begin
           let ranked =
-            List.filteri
-              (fun i _ -> i < kmax)
-              (ranked_candidates topo r ~src ~dest)
+            List.filteri (fun i _ -> i < kmax) (ranked_candidates topo r ~src)
           in
           if ranked <> [] then
             Hashtbl.replace acc src (ranked :: Hashtbl.find acc src)
@@ -66,12 +57,6 @@ let ranked_sets topo ~kmax ~sources =
       sources
   done;
   acc
-
-let path_set topo ~k ~src =
-  let n = Topology.num_nodes topo in
-  List.concat_map
-    (fun dest -> if dest = src then [] else k_best topo ~k ~src ~dest)
-    (List.init n (fun i -> i))
 
 let path_vector_cost paths =
   List.fold_left (fun acc p -> acc + Path.length p) 0 paths

@@ -8,25 +8,25 @@
     per neighbor offering an importable route, each extending that
     neighbor's own (single) best path, ranked by the standard
     Gao–Rexford preference. This is exactly how BGP multipath/add-path
-    deployments form their route sets. *)
+    deployments form their route sets, and the k-best route-set model of
+    Arjona-Villicaña et al., "The Internet's unexploited path
+    diversity". *)
 
-val k_best : Topology.t -> k:int -> src:int -> dest:int -> Path.t list
-(** Up to [k] loop-free policy-compliant paths from [src] to [dest],
-    most preferred first. Empty when unreachable; [[[src]]] when
-    [src = dest]. Raises [Invalid_argument] if [k < 1]. *)
-
-val path_set : Topology.t -> k:int -> src:int -> Path.t list
-(** All k-best paths from one source to every other destination
-    (concatenated; grouped by destination in ascending order). Runs one
-    solver pass per destination. *)
+val ranked_candidates : Topology.t -> Solver.routes -> src:int -> Path.t list
+(** Every loop-free policy-compliant route of [src] toward the
+    destination solved in the routes, most preferred first: one per
+    neighbor offering an importable route, each extending that
+    neighbor's selection. The k-best set is the first [k] of the list.
+    Empty when [src] is the destination or has no route. *)
 
 val ranked_sets :
   Topology.t -> kmax:int -> sources:int list -> (int, Path.t list list) Hashtbl.t
-(** Bulk form for measurements: one solver pass per destination, shared
-    by all sources. Maps each source to its per-destination ranked
-    candidate lists (each at most [kmax] long, destinations ascending,
-    empty lists omitted). The k-best set for any [k <= kmax] is the
-    prefix of each list. *)
+(** The k-best route sets of several sources: one solver pass per
+    destination, shared by all sources. Maps each source to its
+    per-destination {!ranked_candidates} lists, each cut to its first
+    [kmax] (destinations ascending, empty lists omitted). The k-best set
+    for any [k <= kmax] is the prefix of each list. Raises
+    [Invalid_argument] if [kmax < 1]. *)
 
 val path_vector_cost : Path.t list -> int
 (** Total hops a path-vector protocol announces for this path set — the

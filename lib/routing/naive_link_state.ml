@@ -30,26 +30,3 @@ let next_hop topo ~view ~src ~dest =
       Some (first_hop dest)
     end
   end
-
-type forwarding = int -> int option
-
-let trace ~max_hops forwarding ~src ~dest =
-  let rec go current visited hops =
-    if current = dest then Ok (List.rev (current :: visited))
-    else if List.mem current visited then Error (List.rev (current :: visited))
-    else if hops > max_hops then Error (List.rev (current :: visited))
-    else
-      match forwarding current with
-      | None -> Error (List.rev (current :: visited))
-      | Some hop -> go hop (current :: visited) (hops + 1)
-  in
-  go src [] 0
-
-let has_loop ~max_hops forwarding ~src ~dest =
-  match trace ~max_hops forwarding ~src ~dest with
-  | Ok _ -> false
-  | Error visited -> (
-    (* A loop, as opposed to a dead end, repeats a node. *)
-    match List.rev visited with
-    | last :: rest -> List.mem last rest
-    | [] -> false)

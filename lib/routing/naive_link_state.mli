@@ -7,8 +7,9 @@
     (Figure 2). Forwarding then concatenates per-node decisions that
     were computed against inconsistent assumptions, and packets can
     loop. This module makes the failure reproducible: the examples and
-    tests build the paper's exact scenarios, exhibit the loop, and then
-    show Centaur's downstream-link announcements avoiding it. *)
+    tests build the paper's exact scenarios, follow the per-node
+    decisions with {!Path.follow} to exhibit the loop, and then show
+    Centaur's downstream-link announcements avoiding it. *)
 
 type view = (int * int) list
 (** The links a node believes exist (unordered endpoint pairs). *)
@@ -18,17 +19,5 @@ val next_hop :
 (** The forwarding decision of [src] toward [dest] computed by hop-count
     shortest path over [view] (ties toward the lowest neighbor id).
     [view] must be a subset of the topology's links; unknown pairs are
-    ignored. *)
-
-type forwarding = int -> int option
-(** Per-node decision function toward one fixed destination. *)
-
-val trace :
-  max_hops:int -> forwarding -> src:int -> dest:int -> (int list, int list) result
-(** Follow per-node decisions from [src]: [Ok path] when [dest] is
-    reached, [Error visited] when a node repeats (a forwarding loop —
-    the visited list ends with the repeated node) or a node has no next
-    hop. *)
-
-val has_loop : max_hops:int -> forwarding -> src:int -> dest:int -> bool
-(** [true] exactly when {!trace} detects a repeated node. *)
+    ignored. Each node deciding over its own view toward one [dest]
+    gives the next-hop function {!Path.follow} walks. *)

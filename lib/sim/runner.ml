@@ -2,7 +2,6 @@ type t = {
   name : string;
   cold_start : ?max_events:int -> unit -> Engine.run_stats;
   flip : link_id:int -> up:bool -> Engine.run_stats;
-  flip_many : (int * bool) list -> Engine.run_stats;
   inject : (int * bool) list -> unit;
   run_until : float -> Engine.run_stats;
   run_to_quiescence : ?max_events:int -> unit -> Engine.run_stats;
@@ -40,10 +39,6 @@ let make ~name ~engine ~cold_start ~changed
     Engine.flip_link engine ~link_id ~up;
     Engine.run_to_quiescence engine
   in
-  let flip_many changes =
-    inject changes;
-    Engine.run_to_quiescence engine
-  in
   let cold_start ?max_events () =
     let stats = cold_start ?max_events () in
     (* Cold start changes everything; consumers of the change feed care
@@ -54,7 +49,6 @@ let make ~name ~engine ~cold_start ~changed
   { name;
     cold_start;
     flip;
-    flip_many;
     inject;
     run_until = (fun horizon -> Engine.run_until engine horizon);
     run_to_quiescence =
@@ -71,15 +65,3 @@ let make ~name ~engine ~cold_start ~changed
     on_policy_change;
     trace = Engine.trace engine;
     metrics = Engine.metrics engine }
-
-let forwarding_path t ~src ~dest ~max_hops =
-  let rec go current acc hops =
-    if current = dest then Some (List.rev (current :: acc))
-    else if hops > max_hops then None
-    else if List.mem current acc then None
-    else
-      match t.next_hop ~src:current ~dest with
-      | None -> None
-      | Some hop -> go hop (current :: acc) (hops + 1)
-  in
-  go src [] 0

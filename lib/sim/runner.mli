@@ -20,14 +20,12 @@ type t = {
       (** Change one link's state and run to quiescence. For a bounded
           flip, use {!t.inject} followed by
           [run_to_quiescence ~max_events]. *)
-  flip_many : (int * bool) list -> Engine.run_stats;
-      (** Change several links simultaneously — correlated failures, a
-          shared-risk link group, a node-adjacent cut — then run to
-          quiescence once. *)
   inject : (int * bool) list -> unit;
       (** Change several links at the current simulation time {e without}
           running: the endpoint notifications stay queued until the next
-          run call. The fault injector's primitive. *)
+          run call. The fault injector's primitive; [inject] then
+          {!t.run_to_quiescence} changes several links at once (a
+          shared-risk group, a node's cut) and settles once. *)
   run_until : float -> Engine.run_stats;
       (** Partial run to a time horizon (see {!Engine.run_until}). *)
   run_to_quiescence : ?max_events:int -> unit -> Engine.run_stats;
@@ -47,7 +45,10 @@ type t = {
           quiescence (see {!Engine.last_event_time}). *)
   next_hop : src:int -> dest:int -> int option;
       (** Current forwarding decision of [src] toward [dest] — converged
-          or mid-convergence, depending on how the runner was stepped. *)
+          or mid-convergence, depending on how the runner was stepped.
+          {!Path.follow} over [fun v -> next_hop ~src:v ~dest] is the
+          data-plane trajectory, which may differ from the control-plane
+          {!t.path} if the protocol has a loop. *)
   path : src:int -> dest:int -> Path.t option;
       (** Full path where the protocol knows it; [None] when
           unreachable. *)
@@ -106,10 +107,3 @@ val make :
     node's selection for a destination changes); [make] wires it to
     {!t.changed_dests} and clears it after [cold_start].
     [on_policy_change] defaults to a no-op. *)
-
-val forwarding_path :
-  t -> src:int -> dest:int -> max_hops:int -> Path.t option
-(** Follow {!t.next_hop} decisions hop by hop from [src] — the data-plane
-    trajectory, which may differ from the control-plane {!t.path} if the
-    protocol has a loop. [None] when a loop is detected, a node has no
-    next hop, or [max_hops] is exceeded. *)

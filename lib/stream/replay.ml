@@ -15,12 +15,19 @@ let latency_buckets =
 
 (* Application schedule: [(apply_at, events)] groups in time order.
    Event-at-a-time applies each event at its own timestamp; a window [w]
-   drains the events of ((k-1)·w, k·w] together at k·w. *)
+   drains the events of ((k-1)·w, k·w] together at k·w. The wave time
+   stays in floats, and the [max] keeps a rounded k·w from landing
+   before its event; both are monotone in [at], so the groups stay in
+   time order. *)
 let schedule mode (events : Update_stream.event array) =
+  (match mode with
+  | Waves w when not (Float.is_finite w && w > 0.0) ->
+    invalid_arg "Replay: the wave window must be finite and > 0"
+  | Waves _ | Event_at_a_time -> ());
   let apply_at (e : Update_stream.event) =
     match mode with
     | Event_at_a_time -> e.at
-    | Waves w -> w *. Float.of_int (int_of_float (ceil (e.at /. w)))
+    | Waves w -> Float.max e.at (w *. ceil (e.at /. w))
   in
   let groups = ref [] in
   Array.iter
@@ -45,6 +52,7 @@ let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
                   "stream.latency_ms")
       metrics
   in
+  let waves = schedule mode (Update_stream.events stream) in
   ignore (runner.Sim.Runner.cold_start ());
   let base = runner.Sim.Runner.now () in
   let n = Update_stream.num_events stream in
@@ -65,13 +73,13 @@ let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
       (List.rev !outstanding);
     outstanding := []
   in
-  let waves = ref 0 in
+  let drained = ref 0 in
   let cancelled = ref 0 in
   let idx = ref 0 in
   let stats =
     Faults.Injector.drive ?metrics ?policy runner ~topo
       ~seed:stream.Update_stream.seed
-      ~waves:(schedule mode (Update_stream.events stream))
+      ~waves
       ~samples:[]
       { before_wave =
           (fun ~at evs ->
@@ -83,13 +91,13 @@ let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
               evs);
         after_wave =
           (fun ~at:_ _ w ->
-            incr waves;
+            incr drained;
             cancelled := !cancelled + w.Faults.Delta_wave.cancelled);
         sample = ignore }
   in
   flush_stamps ();
   { events = n;
-    waves = !waves;
+    waves = !drained;
     cancelled = !cancelled;
     stats;
     latencies;

@@ -12,7 +12,9 @@
 type mode =
   | Event_at_a_time  (** every event is its own wave at its own
                          timestamp *)
-  | Waves of float   (** events of ((k-1)·w, k·w] drain together at k·w *)
+  | Waves of float   (** events of ((k-1)·w, k·w] drain together at k·w,
+                         computed in floats and never earlier than the
+                         event; the window must be finite and > 0 *)
 
 type outcome = {
   events : int;    (** stream events ingested *)
@@ -44,4 +46,5 @@ val replay :
     seed and takes [topo], [policy] and [metrics]). [metrics], when
     given, also receives the [stream.latency_ms] histogram. Equal
     [(topology, stream, mode, runner construction)] give byte-identical
-    outcomes. *)
+    outcomes. Raises [Invalid_argument], before the cold start, on a
+    [Waves] window that is not finite and positive. *)

@@ -13,6 +13,12 @@ let events t = t.events
 
 let num_events t = Array.length t.events
 
+(* The most arrivals a stream may expect (rate x duration): a stream
+   is held in memory whole, so an unbounded one would exhaust it. The
+   largest stream any experiment or benchmark generates expects about
+   600. *)
+let max_expected_arrivals = 1e6
+
 (* How many times to re-draw a busy link/node before giving the arrival
    up. Sustained load keeps most resources free, so misses are rare; a
    bounded retry keeps generation O(events) on saturated streams. *)
@@ -20,9 +26,17 @@ let attempts = 8
 
 let generate ~seed ~rate ~duration ?(flap_hold = 15.0)
     ?(policy_share = 0.0) ?(loss_share = 0.0) topo =
-  if rate <= 0.0 then invalid_arg "Update_stream.generate: rate must be > 0";
-  if duration <= 0.0 then
-    invalid_arg "Update_stream.generate: duration must be > 0";
+  let positive x = Float.is_finite x && x > 0.0 in
+  if not (positive rate) then
+    invalid_arg "Update_stream.generate: rate must be finite and > 0";
+  if not (positive duration) then
+    invalid_arg "Update_stream.generate: duration must be finite and > 0";
+  if rate *. duration > max_expected_arrivals then
+    invalid_arg
+      (Printf.sprintf
+         "Update_stream.generate: rate x duration expects %g arrivals, over \
+          the %g limit"
+         (rate *. duration) max_expected_arrivals);
   if policy_share < 0.0 || loss_share < 0.0
      || policy_share +. loss_share > 1.0
   then invalid_arg "Update_stream.generate: bad kind shares";

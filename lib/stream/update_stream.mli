@@ -40,8 +40,10 @@ val generate :
     [policy_share]/[loss_share] (defaults 0) split arrivals between
     policy flips and loss edges, the rest are link flaps; a loss window
     drops each delivery with probability 0.2. Raises [Invalid_argument]
-    on a non-positive rate or duration, shares that exceed 1, or a
-    linkless topology. *)
+    on a rate or duration that is not finite and positive, on more than
+    10{^6} expected arrivals ([rate *. duration]; a stream is held in
+    memory whole), on shares that exceed 1, or on a linkless
+    topology. *)
 
 val events : t -> event array
 

@@ -36,6 +36,31 @@ let sibling_components topo =
     (Topology.links topo);
   Union_find.find uf
 
+(* A chain is customer-only when it can only ever apply to
+   customer-role neighbors: its imported routes are then always
+   customer-class, and its exports are always within the Gao–Rexford
+   export rule. Roles are read over every link of [node], up or down,
+   from its CSR slice. *)
+let customer_only topo node = function
+  | Policy.With_role Relationship.Customer -> true
+  | Policy.With_role _ -> false
+  | Policy.Peer p -> (
+    (* A chain for a non-neighbor never runs; treat as safe. *)
+    match Topology.rel_any topo node p with
+    | None -> true
+    | Some r -> r = Relationship.Customer)
+  | Policy.Any_peer ->
+    let adj = Topology.adj topo in
+    let rec all_customers k hi =
+      k >= hi
+      || adj.Topology.adj_rel.(k) = Topology.code_customer
+         && all_customers (k + 1) hi
+    in
+    (* A node outside the topology has no links. *)
+    node < 0
+    || node >= Topology.num_nodes topo
+    || all_customers adj.Topology.adj_off.(node) adj.Topology.adj_off.(node + 1)
+
 (* Reasons the structural certificate does not apply; [] = certified.
    Business relationships are static contracts, so the scan uses all
    links regardless of up/down state — the certificate must survive
@@ -89,9 +114,7 @@ let structural_reasons ?policy topo =
   | Some v -> add "provider-customer hierarchy has a cycle through node %d" v
   | None -> ());
   (* Policy scan: preference boosts and export permits are safe exactly
-     when their chain can only ever apply to customer-role neighbors
-     (imported routes are then always customer-class; exports to
-     customers are always within the Gao–Rexford export rule). *)
+     when their chain is customer-only. *)
   (match policy with
   | None -> ()
   | Some pol ->
@@ -103,29 +126,6 @@ let structural_reasons ?policy topo =
     List.iter
       (fun np ->
         let node = np.Policy.node in
-        let static_roles =
-          Array.fold_left
-            (fun acc l ->
-              let open Topology in
-              if l.a = node then l.rel_ab :: acc
-              else if l.b = node then Relationship.invert l.rel_ab :: acc
-              else acc)
-            []
-            (Topology.links topo)
-        in
-        let customer_only = function
-          | Policy.With_role Relationship.Customer -> true
-          | Policy.With_role _ -> false
-          | Policy.Peer p -> (
-            (* A chain for a non-neighbor never runs; treat as safe. *)
-            match Topology.rel_any topo node p with
-            | None -> true
-            | Some r -> r = Relationship.Customer)
-          | Policy.Any_peer ->
-            List.for_all
-              (fun r -> r = Relationship.Customer)
-              static_roles
-        in
         let line_s (r : Policy.rule) =
           if r.Policy.line > 0 then Printf.sprintf " (line %d)" r.Policy.line
           else ""
@@ -134,7 +134,7 @@ let structural_reasons ?policy topo =
           (function
             | Policy.Originate _ -> ()
             | Policy.Filter { dir; sel; rules } ->
-              if not (customer_only sel) then
+              if not (customer_only topo node sel) then
                 List.iter
                   (fun (r : Policy.rule) ->
                     List.iter

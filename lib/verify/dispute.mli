@@ -74,6 +74,15 @@ val analyze :
     the monotonicity certificate and degrade to [Inconclusive] unless a
     wheel is found anyway. Output is deterministic for a given input. *)
 
+val customer_only : Topology.t -> int -> Policy.peer_sel -> bool
+(** [customer_only topo node sel]: a chain of [node] under [sel] can
+    only ever apply to customer-role neighbors — the structural
+    certificate's rule for where import preference boosts and custom
+    export permits are safe. Roles are read over every link of the node,
+    ignoring link state (business relationships are static contracts,
+    and the certificate must survive links coming back up). A chain for
+    a non-neighbor never runs and counts as customer-only. *)
+
 val is_certified : verdict -> bool
 
 val render : verdict -> string

@@ -94,19 +94,6 @@ let bad_gadget_family ~seed =
 
 let pick rng l = List.nth l (Rng.int rng (List.length l))
 
-(* Mirrors the analyzer's customer-only test so [safe:true] stays inside
-   the structural certificate's envelope by construction. *)
-let customer_only topo node = function
-  | Policy.With_role Relationship.Customer -> true
-  | Policy.With_role _ -> false
-  | Policy.Peer p -> (
-    match Topology.rel_any topo node p with
-    | None -> true
-    | Some r -> r = Relationship.Customer)
-  | Policy.Any_peer ->
-    Topology.fold_neighbors topo node ~init:true ~f:(fun acc _ role _ ->
-        acc && role = Relationship.Customer)
-
 let random_pred rng n =
   match Rng.int rng 5 with
   | 0 -> Policy.Any
@@ -180,7 +167,7 @@ let random_config rng topo ~safe =
                 Policy.originate [ Rng.int rng n ]
               else begin
                 let sel = random_sel () in
-                let cust_only = customer_only topo node sel in
+                let cust_only = Dispute.customer_only topo node sel in
                 if Rng.bool rng then
                   Policy.import_from sel
                     (random_rules ~dir:Policy.Import ~cust_only)

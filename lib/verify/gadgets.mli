@@ -22,25 +22,23 @@ type gadget = {
   dest : int;  (** the destination whose routes dispute *)
 }
 
-val disagree : unit -> gadget
-(** Two providers of the destination, peered, each preferring the path
-    through the other: two stable states, order-dependent convergence.
-    The analyzer flags a 2-hub wheel; the sequential (Gauss–Seidel)
-    stable solver converges to one of the states. *)
-
 val bad_gadget : unit -> gadget
 (** Three providers of the destination in a preference ring: no stable
     state at all, so every protocol run diverges and the stable solver
     raises [Stable.Diverged]. 3-hub wheel. *)
 
-val wedgie : unit -> gadget
-(** RFC 4264 BGP wedgie: a customer with a primary and a backup
-    provider, the backup preferring provider-learned routes. Two stable
-    states (intended and wedged); 2-hub wheel spanning the backup
-    provider and its transit. *)
-
 val all : unit -> gadget list
-(** The three gadgets above, in a stable order. *)
+(** The three textbook gadgets, in this order:
+    - DISAGREE: two providers of the destination, peered, each
+      preferring the path through the other. Two stable states,
+      order-dependent convergence. The analyzer flags a 2-hub wheel;
+      the sequential (Gauss–Seidel) stable solver converges to one of
+      the states.
+    - BAD GADGET, as {!bad_gadget}.
+    - The RFC 4264 BGP wedgie: a customer with a primary and a backup
+      provider, the backup preferring provider-learned routes. Two
+      stable states (intended and wedged); a 2-hub wheel spanning the
+      backup provider and its transit. *)
 
 val bad_gadget_family : seed:int -> gadget
 (** A randomized BAD GADGET: ring size drawn from \{3, 5, 7\} (odd, so
@@ -52,8 +50,9 @@ val random_config :
   Rng.t -> Topology.t -> safe:bool -> Policy.config
 (** A random policy for the given topology. With [safe:true] the
     generator stays inside the structural Gao–Rexford envelope
-    (preference boosts and export permits only in customer-only chains,
-    plus filters and tags anywhere) — such configurations are usually
+    (preference boosts and export permits only in chains the analyzer's
+    {!Dispute.customer_only} accepts, plus filters and tags anywhere) —
+    such configurations are usually
     certified, and certified ones must quiesce. With [safe:false] it
     may also emit preference boosts on arbitrary chains and custom
     export permits, producing configurations the analyzer may flag or

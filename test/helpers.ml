@@ -9,13 +9,33 @@ let qcheck_count default =
     match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
   | None -> default
 
-let path_testable = Alcotest.testable Path.pp Path.equal
+let path_testable =
+  Alcotest.testable
+    (fun fmt p -> Format.pp_print_string fmt (Path.to_string p))
+    Path.equal
 
 let path_opt = Alcotest.option path_testable
 
 let check_path = Alcotest.check path_testable
 
 let check_path_opt = Alcotest.check path_opt
+
+(* Directed (upstream, downstream) pairs along a path, in order. *)
+let rec path_links = function
+  | a :: (b :: _ as rest) -> (a, b) :: path_links rest
+  | [] | [ _ ] -> []
+
+(* The node after [n] on [p], or -1 when [n] is the destination or not
+   on [p]: the Permission-List next hop of a path through [n]. *)
+let rec next_after p n =
+  match p with
+  | a :: (b :: _ as rest) -> if a = n then b else next_after rest n
+  | [] | [ _ ] -> -1
+
+(* Change several links at one instant, then settle once. *)
+let flip_many (runner : Sim.Runner.t) changes =
+  runner.Sim.Runner.inject changes;
+  ignore (runner.Sim.Runner.run_to_quiescence ())
 
 (* Small annotated random topology for randomized suites. *)
 let random_as_topology ~seed ~n =

@@ -155,12 +155,12 @@ module Reference = struct
             let key = (a, b) in
             Hashtbl.replace counters key
               (1 + Option.value (Hashtbl.find_opt counters key) ~default:0);
-            let next = Option.value (Path.next_hop_of p b) ~default:(-1) in
+            let next = Helpers.next_after p b in
             let prev =
               Option.value (Hashtbl.find_opt traversals key) ~default:[]
             in
             Hashtbl.replace traversals key ((d, next) :: prev))
-          (Path.links p))
+          (Helpers.path_links p))
       paths;
     let indeg = Hashtbl.create 64 in
     Hashtbl.iter

@@ -21,7 +21,7 @@ let possible_policy_authors g ~parent ~child =
     let upstream_segments =
       List.filter_map
         (fun (_dest, p) ->
-          if List.mem (parent, child) (Path.links p) then begin
+          if List.mem (parent, child) (Helpers.path_links p) then begin
             let rec take acc = function
               | [] -> List.rev acc
               | n :: _ when n = parent -> List.rev (parent :: acc)

@@ -182,7 +182,7 @@ let all_links =
   List.sort_uniq compare
     (List.concat_map
        (fun k ->
-         List.concat_map Path.links (Array.to_list (shapes (10 + k))))
+         List.concat_map Helpers.path_links (Array.to_list (shapes (10 + k))))
        (List.init 9 Fun.id))
 
 let builder_matches_of_paths =

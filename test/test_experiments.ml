@@ -188,7 +188,8 @@ let test_resilience_shapes () =
       Alcotest.(check int) (a.protocol ^ " pair samples") (2 * 6)
         (Array.length a.pair_unavail))
     r.rows;
-  let centaur = find_row r "centaur" and bgp = find_row r "bgp" in
+  let find_row name = List.find (fun a -> a.protocol = name) r.rows in
+  let centaur = find_row "centaur" and bgp = find_row "bgp" in
   Alcotest.(check bool) "centaur at most bgp unavailability" true
     (centaur.unavailable_ms <= bgp.unavailable_ms);
   Alcotest.(check bool) "render has headline" true

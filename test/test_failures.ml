@@ -18,12 +18,12 @@ let test_simultaneous_failures () =
   List.iter
     (fun (name, runner) ->
       ignore (runner.Sim.Runner.cold_start ());
-      ignore (runner.Sim.Runner.flip_many [ (2, false); (7, false); (11, false) ]);
+      flip_many runner [ (2, false); (7, false); (11, false) ];
       Topology.set_up reference 2 false;
       Topology.set_up reference 7 false;
       Topology.set_up reference 11 false;
       check_against_solver (name ^ " triple failure") reference runner;
-      ignore (runner.Sim.Runner.flip_many [ (2, true); (7, true); (11, true) ]);
+      flip_many runner [ (2, true); (7, true); (11, true) ];
       Topology.set_up reference 2 true;
       Topology.set_up reference 7 true;
       Topology.set_up reference 11 true;
@@ -47,16 +47,14 @@ let test_node_cut () =
   List.iter
     (fun (name, runner) ->
       ignore (runner.Sim.Runner.cold_start ());
-      ignore
-        (runner.Sim.Runner.flip_many (List.map (fun id -> (id, false)) adjacent));
+      flip_many runner (List.map (fun id -> (id, false)) adjacent);
       List.iter (fun id -> Topology.set_up reference id false) adjacent;
       check_against_solver (name ^ " node cut") reference runner;
       (* The victim itself must consider everyone unreachable. *)
       Alcotest.(check (option int))
         (name ^ ": victim isolated") None
         (runner.Sim.Runner.next_hop ~src:victim ~dest:0);
-      ignore
-        (runner.Sim.Runner.flip_many (List.map (fun id -> (id, true)) adjacent));
+      flip_many runner (List.map (fun id -> (id, true)) adjacent);
       List.iter (fun id -> Topology.set_up reference id true) adjacent;
       check_against_solver (name ^ " node restored") reference runner)
     (runners factory)
@@ -100,7 +98,7 @@ let test_ospf_simultaneous_failures () =
   let reference = factory () in
   let runner = Protocols.Ospf_net.network (factory ()) in
   ignore (runner.Sim.Runner.cold_start ());
-  ignore (runner.Sim.Runner.flip_many [ (1, false); (5, false) ]);
+  flip_many runner [ (1, false); (5, false) ];
   Topology.set_up reference 1 false;
   Topology.set_up reference 5 false;
   let n = Topology.num_nodes reference in

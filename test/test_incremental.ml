@@ -24,7 +24,7 @@ let apply_churn rng (runner : Sim.Runner.t) state =
                state.(l) <- not state.(l);
                (l, state.(l)))
       in
-      ignore (runner.Sim.Runner.flip_many changes)
+      flip_many runner changes
     end
     else begin
       let l = Rng.int rng num_links in
@@ -165,7 +165,7 @@ let test_bgp_mrai_same_instant () =
   let runner = bgp ~incremental:true ~trace:Obs.Trace.none topo in
   ignore (runner.Sim.Runner.cold_start ());
   ignore (runner.Sim.Runner.flip ~link_id:11 ~up:false);
-  ignore (runner.Sim.Runner.flip_many [ (9, false); (12, false) ]);
+  flip_many runner [ (9, false); (12, false) ];
   ignore (runner.Sim.Runner.flip ~link_id:12 ~up:true);
   check_path_opt "node 11 routes to 7 via 10" (Some [ 11; 10; 1; 7 ])
     (runner.Sim.Runner.path ~src:11 ~dest:7)

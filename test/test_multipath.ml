@@ -3,10 +3,22 @@
 
 open Helpers
 
+(* Up to [k] routes of [src] toward [dest], most preferred first. *)
+let k_best topo ~k ~src ~dest =
+  List.filteri
+    (fun i _ -> i < k)
+    (Multipath.ranked_candidates topo (Solver.to_dest topo dest) ~src)
+
+(* One source's k-best routes to every destination, as the ablation
+   announces them. *)
+let path_set topo ~k ~src =
+  List.concat
+    (Hashtbl.find (Multipath.ranked_sets topo ~kmax:k ~sources:[ src ]) src)
+
 let test_k_best_basics () =
   let topo = Fixtures.figure2a () in
   (* A reaches D via B and via C: two valid customer routes. *)
-  let paths = Multipath.k_best topo ~k:3 ~src:Fixtures.a ~dest:Fixtures.d in
+  let paths = k_best topo ~k:3 ~src:Fixtures.a ~dest:Fixtures.d in
   Alcotest.(check int) "two paths" 2 (List.length paths);
   check_path "best first" [ Fixtures.a; Fixtures.b; Fixtures.d ] (List.nth paths 0);
   check_path "alternate" [ Fixtures.a; Fixtures.c; Fixtures.d ] (List.nth paths 1)
@@ -20,7 +32,7 @@ let test_k_best_k1_matches_solver () =
         check_path_opt
           (Printf.sprintf "k=1 %d->%d" src dest)
           (Solver.path r src)
-          (match Multipath.k_best topo ~k:1 ~src ~dest with
+          (match k_best topo ~k:1 ~src ~dest with
           | [ p ] -> Some p
           | [] -> None
           | _ -> Alcotest.fail "k=1 returned several")
@@ -33,10 +45,10 @@ let test_k_best_properties () =
   for dest = 0 to 49 do
     for src = 0 to 49 do
       if src <> dest then begin
-        let paths = Multipath.k_best topo ~k:3 ~src ~dest in
+        let paths = k_best topo ~k:3 ~src ~dest in
         incr checked;
         (* Distinct, loop-free, valley-free, distinct next hops. *)
-        let next_hops = List.filter_map Path.next_hop paths in
+        let next_hops = List.filter_map (fun p -> List.nth_opt p 1) paths in
         if List.sort_uniq compare next_hops <> List.sort compare next_hops
         then Alcotest.fail "duplicate next hops";
         List.iter
@@ -54,8 +66,8 @@ let test_k_best_nested () =
   (* k-best lists are prefixes of each other. *)
   let topo = random_as_topology ~seed:103 ~n:30 in
   for dest = 0 to 29 do
-    let p3 = Multipath.k_best topo ~k:3 ~src:7 ~dest in
-    let p1 = Multipath.k_best topo ~k:1 ~src:7 ~dest in
+    let p3 = k_best topo ~k:3 ~src:7 ~dest in
+    let p1 = k_best topo ~k:1 ~src:7 ~dest in
     match (p1, p3) with
     | [], [] -> ()
     | [ best ], best' :: _ -> check_path "prefix" best best'
@@ -65,7 +77,7 @@ let test_k_best_nested () =
 let test_of_multipaths_roundtrip () =
   let topo = random_as_topology ~seed:104 ~n:40 in
   let src = 9 in
-  let paths = Multipath.path_set topo ~k:2 ~src in
+  let paths = path_set topo ~k:2 ~src in
   let g = Centaur.Pgraph.of_multipaths ~root:src paths in
   (* Every announced path must be derivable. *)
   let module Pset = Set.Make (struct
@@ -120,8 +132,9 @@ let test_duplicate_paths_collapse () =
 
 let test_compaction_reports () =
   let topo = random_as_topology ~seed:105 ~n:60 in
-  let r1 = Centaur.Multipath_eval.measure topo ~k:1 ~src:5 in
-  let r2 = Centaur.Multipath_eval.measure topo ~k:2 ~src:5 in
+  let ranked = Multipath.ranked_sets topo ~kmax:2 ~sources:[ 5 ] in
+  let r1 = Centaur.Multipath_eval.of_ranked ranked ~k:1 in
+  let r2 = Centaur.Multipath_eval.of_ranked ranked ~k:2 in
   Alcotest.(check bool) "k=2 announces more paths" true
     (r2.Centaur.Multipath_eval.paths > r1.Centaur.Multipath_eval.paths);
   Alcotest.(check bool) "compaction beats path vector" true
@@ -137,8 +150,8 @@ let test_compaction_reports () =
 
 let test_k_validation () =
   let topo = Fixtures.figure2a () in
-  Alcotest.check_raises "k=0" (Invalid_argument "Multipath.k_best: k < 1")
-    (fun () -> ignore (Multipath.k_best topo ~k:0 ~src:0 ~dest:1))
+  Alcotest.check_raises "k=0" (Invalid_argument "Multipath.ranked_sets: kmax < 1")
+    (fun () -> ignore (Multipath.ranked_sets topo ~kmax:0 ~sources:[ 0 ]))
 
 let suite =
   [ Alcotest.test_case "k-best basics" `Quick test_k_best_basics;

@@ -16,12 +16,10 @@ let test_figure1_loop () =
   (* A sends via B; B sends via A: ping-pong. *)
   Alcotest.(check (option int)) "A via B" (Some b) (forwarding a);
   Alcotest.(check (option int)) "B via A" (Some a) (forwarding b);
-  Alcotest.(check bool) "loop detected" true
-    (Naive_link_state.has_loop ~max_hops:8 forwarding ~src:a ~dest:c);
-  match Naive_link_state.trace ~max_hops:8 forwarding ~src:a ~dest:c with
-  | Ok _ -> Alcotest.fail "delivered through a loop"
-  | Error visited ->
+  match Path.follow forwarding ~src:a ~dest:c with
+  | Path.Looped visited ->
     Alcotest.(check (list int)) "ping-pong trace" [ a; b; a ] visited
+  | Path.Reached _ | Path.Stuck _ -> Alcotest.fail "loop not detected"
 
 let test_figure2_ranking_loop () =
   (* Figure 2(b)/(c): A and C rank paths to D differently over the full
@@ -35,8 +33,10 @@ let test_figure2_ranking_loop () =
     else if node = 1 then Some d
     else None
   in
-  Alcotest.(check bool) "ranking loop" true
-    (Naive_link_state.has_loop ~max_hops:8 forwarding ~src:a ~dest:d)
+  match Path.follow forwarding ~src:a ~dest:d with
+  | Path.Looped visited ->
+    Alcotest.(check (list int)) "ranking loop" [ a; c; a ] visited
+  | Path.Reached _ | Path.Stuck _ -> Alcotest.fail "ranking loop not detected"
 
 let test_centaur_no_loop_same_scenarios () =
   List.iter
@@ -48,10 +48,13 @@ let test_centaur_no_loop_same_scenarios () =
         for dest = 0 to n - 1 do
           if src <> dest then
             match
-              Sim.Runner.forwarding_path runner ~src ~dest ~max_hops:(2 * n)
+              Path.follow
+                (fun v -> runner.Sim.Runner.next_hop ~src:v ~dest)
+                ~src ~dest
             with
-            | Some _ -> ()
-            | None -> Alcotest.failf "no delivery %d->%d" src dest
+            | Path.Reached _ -> ()
+            | Path.Stuck _ | Path.Looped _ ->
+              Alcotest.failf "no delivery %d->%d" src dest
         done
       done)
     [ Fixtures.figure1_triangle (); Fixtures.figure2a () ]
@@ -64,9 +67,10 @@ let test_consistent_views_deliver () =
   let forwarding node =
     Naive_link_state.next_hop topo ~view:full ~src:node ~dest:2
   in
-  match Naive_link_state.trace ~max_hops:8 forwarding ~src:0 ~dest:2 with
-  | Ok p -> Alcotest.(check (list int)) "direct" [ 0; 2 ] p
-  | Error _ -> Alcotest.fail "consistent views must deliver"
+  match Path.follow forwarding ~src:0 ~dest:2 with
+  | Path.Reached p -> Alcotest.(check (list int)) "direct" [ 0; 2 ] p
+  | Path.Stuck _ | Path.Looped _ ->
+    Alcotest.fail "consistent views must deliver"
 
 let test_view_respects_down_links () =
   let topo = Fixtures.figure1_triangle () in

@@ -26,30 +26,32 @@ let test_relationship_strings () =
 
 let test_path_accessors () =
   let p = [ 4; 2; 7; 1 ] in
-  Alcotest.(check int) "source" 4 (Path.source p);
   Alcotest.(check int) "destination" 1 (Path.destination p);
   Alcotest.(check int) "length" 3 (Path.length p);
-  Alcotest.(check (option int)) "next hop" (Some 2) (Path.next_hop p);
-  Alcotest.(check (option int)) "next of 7" (Some 1) (Path.next_hop_of p 7);
-  Alcotest.(check (option int)) "next of dest" None (Path.next_hop_of p 1);
-  Alcotest.(check (option int)) "next of absent" None (Path.next_hop_of p 9);
   Alcotest.(check bool) "contains" true (Path.contains p 7);
   Alcotest.(check bool) "loop free" true (Path.is_loop_free p);
   Alcotest.(check bool) "loop detected" false (Path.is_loop_free [ 1; 2; 1 ]);
-  Alcotest.(check (list (pair int int)))
-    "links" [ (4, 2); (2, 7); (7, 1) ] (Path.links p)
+  Alcotest.(check string) "rendering" "<4, 2, 7, 1>" (Path.to_string p)
 
+(* Following a path's own next hops from any node on it walks the
+   path's suffix from that node (Observation 1 of the paper is about
+   these downstream suffixes); from a node off the path it is stuck at
+   once. *)
 let test_path_suffix () =
   let p = [ 4; 2; 7; 1 ] in
-  check_path_opt "suffix from 7" (Some [ 7; 1 ]) (Path.suffix_from p 7);
-  check_path_opt "suffix from source" (Some p) (Path.suffix_from p 4);
-  check_path_opt "absent" None (Path.suffix_from p 9)
+  let next v = match next_after p v with -1 -> None | hop -> Some hop in
+  let follow src = Path.follow next ~src ~dest:1 in
+  Alcotest.(check bool) "suffix from 7" true (follow 7 = Path.Reached [ 7; 1 ]);
+  Alcotest.(check bool) "suffix from source" true (follow 4 = Path.Reached p);
+  Alcotest.(check bool) "absent" true (follow 9 = Path.Stuck [ 9 ])
 
 let test_path_singleton () =
   Alcotest.(check int) "single length" 0 (Path.length [ 3 ]);
-  Alcotest.(check (option int)) "no hop" None (Path.next_hop [ 3 ]);
-  Alcotest.check_raises "empty source" (Invalid_argument "Path.source: empty path")
-    (fun () -> ignore (Path.source []))
+  Alcotest.(check bool) "walk to self" true
+    (Path.follow (fun _ -> None) ~src:3 ~dest:3 = Path.Reached [ 3 ]);
+  Alcotest.check_raises "empty destination"
+    (Invalid_argument "Path.destination: empty path")
+    (fun () -> ignore (Path.destination []))
 
 let test_topology_structure () =
   let topo = Fixtures.figure2a () in
@@ -286,6 +288,50 @@ let pair_lookups_match_link_scan =
       done;
       !ok)
 
+(* The one data-plane walk over random next-hop functions on up to 12
+   nodes: it asks each node at most once, so it visits at most n + 1,
+   every step it takes is a next hop, and each ending is as named —
+   [Reached] a loop-free path from [src] to [dest], [Looped] at its
+   first repeated node, [Stuck] at a node without a next hop. *)
+let follow_ends_as_named =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 12 >>= fun n ->
+      let node = int_bound (n - 1) in
+      triple (array_size (return n) (opt node)) node node)
+  in
+  let print = QCheck.Print.(triple (array (option int)) int int) in
+  QCheck.Test.make ~name:"Path.follow: bounded walk, ends as named"
+    ~count:(qcheck_count 500) (QCheck.make ~print gen)
+    (fun (next, src, dest) ->
+      let n = Array.length next in
+      let asked = ref 0 in
+      let walk =
+        Path.follow
+          (fun v ->
+            incr asked;
+            next.(v))
+          ~src ~dest
+      in
+      let p =
+        match walk with Path.Reached p | Path.Stuck p | Path.Looped p -> p
+      in
+      let last = Path.destination p in
+      let before_last = List.filteri (fun i _ -> i < List.length p - 1) p in
+      !asked <= n
+      && List.length p <= n + 1
+      && List.hd p = src
+      && List.for_all (fun (a, b) -> next.(a) = Some b) (path_links p)
+      &&
+      match walk with
+      | Path.Reached _ -> last = dest && Path.is_loop_free p
+      | Path.Looped _ ->
+        Path.is_loop_free before_last
+        && Path.contains before_last last
+        && not (Path.contains p dest)
+      | Path.Stuck _ ->
+        next.(last) = None && last <> dest && Path.is_loop_free p)
+
 let suite =
   [ Alcotest.test_case "relationship invert" `Quick test_relationship_invert;
     Alcotest.test_case "prefix tables" `Quick test_prefix_tables;
@@ -310,4 +356,5 @@ let suite =
     Alcotest.test_case "tier relationships" `Quick test_tier_relationships;
     Alcotest.test_case "tier hierarchy connected" `Quick
       test_tier_annotate_connected_hierarchy;
-    QCheck_alcotest.to_alcotest pair_lookups_match_link_scan ]
+    QCheck_alcotest.to_alcotest pair_lookups_match_link_scan;
+    QCheck_alcotest.to_alcotest follow_ends_as_named ]

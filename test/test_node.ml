@@ -132,7 +132,7 @@ let test_selected_paths_sorted_and_consistent () =
   List.iter
     (fun (dest, p) ->
       Alcotest.(check int) "path ends at dest" dest (Path.destination p);
-      Alcotest.(check int) "path starts at self" 2 (Path.source p))
+      Alcotest.(check int) "path starts at self" 2 (List.hd p))
     paths;
   Alcotest.(check (option int)) "next hop accessor" (Some 0)
     (Node.next_hop nodes.(2) ~dest:4);

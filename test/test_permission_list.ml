@@ -9,6 +9,19 @@ let pl_of entries =
     (fun pl (dest, next) -> Permission_list.add pl ~dest ~next)
     Permission_list.empty entries
 
+(* Reads over [entries]: every destination mentioned, ascending, and a
+   destination's next hop (the smallest, should several entries name
+   it). *)
+let dests pl =
+  List.sort_uniq compare (List.concat_map snd (Permission_list.entries pl))
+
+let next_for pl ~dest =
+  List.find_map
+    (fun (next, ds) -> if List.mem dest ds then Some next else None)
+    (Permission_list.entries pl)
+
+let remove_dest pl ~dest = Permission_list.filter_dests pl (fun d -> d <> dest)
+
 let test_empty () =
   Alcotest.(check bool) "empty" true
     (Permission_list.is_empty Permission_list.empty);
@@ -35,7 +48,7 @@ let test_grouping () =
      paper's DestList grouping. *)
   let pl = pl_of [ (5, 2); (6, 2); (7, 3) ] in
   Alcotest.(check int) "two entries" 2 (Permission_list.num_entries pl);
-  Alcotest.(check (list int)) "all dests" [ 5; 6; 7 ] (Permission_list.dests pl);
+  Alcotest.(check (list int)) "all dests" [ 5; 6; 7 ] (dests pl);
   match Permission_list.entries pl with
   | [ (2, [ 5; 6 ]); (3, [ 7 ]) ] -> ()
   | _ -> Alcotest.fail "unexpected entry structure"
@@ -43,14 +56,14 @@ let test_grouping () =
 let test_idempotent_add () =
   let pl = pl_of [ (5, 2); (5, 2) ] in
   Alcotest.(check int) "one entry" 1 (Permission_list.num_entries pl);
-  Alcotest.(check (list int)) "one dest" [ 5 ] (Permission_list.dests pl)
+  Alcotest.(check (list int)) "one dest" [ 5 ] (dests pl)
 
 let test_remove_dest () =
   let pl = pl_of [ (5, 2); (6, 2); (7, 3) ] in
-  let pl = Permission_list.remove_dest pl ~dest:7 in
+  let pl = remove_dest pl ~dest:7 in
   Alcotest.(check int) "entry vanished with its last dest" 1
     (Permission_list.num_entries pl);
-  let pl = Permission_list.remove_dest pl ~dest:5 in
+  let pl = remove_dest pl ~dest:5 in
   Alcotest.(check bool) "6 survives" true
     (Permission_list.permit pl ~dest:6 ~next:2);
   Alcotest.(check bool) "5 gone" false
@@ -59,18 +72,11 @@ let test_remove_dest () =
 let test_next_for () =
   let pl = pl_of [ (5, 2); (7, -1) ] in
   Alcotest.(check bool) "next of 5" true
-    (Permission_list.next_for pl ~dest:5 = Some 2);
+    (next_for pl ~dest:5 = Some 2);
   Alcotest.(check bool) "next of 7" true
-    (Permission_list.next_for pl ~dest:7 = Some (-1));
+    (next_for pl ~dest:7 = Some (-1));
   Alcotest.(check bool) "absent" true
-    (Permission_list.next_for pl ~dest:9 = None)
-
-let test_merge () =
-  let a = pl_of [ (5, 2) ] and b = pl_of [ (6, 3) ] in
-  let m = Permission_list.merge a b in
-  Alcotest.(check bool) "both permitted" true
-    (Permission_list.permit m ~dest:5 ~next:2
-    && Permission_list.permit m ~dest:6 ~next:3)
+    (next_for pl ~dest:9 = None)
 
 let test_equal () =
   let a = pl_of [ (5, 2); (6, 3) ] in
@@ -219,7 +225,7 @@ module Exhaustive = struct
         (fun p pl ->
           if Path.contains p multi_homed then
             Permission_list.add pl ~dest:(Path.destination p)
-              ~next:(Option.value (Path.next_hop_of p multi_homed) ~default:(-1))
+              ~next:(Helpers.next_after p multi_homed)
           else pl)
         t Permission_list.empty
     in
@@ -266,7 +272,7 @@ let exhaustive_equivalence =
       List.for_all
         (fun p ->
           let dest = Path.destination p in
-          let next = Option.value (Path.next_hop_of p b) ~default:(-1) in
+          let next = Helpers.next_after p b in
           permit_compiled ~dest ~next)
         paths
       && not (permit_compiled ~dest:999 ~next:888))
@@ -288,7 +294,6 @@ let suite =
     Alcotest.test_case "idempotent add" `Quick test_idempotent_add;
     Alcotest.test_case "remove dest" `Quick test_remove_dest;
     Alcotest.test_case "next_for" `Quick test_next_for;
-    Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "equal" `Quick test_equal;
     QCheck_alcotest.to_alcotest scratch_equals_add_fold;
     Alcotest.test_case "extreme ids" `Quick test_extreme_ids;

@@ -115,7 +115,7 @@ let test_counters_count_paths () =
     (fun (parent, child, d) ->
       let expected =
         List.length
-          (List.filter (fun p -> List.mem (parent, child) (Path.links p)) paths)
+          (List.filter (fun p -> List.mem (parent, child) (path_links p)) paths)
       in
       Alcotest.(check int)
         (Printf.sprintf "counter %d->%d" parent child)

@@ -331,12 +331,15 @@ let test_pool_nested_calls () =
 let test_pool_parallel_fold_ranges () =
   (* The claimed ranges tile [0, total) exactly: the merged bag holds
      each index once, whatever the pool size or chunking, and no
-     participant builds a second workspace. *)
-  let run ~size ~chunk ~total =
+     participant builds a second workspace. A claim takes
+     total / (8 * size) indices, clamped to [1, 128]: after the
+     sequential case, the cases below claim 9, 1, 41 and 128 at a
+     time. *)
+  let run ~size ~total =
     Pool.with_size size (fun () ->
         let created = Atomic.make 0 in
         let bag =
-          Pool.parallel_fold_ranges ?chunk
+          Pool.parallel_fold_ranges
             ~create:(fun () ->
               Atomic.incr created;
               ref [])
@@ -349,14 +352,16 @@ let test_pool_parallel_fold_ranges () =
         in
         (List.sort compare bag, Atomic.get created))
   in
-  let expected = List.init 300 (fun i -> (i, i * i)) in
   List.iter
-    (fun (size, chunk) ->
-      let got, created = run ~size ~chunk ~total:300 in
-      Alcotest.(check bool) (Printf.sprintf "ranges size=%d" size) true (got = expected);
+    (fun (size, total) ->
+      let got, created = run ~size ~total in
+      Alcotest.(check bool)
+        (Printf.sprintf "ranges size=%d total=%d" size total)
+        true
+        (got = List.init total (fun i -> (i, i * i)));
       Alcotest.(check bool) "at most one workspace per participant" true
         (created >= 1 && created <= size))
-    [ (1, None); (4, None); (4, Some 1); (4, Some 7); (3, Some 1000) ];
+    [ (1, 300); (4, 300); (4, 7); (3, 1000); (4, 5000) ];
   (* Sequential path: exactly one body call covering the full range, so
      per-batch setup hoisted by callers runs once. *)
   Pool.with_size 1 (fun () ->
@@ -383,15 +388,16 @@ let test_pool_parallel_fold_ranges () =
 let test_pool_parallel_fold_ranges_exceptions () =
   Pool.with_size 4 (fun () ->
       (* A body raising mid-range is recorded at the range's first
-         index, and the lowest failing range wins: with chunk=10 the
-         failures at 25 and 45 land in ranges starting at 20 and 40. *)
+         index, and the lowest failing range wins: 320 indices over 4
+         domains are claimed 10 at a time, so the failures at 25 and 45
+         land in ranges starting at 20 and 40. *)
       Alcotest.check_raises "lowest failing range wins" (Failure "range-20")
         (fun () ->
           ignore
-            (Pool.parallel_fold_ranges ~chunk:10
+            (Pool.parallel_fold_ranges
                ~create:(fun () -> ())
                ~merge:(fun acc () -> acc)
-               ~init:() 100
+               ~init:() 320
                (fun () ~lo ~hi ->
                  for i = lo to hi - 1 do
                    if i = 25 || i = 45 then

@@ -75,10 +75,13 @@ let test_no_forwarding_loops_after_each_flip () =
       for src = 0 to n - 1 do
         if src <> dest && Solver.reachable r src then
           match
-            Sim.Runner.forwarding_path runner ~src ~dest ~max_hops:(2 * n)
+            Path.follow
+              (fun v -> runner.Sim.Runner.next_hop ~src:v ~dest)
+              ~src ~dest
           with
-          | Some _ -> ()
-          | None -> Alcotest.failf "%s: %d cannot forward to %d" what src dest
+          | Path.Reached _ -> ()
+          | Path.Stuck _ | Path.Looped _ ->
+            Alcotest.failf "%s: %d cannot forward to %d" what src dest
       done
     done
   in

@@ -327,15 +327,19 @@ let engine_order_qcheck =
       let _, open_, _ = List.fold_left step (None, None, None) (List.rev !log) in
       open_ = None)
 
+(* The data-plane path: [Path.follow] over a runner's next hops. *)
 let test_forwarding_path_helper () =
   let topo = Fixtures.figure2a () in
   let runner = Protocols.Centaur_net.network topo in
   ignore (runner.Sim.Runner.cold_start ());
-  (match Sim.Runner.forwarding_path runner ~src:0 ~dest:3 ~max_hops:8 with
-  | Some p -> Helpers.check_path "A to D data plane" [ 0; 1; 3 ] p
-  | None -> Alcotest.fail "no forwarding path");
+  let follow ~src ~dest =
+    Path.follow (fun v -> runner.Sim.Runner.next_hop ~src:v ~dest) ~src ~dest
+  in
+  (match follow ~src:0 ~dest:3 with
+  | Path.Reached p -> Helpers.check_path "A to D data plane" [ 0; 1; 3 ] p
+  | Path.Stuck _ | Path.Looped _ -> Alcotest.fail "no forwarding path");
   Alcotest.(check bool) "self" true
-    (Sim.Runner.forwarding_path runner ~src:3 ~dest:3 ~max_hops:8 = Some [ 3 ])
+    (follow ~src:3 ~dest:3 = Path.Reached [ 3 ])
 
 let suite =
   [ Alcotest.test_case "delays accumulate" `Quick test_delays_accumulate;

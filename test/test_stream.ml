@@ -92,6 +92,56 @@ let event_waves_never_cancel =
       o.Stream.Replay.cancelled = 0
       && o.Stream.Replay.waves = o.Stream.Replay.events)
 
+(* A runner whose only state is its clock: it settles at once, so each
+   replay latency is the event's wave time minus its arrival. *)
+let clock_only_runner () =
+  let clock = ref 0.0 and zero = Sim.Engine.zero_stats in
+  { Sim.Runner.name = "clock";
+    cold_start = (fun ?max_events:_ () -> zero);
+    flip = (fun ~link_id:_ ~up:_ -> zero);
+    inject = ignore;
+    run_until =
+      (fun horizon ->
+        clock := Float.max !clock horizon;
+        zero);
+    run_to_quiescence = (fun ?max_events:_ () -> zero);
+    set_loss = (fun ~link_id:_ ~rate:_ -> ());
+    seed_loss = ignore;
+    pending_events = (fun () -> 0);
+    now = (fun () -> !clock);
+    last_event_time = (fun () -> 0.0);
+    next_hop = (fun ~src:_ ~dest:_ -> None);
+    path = (fun ~src:_ ~dest:_ -> None);
+    changed_dests = (fun () -> []);
+    on_policy_change = ignore;
+    trace = Obs.Trace.none;
+    metrics = Obs.Metrics.create () }
+
+(* Any finite positive window, from 10^-300 to 10^300 ms, puts each event
+   in a wave no earlier than the event: past 2^53 windows per event the
+   rounded k·w falls on either side of the arrival. *)
+let waves_never_precede_events =
+  let window =
+    QCheck.(
+      oneof
+        [ float_range 1e-3 100.0;
+          map (fun e -> 10.0 ** e) (float_range (-300.0) 300.0) ])
+  in
+  QCheck.Test.make ~name:"finite windows: no event waits in an earlier wave"
+    ~count:(qcheck_count 100)
+    QCheck.(pair (int_bound 10_000) window)
+    (fun (seed, window) ->
+      let topo = random_brite ~seed ~n:nodes ~m:2 in
+      let stream =
+        Stream.Update_stream.generate ~seed ~rate:0.5 ~duration:50.0
+          ~policy_share:0.15 ~loss_share:0.1 topo
+      in
+      let o =
+        Stream.Replay.replay ~policy:(Policy.default ()) ~topo ~stream
+          ~mode:(Stream.Replay.Waves window) (clock_only_runner ())
+      in
+      Array.for_all (fun lat -> lat >= 0.0) o.Stream.Replay.latencies)
+
 let centaur ~policy topo = Protocols.Centaur_net.network ~policy topo
 
 let bgp ~policy topo = Protocols.Bgp_net.network ~policy topo
@@ -406,4 +456,5 @@ let suite =
       test_split_stepping_composition;
     QCheck_alcotest.to_alcotest event_waves_never_cancel;
     Alcotest.test_case "override without a policy injects nothing" `Quick
-      test_apply_needs_policy ]
+      test_apply_needs_policy;
+    QCheck_alcotest.to_alcotest waves_never_precede_events ]
