@@ -8,11 +8,12 @@ let nil = -1
    bit row per node: row x holds the cached destinations whose path
    visits x, the root (the neighbor) excepted. The DerivePath step a
    cached path takes at x is read back off the path itself
-   ([Pgraph.path_step]). *)
+   ([Pgraph.path_step]). Paths are ids in the runner's [Path_store],
+   each held by the cache entry or selection that names it. *)
 type session = {
   pg : Pgraph.t;
   export : Builder.t;
-  c_path : Path.t array; (* dest -> derived path from the neighbor, or [] *)
+  c_path : int array; (* dest -> id of the derived path, or [nil] *)
   c_attr : int array; (* dest -> the cached path's attributes, packed *)
   usage : Bit_rows.t; (* node -> cached destinations whose path visits it *)
   (* Marked destinations that failed to derive (transient inconsistency,
@@ -30,7 +31,8 @@ type t = {
   (* Sessions indexed by half-edge ([k - off]), i.e. by ascending
      neighbor id. *)
   sessions : session option array;
-  selected : Path.t array; (* dest -> my path ([] = none; [[id]] at [id]) *)
+  store : Path_store.t;
+  selected : int array; (* dest -> id of my path ([nil] = none; [[id]] at [id]) *)
   (* dest -> the rank of the class my path was selected with, which is
      the class it is exported at (0 with no path) *)
   selected_rank : Bytes.t;
@@ -61,12 +63,19 @@ type t = {
 
 type output = (int * Announce.t) list
 
+(* The new path is held before the old one is let go. *)
 let set_selected t dest p cls =
+  if p <> nil then Path_store.acquire t.store p;
+  let old = t.selected.(dest) in
+  if old <> nil then Path_store.release t.store old;
   t.selected.(dest) <- p;
   Bytes.set t.selected_rank dest (Char.chr (Gao_rexford.class_rank cls))
 
-let create ?on_change ?policy topo ~id =
+let create ?on_change ?policy ?store topo ~id =
   let n = Topology.num_nodes topo in
+  let store =
+    match store with Some s -> s | None -> Path_store.create ~nodes:(max n 1)
+  in
   let adj = Topology.adj topo in
   let off = adj.Topology.adj_off.(id) and hi = adj.Topology.adj_off.(id + 1) in
   let t =
@@ -77,7 +86,8 @@ let create ?on_change ?policy topo ~id =
       off;
       hi;
       sessions = Array.make (hi - off) None;
-      selected = Array.make (max n 1) [];
+      store;
+      selected = Array.make (max n 1) nil;
       selected_rank = Bytes.make (max n 1) '\000';
       dirty = Dirty.create ();
       affected = Dirty.create ();
@@ -95,7 +105,7 @@ let create ?on_change ?policy topo ~id =
   (* The node's selection for itself: its own prefix, class Origin,
      exported through [export_dest] like any other selection. Set
      directly, so no [on_change] fires; [reselect] never revisits it. *)
-  set_selected t id [ id ] Gao_rexford.Origin;
+  set_selected t id (Path_store.single store id) Gao_rexford.Origin;
   t.visit <-
     (fun v ->
       if t.walk_len = Array.length t.walk then begin
@@ -110,7 +120,8 @@ let create ?on_change ?policy topo ~id =
 let id t = t.node_id
 
 let selected t dest =
-  if dest < Array.length t.selected then t.selected.(dest) else []
+  if dest < Array.length t.selected then Path_store.path t.store t.selected.(dest)
+  else []
 
 let selected_class t dest =
   Gao_rexford.class_of_rank (Char.code (Bytes.get t.selected_rank dest))
@@ -120,7 +131,7 @@ let mark_dirty t dest = Dirty.mark t.dirty dest
 let new_session t ~neighbor =
   { pg = Pgraph.create ~nodes:t.nodes ~root:neighbor;
     export = Builder.create ~root:t.node_id ~nodes:t.nodes;
-    c_path = Array.make t.nodes [];
+    c_path = Array.make t.nodes nil;
     c_attr = Array.make t.nodes 0;
     usage = Bit_rows.create t.nodes;
     pending = Flat_tbl.create () }
@@ -131,7 +142,9 @@ let session_of t neighbor =
 
 (* --- derived-path cache maintenance --- *)
 
-let cached s dest = if dest < Array.length s.c_path then s.c_path.(dest) else []
+let cached s dest = if dest < Array.length s.c_path then s.c_path.(dest) else nil
+
+let cached_path t s dest = Path_store.path t.store s.c_path.(dest)
 
 let rec unmark usage dest = function
   | [] -> ()
@@ -139,19 +152,24 @@ let rec unmark usage dest = function
     Bit_rows.remove usage x dest;
     unmark usage dest rest
 
-let uncache s dest =
-  match s.c_path.(dest) with
-  | [] -> ()
-  | _root :: rest ->
-    unmark s.usage dest rest;
-    s.c_path.(dest) <- []
+(* The old path is read before its id is released. *)
+let uncache t s dest =
+  let id = s.c_path.(dest) in
+  if id <> nil then begin
+    (match Path_store.path t.store id with
+    | [] -> ()
+    | _root :: rest -> unmark s.usage dest rest);
+    Path_store.release t.store id;
+    s.c_path.(dest) <- nil
+  end
 
-let walk_path t =
-  let p = ref [] in
-  for i = 0 to t.walk_len - 1 do
-    p := t.walk.(i) :: !p
+(* The id of the derivation in [t.walk], interned destination first. *)
+let intern_walk t =
+  let id = ref (Path_store.single t.store t.walk.(0)) in
+  for i = 1 to t.walk_len - 1 do
+    id := Path_store.extend t.store t.walk.(i) !id
   done;
-  !p
+  !id
 
 (* What selection reads off a cached path, packed in one int: whether
    it visits this node (bit 0), whether every pair of nodes it crosses
@@ -166,12 +184,13 @@ let class_bits = function
   | None -> 0
   | Some cls -> attr_classed lor (Gao_rexford.class_rank cls lsl 2)
 
-(* Cache the derivation in [t.walk] as [dest]'s path, setting [dest] in
-   the row of every node on it but the root, and record its
-   attributes. *)
-let cache t s dest =
-  let p = walk_path t in
-  s.c_path.(dest) <- p;
+(* Cache the derivation in [t.walk], interned as [id], as [dest]'s path,
+   setting [dest] in the row of every node on it but the root, and
+   record its attributes. *)
+let cache t s dest id =
+  Path_store.acquire t.store id;
+  s.c_path.(dest) <- id;
+  let p = Path_store.path t.store id in
   for i = 0 to t.walk_len - 2 do
     Bit_rows.add s.usage t.walk.(i) dest
   done;
@@ -180,30 +199,22 @@ let cache t s dest =
     lor class_bits (Path_class.class_of t.topo p)
     lor if Path.contains p t.node_id then attr_loop else 0
 
-(* Is the derivation in [t.walk] (destination first) the path [p]? *)
-let walk_is t p =
-  let rec go i = function
-    | [] -> i < 0
-    | x :: rest -> i >= 0 && t.walk.(i) = x && go (i - 1) rest
-  in
-  go (t.walk_len - 1) p
-
 (* Re-derive one destination from the session's graph; true iff the
    cached path changed. The derivation is walked into scratch and
-   compared with the cache, so an unchanged path allocates nothing. *)
+   interned, so a path the store holds already allocates nothing. *)
 let rederive t s ~dest =
-  let old_path = cached s dest in
   let is_dest = Pgraph.is_dest s.pg dest in
   t.walk_len <- 0;
   let derived = is_dest && Pgraph.derive_walk s.pg ~dest t.visit in
   if is_dest && not derived then Flat_tbl.set s.pending dest 1
   else if Flat_tbl.length s.pending > 0 then Flat_tbl.remove s.pending dest;
-  let same = if derived then walk_is t old_path else old_path = [] in
-  if not same then begin
-    uncache s dest;
-    if derived then cache t s dest
-  end;
-  not same
+  let id = if derived then intern_walk t else nil in
+  id <> cached s dest
+  && begin
+    uncache t s dest;
+    if derived then cache t s dest id;
+    true
+  end
 
 (* One-hop invalidation. A delta changes the in-links of the children
    of its links and nothing else, and a derivation reads only the
@@ -253,7 +264,7 @@ let scan_child t s c =
       t.steps <- a
     end;
     t.steps.(2 * !n) <- !d;
-    t.steps.((2 * !n) + 1) <- Pgraph.path_step s.c_path.(!d) ~node:c;
+    t.steps.((2 * !n) + 1) <- Pgraph.path_step (cached_path t s !d) ~node:c;
     incr n;
     d := Bit_rows.next s.usage c (!d + 1)
   done;
@@ -294,7 +305,7 @@ let check_changed t s c =
    from [next], re-runs that step. *)
 let recheck t s c ~dest ~next =
   if dest < t.nodes && Bit_rows.mem s.usage c dest then begin
-    let h = Pgraph.path_step s.c_path.(dest) ~node:c in
+    let h = Pgraph.path_step (cached_path t s dest) ~node:c in
     if
       Pgraph.step_next h = next
       && Pgraph.derive_step s.pg ~dest ~node:c ~next <> Pgraph.step_parent h
@@ -368,18 +379,19 @@ let offer_path t ~neighbor ~role s ~dest down =
     false
   end
 
-(* The selected path toward [dest], [] when there is none; [t.best]'s
-   leader class is then the class it was selected with. A claimed
-   origination (static [originate] or an active hijack override) is
-   offered first: class Origin, length 1. *)
+(* The id of the selected path toward [dest], [nil] when there is none;
+   [t.best]'s leader class is then the class it was selected with. A
+   claimed origination (static [originate] or an active hijack
+   override) is offered first: class Origin, length 1. *)
 let best_path t ~dest =
   let chooser = t.node_id in
   Gao_rexford.start t.best ~chooser ~dest;
-  (* The leader's path beyond [chooser]. *)
-  let lead =
-    ref
-      (if Policy.offer_claim t.policy t.best ~node:chooser ~dest then [ dest ]
-       else [])
+  (* The leader's path beyond [chooser]: a cached id, or the one-node
+     path [[one]] of a claim or a direct offer, interned once it
+     wins. *)
+  let lead = ref nil in
+  let one =
+    ref (if Policy.offer_claim t.policy t.best ~node:chooser ~dest then dest else nil)
   in
   let { Topology.adj_nbr; adj_rel; adj_link; adj_up; _ } = t.adj in
   for k = t.off to t.hi - 1 do
@@ -387,11 +399,15 @@ let best_path t ~dest =
       let n = adj_nbr.(k) and role = Topology.rel_of_code adj_rel.(k) in
       (match t.sessions.(k - t.off) with
       | None -> ()
-      | Some s -> (
-        match cached s dest with
-        | [] -> ()
-        | down ->
-          if offer_path t ~neighbor:n ~role s ~dest down then lead := down));
+      | Some s ->
+        let c = cached s dest in
+        if
+          c <> nil
+          && offer_path t ~neighbor:n ~role s ~dest (Path_store.path t.store c)
+        then begin
+          lead := c;
+          one := nil
+        end);
       (* The direct offer: a neighbor's own prefix, before its
          announcement arrives. [Policy.extend] asks the neighbor's
          export chain first, so the offer carries exactly what that
@@ -400,16 +416,15 @@ let best_path t ~dest =
          [exp all --quick --seed 42], fig8's cold-start messages go
          from 801 to 2,515 at its smallest size and Fig. 6's Centaur
          median from 13.01 to 13.96 ms. *)
-      if dest = n then begin
-        let down = [ n ] in
-        if
-          Policy.extend t.policy t.best ~node:chooser ~peer:n ~role ~dest
-            ~neighbor_class:Gao_rexford.Origin ~len:0 ~tail:down
-        then lead := down
-      end
+      if
+        dest = n
+        && Policy.extend t.policy t.best ~node:chooser ~peer:n ~role ~dest
+             ~neighbor_class:Gao_rexford.Origin ~len:0 ~tail:[ n ]
+      then one := n
     end
   done;
-  match !lead with [] -> [] | down -> chooser :: down
+  let lead = if !one <> nil then Path_store.single t.store !one else !lead in
+  if lead = nil then nil else Path_store.extend t.store chooser lead
 
 (* Run [f neighbor role session] over the live neighbors holding a
    session, ascending. *)
@@ -447,7 +462,7 @@ let reselect t ~dest =
   if dest <> t.node_id then begin
     let p = best_path t ~dest in
     let cls = Gao_rexford.leader_class t.best in
-    let moved = not (Path.equal (selected t dest) p) in
+    let moved = p <> t.selected.(dest) in
     if moved || cls <> selected_class t dest then begin
       set_selected t dest p cls;
       if moved then (match t.on_change with Some f -> f dest | None -> ());
@@ -529,7 +544,9 @@ let recompute t =
   (t, flush t)
 
 let iter_selected t f =
-  Array.iteri (fun dest p -> match p with [] -> () | p -> f dest p) t.selected
+  Array.iteri
+    (fun dest id -> if id <> nil then f dest (Path_store.path t.store id))
+    t.selected
 
 (* Full export of the current table, the node's own prefix included,
    to a fresh session. *)
@@ -544,17 +561,21 @@ let absorb_adjacency t =
   for k = t.off to t.hi - 1 do
     let n = adj_nbr.(k) and i = k - t.off in
     if not adj_up.(adj_link.(k)) then begin
-      (* Dead session: drop state; every destination currently routed
-         through the vanished neighbor needs re-selection, as does the
-         neighbor's own prefix. *)
-      if t.sessions.(i) <> None then begin
+      (* Dead session: drop state, releasing its cached paths; every
+         destination currently routed through the vanished neighbor
+         needs re-selection, as does the neighbor's own prefix. *)
+      match t.sessions.(i) with
+      | None -> ()
+      | Some s ->
+        Array.iter
+          (fun id -> if id <> nil then Path_store.release t.store id)
+          s.c_path;
         t.sessions.(i) <- None;
         mark_dirty t n;
         iter_selected t (fun dest p ->
             match p with
             | _ :: hop :: _ when hop = n -> mark_dirty t dest
             | _ -> ())
-      end
     end
     else if t.sessions.(i) = None then begin
       (* New session: empty announced graph, full export. *)
@@ -582,7 +603,7 @@ let refresh_policy ?(resend = false) t =
     (function
       | None -> ()
       | Some s ->
-        Array.iteri (fun d p -> if p <> [] then mark_dirty t d) s.c_path;
+        Array.iteri (fun d id -> if id <> nil then mark_dirty t d) s.c_path;
         Flat_tbl.iter s.pending (fun d _ -> mark_dirty t d))
     t.sessions;
   iter_selected t (fun d _ -> mark_dirty t d);

@@ -25,6 +25,12 @@
     The derived cache stays equal to a fresh derivation from the session
     graphs, lost deltas included.
 
+    Selected and derived paths are {!Path_store} ids. The path a node
+    derives from a neighbor's P-graph is, once the network settles, that
+    neighbor's own selected path (Observation 1, §4.2), so a
+    re-derivation looks its path up rather than building it, and
+    comparing two paths compares two ints.
+
     The node consults the shared {!Topology.t} only for (a) its own
     adjacency and link state and (b) the static business relationship of
     remote links appearing in paths it has learned — never for remote
@@ -36,7 +42,12 @@ type output = (int * Announce.t) list
 (** [(neighbor, announcement)] pairs to deliver. *)
 
 val create :
-  ?on_change:(int -> unit) -> ?policy:Policy.compiled -> Topology.t -> id:int -> t
+  ?on_change:(int -> unit) ->
+  ?policy:Policy.compiled ->
+  ?store:Path_store.t ->
+  Topology.t ->
+  id:int ->
+  t
 (** A node with empty routing state but for its selection for itself,
     [[id]]. [on_change] is called with the destination id every time the
     node's selected path for that destination changes — the tap the
@@ -45,7 +56,11 @@ val create :
     Gao–Rexford default) drives import preference, export filtering and
     claimed originations; received announcements are additionally always
     verified against the baseline Gao–Rexford contract, with failures
-    counted on {!Policy.rejects}. *)
+    counted on {!Policy.rejects}. [store] holds the node's selected and
+    derived paths as ids (default: a store of its own); the nodes of one
+    network share one, so each distinct path is held once. It must span
+    the topology's nodes, and a store is used by one domain at a
+    time. *)
 
 val id : t -> int
 

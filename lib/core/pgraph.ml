@@ -41,7 +41,10 @@ type t = {
   marks : Bytes.t; (* node -> ['\001'] when a destination *)
   (* Link arena, one slot per live link; [l_key.(s) = nil] on free slots
      (packed keys are non-negative). Freed slots are chained through
-     [l_next_in] and reused before the arena grows. *)
+     [l_next_in] and reused before the arena grows. [l_plist] is
+     allocated by the first non-empty list a slot takes, and a slot past
+     its end carries none: a graph that never holds a list (a builder's
+     current view) has no list array. *)
   mutable l_key : int array;
   mutable l_counter : int array;
   mutable l_plist : Permission_list.t array;
@@ -71,7 +74,7 @@ let create ~nodes ~root =
       marks = Bytes.make nodes '\000';
       l_key = Array.make initial_cap nil;
       l_counter = Array.make initial_cap 0;
-      l_plist = Array.make initial_cap Permission_list.empty;
+      l_plist = [||];
       l_next_in = Array.make initial_cap nil;
       slot_hwm = 0;
       free_head = nil;
@@ -138,10 +141,22 @@ let grow_arena t =
   in
   t.l_key <- grow_int t.l_key nil;
   t.l_counter <- grow_int t.l_counter 0;
-  t.l_next_in <- grow_int t.l_next_in nil;
-  let pl = Array.make cap' Permission_list.empty in
-  Array.blit t.l_plist 0 pl 0 cap;
-  t.l_plist <- pl
+  t.l_next_in <- grow_int t.l_next_in nil
+
+let plist_at t s =
+  if s < Array.length t.l_plist then Array.unsafe_get t.l_plist s
+  else Permission_list.empty
+
+(* A slot past the list array's end takes an empty list as it is; a
+   non-empty one extends the array over the whole arena. *)
+let set_plist_at t s pl =
+  if s < Array.length t.l_plist then t.l_plist.(s) <- pl
+  else if not (Permission_list.is_empty pl) then begin
+    let a = Array.make (Array.length t.l_key) Permission_list.empty in
+    Array.blit t.l_plist 0 a 0 (Array.length t.l_plist);
+    a.(s) <- pl;
+    t.l_plist <- a
+  end
 
 let alloc_slot t =
   if t.free_head <> nil then begin
@@ -170,7 +185,7 @@ let insert t ~parent ~child ~counter ~plist =
   let s = alloc_slot t in
   t.l_key.(s) <- pack ~parent ~child;
   t.l_counter.(s) <- counter;
-  t.l_plist.(s) <- plist;
+  set_plist_at t s plist;
   t.l_next_in.(s) <- t.heads.(child);
   t.heads.(child) <- s;
   t.link_count <- t.link_count + 1
@@ -180,7 +195,7 @@ let put_link t ~parent ~child ~counter ~plist =
   | -1 -> insert t ~parent ~child ~counter ~plist
   | s ->
     t.l_counter.(s) <- counter;
-    t.l_plist.(s) <- plist
+    set_plist_at t s plist
 
 let add_link t ~parent ~child ~data =
   put_link t ~parent ~child ~counter:data.counter ~plist:data.plist
@@ -199,7 +214,7 @@ let release t ~child s =
     next.(!p) <- next.(s)
   end;
   t.l_key.(s) <- nil;
-  t.l_plist.(s) <- Permission_list.empty;
+  set_plist_at t s Permission_list.empty;
   next.(s) <- t.free_head;
   t.free_head <- s;
   t.link_count <- t.link_count - 1
@@ -229,18 +244,18 @@ let drop_use t ~parent ~child =
 let set_plist t ~parent ~child plist =
   match slot t ~parent ~child with
   | -1 -> invalid_arg "Pgraph.set_plist: link absent"
-  | s -> t.l_plist.(s) <- plist
+  | s -> set_plist_at t s plist
 
 let mem_link t ~parent ~child = slot t ~parent ~child <> nil
 
 let plist t ~parent ~child =
   let s = slot t ~parent ~child in
-  if s = nil then Permission_list.empty else t.l_plist.(s)
+  if s = nil then Permission_list.empty else plist_at t s
 
 let link_data t ~parent ~child =
   let s = slot t ~parent ~child in
   if s = nil then None
-  else Some { counter = t.l_counter.(s); plist = t.l_plist.(s) }
+  else Some { counter = t.l_counter.(s); plist = plist_at t s }
 
 let in_degree t node =
   let s = ref (head t node) in
@@ -264,7 +279,7 @@ let parents_of t node =
   while !s <> nil do
     acc :=
       ( key_parent t.l_key.(!s),
-        { counter = t.l_counter.(!s); plist = t.l_plist.(!s) } )
+        { counter = t.l_counter.(!s); plist = plist_at t !s } )
       :: !acc;
     s := t.l_next_in.(!s)
   done;
@@ -283,20 +298,20 @@ let links t =
   |> List.map (fun s ->
          ( key_parent t.l_key.(s),
            key_child t.l_key.(s),
-           { counter = t.l_counter.(s); plist = t.l_plist.(s) } ))
+           { counter = t.l_counter.(s); plist = plist_at t s } ))
 
 let num_links t = t.link_count
 
 let num_permission_lists t =
   let n = ref 0 in
   iter_slots t (fun s ->
-      if not (Permission_list.is_empty t.l_plist.(s)) then incr n);
+      if not (Permission_list.is_empty (plist_at t s)) then incr n);
   !n
 
 let permission_lists t =
   let acc = ref [] in
   iter_slots t (fun s ->
-      let pl = t.l_plist.(s) in
+      let pl = plist_at t s in
       if not (Permission_list.is_empty pl) then acc := pl :: !acc);
   !acc
 
@@ -487,7 +502,7 @@ let derive_step t ~dest ~node ~next =
     let permitted = ref nil in
     let s = ref first in
     while !s <> nil do
-      if Permission_list.permit t.l_plist.(!s) ~dest ~next then begin
+      if Permission_list.permit (plist_at t !s) ~dest ~next then begin
         let parent = key_parent t.l_key.(!s) in
         if !permitted = nil || parent < !permitted then permitted := parent
       end;
@@ -565,7 +580,7 @@ let derive_paths ?(limit = 64) t ~dest =
               let parents = ref [] in
               let s = ref first in
               while !s <> nil do
-                if Permission_list.permit t.l_plist.(!s) ~dest ~next:prev then
+                if Permission_list.permit (plist_at t !s) ~dest ~next:prev then
                   parents := key_parent t.l_key.(!s) :: !parents;
                 s := t.l_next_in.(!s)
               done;
@@ -592,7 +607,7 @@ let equal a b =
         match slot b ~parent:(key_parent key) ~child:(key_child key) with
         | -1 -> ok := false
         | s' ->
-          if not (Permission_list.equal a.l_plist.(s) b.l_plist.(s')) then
+          if not (Permission_list.equal (plist_at a s) (plist_at b s')) then
             ok := false
       end);
   !ok
@@ -617,11 +632,11 @@ let diff ~old_ ~new_ =
   let added = ref [] in
   iter_slots new_ (fun s ->
       let key = new_.l_key.(s) in
-      let pl = new_.l_plist.(s) in
+      let pl = plist_at new_ s in
       match slot old_ ~parent:(key_parent key) ~child:(key_child key) with
       | -1 -> added := (key, pl) :: !added
       | os ->
-        if not (Permission_list.equal old_.l_plist.(os) pl) then
+        if not (Permission_list.equal (plist_at old_ os) pl) then
           added := (key, pl) :: !added);
   let add_links =
     List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) !added

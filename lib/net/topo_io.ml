@@ -8,6 +8,11 @@ let to_string t =
            l.Topology.delay));
   Buffer.contents buf
 
+(* The largest node count a file may declare: ten times the largest
+   graph [exp scale] builds. A header is checked before anything is
+   allocated for it. *)
+let max_nodes = 1_000_000
+
 let of_string s =
   let lines = String.split_on_char '\n' s in
   let exception Bad of string in
@@ -25,6 +30,11 @@ let of_string s =
           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
           | [ "nodes"; count ] -> (
             match int_of_string_opt count with
+            | Some c when c > max_nodes ->
+              raise
+                (Bad
+                   (Printf.sprintf "line %d: node count %d over the %d limit"
+                      (lineno + 1) c max_nodes))
             | Some c when c >= 0 -> n := c
             | _ -> fail ())
           | [ "link"; a; b; rel; delay ] -> (

@@ -31,6 +31,11 @@ let code_rel =
   [| Relationship.Customer; Relationship.Provider; Relationship.Peer;
      Relationship.Sibling |]
 
+(* The largest link delay, in ms: far above any propagation delay, and
+   low enough that every simulated time summed over links stays
+   finite. *)
+let max_delay = 1e6
+
 let create ~n edges =
   if n < 0 then invalid_arg "Topology.create: negative node count";
   (* One packed key per unordered pair: no tuple keys, no polymorphic
@@ -44,6 +49,10 @@ let create ~n edges =
     if not (Float.is_finite delay) then
       invalid_arg "Topology.create: non-finite delay";
     if delay < 0.0 then invalid_arg "Topology.create: negative delay";
+    if delay > max_delay then
+      invalid_arg
+        (Printf.sprintf "Topology.create: delay %g ms over the %g ms limit"
+           delay max_delay);
     let key = (min a b * n) + max a b in
     if Flat_tbl.mem seen key then
       invalid_arg

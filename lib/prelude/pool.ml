@@ -22,13 +22,14 @@
    the join), so a worker can never die mid-job and the pool is always
    reusable after a failure. *)
 
-let parse_env () =
-  match Sys.getenv_opt "CENTAUR_DOMAINS" with
-  | None -> None
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some v when v >= 1 -> Some v
-    | Some _ | None -> None)
+(* OCaml 5.1 runs at most 128 domains at once: the caller and 127
+   workers. *)
+let max_size = 128
+
+let parse_size s =
+  match int_of_string_opt (String.trim s) with
+  | Some v when v >= 1 -> Some (min v max_size)
+  | Some _ | None -> None
 
 (* Computed on first use and cached in an atomic (0 = not yet known):
    worker domains may ask concurrently, and forcing one [lazy] from two
@@ -40,7 +41,7 @@ let default_size () =
   match Atomic.get default_size_cell with
   | 0 ->
     let v =
-      match parse_env () with
+      match Option.bind (Sys.getenv_opt "CENTAUR_DOMAINS") parse_size with
       | Some v -> v
       | None -> max 1 (Domain.recommended_domain_count () - 1)
     in
@@ -64,7 +65,7 @@ let size () =
 let with_size n f =
   if n < 1 then invalid_arg "Pool.with_size: size must be >= 1";
   let prev = Domain.DLS.get override in
-  Domain.DLS.set override (Some n);
+  Domain.DLS.set override (Some (min n max_size));
   Fun.protect ~finally:(fun () -> Domain.DLS.set override prev) f
 
 type job = {

@@ -9,8 +9,9 @@
 
     The pool is a process-wide singleton built lazily on first parallel
     call. Its size comes from the [CENTAUR_DOMAINS] environment variable
-    (clamped to >= 1); when unset it defaults to
-    [Domain.recommended_domain_count () - 1], with a minimum of 1. At
+    ({!parse_size}); when unset it defaults to
+    [Domain.recommended_domain_count () - 1], with a minimum of 1. No
+    size exceeds 128, the domains OCaml 5.1 runs at once. At
     size 1 every entry point takes the exact sequential code path — no
     domain is ever spawned, no atomic is touched.
 
@@ -22,10 +23,15 @@
     park on a condition variable between jobs and are joined by an
     [at_exit] hook. *)
 
+val parse_size : string -> int option
+(** The pool size a [CENTAUR_DOMAINS] value asks for: a positive
+    integer (surrounding blanks allowed), clamped to 128; [None]
+    otherwise. *)
+
 val default_size : unit -> int
-(** Pool size from the environment: [CENTAUR_DOMAINS] if set to a
-    positive integer, otherwise [max 1 (recommended_domain_count - 1)].
-    Read once and memoized. *)
+(** Pool size from the environment: [CENTAUR_DOMAINS] if {!parse_size}
+    reads it, otherwise [max 1 (recommended_domain_count - 1)]. Read
+    once and memoized. *)
 
 val size : unit -> int
 (** Effective size for the current domain: the innermost {!with_size}
@@ -33,10 +39,10 @@ val size : unit -> int
 
 val with_size : int -> (unit -> 'a) -> 'a
 (** [with_size n f] runs [f] with the effective pool size forced to [n]
-    (for this domain only; restored on exit, exception-safe). [n = 1]
-    forces the exact sequential path — benchmarks and the determinism
-    tests use this to compare sequential and parallel runs inside one
-    process. Raises [Invalid_argument] if [n < 1]. *)
+    (for this domain only; restored on exit, exception-safe), clamped
+    to 128. [n = 1] forces the exact sequential path — benchmarks and
+    the determinism tests use this to compare sequential and parallel
+    runs inside one process. Raises [Invalid_argument] if [n < 1]. *)
 
 val parallel_map_array : ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map_array f a] is [Array.map f a], computed by the pool.

@@ -47,6 +47,9 @@ let network ?(trace = Trace.none) ?policy topo =
      cell (the array itself is built around the callbacks). *)
   let states_cell = ref [||] in
   let rib_changes = Array.make n 0 in
+  (* One path store for the network: each distinct path is held once,
+     however many nodes select or derive it. *)
+  let store = Centaur.Path_store.create ~nodes:(max n 1) in
   let states =
     Array.init n (fun id ->
         Centaur.Node.create
@@ -58,7 +61,7 @@ let network ?(trace = Trace.none) ?policy topo =
                 Centaur.Node.selected_path !states_cell.(id) ~dest = None
               in
               Trace.emit tr (Trace.Rib_change { node = id; dest; withdrawn }))
-          ~policy topo ~id)
+          ~policy ~store topo ~id)
   in
   states_cell := states;
   let post_sends node sends =

@@ -44,7 +44,7 @@ let schedule mode (events : Update_stream.event array) =
      first; one rev_map restores time order on both levels. *)
   List.rev_map (fun (t, g) -> (t, List.rev g)) !groups
 
-let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
+let replay ?metrics ~policy ~topo ~(stream : Update_stream.t) ~mode
     (runner : Sim.Runner.t) =
   let hist =
     Option.map
@@ -77,7 +77,7 @@ let replay ?metrics ?policy ~topo ~(stream : Update_stream.t) ~mode
   let cancelled = ref 0 in
   let idx = ref 0 in
   let stats =
-    Faults.Injector.drive ?metrics ?policy runner ~topo
+    Faults.Injector.drive ?metrics ~policy runner ~topo
       ~seed:stream.Update_stream.seed
       ~waves
       ~samples:[]

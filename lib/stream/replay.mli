@@ -35,7 +35,7 @@ type outcome = {
 
 val replay :
   ?metrics:Obs.Metrics.t ->
-  ?policy:Policy.compiled ->
+  policy:Policy.compiled ->
   topo:Topology.t ->
   stream:Update_stream.t ->
   mode:mode ->
@@ -43,7 +43,9 @@ val replay :
   outcome
 (** Cold-starts the runner, then drives it through the stream's waves
     (see {!Faults.Injector.drive}, which also seeds loss from the stream
-    seed and takes [topo], [policy] and [metrics]). [metrics], when
+    seed and takes [topo], [policy] and [metrics]). [policy] is the
+    compiled policy the runner was built with: a stream's policy events
+    edit it in place. [metrics], when
     given, also receives the [stream.latency_ms] histogram. Equal
     [(topology, stream, mode, runner construction)] give byte-identical
     outcomes. Raises [Invalid_argument], before the cold start, on a

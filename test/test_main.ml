@@ -9,6 +9,7 @@ let () =
       ("permission-list", Test_permission_list.suite);
       ("solver", Test_solver.suite);
       ("pgraph", Test_pgraph.suite);
+      ("path-store", Test_path_store.suite);
       ("stable", Test_stable.suite);
       ("vf-paths", Test_vf_paths.suite);
       ("builder", Test_builder.suite);

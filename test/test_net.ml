@@ -116,6 +116,11 @@ let test_topology_validation () =
     (fun delay ->
       bad "Topology.create: non-finite delay" [ (0, 1, Relationship.Peer, delay) ])
     [ Float.nan; Float.infinity; Float.neg_infinity ];
+  (* A finite delay past the bound would make simulated times
+     overflow. *)
+  bad "Topology.create: delay 1e+308 ms over the 1e+06 ms limit"
+    [ (0, 1, Relationship.Peer, 1e308) ];
+  ignore (Topology.create ~n:2 [ (0, 1, Relationship.Peer, 1e6) ]);
   Alcotest.check_raises "out of range"
     (Invalid_argument "Topology.create: node id out of range (0, 9)")
     (fun () ->
@@ -164,6 +169,11 @@ let test_topo_io_errors () =
   (match Topo_io.of_string "nodes 2\nlink 0 1 peer nan" with
   | Error e -> Alcotest.(check string) "NaN delay" "Topology.create: non-finite delay" e
   | Ok _ -> Alcotest.fail "accepted a NaN delay");
+  (* The node count is bounded before anything is allocated for it. *)
+  (match Topo_io.of_string "# big\nnodes 1000001\nlink 0 1 peer 1.0" with
+  | Error e ->
+    Alcotest.(check string) "node count" "line 2: node count 1000001 over the 1000000 limit" e
+  | Ok _ -> Alcotest.fail "accepted 1000001 nodes");
   match Topo_io.of_string "nodes 2\n# comment\n\nlink 0 1 peer 0.5" with
   | Ok t -> Alcotest.(check int) "comments skipped" 1 (Topology.num_links t)
   | Error e -> Alcotest.failf "rejected valid input: %s" e

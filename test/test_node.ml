@@ -52,9 +52,9 @@ let bump nodes queue i =
   List.iter (fun m -> Queue.push m queue) out
 
 (* Start every node and pump to quiescence; returns the nodes. *)
-let converge ?drop topo =
+let converge ?drop ?store topo =
   let n = Topology.num_nodes topo in
-  let nodes = Array.init n (fun id -> Node.create topo ~id) in
+  let nodes = Array.init n (fun id -> Node.create ?store topo ~id) in
   let queue = Queue.create () in
   Array.iteri
     (fun i _ ->
@@ -422,6 +422,51 @@ let delta_check_matches_rebuild =
           selected_paths topo !node = selected_paths topo fresh)
         (List.init 16 Fun.id))
 
+(* The path store of a network whose nodes share one: after random link
+   flips and their reversal, it holds exactly the entries, with the
+   same holders, as the store of a fresh cold start, and no transition
+   leaves an entry nobody holds. *)
+let store_returns_to_cold_start =
+  QCheck.Test.make ~name:"flips and back: path store = fresh cold start's"
+    ~count:(qcheck_count 100)
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let topo = random_brite ~seed ~n:(8 + (seed mod 5)) ~m:2 in
+      let n = Topology.num_nodes topo in
+      let rng = Random.State.make [| seed |] in
+      let store = Path_store.create ~nodes:n in
+      let nodes = converge ~store topo in
+      let all_held () =
+        List.for_all (fun (_, holders) -> holders > 0) (Path_store.entries store)
+      in
+      let held = ref (all_held ()) in
+      (* One node transition at a time, each checked. *)
+      let step i (st, out) queue =
+        nodes.(i) <- st;
+        List.iter (fun m -> Queue.push m queue) out;
+        held := !held && all_held ()
+      in
+      let flip link_id =
+        let queue = Queue.create () in
+        let link = Topology.link topo link_id in
+        Topology.set_up topo link_id (not (Topology.is_up topo link_id));
+        List.iter
+          (fun i -> step i (on_adjacency_change nodes.(i)) queue)
+          [ link.Topology.a; link.Topology.b ];
+        while not (Queue.is_empty queue) do
+          let dst, ann = Queue.pop queue in
+          step dst (handle nodes.(dst) ann) queue
+        done
+      in
+      let flipped =
+        List.init 4 (fun _ -> Random.State.int rng (Topology.num_links topo))
+      in
+      List.iter flip flipped;
+      List.iter flip (List.rev flipped);
+      let fresh = Path_store.create ~nodes:n in
+      ignore (converge ~store:fresh topo);
+      !held && Path_store.entries store = Path_store.entries fresh)
+
 let suite =
   [ Alcotest.test_case "node pump = solver (fig2)" `Quick
       test_converges_to_solver_fig2;
@@ -446,4 +491,5 @@ let suite =
     Alcotest.test_case "announce import filter" `Quick
       test_announce_import_filter;
     QCheck_alcotest.to_alcotest routes_equal_rebuild_after_loss;
-    QCheck_alcotest.to_alcotest delta_check_matches_rebuild ]
+    QCheck_alcotest.to_alcotest delta_check_matches_rebuild;
+    QCheck_alcotest.to_alcotest store_returns_to_cold_start ]

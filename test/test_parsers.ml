@@ -44,11 +44,19 @@ let robust ~name ~inputs parse =
       parse (mutated case);
       true)
 
+(* Beside two valid topologies, inputs whose numbers are non-finite or
+   huge: a node count past the bound, delays of [nan], [inf] and 1e308,
+   and ids past [max_int]. *)
 let topo_io =
   robust ~name:"Topo_io.of_string never raises"
     ~inputs:
       [ Topo_io.to_string (Helpers.random_brite ~seed:3 ~n:12 ~m:2);
-        Topo_io.to_string (Helpers.random_as_topology ~seed:5 ~n:15) ]
+        Topo_io.to_string (Helpers.random_as_topology ~seed:5 ~n:15);
+        "nodes 1000000000\nlink 0 1 peer 1.0\n";
+        "nodes 4611686018427387903\nlink 0 1 customer 1e308\n";
+        "nodes 3\nlink 0 1 peer nan\nlink 1 2 provider inf\nlink 0 2 peer -inf\n";
+        "nodes 3\nlink 0 1 peer 1e308\nlink 1 2 customer 999999.5\n";
+        "nodes 99999999999999999999\nlink 9223372036854775807 1 peer 1e-320\n" ]
     (fun s -> match Topo_io.of_string s with Ok _ | Error _ -> ())
 
 let as_rel =

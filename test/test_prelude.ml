@@ -314,6 +314,20 @@ let test_pool_size_one_sequential () =
     (Invalid_argument "Pool.with_size: size must be >= 1") (fun () ->
       Pool.with_size 0 (fun () -> ()))
 
+(* No pool size exceeds the 128 domains OCaml runs at once. Both the
+   environment's value and a forced size are read back, so no domain
+   starts. *)
+let test_pool_size_clamp () =
+  let parsed = Alcotest.(check (option int)) in
+  parsed "a size" (Some 4) (Pool.parse_size " 4 ");
+  parsed "the ceiling" (Some 128) (Pool.parse_size "128");
+  parsed "over the ceiling" (Some 128) (Pool.parse_size "100000");
+  parsed "past max_int" None (Pool.parse_size "99999999999999999999");
+  parsed "zero" None (Pool.parse_size "0");
+  parsed "not a number" None (Pool.parse_size "many");
+  Pool.with_size 100_000 (fun () ->
+      Alcotest.(check int) "forced size" 128 (Pool.size ()))
+
 let test_pool_nested_calls () =
   (* A work item calling back into the pool runs sequentially instead of
      deadlocking. *)
@@ -715,6 +729,7 @@ let suite =
       test_pool_reuse_across_calls;
     Alcotest.test_case "pool size one sequential" `Quick
       test_pool_size_one_sequential;
+    Alcotest.test_case "pool size clamp" `Quick test_pool_size_clamp;
     Alcotest.test_case "pool nested calls" `Quick test_pool_nested_calls;
     Alcotest.test_case "pool parallel fold ranges" `Quick
       test_pool_parallel_fold_ranges;

@@ -243,7 +243,8 @@ let test_srlg_across_boundary () =
     let topo = random_brite ~seed:7 ~n:nodes ~m:2 in
     let runner = Protocols.Bgp_net.network topo in
     let outcome =
-      Stream.Replay.replay ~topo ~stream:(mk_stream ()) ~mode runner
+      Stream.Replay.replay ~policy:(Policy.default ()) ~topo
+        ~stream:(mk_stream ()) ~mode runner
     in
     (runner, outcome)
   in
@@ -332,7 +333,8 @@ let test_replay_deterministic () =
       Stream.Update_stream.generate ~seed:5 ~rate:0.4 ~duration:40.0
         ~loss_share:0.2 topo
     in
-    Stream.Replay.replay ~topo ~stream ~mode:(Stream.Replay.Waves window)
+    Stream.Replay.replay ~policy:(Policy.default ()) ~topo ~stream
+      ~mode:(Stream.Replay.Waves window)
       runner
   in
   let a = run () and b = run () in
@@ -346,7 +348,7 @@ let test_latency_stamps () =
   in
   let metrics = Obs.Metrics.create () in
   let outcome =
-    Stream.Replay.replay ~metrics ~topo ~stream
+    Stream.Replay.replay ~metrics ~policy:(Policy.default ()) ~topo ~stream
       ~mode:(Stream.Replay.Waves window) runner
   in
   Alcotest.(check int) "one latency per update"
@@ -387,7 +389,8 @@ let test_split_stepping_composition () =
   let topo_a = random_brite ~seed:17 ~n:nodes ~m:2 in
   let runner_a = Protocols.Bgp_net.network topo_a in
   ignore
-    (Stream.Replay.replay ~topo:topo_a ~stream:(stream_of topo_a)
+    (Stream.Replay.replay ~policy:(Policy.default ()) ~topo:topo_a
+       ~stream:(stream_of topo_a)
        ~mode:(Stream.Replay.Waves window) runner_a);
   (* Same schedule, but each inter-wave step is split into four
      run_until calls (quarter-window strides). *)
